@@ -1,7 +1,6 @@
 //! Simulation configuration: network mode (CEE vs InfiniBand), congestion
 //! detector selection, endpoint feedback mode, priorities and tracing.
 
-use crate::event::QueueKind;
 use crate::topology::NodeId;
 use lossless_flowctl::cbfc::CbfcConfig;
 use lossless_flowctl::pfc::PfcConfig;
@@ -181,10 +180,6 @@ pub struct SimConfig {
     /// semantics (`Trace::dropped_port_samples`). `None` by default: the
     /// run fingerprint includes the sample count, so capping is opt-in.
     pub max_port_samples: Option<usize>,
-    /// Which event-queue core drives the run. Both cores produce the
-    /// exact same dispatch order (see [`QueueKind`]), so this affects
-    /// throughput only, never traces or fingerprints.
-    pub queue: QueueKind,
     /// Intra-run partition workers for the conservative-parallel
     /// executor (see `crate::par`): `0` (default) defers to the
     /// `TCD_PARTITIONS` environment variable (absent → serial), `1`
@@ -224,7 +219,6 @@ impl SimConfig {
             obs: lossless_obs::ObsConfig::default(),
             max_marks: None,
             max_port_samples: None,
-            queue: QueueKind::Auto,
             partitions: 0,
             fault_plan: crate::fault::FaultPlan::default(),
         }
@@ -256,7 +250,6 @@ impl SimConfig {
             obs: lossless_obs::ObsConfig::default(),
             max_marks: None,
             max_port_samples: None,
-            queue: QueueKind::Auto,
             partitions: 0,
             fault_plan: crate::fault::FaultPlan::default(),
         }

@@ -5,36 +5,27 @@
 //! function of its configuration. This property underpins every regression
 //! test in the workspace.
 //!
-//! Two cores implement that total order behind [`QueueKind`]:
+//! The ordering core is a **timing wheel**: a hierarchical calendar queue.
+//! Time is quantized into ticks of `2^GRAN_BITS` ps; each of the
+//! [`LEVELS`] levels covers 64× the tick span of the level below, so the
+//! wheel spans `2^(GRAN_BITS + 6·LEVELS)` ps (~9 min of simulated time)
+//! and anything later waits in an overflow list. Inserts and pops are O(1)
+//! amortized — an event cascades down at most once per level as the clock
+//! approaches it.
 //!
-//! - **Timing wheel** (default): a hierarchical calendar queue. Time is
-//!   quantized into ticks of `2^GRAN_BITS` ps; each of the [`LEVELS`]
-//!   levels covers 64× the tick span of the level below, so the wheel
-//!   spans `2^(GRAN_BITS + 6·LEVELS)` ps (~9 min of simulated time) and
-//!   anything later waits in an overflow list. Inserts and pops are O(1)
-//!   amortized — an event cascades down at most once per level as the
-//!   clock approaches it.
-//! - **Binary heap**: the original `BinaryHeap<Reverse<Scheduled>>`, kept
-//!   as a differential reference while the wheel bakes in
-//!   (`TCD_EVENT_QUEUE=heap` selects it at runtime).
-//!
-//! Both cores dispatch same-timestamp groups as a staged batch through
-//! [`EventQueue::pop_batched`], so the engine touches the ordering
-//! structure once per group instead of once per event. The heap core
-//! stages the earliest-timestamp group into a FIFO deque (zero-delay
-//! schedules issued while it drains append to the tail, where their
-//! fresh, larger sequence numbers belong); the wheel core's staged group
-//! is its own sorted current-tick buffer, which serves pops directly and
-//! absorbs zero-delay schedules by ordered insertion. Either way a group
-//! hands out events in exact `(at, seq)` order, so the pop order is
-//! *identical* across cores, event for event — which is what keeps
-//! golden traces and fingerprints bit-stable across cores.
+//! Same-timestamp groups dispatch as a staged batch through
+//! [`EventQueue::pop_batched`]: the wheel's sorted current-tick buffer
+//! serves pops directly and absorbs zero-delay schedules by ordered
+//! insertion, so the engine touches the level structure once per group
+//! instead of once per event, and a group hands out events in exact
+//! `(at, seq)` order. That order is the one a
+//! `BinaryHeap<Reverse<(at, seq)>>` yields; `tests/event_order.rs` drives
+//! such a heap as the reference model in lock-step with the wheel.
 
 use crate::packet::{FlowId, Packet};
 use crate::topology::NodeId;
 use lossless_flowctl::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 
 /// A simulation event.
 #[derive(Debug)]
@@ -170,50 +161,6 @@ struct Scheduled {
     at: SimTime,
     seq: u64,
     ev: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Which core backs an [`EventQueue`]. Both produce the exact same pop
-/// order, so the choice never affects traces or fingerprints — only
-/// throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Resolve from the `TCD_EVENT_QUEUE` environment variable at
-    /// construction: `heap` selects the binary heap, anything else
-    /// (including unset) the timing wheel.
-    #[default]
-    Auto,
-    /// The hierarchical timing wheel.
-    Wheel,
-    /// The reference binary heap, kept behind this toggle while the wheel
-    /// bakes in.
-    Heap,
-}
-
-impl QueueKind {
-    fn wants_heap(self) -> bool {
-        match self {
-            QueueKind::Heap => true,
-            QueueKind::Wheel => false,
-            QueueKind::Auto => std::env::var("TCD_EVENT_QUEUE").is_ok_and(|v| v == "heap"),
-        }
-    }
 }
 
 /// Wheel tick width: `2^GRAN_BITS` ps (8 192 ps ≈ 8 ns). Chosen so a
@@ -539,6 +486,8 @@ impl Wheel {
         out
     }
 
+    /// Every stored entry, staged group included (scheduled but not yet
+    /// dispatched, so e.g. their packets are still in flight).
     #[cfg(feature = "audit")]
     fn iter(&self) -> impl Iterator<Item = &Scheduled> {
         self.cur
@@ -548,96 +497,11 @@ impl Wheel {
     }
 }
 
-/// One of the two interchangeable ordering cores.
-#[derive(Debug)]
-enum Core {
-    Wheel(Box<Wheel>),
-    Heap(BinaryHeap<Reverse<Scheduled>>),
-}
-
-impl Core {
-    fn insert(&mut self, s: Scheduled) {
-        match self {
-            Core::Wheel(w) => w.insert(s),
-            Core::Heap(h) => h.push(Reverse(s)),
-        }
-    }
-
-    fn peek_min(&self) -> Option<SimTime> {
-        match self {
-            Core::Wheel(w) => w.peek_min(),
-            Core::Heap(h) => h.peek().map(|Reverse(s)| s.at),
-        }
-    }
-
-    /// Full `(at, seq)` key of the earliest event. Heap core only (the
-    /// wheel path of [`EventQueue::pop_cut`] bounds pops inside the
-    /// sorted `cur` group instead).
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
-        match self {
-            Core::Wheel(w) => w.cur.last().map(|s| (s.at, s.seq)),
-            Core::Heap(h) => h.peek().map(|Reverse(s)| (s.at, s.seq)),
-        }
-    }
-
-    /// Move the whole earliest-timestamp group into `batch` in `(at, seq)`
-    /// order — the shared contract both cores honour. Only the heap path
-    /// of [`EventQueue::pop_batched`] stages through here; the wheel's
-    /// sorted `cur` group serves pops directly.
-    fn refill(&mut self, batch: &mut VecDeque<Scheduled>) {
-        match self {
-            Core::Wheel(w) => {
-                let Some(first) = w.pop_next(SimTime::MAX) else {
-                    return;
-                };
-                let t = first.at;
-                batch.push_back(first);
-                while w.peek_min() == Some(t) {
-                    if let Some(s) = w.pop_next(SimTime::MAX) {
-                        batch.push_back(s);
-                    }
-                }
-            }
-            Core::Heap(h) => {
-                let Some(Reverse(first)) = h.pop() else {
-                    return;
-                };
-                let t = first.at;
-                batch.push_back(first);
-                while h.peek().is_some_and(|Reverse(s)| s.at == t) {
-                    if let Some(Reverse(s)) = h.pop() {
-                        batch.push_back(s);
-                    }
-                }
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Core::Wheel(w) => w.len,
-            Core::Heap(h) => h.len(),
-        }
-    }
-}
-
 /// Pending-event set with deterministic `(time, seq)` total order and
 /// batched same-timestamp extraction.
 #[derive(Debug)]
 pub struct EventQueue {
-    core: Core,
-    /// The group of events at the current head timestamp, staged by
-    /// [`Core::refill`] and handed out FIFO. Heap path only: the wheel
-    /// serves pops straight from its sorted `cur` group.
-    batch: VecDeque<Scheduled>,
-    /// Set from the moment a batch is staged until the next refill. While
-    /// set, `schedule(now, …)` appends to the batch tail: the core holds
-    /// no events at `now` (refill took the whole group), and a fresh
-    /// sequence number is larger than every staged one, so tail order is
-    /// exactly `(at, seq)` order. Never set on the wheel path.
-    in_batch: bool,
+    wheel: Wheel,
     seq: u64,
     now: SimTime,
     /// Cross-partition outbox routing, installed only on partition-worker
@@ -666,22 +530,10 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Empty queue at t = 0, core chosen per [`QueueKind::Auto`].
+    /// Empty queue at t = 0.
     pub fn new() -> Self {
-        EventQueue::with_kind(QueueKind::Auto)
-    }
-
-    /// Empty queue at t = 0 with an explicit core.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let core = if kind.wants_heap() {
-            Core::Heap(BinaryHeap::new())
-        } else {
-            Core::Wheel(Box::new(Wheel::new()))
-        };
         EventQueue {
-            core,
-            batch: VecDeque::new(),
-            in_batch: false,
+            wheel: Wheel::new(),
             seq: 0,
             now: SimTime::ZERO,
             route: None,
@@ -690,14 +542,6 @@ impl EventQueue {
             past_schedules: Vec::new(),
             #[cfg(feature = "audit")]
             past_dropped: 0,
-        }
-    }
-
-    /// Which core backs this queue: `"wheel"` or `"heap"`.
-    pub fn kind(&self) -> &'static str {
-        match self.core {
-            Core::Wheel(_) => "wheel",
-            Core::Heap(_) => "heap",
         }
     }
 
@@ -773,12 +617,7 @@ impl EventQueue {
                 return;
             }
         }
-        let s = Scheduled { at, seq, ev };
-        if self.in_batch && at == self.now {
-            self.batch.push_back(s);
-        } else {
-            self.core.insert(s);
-        }
+        self.wheel.insert(Scheduled { at, seq, ev });
     }
 
     /// Pop the next event, advancing the clock.
@@ -788,32 +627,10 @@ impl EventQueue {
 
     /// Pop the next event if its timestamp is ≤ `limit`, advancing the
     /// clock; `None` past the limit or when empty. The first pop at a new
-    /// head group stages the whole group in `(at, seq)` order (the
-    /// wheel's sorted `cur`, or the heap's staged `batch`), so
-    /// consecutive same-time pops bypass the ordering structure.
+    /// head group stages the whole group into the wheel's sorted `cur`
+    /// buffer, so consecutive same-time pops bypass the level structure.
     pub fn pop_batched(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
-        let s = if let Core::Wheel(w) = &mut self.core {
-            // The sorted `cur` group plays the batch role directly, and
-            // zero-delay schedules binary-insert into it in `(at, seq)`
-            // position, so the VecDeque staging layer (and the
-            // `in_batch` routing) is bypassed entirely.
-            w.pop_next(limit)?
-        } else {
-            if self.batch.is_empty() {
-                self.in_batch = false;
-                let t = self.core.peek_min()?;
-                if t > limit {
-                    return None;
-                }
-                self.core.refill(&mut self.batch);
-                self.in_batch = true;
-            } else if self.batch.front().is_some_and(|s| s.at > limit) {
-                // A previous run stopped mid-batch and this run's bound
-                // is earlier than the staged timestamp.
-                return None;
-            }
-            self.batch.pop_front()?
-        };
+        let s = self.wheel.pop_next(limit)?;
         debug_assert!(s.at >= self.now);
         self.now = s.at;
         Some((s.at, s.ev))
@@ -821,15 +638,12 @@ impl EventQueue {
 
     /// Timestamp of the next event without popping.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(s) = self.batch.front() {
-            return Some(s.at);
-        }
-        self.core.peek_min()
+        self.wheel.peek_min()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.core.len() + self.batch.len()
+        self.wheel.len
     }
 
     /// Whether the queue is empty.
@@ -853,13 +667,9 @@ impl EventQueue {
     /// Occupancy snapshot for the self-profiler: `(pending, staged,
     /// overflow)` — total pending events, events staged in the current
     /// same-timestamp group, and events parked on the timing wheel's
-    /// overflow list (always 0 on the heap core). Pure reads, so sampling
-    /// it never perturbs the queue.
+    /// overflow list. Pure reads, so sampling it never perturbs the queue.
     pub fn occupancy(&self) -> (usize, usize, usize) {
-        match &self.core {
-            Core::Wheel(w) => (self.len(), w.cur.len(), w.overflow.len()),
-            Core::Heap(_) => (self.len(), self.batch.len(), 0),
-        }
+        (self.len(), self.wheel.cur.len(), self.wheel.overflow.len())
     }
 
     // --- Parallel-executor interface (crate-internal) -----------------
@@ -931,7 +741,7 @@ impl EventQueue {
     /// Parallel-executor hook; unused in audit builds (serial fallback).
     #[cfg_attr(feature = "audit", allow(dead_code))]
     pub(crate) fn schedule_with_seq(&mut self, at: SimTime, seq: u64, ev: Event) {
-        self.core.insert(Scheduled { at, seq, ev });
+        self.wheel.insert(Scheduled { at, seq, ev });
     }
 
     /// Pop the next event if its `(at, seq)` key is lexicographically
@@ -942,79 +752,31 @@ impl EventQueue {
     /// Parallel-executor hook; unused in audit builds (serial fallback).
     #[cfg_attr(feature = "audit", allow(dead_code))]
     pub(crate) fn pop_cut(&mut self, cut: (SimTime, u64)) -> Option<(SimTime, u64, Event)> {
-        let s = if let Core::Wheel(w) = &mut self.core {
-            w.pop_cut(cut)?
-        } else {
-            if self.batch.is_empty() {
-                self.in_batch = false;
-                // Refill only when the head will actually pop, preserving
-                // the invariant that a staged batch sits at the clock's
-                // current timestamp (zero-delay schedules append to it).
-                if self.core.peek_key()? >= cut {
-                    return None;
-                }
-                self.core.refill(&mut self.batch);
-                self.in_batch = true;
-            }
-            if self.batch.front().is_some_and(|s| (s.at, s.seq) >= cut) {
-                return None;
-            }
-            self.batch.pop_front()?
-        };
+        let s = self.wheel.pop_cut(cut)?;
         debug_assert!(s.at >= self.now);
         self.now = s.at;
         Some((s.at, s.seq, s.ev))
     }
 
     /// Rewrite every provisional sequence number through `map` (index =
-    /// provisional number minus `PROV_BASE`). The wheel visits only dirty
-    /// buckets; the heap rebuilds when it holds provisional entries. Map
-    /// lookups are total: the barrier replay assigned a true number to
-    /// every provisional one. Called only from the once-per-window
-    /// barrier, never per event.
+    /// provisional number minus `PROV_BASE`), visiting only dirty
+    /// buckets. Map lookups are total: the barrier replay assigned a true
+    /// number to every provisional one. Called only from the
+    /// once-per-window barrier, never per event.
     ///
     /// Parallel-executor hook; unused in audit builds (serial fallback).
     #[cfg_attr(feature = "audit", allow(dead_code))]
     pub(crate) fn retag(&mut self, map: &[u64]) {
-        for s in &mut self.batch {
-            if s.seq >= PROV_BASE {
-                s.seq = map[(s.seq - PROV_BASE) as usize];
-            }
-        }
-        match &mut self.core {
-            Core::Wheel(w) => w.retag(map),
-            Core::Heap(h) => {
-                if h.iter().any(|Reverse(s)| s.seq >= PROV_BASE) {
-                    let mut v = std::mem::take(h).into_vec();
-                    for Reverse(s) in &mut v {
-                        if s.seq >= PROV_BASE {
-                            s.seq = map[(s.seq - PROV_BASE) as usize];
-                        }
-                    }
-                    *h = BinaryHeap::from(v);
-                }
-            }
-        }
+        self.wheel.retag(map);
     }
 
-    /// Drain every pending event (staged batch included) as raw
-    /// `(at, seq, event)` triples, in no particular order.
+    /// Drain every pending event as raw `(at, seq, event)` triples, in
+    /// no particular order.
     /// Parallel-executor hook; unused in audit builds (serial fallback).
     #[cfg_attr(feature = "audit", allow(dead_code))]
     pub(crate) fn take_all(&mut self) -> Vec<(SimTime, u64, Event)> {
-        let mut out: Vec<(SimTime, u64, Event)> =
-            self.batch.drain(..).map(|s| (s.at, s.seq, s.ev)).collect();
-        self.in_batch = false;
-        match &mut self.core {
-            Core::Wheel(w) => out.extend(w.take_all().into_iter().map(|s| (s.at, s.seq, s.ev))),
-            Core::Heap(h) => out.extend(
-                std::mem::take(h)
-                    .into_vec()
-                    .into_iter()
-                    .map(|Reverse(s)| (s.at, s.seq, s.ev)),
-            ),
-        }
-        out
+        let all = self.wheel.take_all();
+        all.into_iter().map(|s| (s.at, s.seq, s.ev)).collect()
     }
 
     /// Drain the log of attempts to schedule into the past.
@@ -1030,22 +792,11 @@ impl EventQueue {
         std::mem::take(&mut self.past_dropped)
     }
 
-    /// All pending entries, staged batch included (those are scheduled
-    /// but not yet dispatched, so e.g. their packets are still in
-    /// flight).
-    #[cfg(feature = "audit")]
-    fn iter_scheduled(&self) -> impl Iterator<Item = &Scheduled> {
-        let core: Box<dyn Iterator<Item = &Scheduled> + '_> = match &self.core {
-            Core::Wheel(w) => Box::new(w.iter()),
-            Core::Heap(h) => Box::new(h.iter().map(|Reverse(s)| s)),
-        };
-        self.batch.iter().chain(core)
-    }
-
     /// Number of pending `PacketArrival` events (packets on the wire).
     #[cfg(feature = "audit")]
     pub(crate) fn packets_in_flight(&self) -> usize {
-        self.iter_scheduled()
+        self.wheel
+            .iter()
             .filter(|s| matches!(s.ev, Event::PacketArrival { .. }))
             .count()
     }
@@ -1053,7 +804,7 @@ impl EventQueue {
     /// Iterate pending packet arrivals as `(receiver, in_port, packet)`.
     #[cfg(feature = "audit")]
     pub(crate) fn packet_arrivals(&self) -> impl Iterator<Item = (NodeId, u16, &Packet)> {
-        self.iter_scheduled().filter_map(|s| match &s.ev {
+        self.wheel.iter().filter_map(|s| match &s.ev {
             Event::PacketArrival { node, in_port, pkt } => Some((*node, *in_port, &**pkt)),
             _ => None,
         })
@@ -1139,44 +890,35 @@ mod tests {
         }
     }
 
-    fn both_kinds() -> [EventQueue; 2] {
-        [
-            EventQueue::with_kind(QueueKind::Wheel),
-            EventQueue::with_kind(QueueKind::Heap),
-        ]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in both_kinds() {
-            q.schedule(SimTime::from_us(3), tx(3, 0));
-            q.schedule(SimTime::from_us(1), tx(1, 0));
-            q.schedule(SimTime::from_us(2), tx(2, 0));
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-                .map(|(_, e)| match e {
-                    Event::PortTx { node, .. } => node.0,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(order, [1, 2, 3]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_us(3), tx(3, 0));
+        q.schedule(SimTime::from_us(1), tx(1, 0));
+        q.schedule(SimTime::from_us(2), tx(2, 0));
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| match e {
+                Event::PortTx { node, .. } => node.0,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, [1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for mut q in both_kinds() {
-            let t = SimTime::from_us(5);
-            for i in 0..10 {
-                q.schedule(t, tx(i, 0));
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-                .map(|(_, e)| match e {
-                    Event::PortTx { node, .. } => node.0,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        let t = SimTime::from_us(5);
+        for i in 0..10 {
+            q.schedule(t, tx(i, 0));
         }
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| match e {
+                Event::PortTx { node, .. } => node.0,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[cfg(feature = "audit")]
@@ -1222,71 +964,67 @@ mod tests {
 
     #[test]
     fn clock_advances_monotonically() {
-        for mut q in both_kinds() {
-            q.schedule(SimTime::from_us(2), tx(0, 0));
-            q.schedule(SimTime::from_us(2), tx(1, 0));
-            q.schedule(SimTime::from_us(7), tx(2, 0));
-            let mut last = SimTime::ZERO;
-            while let Some((t, _)) = q.pop() {
-                assert!(t >= last);
-                last = t;
-            }
-            assert_eq!(q.now(), SimTime::from_us(7));
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_us(2), tx(0, 0));
+        q.schedule(SimTime::from_us(2), tx(1, 0));
+        q.schedule(SimTime::from_us(7), tx(2, 0));
+        let mut last = SimTime::ZERO;
+        while let Some((t, _)) = q.pop() {
+            assert!(t >= last);
+            last = t;
         }
+        assert_eq!(q.now(), SimTime::from_us(7));
     }
 
     #[test]
     fn peek_does_not_advance() {
-        for mut q in both_kinds() {
-            q.schedule(SimTime::from_us(4), tx(0, 0));
-            assert_eq!(q.peek_time(), Some(SimTime::from_us(4)));
-            assert_eq!(q.now(), SimTime::ZERO);
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_us(4), tx(0, 0));
+        assert_eq!(q.peek_time(), Some(SimTime::from_us(4)));
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
     fn pop_batched_respects_limit_and_resumes() {
-        for mut q in both_kinds() {
-            q.schedule(SimTime::from_us(1), tx(0, 0));
-            q.schedule(SimTime::from_us(3), tx(1, 0));
-            assert!(q.pop_batched(SimTime::from_us(2)).is_some());
-            // Next event is past the limit: peeking must not advance the
-            // clock or lose the event.
-            assert!(q.pop_batched(SimTime::from_us(2)).is_none());
-            assert_eq!(q.now(), SimTime::from_us(1));
-            assert_eq!(q.len(), 1);
-            // A later bound picks it up.
-            let (t, _) = q.pop_batched(SimTime::from_us(5)).unwrap();
-            assert_eq!(t, SimTime::from_us(3));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_us(1), tx(0, 0));
+        q.schedule(SimTime::from_us(3), tx(1, 0));
+        assert!(q.pop_batched(SimTime::from_us(2)).is_some());
+        // Next event is past the limit: peeking must not advance the
+        // clock or lose the event.
+        assert!(q.pop_batched(SimTime::from_us(2)).is_none());
+        assert_eq!(q.now(), SimTime::from_us(1));
+        assert_eq!(q.len(), 1);
+        // A later bound picks it up.
+        let (t, _) = q.pop_batched(SimTime::from_us(5)).unwrap();
+        assert_eq!(t, SimTime::from_us(3));
     }
 
     #[test]
     fn zero_delay_schedules_during_a_batch_keep_fifo_order() {
-        for mut q in both_kinds() {
-            let t = SimTime::from_us(1);
-            q.schedule(t, tx(0, 0));
-            q.schedule(t, tx(1, 0));
-            // Pop the first of the pair; the group is now staged.
-            let (now, _) = q.pop().unwrap();
-            assert_eq!(now, t);
-            // A zero-delay schedule lands after the staged remainder.
-            q.schedule(t, tx(2, 0));
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-                .map(|(_, e)| match e {
-                    Event::PortTx { node, .. } => node.0,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(order, [1, 2]);
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_us(1);
+        q.schedule(t, tx(0, 0));
+        q.schedule(t, tx(1, 0));
+        // Pop the first of the pair; the group is now staged.
+        let (now, _) = q.pop().unwrap();
+        assert_eq!(now, t);
+        // A zero-delay schedule lands after the staged remainder.
+        q.schedule(t, tx(2, 0));
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| match e {
+                Event::PortTx { node, .. } => node.0,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, [1, 2]);
     }
 
     #[test]
     fn far_future_events_cross_wheel_levels() {
-        let mut q = EventQueue::with_kind(QueueKind::Wheel);
+        let mut q = EventQueue::new();
         // One event per wheel level, plus one beyond the ~9 min horizon.
         let mut expect = Vec::new();
         for lvl in 0..7u32 {

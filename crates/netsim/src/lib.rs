@@ -48,7 +48,6 @@ pub mod trace;
 pub use audit::{Audit, AuditConfig, AuditMode, InvariantFamily, Violation};
 pub use cchooks::{CcAction, CcEvent, RateController};
 pub use config::{DetectorKind, FeedbackMode, SimConfig};
-pub use event::QueueKind;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkState};
 pub use packet::{FlowId, Packet, PacketKind};
 pub use partition::{partition, PartitionMap, PartitionStrategy};

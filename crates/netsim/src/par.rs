@@ -163,7 +163,7 @@ fn translate(seq: u64, map: &[u64]) -> u64 {
 /// nothing) when the topology yields no usable lookahead, in which case
 /// the caller falls back to the serial loop.
 pub(crate) fn drive_parallel(sim: &mut Simulator, end: SimTime, workers: usize) -> bool {
-    let pm = partition(&sim.topo, workers, PartitionStrategy::Auto);
+    let pm = partition(&sim.topo, workers, PartitionStrategy::PodAware);
     let Some(la) = pm.lookahead else {
         return false;
     };
@@ -344,7 +344,7 @@ fn scatter(
     globals.sort_by_key(|&(at, seq, _)| (at, seq));
     let mut shards = Vec::with_capacity(parts);
     for (s, events) in per.into_iter().enumerate() {
-        let mut queue = EventQueue::with_kind(sim.cfg.queue);
+        let mut queue = EventQueue::new();
         queue.set_now(qnow);
         for (at, seq, ev) in events {
             queue.schedule_with_seq(at, seq, ev);

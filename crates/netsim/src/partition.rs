@@ -9,45 +9,29 @@
 //! run `lookahead`-wide windows without null messages (conservative
 //! PDES, CMB-style but barrier-synchronized).
 //!
-//! Two strategies are provided (selected via `TCD_PARTITION_STRAT`,
-//! default `pod`):
+//! Two strategies exist; the executor always uses the first:
 //!
-//! - **`pod`** (pod-aware, min-cut-ish): balanced *contiguous* node-id
-//!   ranges. Topology builders lay related nodes out contiguously — the
-//!   fat-tree builder emits cores first, then each pod's aggregation,
-//!   edge, and host block — so contiguous ranges track pod boundaries
-//!   and cut mostly inter-pod (core) links.
-//! - **`rr`** (round-robin): `node % parts`, the locality-oblivious
-//!   reference. Same bit-identical results (the executor's barrier
-//!   replay guarantees that), more cross-partition traffic.
+//! - **pod-aware** (min-cut-ish): balanced *contiguous* node-id ranges.
+//!   Topology builders lay related nodes out contiguously — the fat-tree
+//!   builder emits cores first, then each pod's aggregation, edge, and
+//!   host block — so contiguous ranges track pod boundaries and cut
+//!   mostly inter-pod (core) links.
+//! - **round-robin**: `node % parts`, the locality-oblivious reference
+//!   this module's tests compare against. Same bit-identical results
+//!   (the executor's barrier replay guarantees that), more
+//!   cross-partition traffic.
 
 use crate::topology::Topology;
 use lossless_flowctl::SimDuration;
 
 /// How nodes are assigned to partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStrategy {
-    /// Resolve from `TCD_PARTITION_STRAT` (`rr` selects round-robin;
-    /// anything else, including unset, the pod-aware strategy).
-    #[default]
-    Auto,
     /// Balanced contiguous node-id ranges (pod-aware for the builders in
     /// [`crate::topology`], which lay pods out contiguously).
     PodAware,
     /// `node % parts`.
     RoundRobin,
-}
-
-impl PartitionStrategy {
-    fn wants_round_robin(self) -> bool {
-        match self {
-            PartitionStrategy::RoundRobin => true,
-            PartitionStrategy::PodAware => false,
-            PartitionStrategy::Auto => {
-                std::env::var("TCD_PARTITION_STRAT").is_ok_and(|v| v == "rr")
-            }
-        }
-    }
 }
 
 /// A node-to-partition assignment plus the lookahead it induces.
@@ -73,7 +57,7 @@ pub struct PartitionMap {
 pub fn partition(topo: &Topology, parts: usize, strategy: PartitionStrategy) -> PartitionMap {
     let n = topo.node_count();
     let parts = parts.clamp(1, n.max(1));
-    let rr = strategy.wants_round_robin();
+    let rr = strategy == PartitionStrategy::RoundRobin;
     let part_of: Vec<u32> = (0..n)
         .map(|i| {
             if rr {

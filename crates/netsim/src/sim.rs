@@ -219,7 +219,7 @@ impl Simulator {
         );
         let routing = Routing::new(&topo, select);
         let mut nodes = Vec::with_capacity(topo.node_count());
-        let mut queue = EventQueue::with_kind(cfg.queue);
+        let mut queue = EventQueue::new();
         let seed = cfg.seed;
 
         for n in 0..topo.node_count() as u32 {

@@ -5,9 +5,11 @@
 //! sweeps) reduces to this property.
 
 use lossless_flowctl::{SimDuration, SimTime};
-use lossless_netsim::event::{Event, EventQueue, QueueKind};
+use lossless_netsim::event::{Event, EventQueue};
 use lossless_netsim::NodeId;
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Tag an event with its schedule index so the pop order is observable.
 fn tagged(i: u32) -> Event {
@@ -85,75 +87,72 @@ proptest! {
         }
     }
 
-    /// Far-future schedules keep the total order on both cores even when
-    /// delays span every wheel level and the overflow list (exponents up
-    /// to 2^50 ps reach past the ~9 min wheel horizon), and level
-    /// boundaries are crossed while popping.
+    /// Far-future schedules keep the total order even when delays span
+    /// every wheel level and the overflow list (exponents up to 2^50 ps
+    /// reach past the ~9 min wheel horizon), and level boundaries are
+    /// crossed while popping.
     #[test]
     fn far_future_delays_cross_levels_in_order(
         shifts in proptest::collection::vec(0u32..51, 1..120)
     ) {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut q = EventQueue::with_kind(kind);
-            for (i, &s) in shifts.iter().enumerate() {
-                // 2^s ps plus a small offset so equal exponents still
-                // collide on timestamps now and then.
-                q.schedule(SimTime::from_ps((1u64 << s) + (i as u64 % 3)), tagged(i as u32));
-            }
-            let mut expect: Vec<(u64, u32)> = shifts
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| ((1u64 << s) + (i as u64 % 3), i as u32))
-                .collect();
-            expect.sort(); // stable: schedule order within a timestamp
-            let mut got = Vec::new();
-            while let Some((t, ev)) = q.pop() {
-                got.push((t.as_ps(), tag(&ev)));
-            }
-            prop_assert_eq!(&got, &expect, "core {:?} broke the total order", kind);
+        let mut q = EventQueue::new();
+        for (i, &s) in shifts.iter().enumerate() {
+            // 2^s ps plus a small offset so equal exponents still
+            // collide on timestamps now and then.
+            q.schedule(SimTime::from_ps((1u64 << s) + (i as u64 % 3)), tagged(i as u32));
         }
+        let mut expect: Vec<(u64, u32)> = shifts
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| ((1u64 << s) + (i as u64 % 3), i as u32))
+            .collect();
+        expect.sort(); // stable: schedule order within a timestamp
+        let mut got = Vec::new();
+        while let Some((t, ev)) = q.pop() {
+            got.push((t.as_ps(), tag(&ev)));
+        }
+        prop_assert_eq!(got, expect);
     }
 
     /// Zero-delay schedules issued *while a same-timestamp batch drains*
-    /// run at that same instant, after everything already queued there —
-    /// on both cores. This is the engine's self-post pattern (a handler
-    /// scheduling follow-up work at `now`).
+    /// run at that same instant, after everything already queued there.
+    /// This is the engine's self-post pattern (a handler scheduling
+    /// follow-up work at `now`).
     #[test]
     fn zero_delay_during_batch_drain_stays_fifo(
         group in 1usize..8,
         post_counts in proptest::collection::vec(0usize..3, 1..20)
     ) {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut q = EventQueue::with_kind(kind);
-            let t0 = SimTime::from_ns(5);
-            let mut next = 0u32;
-            for _ in 0..group {
-                q.schedule(t0, tagged(next));
+        let mut q = EventQueue::new();
+        let t0 = SimTime::from_ns(5);
+        let mut next = 0u32;
+        for _ in 0..group {
+            q.schedule(t0, tagged(next));
+            next += 1;
+        }
+        let mut got = Vec::new();
+        let mut posts = post_counts.into_iter();
+        while let Some((t, ev)) = q.pop() {
+            got.push((t, tag(&ev)));
+            // Mid-drain, post a few zero-delay events at `now`.
+            for _ in 0..posts.next().unwrap_or(0) {
+                q.schedule(t, tagged(next));
                 next += 1;
             }
-            let mut got = Vec::new();
-            let mut posts = post_counts.clone().into_iter();
-            while let Some((t, ev)) = q.pop() {
-                got.push((t, tag(&ev)));
-                // Mid-drain, post a few zero-delay events at `now`.
-                for _ in 0..posts.next().unwrap_or(0) {
-                    q.schedule(t, tagged(next));
-                    next += 1;
-                }
-            }
-            prop_assert_eq!(got.len(), next as usize);
-            // All at the same instant, in exact schedule order.
-            for (i, &(t, tagv)) in got.iter().enumerate() {
-                prop_assert_eq!(t, t0);
-                prop_assert_eq!(tagv, i as u32, "self-post order broken on {:?}", kind);
-            }
+        }
+        prop_assert_eq!(got.len(), next as usize);
+        // All at the same instant, in exact schedule order.
+        for (i, &(t, tagv)) in got.iter().enumerate() {
+            prop_assert_eq!(t, t0);
+            prop_assert_eq!(tagv, i as u32, "self-post order broken");
         }
     }
 
-    /// Differential equivalence: the wheel and the heap pop the *same*
-    /// `(time, tag)` sequence for any interleaving of schedules (delays
-    /// spanning sub-tick to cross-level magnitudes, including zero),
-    /// plain pops, and time-limited batched pops.
+    /// Differential equivalence: the wheel and the [`Model`] heap pop the
+    /// *same* `(time, tag)` sequence for any interleaving of schedules
+    /// (delays spanning sub-tick to cross-level magnitudes, including
+    /// zero and — where the build tolerates it — into the past), plain
+    /// pops, and time-limited batched pops.
     #[test]
     fn wheel_and_heap_pop_identically(
         ops in proptest::collection::vec(
@@ -161,46 +160,87 @@ proptest! {
                 // (delay exponent, extra ps): schedule now + 2^e + extra
                 (0u32..34, 0u64..4).prop_map(|(e, x)| Op::Schedule((1u64 << e) + x)),
                 Just(Op::Schedule(0)),
+                (1u64..2000).prop_map(Op::SchedulePast),
                 Just(Op::Pop),
                 (0u64..1000).prop_map(Op::PopLimit),
             ],
             1..200
         )
     ) {
-        let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
-        let mut heap = EventQueue::with_kind(QueueKind::Heap);
+        let mut wheel = EventQueue::new();
+        let mut model = Model::default();
         let mut next = 0u32;
         for op in ops {
             match op {
                 Op::Schedule(dps) => {
-                    let ev = |q: &mut EventQueue, i| {
-                        let at = q.now() + SimDuration::from_ps(dps);
-                        q.schedule(at, tagged(i));
-                    };
-                    ev(&mut wheel, next);
-                    ev(&mut heap, next);
+                    let at = wheel.now() + SimDuration::from_ps(dps);
+                    wheel.schedule(at, tagged(next));
+                    model.schedule(at, next);
+                    next += 1;
+                }
+                Op::SchedulePast(back_ps) => {
+                    let back = if PAST_SCHEDULES_CLAMP { back_ps } else { 0 };
+                    let at = SimTime::from_ps(wheel.now().as_ps().saturating_sub(back));
+                    wheel.schedule(at, tagged(next));
+                    model.schedule(at, next);
                     next += 1;
                 }
                 Op::Pop => {
-                    prop_assert_eq!(obs(wheel.pop()), obs(heap.pop()));
+                    prop_assert_eq!(obs(wheel.pop()), model.pop_batched(SimTime::MAX));
                 }
                 Op::PopLimit(ns) => {
                     let lim = SimTime::from_ns(ns);
-                    prop_assert_eq!(obs(wheel.pop_batched(lim)), obs(heap.pop_batched(lim)));
+                    prop_assert_eq!(obs(wheel.pop_batched(lim)), model.pop_batched(lim));
                 }
             }
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            prop_assert_eq!(wheel.now(), heap.now());
+            prop_assert_eq!(wheel.len(), model.heap.len());
+            prop_assert_eq!(wheel.peek_time(), model.peek_time());
+            prop_assert_eq!(wheel.now(), model.now);
         }
         // Drain both to the end: still in lock-step.
         loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(obs(&w), obs(&h));
+            let (w, m) = (obs(wheel.pop()), model.pop_batched(SimTime::MAX));
+            prop_assert_eq!(w, m);
             if w.is_none() {
                 break;
             }
         }
+    }
+}
+
+/// Whether this build lets a schedule into the past through to the clamp:
+/// audited builds log it and release builds count it, but a plain debug
+/// build asserts. Where it asserts, [`Op::SchedulePast`] degrades to a
+/// zero-delay schedule.
+const PAST_SCHEDULES_CLAMP: bool = cfg!(any(feature = "audit", not(debug_assertions)));
+
+/// The reference model of [`EventQueue`]'s contract: a binary heap over
+/// `(time, insertion sequence, tag)`, a clock that follows the last pop,
+/// and past schedules clamped to that clock.
+#[derive(Default)]
+struct Model {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    seq: u64,
+    now: SimTime,
+}
+
+impl Model {
+    fn schedule(&mut self, at: SimTime, tag: u32) {
+        self.heap.push(Reverse((at.max(self.now), self.seq, tag)));
+        self.seq += 1;
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|&Reverse((at, _, _))| at)
+    }
+
+    fn pop_batched(&mut self, limit: SimTime) -> Option<(SimTime, u32)> {
+        if self.peek_time()? > limit {
+            return None;
+        }
+        let Reverse((at, _, tag)) = self.heap.pop()?;
+        self.now = at;
+        Some((at, tag))
     }
 }
 
@@ -209,6 +249,8 @@ proptest! {
 enum Op {
     /// Schedule a tagged event at `now + delay_ps`.
     Schedule(u64),
+    /// Schedule a tagged event at `now - back_ps` (saturating at 0).
+    SchedulePast(u64),
     /// Unbounded pop.
     Pop,
     /// `pop_batched` bounded at the given absolute nanosecond.
@@ -216,6 +258,6 @@ enum Op {
 }
 
 /// Project a pop result to comparable `(time, tag)` form.
-fn obs<B: std::borrow::Borrow<Option<(SimTime, Event)>>>(r: B) -> Option<(SimTime, u32)> {
-    r.borrow().as_ref().map(|(t, ev)| (*t, tag(ev)))
+fn obs(r: Option<(SimTime, Event)>) -> Option<(SimTime, u32)> {
+    r.map(|(t, ev)| (t, tag(&ev)))
 }

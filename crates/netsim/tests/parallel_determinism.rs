@@ -2,8 +2,7 @@
 //! scenario run serially and at every worker count must agree on every
 //! observable output — event count, per-flow deliveries, the full mark
 //! and port-sample streams, the delivery stream, and the merged metrics
-//! registry fingerprint — on both event-queue cores, with zero
-//! window-barrier causality violations.
+//! registry fingerprint — with zero window-barrier causality violations.
 //!
 //! These tests live in the netsim crate (not the workspace root) on
 //! purpose: the root crate's test targets enable the `audit` feature,
@@ -17,7 +16,6 @@
 use lossless_flowctl::{Rate, SimDuration, SimTime};
 use lossless_netsim::cchooks::FixedRate;
 use lossless_netsim::config::SimConfig;
-use lossless_netsim::event::QueueKind;
 use lossless_netsim::fault::FaultPlan;
 use lossless_netsim::routing::RouteSelect;
 use lossless_netsim::topology::{dumbbell, fat_tree, leaf_spine, NodeId, NodeKind, Topology};
@@ -78,10 +76,9 @@ fn candidates(topo: &Topology) -> Vec<(NodeId, u16)> {
 /// seeded fault plan. Trace ticks and fault events are engine-global
 /// events, so this drives the executor's gather/re-scatter machinery
 /// on every tick, not just the steady-state window loop.
-fn run_fat_tree(queue: QueueKind, partitions: usize) -> Observed {
+fn run_fat_tree(partitions: usize) -> Observed {
     let ft = fat_tree(4, Rate::from_gbps(40), SimDuration::from_us(1));
     let mut cfg = SimConfig::cee_baseline(SimTime::from_us(400));
-    cfg.queue = queue;
     // Explicit, including for the serial reference: a nonzero value
     // overrides the TCD_PARTITIONS environment variable, so these runs
     // mean what they say even under `TCD_PARTITIONS=8 cargo test`.
@@ -127,10 +124,9 @@ fn run_fat_tree(queue: QueueKind, partitions: usize) -> Observed {
 /// no sampled ports and no faults. Nothing ever forces a mid-run
 /// gather, so an entire epoch runs window-by-window — the pure
 /// steady-state path.
-fn run_leaf_spine(queue: QueueKind, partitions: usize) -> Observed {
+fn run_leaf_spine(partitions: usize) -> Observed {
     let ls = leaf_spine(3, 2, 4, Rate::from_gbps(40), SimDuration::from_us(1));
     let mut cfg = SimConfig::cee_baseline(SimTime::from_us(400));
-    cfg.queue = queue;
     cfg.partitions = partitions;
 
     let mut sim = Simulator::new(ls.topo, cfg, RouteSelect::Ecmp);
@@ -153,41 +149,21 @@ fn run_leaf_spine(queue: QueueKind, partitions: usize) -> Observed {
 
 #[test]
 fn fat_tree_identical_at_every_worker_count() {
-    let serial = run_fat_tree(QueueKind::Wheel, 1);
+    let serial = run_fat_tree(1);
     assert!(serial.events > 0 && serial.forwarded > 0);
     for workers in [2, 4, 8] {
-        let par = run_fat_tree(QueueKind::Wheel, workers);
-        assert_eq!(serial, par, "wheel run diverged at {workers} workers");
-    }
-}
-
-#[test]
-fn fat_tree_identical_on_the_heap_core() {
-    let serial = run_fat_tree(QueueKind::Heap, 1);
-    // The cores agree with each other...
-    assert_eq!(serial, run_fat_tree(QueueKind::Wheel, 1));
-    for workers in [2, 4, 8] {
-        // ...and the parallel heap run agrees with the serial heap run.
-        let par = run_fat_tree(QueueKind::Heap, workers);
-        assert_eq!(serial, par, "heap run diverged at {workers} workers");
+        let par = run_fat_tree(workers);
+        assert_eq!(serial, par, "run diverged at {workers} workers");
     }
 }
 
 #[test]
 fn leaf_spine_identical_at_every_worker_count() {
-    let serial = run_leaf_spine(QueueKind::Wheel, 1);
+    let serial = run_leaf_spine(1);
     assert!(serial.events > 0 && serial.forwarded > 0);
     for workers in [2, 4, 8] {
-        assert_eq!(
-            serial,
-            run_leaf_spine(QueueKind::Wheel, workers),
-            "wheel run diverged at {workers} workers"
-        );
-        assert_eq!(
-            serial,
-            run_leaf_spine(QueueKind::Heap, workers),
-            "heap run diverged at {workers} workers"
-        );
+        let par = run_leaf_spine(workers);
+        assert_eq!(serial, par, "run diverged at {workers} workers");
     }
 }
 

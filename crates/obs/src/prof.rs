@@ -137,12 +137,11 @@ pub struct ProfTick {
     pub events: u64,
     /// Wall-clock nanoseconds since the profiler was enabled.
     pub wall_ns: u64,
-    /// Pending events in the queue (all cores).
+    /// Pending events in the queue.
     pub queue_len: u64,
     /// Events staged in the current same-timestamp batch.
     pub queue_staged: u64,
-    /// Events parked on the timing wheel's overflow list (0 on the heap
-    /// core).
+    /// Events parked on the timing wheel's overflow list.
     pub queue_overflow: u64,
     /// Packet-pool reuse hits so far.
     pub pool_hit: u64,
@@ -601,30 +600,6 @@ impl ProfSummary {
         }
         out
     }
-
-    /// One-line profile digest for the perf-trajectory store
-    /// (`BENCH_history.jsonl`): events/s plus the top three kinds by
-    /// sampled share.
-    pub fn compact_json(&self) -> String {
-        let total = self.sampled_total_ns().max(1);
-        let top = self
-            .top_kinds(3)
-            .iter()
-            .map(|k| {
-                format!(
-                    "{{\"kind\": {}, \"share\": {}, \"mean_ns\": {}}}",
-                    json::escape(&k.name),
-                    json::num_f64((k.total_ns as f64 / total as f64 * 1000.0).round() / 1000.0),
-                    json::num_f64(k.mean_ns().round())
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"sampled\": {}, \"sample_every\": {}, \"top\": [{top}]}}",
-            self.sampled, self.sample_every
-        )
-    }
 }
 
 #[cfg(test)]
@@ -735,8 +710,6 @@ mod tests {
             doc.get("ticks").and_then(|v| v.as_arr()).map(<[_]>::len),
             Some(1)
         );
-        let compact = json::parse(&s.compact_json()).expect("valid compact JSON");
-        assert!(compact.get("top").and_then(|v| v.as_arr()).is_some());
         assert!(!s.hot_report(5).is_empty());
     }
 

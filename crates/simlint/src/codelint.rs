@@ -147,12 +147,12 @@ pub struct FileClass {
     pub threads_ok: bool,
     /// Crate root that must carry `#![forbid(unsafe_code)]`.
     pub crate_root: bool,
-    /// Integration tests / benches: linted, but their function definitions
+    /// Integration tests / binaries: linted, but their function definitions
     /// stay out of the call graph (they cannot be on the event path).
     pub test_code: bool,
 }
 
-const VENDORED_PREFIXES: [&str; 3] = ["crates/rand/", "crates/proptest/", "crates/criterion/"];
+const VENDORED_PREFIXES: [&str; 2] = ["crates/rand/", "crates/proptest/"];
 
 /// Crates whose code holds or mutates simulation state.
 const STATE_PREFIXES: [&str; 9] = [
@@ -196,7 +196,6 @@ impl FileClass {
                 && relpath.matches('/').count() == 3);
         fc.test_code = relpath.starts_with("tests/")
             || relpath.contains("/tests/")
-            || relpath.contains("/benches/")
             || relpath.starts_with("src/bin/");
         fc
     }

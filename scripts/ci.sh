@@ -83,56 +83,26 @@ fi
 echo "=== golden fingerprints ==="
 cargo test --test golden_traces -q
 
-# Determinism twins against the legacy heap core: the same golden,
-# determinism, fault-injection and deadlock suites must pass
-# bit-identically with the event queue's heap backend selected, proving
-# the wheel/heap toggle is invisible to every observable output — faulted
-# runs included (the in-process twin test covers wheel-vs-heap in one
-# process; this covers the env-var selection path end to end).
-echo "=== determinism twins (TCD_EVENT_QUEUE=heap) ==="
-TCD_EVENT_QUEUE=heap cargo test -q --test determinism --test golden_traces --test harness_determinism \
-    --test fault_injection --test deadlock_runtime
-TCD_EVENT_QUEUE=heap cargo test -q -p lossless-netsim --features audit --test fault_order
+# The victim grid end to end through the release binary (~1 s). Its
+# merged fingerprint is pinned by tests/harness_determinism.rs.
+echo "=== tcdsim sweep ==="
+./target/release/tcdsim sweep --out target/ci/sweep
 
-# Sweep benchmark: refreshes the committed perf record at the repo root
-# and appends this run's measurements to the append-only perf
-# trajectory (BENCH_history.jsonl). The bit-identity gate stays against
-# the committed record (the grid's results are part of the golden
-# surface); the throughput floor moved to the history gate below.
-echo "=== sweep bench (BENCH_sweep.json + BENCH_history.jsonl) ==="
-TCD_COMMIT=$(git rev-parse HEAD 2>/dev/null || echo unknown)
-TCD_COMMIT="$TCD_COMMIT" ./target/release/tcdsim sweep --out target/ci/sweep \
-    --history BENCH_history.jsonl
-fresh=target/ci/sweep/BENCH_sweep.json
-committed=BENCH_sweep.json
-fp_fresh=$(grep -o '"merged_fingerprint": "[0-9a-f]*"' "$fresh" | grep -o '[0-9a-f]\{16\}')
-fp_committed=$(grep -o '"merged_fingerprint": "[0-9a-f]*"' "$committed" | grep -o '[0-9a-f]\{16\}')
-if [ "$fp_fresh" != "$fp_committed" ]; then
-    echo "sweep fingerprint $fp_fresh != committed $fp_committed" >&2
-    exit 1
-fi
-cp "$fresh" "$committed"
-
-# Perf-trajectory gate (replaces the old fresh-vs-committed single-number
-# floor, which failed on any one lucky high-water measurement): the entry
-# the sweep just appended must not fall below 0.9x the trailing median of
-# comparable history — same scenario AND same bench fingerprint, window
-# 8 — so the baseline is noise-tolerant and a legitimate behaviour change
-# starts a fresh baseline instead of tripping the gate.
-echo "=== tcdsim perf --history --gate ==="
-./target/release/tcdsim perf --history BENCH_history.jsonl --gate
+# Benchmark smoke: BENCHMARK.json's exact command on its cheapest
+# workload must build through its own manifest and exit 0 (every ops
+# check passed). Perf is judged by the benchmark driver, not here.
+echo "=== tcdbench (smoke) ==="
+cargo run --release --quiet --offline \
+    --manifest-path crates/bench/src/bin/tcdbench/Cargo.toml -- \
+    --workload fig2-storm --seconds 1 > target/ci/tcdbench.txt
 
 # Profiler smoke: the self-profiling run must emit parseable tcd-prof-v1
-# JSON and a valid wall-clock Chrome trace, and the release-only ≤5%
-# overhead budget must hold.
+# JSON and a valid wall-clock Chrome trace.
 echo "=== tcdsim perf --json (smoke) ==="
 ./target/release/tcdsim perf --json --out target/ci/perf_fat_tree_k6.json \
     > target/ci/perf.json
 grep -q '"schema": "tcd-prof-v1"' target/ci/perf.json
 grep -q 'engine wall-clock profile' target/ci/perf_fat_tree_k6.json
-
-echo "=== profiler overhead budget (release) ==="
-cargo test --release -q --test prof_determinism -- --ignored
 
 echo "=== cargo clippy -- -D warnings ==="
 cargo clippy --workspace --all-targets -- -D warnings

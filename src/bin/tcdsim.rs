@@ -13,7 +13,7 @@
 
 use std::process::exit;
 use tcd_repro::flowctl::SimTime;
-use tcd_repro::harness::{self, Sweep};
+use tcd_repro::harness;
 use tcd_repro::netsim::cchooks::FixedRate;
 use tcd_repro::obs_export;
 use tcd_repro::report;
@@ -33,7 +33,7 @@ commands:
   trace      run a named scenario and emit a Chrome/Perfetto trace.json
   metrics    run a named scenario and emit the metrics registry as JSON
   perf       self-profile the fat-tree k=6 bench (hot-event-kind report +
-             wall-clock Perfetto track), or render/gate the perf history
+             wall-clock Perfetto track)
   lint       static analysis: workspace code lint + scenario topology checks
 
 common options:
@@ -58,20 +58,11 @@ sweep options:     --seeds N                seeds per cell (default 3)
                                             or the machine's parallelism; results
                                             are identical at any value)
                    --out DIR                report directory (default results)
-                   --history PATH           also append the fat-tree k=6 bench
-                                            numbers to the perf-trajectory store
-                                            (append-only JSONL)
 perf options:      --top N                  hot-kind report depth (default 8)
                    --json                   emit the full profile as JSON on
                                             stdout instead of the text report
                    --out PATH               wall-clock Perfetto trace output
                                             (default results/perf_fat_tree_k6.json)
-                   --history PATH           render the perf-trajectory store as a
-                                            trend report instead of benching
-                   --gate                   with --history: fail (exit 1) unless
-                                            each scenario's newest entry is >= 90%
-                                            of the trailing median of comparable
-                                            (same-fingerprint) prior entries
                    --partitions N           partition workers for the profiled
                                             run (default 1 = serial; event count
                                             and fingerprint are identical at
@@ -108,8 +99,6 @@ struct Args {
     lint_spec_table: Option<String>,
     scenario: Option<String>,
     end_ms: f64,
-    history: Option<String>,
-    gate: bool,
     top: usize,
     partitions: usize,
 }
@@ -137,8 +126,6 @@ fn parse() -> Args {
         lint_spec_table: None,
         scenario: None,
         end_ms: 6.0,
-        history: None,
-        gate: false,
         top: 8,
         partitions: 1,
     };
@@ -185,6 +172,7 @@ fn parse() -> Args {
                 a.at_ms = argv
                     .get(i + 1)
                     .and_then(|s| s.parse().ok())
+                    .filter(|&v: &f64| v.is_finite() && v >= 0.0)
                     .unwrap_or_else(|| usage());
                 i += 2;
             }
@@ -192,6 +180,7 @@ fn parse() -> Args {
                 a.seeds = argv
                     .get(i + 1)
                     .and_then(|s| s.parse().ok())
+                    .filter(|&n: &u64| n >= 1)
                     .unwrap_or_else(|| usage());
                 i += 2;
             }
@@ -231,14 +220,6 @@ fn parse() -> Args {
             "--spec-table" => {
                 a.lint_spec_table = Some(argv.get(i + 1).cloned().unwrap_or_else(|| usage()));
                 i += 2;
-            }
-            "--history" => {
-                a.history = Some(argv.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--gate" => {
-                a.gate = true;
-                i += 1;
             }
             "--partitions" => {
                 a.partitions = argv
@@ -394,34 +375,7 @@ fn cmd_trees(a: &Args) {
 }
 
 fn cmd_sweep(a: &Args) {
-    let mut sweep = Sweep::new();
-    for network in [Network::Cee, Network::Ib] {
-        for use_tcd in [false, true] {
-            for seed in 1..=a.seeds {
-                let net = if network == Network::Ib { "ib" } else { "cee" };
-                let det = if use_tcd { "tcd" } else { "base" };
-                sweep.add(format!("victim_{net}_{det}_s{seed}"), move || {
-                    let r = victim::run(victim::Options {
-                        network,
-                        use_tcd,
-                        seed,
-                        ..Default::default()
-                    });
-                    harness::outcome_of(
-                        &r.sim,
-                        vec![
-                            ("victim_ce_fraction".into(), r.victim_ce_fraction()),
-                            (
-                                "victim_mean_fct_us".into(),
-                                r.victim_mean_fct().unwrap_or(0.0) * 1e6,
-                            ),
-                            ("pause_frames".into(), r.sim.trace.pause_frames as f64),
-                        ],
-                    )
-                });
-            }
-        }
-    }
+    let sweep = victim::sweep(a.seeds);
     let n = sweep.len();
     println!("running {n} victim runs on {} threads...", a.threads);
     let rep = sweep.run(a.threads);
@@ -435,155 +389,10 @@ fn cmd_sweep(a: &Args) {
         ]);
     }
     t.print();
-    // Head-to-head single-run throughput on the fat-tree k=6 realistic
-    // workload: the timing-wheel speedup is re-measured on every sweep
-    // and lands in the perf record next to the grid numbers, so the
-    // trajectory in the committed BENCH_sweep.json stays honest. The
-    // fingerprint equality assert doubles as an end-to-end heap/wheel
-    // twin check.
-    println!("timing fat-tree k=6 workload: heap vs wheel...");
-    use tcd_repro::netsim::QueueKind;
-    let tp_heap = harness::timed_throughput(|| scenarios::fat_tree_k6_bench(QueueKind::Heap));
-    let tp_wheel = harness::timed_throughput(|| scenarios::fat_tree_k6_bench(QueueKind::Wheel));
-    assert_eq!(
-        (tp_heap.fingerprint, tp_heap.events),
-        (tp_wheel.fingerprint, tp_wheel.events),
-        "heap and wheel cores disagree on the fat-tree k=6 workload"
-    );
-    let (eps_heap, eps_wheel) = (tp_heap.best_eps(), tp_wheel.best_eps());
-    let heap_note = format!(
-        "{:.3}M events/s ({} events, fingerprint {:016x})",
-        eps_heap / 1e6,
-        tp_heap.events,
-        tp_heap.fingerprint
-    );
-    let wheel_note = format!(
-        "{:.3}M events/s ({:.2}x heap, same events + fingerprint)",
-        eps_wheel / 1e6,
-        eps_wheel / eps_heap.max(1.0)
-    );
-    println!("  heap:  {heap_note}\n  wheel: {wheel_note}");
-    // Intra-run parallel lanes: the same k=6 workload split across 8
-    // partition workers, then the larger fat-tree k=8 workload serial
-    // vs parallel. The equality asserts are the conservative-parallel
-    // executor's headline guarantee measured end to end on every sweep:
-    // same event count, same fingerprint, at any worker count.
-    println!("timing fat-tree k=6 workload: 8 partition workers...");
-    let tp_wheel_p8 =
-        harness::timed_throughput(|| scenarios::fat_tree_k6_bench_par(QueueKind::Wheel, 8));
-    assert_eq!(
-        (tp_wheel.fingerprint, tp_wheel.events),
-        (tp_wheel_p8.fingerprint, tp_wheel_p8.events),
-        "parallel fat-tree k=6 run diverged from serial"
-    );
-    println!("timing fat-tree k=8 workload: serial vs 8 partition workers...");
-    let tp_k8 = harness::timed_throughput(|| scenarios::fat_tree_k8_bench(QueueKind::Wheel, 1));
-    let tp_k8_p8 = harness::timed_throughput(|| scenarios::fat_tree_k8_bench(QueueKind::Wheel, 8));
-    assert_eq!(
-        (tp_k8.fingerprint, tp_k8.events),
-        (tp_k8_p8.fingerprint, tp_k8_p8.events),
-        "parallel fat-tree k=8 run diverged from serial"
-    );
-    let eps_k6_p8 = tp_wheel_p8.best_eps();
-    let (eps_k8, eps_k8_p8) = (tp_k8.best_eps(), tp_k8_p8.best_eps());
-    let k6_p8_note = format!(
-        "{:.3}M events/s ({:.2}x serial wheel, same events + fingerprint)",
-        eps_k6_p8 / 1e6,
-        eps_k6_p8 / eps_wheel.max(1.0)
-    );
-    let k8_note = format!(
-        "{:.3}M events/s ({} events, fingerprint {:016x})",
-        eps_k8 / 1e6,
-        tp_k8.events,
-        tp_k8.fingerprint
-    );
-    let k8_p8_note = format!(
-        "{:.3}M events/s ({:.2}x serial, same events + fingerprint)",
-        eps_k8_p8 / 1e6,
-        eps_k8_p8 / eps_k8.max(1.0)
-    );
-    println!("  k6 x8: {k6_p8_note}\n  k8:    {k8_note}\n  k8 x8: {k8_p8_note}");
-    let out_dir = a.out.as_deref().unwrap_or("results");
-    let results = format!("{out_dir}/sweep.json");
-    let bench = format!("{out_dir}/BENCH_sweep.json");
+    let results = format!("{}/sweep.json", a.out.as_deref().unwrap_or("results"));
     rep.write_json(&results).expect("write sweep report");
-    // The bare-number notes are machine-readable: scripts/ci.sh gates on
-    // fat_tree_k6_wheel_eps against the committed BENCH_sweep.json. The
-    // spread notes carry the full per-repetition min/median/max so a
-    // noisy box is visible in the record instead of masquerading as a
-    // regression.
-    let heap_eps = format!("{eps_heap:.0}");
-    let wheel_eps = format!("{eps_wheel:.0}");
-    let spread_of = |tp: &harness::Throughput| {
-        format!(
-            "best {:.3}M / median {:.3}M / worst {:.3}M events/s over {} reps ({:.0}% spread)",
-            tp.best_eps() / 1e6,
-            tp.median_eps() / 1e6,
-            tp.worst_eps() / 1e6,
-            tp.rep_wall_s.len(),
-            100.0 * tp.spread(),
-        )
-    };
-    let heap_spread = spread_of(&tp_heap);
-    let wheel_spread = spread_of(&tp_wheel);
-    let speedup = format!("{:.2}", eps_wheel / eps_heap.max(1.0));
-    let k6_fp = format!("{:016x}", tp_wheel.fingerprint);
-    let k6_p8_eps = format!("{eps_k6_p8:.0}");
-    let k6_p8_spread = spread_of(&tp_wheel_p8);
-    let k6_par_speedup = format!("{:.2}", eps_k6_p8 / eps_wheel.max(1.0));
-    let k8_eps = format!("{eps_k8:.0}");
-    let k8_p8_eps = format!("{eps_k8_p8:.0}");
-    let k8_spread = spread_of(&tp_k8);
-    let k8_p8_spread = spread_of(&tp_k8_p8);
-    let k8_par_speedup = format!("{:.2}", eps_k8_p8 / eps_k8.max(1.0));
-    let k8_fp = format!("{:016x}", tp_k8.fingerprint);
-    rep.write_bench_json(
-        &bench,
-        "tcdsim sweep (victim grid)",
-        &[
-            ("fat_tree_k6_heap", heap_note.as_str()),
-            ("fat_tree_k6_wheel", wheel_note.as_str()),
-            ("fat_tree_k6_wheel_p8", k6_p8_note.as_str()),
-            ("fat_tree_k6_heap_eps", heap_eps.as_str()),
-            ("fat_tree_k6_wheel_eps", wheel_eps.as_str()),
-            ("fat_tree_k6_wheel_p8_eps", k6_p8_eps.as_str()),
-            ("fat_tree_k6_heap_spread", heap_spread.as_str()),
-            ("fat_tree_k6_wheel_spread", wheel_spread.as_str()),
-            ("fat_tree_k6_wheel_p8_spread", k6_p8_spread.as_str()),
-            ("fat_tree_k6_speedup", speedup.as_str()),
-            ("fat_tree_k6_par_speedup", k6_par_speedup.as_str()),
-            ("fat_tree_k6_fingerprint", k6_fp.as_str()),
-            ("fat_tree_k8_wheel", k8_note.as_str()),
-            ("fat_tree_k8_wheel_p8", k8_p8_note.as_str()),
-            ("fat_tree_k8_wheel_eps", k8_eps.as_str()),
-            ("fat_tree_k8_wheel_p8_eps", k8_p8_eps.as_str()),
-            ("fat_tree_k8_wheel_spread", k8_spread.as_str()),
-            ("fat_tree_k8_wheel_p8_spread", k8_p8_spread.as_str()),
-            ("fat_tree_k8_par_speedup", k8_par_speedup.as_str()),
-            ("fat_tree_k8_fingerprint", k8_fp.as_str()),
-        ],
-    )
-    .expect("write bench record");
-    // Optionally extend the append-only perf trajectory. The wheel entry
-    // carries a compact profile digest from one extra profiled run, so
-    // the store records *where* the cycles went, not just how many.
-    if let Some(hist) = &a.history {
-        let mut prof_sim = scenarios::fat_tree_k6_bench(QueueKind::Wheel);
-        prof_sim.enable_profiler(tcd_repro::obs::prof::ProfConfig::default());
-        prof_sim.run();
-        let digest = prof_sim.profile().map(|p| p.compact_json());
-        let entries = [
-            harness::HistoryEntry::from_throughput("fat_tree_k6_heap", &tp_heap, None),
-            harness::HistoryEntry::from_throughput("fat_tree_k6_wheel", &tp_wheel, digest),
-            harness::HistoryEntry::from_throughput("fat_tree_k6_wheel_p8", &tp_wheel_p8, None),
-            harness::HistoryEntry::from_throughput("fat_tree_k8_wheel", &tp_k8, None),
-            harness::HistoryEntry::from_throughput("fat_tree_k8_wheel_p8", &tp_k8_p8, None),
-        ];
-        harness::append_history(hist, &entries).expect("append perf history");
-        println!("appended {} entries to {hist}", entries.len());
-    }
     println!(
-        "fingerprint {:016x} | {} events in {:.2} s ({:.0} events/s) | wrote {results} and {bench}",
+        "fingerprint {:016x} | {} events in {:.2} s ({:.0} events/s) | wrote {results}",
         rep.merged_fingerprint(),
         rep.total_events(),
         rep.total_wall_s,
@@ -657,58 +466,19 @@ fn cmd_export(a: &Args, metrics: bool) {
 }
 
 /// `tcdsim perf`: self-profile the fat-tree k=6 bench and report where
-/// the wall-clock cycles go (plus a validated wall-clock Perfetto track),
-/// or — with `--history` — render the perf-trajectory store as a trend
-/// report and optionally gate on it.
+/// the wall-clock cycles go (plus a validated wall-clock Perfetto track).
 fn cmd_perf(a: &Args) {
-    use tcd_repro::netsim::QueueKind;
     use tcd_repro::obs::prof::ProfConfig;
-
-    if let Some(hist) = &a.history {
-        let entries = harness::read_history(hist);
-        if entries.is_empty() {
-            eprintln!("perf: no history at {hist}");
-            exit(i32::from(a.gate));
-        }
-        print!("{}", harness::history_report(&entries));
-        if a.gate {
-            // The newest entry per scenario is the run under test; every
-            // earlier entry is baseline.
-            let mut fresh: Vec<harness::HistoryEntry> = Vec::new();
-            for e in &entries {
-                match fresh.iter_mut().find(|f| f.scenario == e.scenario) {
-                    Some(f) => *f = e.clone(),
-                    None => fresh.push(e.clone()),
-                }
-            }
-            let mut baseline = entries;
-            for f in &fresh {
-                if let Some(pos) = baseline.iter().rposition(|e| e.scenario == f.scenario) {
-                    baseline.remove(pos);
-                }
-            }
-            let failures = harness::history_gate(&baseline, &fresh, 0.9);
-            if failures.is_empty() {
-                println!("perf gate: ok ({} scenario(s))", fresh.len());
-            } else {
-                for f in &failures {
-                    eprintln!("perf gate: {f}");
-                }
-                exit(1);
-            }
-        }
-        return;
-    }
 
     if a.partitions > 1 {
         eprintln!(
-            "profiling fat-tree k=6 workload (wheel queue, {} partition workers)...",
+            "profiling fat-tree k=6 workload ({} partition workers)...",
             a.partitions
         );
     } else {
-        eprintln!("profiling fat-tree k=6 workload (wheel queue)...");
+        eprintln!("profiling fat-tree k=6 workload...");
     }
-    let mut sim = scenarios::fat_tree_k6_bench_par(QueueKind::Wheel, a.partitions);
+    let mut sim = scenarios::fat_tree_k6_bench(a.partitions);
     sim.enable_profiler(ProfConfig::default());
     sim.run();
     let profile = sim.profile().expect("profiler was armed");

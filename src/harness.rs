@@ -8,11 +8,11 @@
 //! the runs out to a fixed-size `std::thread` worker pool through a work
 //! queue, writes every result into its submission-order slot, and merges
 //! them into a [`SweepReport`] whose contents are **bit-identical at any
-//! thread count**. Only wall-clock timings differ between thread counts,
-//! and those are confined to the perf record
-//! ([`SweepReport::write_bench_json`], conventionally `BENCH_sweep.json`);
-//! the result report ([`SweepReport::to_json`]) contains deterministic
-//! fields only.
+//! thread count**. Only wall-clock timings differ between thread counts
+//! ([`RunResult::wall_s`], [`SweepReport::total_wall_s`]); the result
+//! report ([`SweepReport::to_json`]) contains deterministic fields only.
+//! Performance is measured from outside by the `tcdbench` benchmark
+//! (`crates/bench/src/bin/tcdbench/README.md`), not here.
 //!
 //! Worker threads are plain `std::thread::scope` threads — no external
 //! dependencies — and the thread count comes from `--threads`, the
@@ -21,7 +21,7 @@
 
 use lossless_netsim::Simulator;
 use lossless_stats::export::{json_f64, json_str};
-use std::io::{IsTerminal as _, Write as _};
+use std::io::IsTerminal as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -292,71 +292,6 @@ impl SweepReport {
         }
         std::fs::write(path, self.to_json())
     }
-
-    /// Write the perf record (conventionally `BENCH_sweep.json`): thread
-    /// count, wall times and events/sec per run and in aggregate, plus
-    /// the merged fingerprint so a perf record is traceable to the exact
-    /// results it timed. `notes` are free-form key/value annotations
-    /// (e.g. baseline numbers the current run is compared against).
-    pub fn write_bench_json(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        label: &str,
-        notes: &[(&str, &str)],
-    ) -> std::io::Result<()> {
-        if let Some(dir) = path.as_ref().parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let mut f = std::fs::File::create(path)?;
-        writeln!(f, "{{")?;
-        writeln!(f, "  \"label\": {},", json_str(label))?;
-        if !notes.is_empty() {
-            writeln!(f, "  \"notes\": {{")?;
-            for (i, (k, v)) in notes.iter().enumerate() {
-                writeln!(
-                    f,
-                    "    {}: {}{}",
-                    json_str(k),
-                    json_str(v),
-                    if i + 1 < notes.len() { "," } else { "" },
-                )?;
-            }
-            writeln!(f, "  }},")?;
-        }
-        writeln!(f, "  \"threads\": {},", self.threads)?;
-        writeln!(f, "  \"total_wall_s\": {},", json_f64(self.total_wall_s))?;
-        writeln!(f, "  \"total_events\": {},", self.total_events())?;
-        writeln!(
-            f,
-            "  \"events_per_sec\": {},",
-            json_f64(self.events_per_sec())
-        )?;
-        writeln!(
-            f,
-            "  \"merged_fingerprint\": \"{:016x}\",",
-            self.merged_fingerprint()
-        )?;
-        writeln!(f, "  \"runs\": [")?;
-        for (i, r) in self.results.iter().enumerate() {
-            let eps = if r.wall_s > 0.0 {
-                r.outcome.events as f64 / r.wall_s
-            } else {
-                0.0
-            };
-            writeln!(
-                f,
-                "    {{\"id\": {}, \"wall_s\": {}, \"events\": {}, \"events_per_sec\": {}}}{}",
-                json_str(&r.id),
-                json_f64(r.wall_s),
-                r.outcome.events,
-                json_f64(eps),
-                if i + 1 < self.results.len() { "," } else { "" },
-            )?;
-        }
-        writeln!(f, "  ]")?;
-        writeln!(f, "}}")?;
-        Ok(())
-    }
 }
 
 /// Worker thread count: `TCD_THREADS` when set (clamped to ≥ 1), else
@@ -397,89 +332,6 @@ fn progress_enabled() -> bool {
     }
 }
 
-/// Wall-clock throughput measurement of one repeated simulator run: the
-/// full per-repetition timing spread, not just the best. Produced by
-/// [`timed_throughput`].
-#[derive(Debug, Clone)]
-pub struct Throughput {
-    /// Events the run dispatches (identical every repetition).
-    pub events: u64,
-    /// The run's fingerprint (identical every repetition — asserted by
-    /// callers to certify the timed runs reproduced).
-    pub fingerprint: u64,
-    /// Wall-clock seconds of each timed repetition, in execution order.
-    pub rep_wall_s: Vec<f64>,
-}
-
-impl Throughput {
-    /// Repetition wall times sorted ascending.
-    fn sorted(&self) -> Vec<f64> {
-        let mut v = self.rep_wall_s.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("wall times are finite"));
-        v
-    }
-
-    /// Best-repetition throughput (events over the fastest wall time) —
-    /// the headline number: scheduler and frequency noise only ever slow
-    /// a run down.
-    pub fn best_eps(&self) -> f64 {
-        self.events as f64 / self.sorted().first().copied().unwrap_or(f64::INFINITY)
-    }
-
-    /// Throughput of the median repetition.
-    pub fn median_eps(&self) -> f64 {
-        let s = self.sorted();
-        if s.is_empty() {
-            return 0.0;
-        }
-        self.events as f64 / s[s.len() / 2]
-    }
-
-    /// Throughput of the slowest repetition — the noise floor: a large
-    /// best/worst gap flags a noisy box whose numbers should not drive
-    /// regression conclusions.
-    pub fn worst_eps(&self) -> f64 {
-        self.events as f64 / self.sorted().last().copied().unwrap_or(f64::INFINITY)
-    }
-
-    /// Relative spread `(best - worst) / best` of the per-repetition
-    /// throughput, 0.0 for a perfectly quiet box.
-    pub fn spread(&self) -> f64 {
-        let best = self.best_eps();
-        if best > 0.0 {
-            (best - self.worst_eps()) / best
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Wall-clock throughput of one simulator run. `build` returns a fully
-/// configured simulator that has not run yet; one warm run primes caches
-/// and the allocator, then five identical runs are timed — `run()`
-/// only, so topology and routing construction don't dilute the engine
-/// number — and every repetition's wall time is kept, so callers can
-/// report the min/median/max spread instead of silently discarding the
-/// variance. Lives here because wall-clock access is confined to the
-/// harness and bench code by the simlint determinism rules.
-pub fn timed_throughput(build: impl Fn() -> Simulator) -> Throughput {
-    let mut warm = build();
-    warm.run();
-    let mut reps = Vec::new();
-    let mut sim = warm;
-    for _ in 0..5 {
-        sim = build();
-        let t0 = Instant::now();
-        sim.run();
-        reps.push(t0.elapsed().as_secs_f64().max(1e-9));
-    }
-    Throughput {
-        events: sim.trace.events,
-        fingerprint: fingerprint_sim(&sim),
-        rep_wall_s: reps,
-    }
-}
-
 /// FNV-1a digest of everything a run observably computed: every flow's
 /// lifecycle record plus the trace's aggregate counters. Two runs with
 /// equal fingerprints delivered the same bytes with the same markings at
@@ -514,237 +366,6 @@ pub fn outcome_of(sim: &Simulator, metrics: Vec<(String, f64)>) -> RunOutcome {
         registry: sim.obs_registry(),
         perf: sim.profile(),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Perf-trajectory store: append-only BENCH_history.jsonl
-// ---------------------------------------------------------------------------
-
-/// One line of the append-only perf-trajectory store
-/// (`BENCH_history.jsonl`): where the bench ran, what it measured and the
-/// fingerprint tying the timing to exact results. Unlike the overwritten
-/// `BENCH_sweep.json` snapshot, the store accumulates — one line per
-/// bench invocation — so trends and noise bands are recoverable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistoryEntry {
-    /// Seconds since the Unix epoch when the bench ran.
-    pub unix_s: u64,
-    /// Git commit the bench ran at (`TCD_COMMIT`, or `unknown`).
-    pub commit: String,
-    /// Bench scenario id, e.g. `fat_tree_k6_wheel`.
-    pub scenario: String,
-    /// Events the scenario dispatches.
-    pub events: u64,
-    /// Best-repetition throughput, events per second.
-    pub events_per_sec: f64,
-    /// Median-repetition throughput (noise-robust trend signal).
-    pub median_eps: f64,
-    /// Slowest-repetition throughput (the noise floor).
-    pub worst_eps: f64,
-    /// The scenario's run fingerprint, so entries are only compared
-    /// against entries that computed the same results.
-    pub fingerprint: u64,
-    /// Compact wall-clock profile digest (JSON), when the bench ran with
-    /// the profiler armed.
-    pub profile: Option<String>,
-}
-
-impl HistoryEntry {
-    /// Serialize as one JSONL line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let profile = match &self.profile {
-            Some(p) => p.clone(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"unix_s\": {}, \"commit\": {}, \"scenario\": {}, \"events\": {}, \
-             \"events_per_sec\": {}, \"median_eps\": {}, \"worst_eps\": {}, \
-             \"fingerprint\": \"{:016x}\", \"profile\": {}}}",
-            self.unix_s,
-            json_str(&self.commit),
-            json_str(&self.scenario),
-            self.events,
-            json_f64(self.events_per_sec),
-            json_f64(self.median_eps),
-            json_f64(self.worst_eps),
-            self.fingerprint,
-            profile,
-        )
-    }
-
-    /// Build an entry for `scenario` from a [`Throughput`] measurement,
-    /// stamping the current time and the `TCD_COMMIT` commit id.
-    pub fn from_throughput(
-        scenario: &str,
-        tp: &Throughput,
-        profile: Option<String>,
-    ) -> HistoryEntry {
-        let unix_s = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        HistoryEntry {
-            unix_s,
-            commit: std::env::var("TCD_COMMIT").unwrap_or_else(|_| "unknown".to_string()),
-            scenario: scenario.to_string(),
-            events: tp.events,
-            events_per_sec: tp.best_eps(),
-            median_eps: tp.median_eps(),
-            worst_eps: tp.worst_eps(),
-            fingerprint: tp.fingerprint,
-            profile,
-        }
-    }
-}
-
-/// Append `entries` to the JSONL store at `path`, creating it (and parent
-/// directories) on first use.
-pub fn append_history(
-    path: impl AsRef<std::path::Path>,
-    entries: &[HistoryEntry],
-) -> std::io::Result<()> {
-    if let Some(dir) = path.as_ref().parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    for e in entries {
-        writeln!(f, "{}", e.to_json_line())?;
-    }
-    Ok(())
-}
-
-/// Read the JSONL store at `path`, oldest first. Malformed lines are
-/// skipped (the store survives partial writes); a missing file is an
-/// empty history.
-pub fn read_history(path: impl AsRef<std::path::Path>) -> Vec<HistoryEntry> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Ok(v) = lossless_obs::json::parse(line) else {
-            continue;
-        };
-        let str_of = |k: &str| v.get(k).and_then(|x| x.as_str()).map(str::to_string);
-        let num_of = |k: &str| v.get(k).and_then(|x| x.as_f64());
-        let (Some(commit), Some(scenario), Some(eps)) = (
-            str_of("commit"),
-            str_of("scenario"),
-            num_of("events_per_sec"),
-        ) else {
-            continue;
-        };
-        let fingerprint = str_of("fingerprint")
-            .and_then(|s| u64::from_str_radix(&s, 16).ok())
-            .unwrap_or(0);
-        out.push(HistoryEntry {
-            unix_s: num_of("unix_s").unwrap_or(0.0) as u64,
-            commit,
-            scenario,
-            events: num_of("events").unwrap_or(0.0) as u64,
-            events_per_sec: eps,
-            median_eps: num_of("median_eps").unwrap_or(eps),
-            worst_eps: num_of("worst_eps").unwrap_or(eps),
-            fingerprint,
-            profile: None,
-        });
-    }
-    out
-}
-
-/// How many trailing entries the regression gate's median is taken over.
-pub const HISTORY_WINDOW: usize = 8;
-
-/// The noise-tolerant regression gate over the perf trajectory: for each
-/// scenario in `fresh`, the fresh best-repetition events/s must be at
-/// least `floor` (conventionally 0.9) times the trailing median of the
-/// last [`HISTORY_WINDOW`] *comparable* stored entries — those with the
-/// same scenario **and** the same fingerprint, so a run that legitimately
-/// changed behaviour (new fingerprint) starts a fresh baseline instead of
-/// tripping the gate. Returns every failure as a human-readable line;
-/// empty means the gate passes.
-pub fn history_gate(history: &[HistoryEntry], fresh: &[HistoryEntry], floor: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    for f in fresh {
-        let comparable: Vec<f64> = history
-            .iter()
-            .filter(|h| h.scenario == f.scenario && h.fingerprint == f.fingerprint)
-            .map(|h| h.events_per_sec)
-            .collect();
-        if comparable.is_empty() {
-            continue; // no baseline yet: first run or behaviour change
-        }
-        let window = &comparable[comparable.len().saturating_sub(HISTORY_WINDOW)..];
-        let mut sorted = window.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("throughputs are finite"));
-        let median = sorted[sorted.len() / 2];
-        if f.events_per_sec < floor * median {
-            failures.push(format!(
-                "{}: {:.3}M events/s is below {:.0}% of the trailing median \
-                 {:.3}M events/s ({} comparable entries)",
-                f.scenario,
-                f.events_per_sec / 1e6,
-                floor * 100.0,
-                median / 1e6,
-                window.len(),
-            ));
-        }
-    }
-    failures
-}
-
-/// Render the perf trajectory as a per-scenario trend report: one line
-/// per stored entry (oldest first) with commit, throughput spread and
-/// fingerprint, followed by the trailing-median baseline the gate would
-/// compare against.
-pub fn history_report(history: &[HistoryEntry]) -> String {
-    if history.is_empty() {
-        return "perf history is empty\n".to_string();
-    }
-    let mut scenarios: Vec<&str> = history.iter().map(|h| h.scenario.as_str()).collect();
-    scenarios.sort_unstable();
-    scenarios.dedup();
-    let mut out = String::new();
-    for sc in scenarios {
-        let entries: Vec<&HistoryEntry> = history.iter().filter(|h| h.scenario == sc).collect();
-        out.push_str(&format!("{sc} ({} entries)\n", entries.len()));
-        for e in &entries {
-            out.push_str(&format!(
-                "  {:<10} {:>8.3}M events/s (median {:>8.3}M, worst {:>8.3}M) fp {:016x}\n",
-                &e.commit[..e.commit.len().min(10)],
-                e.events_per_sec / 1e6,
-                e.median_eps / 1e6,
-                e.worst_eps / 1e6,
-                e.fingerprint,
-            ));
-        }
-        if let Some(last) = entries.last() {
-            let base: Vec<&&HistoryEntry> = entries
-                .iter()
-                .filter(|h| h.fingerprint == last.fingerprint)
-                .collect();
-            let window = &base[base.len().saturating_sub(HISTORY_WINDOW)..];
-            let mut eps: Vec<f64> = window.iter().map(|h| h.events_per_sec).collect();
-            eps.sort_by(|a, b| a.partial_cmp(b).expect("throughputs are finite"));
-            if !eps.is_empty() {
-                out.push_str(&format!(
-                    "  baseline: trailing median {:.3}M events/s over {} comparable entries\n",
-                    eps[eps.len() / 2] / 1e6,
-                    eps.len(),
-                ));
-            }
-        }
-    }
-    out
 }
 
 /// Render a finished run as its canonical golden-trace text: the
@@ -937,20 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_spread_orders_min_median_max() {
-        let tp = Throughput {
-            events: 1_000_000,
-            fingerprint: 0xabcd,
-            rep_wall_s: vec![0.5, 0.2, 1.0, 0.25, 0.4],
-        };
-        assert_eq!(tp.best_eps(), 5_000_000.0); // fastest rep: 0.2 s
-        assert_eq!(tp.median_eps(), 2_500_000.0); // median rep: 0.4 s
-        assert_eq!(tp.worst_eps(), 1_000_000.0); // slowest rep: 1.0 s
-        assert!(tp.best_eps() >= tp.median_eps() && tp.median_eps() >= tp.worst_eps());
-        assert!((tp.spread() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
     fn outcome_equality_ignores_the_perf_profile() {
         let a = toy_job(1);
         let mut b = toy_job(1);
@@ -965,70 +572,6 @@ mod tests {
             dropped_ticks: 0,
         });
         assert_eq!(a, b, "perf is machine noise, not part of the outcome");
-    }
-
-    #[test]
-    fn history_round_trips_through_jsonl() {
-        let dir = std::env::temp_dir().join(format!(
-            "tcd_history_test_{}_{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        let path = dir.join("BENCH_history.jsonl");
-        let entry = HistoryEntry {
-            unix_s: 1_700_000_000,
-            commit: "deadbeef".into(),
-            scenario: "fat_tree_k6_wheel".into(),
-            events: 7_377_645,
-            events_per_sec: 7_240_498.0,
-            median_eps: 7_100_000.0,
-            worst_eps: 6_900_000.0,
-            fingerprint: 0x1a6eae4701ee3f77,
-            profile: Some("{\"sampled\": 10, \"sample_every\": 64, \"top\": []}".into()),
-        };
-        append_history(&path, std::slice::from_ref(&entry)).unwrap();
-        append_history(&path, std::slice::from_ref(&entry)).unwrap();
-        let read = read_history(&path);
-        assert_eq!(read.len(), 2, "append-only: both writes survive");
-        assert_eq!(read[0].scenario, entry.scenario);
-        assert_eq!(read[0].fingerprint, entry.fingerprint);
-        assert_eq!(read[0].events_per_sec, entry.events_per_sec);
-        assert_eq!(read[0].median_eps, entry.median_eps);
-        // The stored profile digest is opaque to the reader.
-        assert_eq!(read[0].profile, None);
-        assert!(history_report(&read).contains("fat_tree_k6_wheel"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn history_gate_flags_regressions_and_respects_fingerprints() {
-        let mk = |eps: f64, fp: u64| HistoryEntry {
-            unix_s: 0,
-            commit: "c".into(),
-            scenario: "bench".into(),
-            events: 100,
-            events_per_sec: eps,
-            median_eps: eps,
-            worst_eps: eps,
-            fingerprint: fp,
-            profile: None,
-        };
-        let history = vec![mk(100.0, 1), mk(110.0, 1), mk(105.0, 1)];
-        // Above 0.9 × median(105): pass.
-        assert!(history_gate(&history, &[mk(96.0, 1)], 0.9).is_empty());
-        // Below the floor: fail.
-        let failures = history_gate(&history, &[mk(80.0, 1)], 0.9);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("bench"), "{failures:?}");
-        // Same speed but a different fingerprint: fresh baseline, pass.
-        assert!(history_gate(&history, &[mk(80.0, 2)], 0.9).is_empty());
-        // Unknown scenario: no baseline, pass.
-        let mut other = mk(1.0, 1);
-        other.scenario = "new".into();
-        assert!(history_gate(&history, &[other], 0.9).is_empty());
     }
 
     #[test]

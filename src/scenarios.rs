@@ -163,26 +163,17 @@ pub fn default_config(network: Network, use_tcd: bool, end: SimTime) -> SimConfi
     cfg
 }
 
-/// The fat-tree k=6 run the engine's single-run throughput is quoted on:
-/// the §5.2 realistic workload (Hadoop sizes, Poisson arrivals at 0.6
-/// load, DCQCN+TCD, a pinch of partition-aggregate incast) with the full
-/// flow schedule registered up front — so the event queue carries
-/// hundreds of thousands of pending `FlowStart`s while near-term packet
-/// events churn through it, exactly the large-pending-set regime that
-/// separates the timing wheel from the binary heap. Returns the simulator *before*
-/// `run()` so harness timing excludes topology/routing/workload
-/// construction; the caller picks the event-queue core so heap and wheel
-/// time head-to-head on identical schedules.
-pub fn fat_tree_k6_bench(queue: lossless_netsim::QueueKind) -> Simulator {
-    fat_tree_k6_bench_par(queue, 1)
-}
-
-/// [`fat_tree_k6_bench`] with an explicit intra-run partition worker
-/// count: `1` pins the serial engine (ignoring `TCD_PARTITIONS`, so the
-/// baseline number is a baseline no matter the environment), `n > 1`
-/// requests the conservative-parallel executor. Same workload, same
-/// schedule, same fingerprint at any worker count.
-pub fn fat_tree_k6_bench_par(queue: lossless_netsim::QueueKind, partitions: usize) -> Simulator {
+/// The fat-tree k=6 run `tcdsim perf` profiles: the §5.2 realistic
+/// workload (Hadoop sizes, Poisson arrivals at 0.6 load, DCQCN+TCD, a
+/// pinch of partition-aggregate incast) with the full flow schedule
+/// registered up front — so the event queue carries hundreds of thousands
+/// of pending `FlowStart`s while near-term packet events churn through
+/// it. Returns the simulator *before* `run()` so timing excludes
+/// topology/routing/workload construction. `partitions = 1` pins the
+/// serial engine (ignoring `TCD_PARTITIONS`), `n > 1` requests the
+/// conservative-parallel executor: same workload, same schedule, same
+/// fingerprint at any worker count.
+pub fn fat_tree_k6_bench(partitions: usize) -> Simulator {
     let (sim, _ft, _flows) = workload::build(
         workload::Options {
             network: Network::Cee,
@@ -201,46 +192,9 @@ pub fn fat_tree_k6_bench_par(queue: lossless_netsim::QueueKind, partitions: usiz
             deadline: SimTime::from_ms(5),
         },
         |cfg| {
-            cfg.queue = queue;
             cfg.partitions = partitions;
-            // Benchmark the engine, not the instrumentation: recorder and
-            // registry writes are identical per-event work on both cores
-            // and only dilute the queue-cost comparison. Dynamics (and so
-            // the run fingerprint) are unaffected by the obs level.
-            cfg.obs.level = lossless_obs::ObsLevel::Off;
-        },
-    );
-    sim
-}
-
-/// The fat-tree k=8 run multi-core scaling is quoted on: the same §5.2
-/// realistic workload as [`fat_tree_k6_bench`] scaled up to 128 hosts —
-/// 80 switches and enough per-pod locality that an 8-way pod-aware
-/// partition keeps most traffic shard-local, which is exactly the regime
-/// the conservative-parallel executor targets. `partitions = 1` pins the
-/// serial engine; the fingerprint is identical at any worker count.
-pub fn fat_tree_k8_bench(queue: lossless_netsim::QueueKind, partitions: usize) -> Simulator {
-    let (sim, _ft, _flows) = workload::build(
-        workload::Options {
-            network: Network::Cee,
-            cc: Cc {
-                algo: CcAlgo::Dcqcn,
-                tcd: true,
-            },
-            use_tcd: true,
-            k: 8,
-            workload: workload::Workload::Hadoop,
-            load: 0.6,
-            flows: 50_000,
-            incast_fraction: 0.05,
-            incast_fanin: 16,
-            seed: 1,
-            deadline: SimTime::from_ms(5),
-        },
-        |cfg| {
-            cfg.queue = queue;
-            cfg.partitions = partitions;
-            // Engine-only timing, as in the k=6 bench.
+            // Profile the engine, not the instrumentation. Dynamics (and
+            // so the run fingerprint) are unaffected by the obs level.
             cfg.obs.level = lossless_obs::ObsLevel::Off;
         },
     );
@@ -529,6 +483,49 @@ pub mod victim {
     /// Build and run with an explicit detector override (ablations).
     pub fn run_with_detector(opt: Options, detector: DetectorKind) -> Run {
         run_inner(opt, Some(detector))
+    }
+
+    /// The cells of the Table-3 victim grid — network × detector × seeds
+    /// `1..=seeds`, ids `victim_{net}_{det}_s{seed}` — in submission
+    /// order.
+    pub fn grid(seeds: u64) -> Vec<(String, Options)> {
+        let mut cells = Vec::new();
+        for (network, net) in [(Network::Cee, "cee"), (Network::Ib, "ib")] {
+            for (use_tcd, det) in [(false, "base"), (true, "tcd")] {
+                for seed in 1..=seeds {
+                    let opt = Options {
+                        network,
+                        use_tcd,
+                        seed,
+                        ..Default::default()
+                    };
+                    cells.push((format!("victim_{net}_{det}_s{seed}"), opt));
+                }
+            }
+        }
+        cells
+    }
+
+    /// [`grid`] as a harness sweep (what `tcdsim sweep` runs): one job per
+    /// cell reporting the Table-3 CE fraction, mean victim FCT and PAUSE
+    /// frame count.
+    pub fn sweep(seeds: u64) -> crate::harness::Sweep {
+        let mut sweep = crate::harness::Sweep::new();
+        for (id, opt) in grid(seeds) {
+            sweep.add(id, move || {
+                let r = run(opt);
+                let metrics = vec![
+                    ("victim_ce_fraction".into(), r.victim_ce_fraction()),
+                    (
+                        "victim_mean_fct_us".into(),
+                        r.victim_mean_fct().unwrap_or(0.0) * 1e6,
+                    ),
+                    ("pause_frames".into(), r.sim.trace.pause_frames as f64),
+                ];
+                crate::harness::outcome_of(&r.sim, metrics)
+            });
+        }
+        sweep
     }
 
     fn run_inner(opt: Options, detector_override: Option<DetectorKind>) -> Run {

@@ -101,49 +101,3 @@ fn timely_scenario_is_reproducible() {
     };
     assert_eq!(fingerprint(&mk()), fingerprint(&mk()));
 }
-
-#[test]
-fn heap_and_wheel_cores_are_twins() {
-    // The event-queue toggle must be invisible to every observable output:
-    // run the golden fat-tree workload once per core and require the full
-    // canonical traces — per-flow lifecycle, markings, timings — to match
-    // byte for byte.
-    use tcd_repro::harness::golden_trace;
-    use tcd_repro::netsim::QueueKind;
-    use tcd_repro::scenarios::workload;
-
-    let mk = |queue: QueueKind| {
-        let (mut sim, _ft, _flows) = workload::build(
-            workload::Options {
-                network: Network::Cee,
-                cc: Cc {
-                    algo: CcAlgo::Dcqcn,
-                    tcd: true,
-                },
-                use_tcd: true,
-                k: 4,
-                workload: workload::Workload::Hadoop,
-                load: 0.3,
-                flows: 200,
-                incast_fraction: 0.1,
-                incast_fanin: 4,
-                seed: 7,
-                deadline: SimTime::from_ms(20),
-            },
-            |cfg| cfg.queue = queue,
-        );
-        sim.run_until_all_complete();
-        sim
-    };
-    let wheel = mk(QueueKind::Wheel);
-    let heap = mk(QueueKind::Heap);
-    assert_eq!(
-        wheel.trace.events, heap.trace.events,
-        "cores dispatched different event counts"
-    );
-    assert_eq!(
-        golden_trace(&wheel, "twin"),
-        golden_trace(&heap, "twin"),
-        "heap and wheel cores must produce bit-identical traces"
-    );
-}

@@ -3,37 +3,13 @@
 //! produces identical per-run fingerprints, identical metrics, and an
 //! identical merged report.
 
-use tcd_repro::harness::{self, Sweep, SweepReport};
+use tcd_repro::harness::{self, SweepReport};
 use tcd_repro::scenarios::victim;
-use tcd_repro::scenarios::Network;
 
-/// The same small victim-scenario sweep every test runs: both network
-/// types, both detectors, two seeds.
-fn sweep() -> Sweep {
-    let mut s = Sweep::new();
-    for network in [Network::Cee, Network::Ib] {
-        for use_tcd in [false, true] {
-            for seed in [1u64, 2] {
-                s.add(format!("{network:?}_{use_tcd}_{seed}"), move || {
-                    let r = victim::run(victim::Options {
-                        network,
-                        use_tcd,
-                        seed,
-                        ..Default::default()
-                    });
-                    harness::outcome_of(
-                        &r.sim,
-                        vec![("ce_fraction".into(), r.victim_ce_fraction())],
-                    )
-                });
-            }
-        }
-    }
-    s
-}
-
+/// The victim grid every test runs: both network types, both detectors,
+/// two seeds — the cells of `tcdsim sweep --seeds 2`.
 fn run_at(threads: usize) -> SweepReport {
-    sweep().run(threads)
+    victim::sweep(2).run(threads)
 }
 
 #[test]
@@ -56,8 +32,8 @@ fn sweep_is_bit_identical_across_thread_counts() {
             );
         }
         assert_eq!(one.merged_fingerprint(), other.merged_fingerprint());
-        // The deterministic report is byte-identical; only wall-clock
-        // fields (confined to the bench record) may differ.
+        // The deterministic report is byte-identical; only the wall-clock
+        // fields it leaves out may differ.
         assert_eq!(one.to_json(), other.to_json());
     }
 }
@@ -67,25 +43,15 @@ fn sweep_matches_direct_serial_execution() {
     // The harness adds nothing to the simulation: running the same
     // configurations by hand gives the same fingerprints.
     let rep = run_at(4);
-    let mut i = 0;
-    for network in [Network::Cee, Network::Ib] {
-        for use_tcd in [false, true] {
-            for seed in [1u64, 2] {
-                let r = victim::run(victim::Options {
-                    network,
-                    use_tcd,
-                    seed,
-                    ..Default::default()
-                });
-                assert_eq!(
-                    rep.results[i].outcome.fingerprint,
-                    harness::fingerprint_sim(&r.sim),
-                    "run {} differs from its serial twin",
-                    rep.results[i].id
-                );
-                i += 1;
-            }
-        }
+    let cells = victim::grid(2);
+    assert_eq!(rep.results.len(), cells.len());
+    for (res, (id, opt)) in rep.results.iter().zip(cells) {
+        assert_eq!(res.id, id);
+        assert_eq!(
+            res.outcome.fingerprint,
+            harness::fingerprint_sim(&victim::run(opt).sim),
+            "run {id} differs from its serial twin"
+        );
     }
 }
 
@@ -102,4 +68,21 @@ fn fingerprint_separates_different_runs() {
         rep.results.len(),
         "fingerprint collision across distinct runs"
     );
+}
+
+#[test]
+fn default_sweep_grid_fingerprint_is_pinned() {
+    // The 12 cells of `tcdsim sweep` (its default `--seeds 3`): the one
+    // number that certifies the whole victim grid reproduced. A change
+    // here is a behaviour change and needs the goldens re-blessed too.
+    for threads in [1, 2] {
+        assert_eq!(
+            format!(
+                "{:016x}",
+                victim::sweep(3).run(threads).merged_fingerprint()
+            ),
+            "e18f731ad804a070",
+            "{threads} thread(s)"
+        );
+    }
 }

@@ -12,10 +12,7 @@
 //! * and the profiler must actually have *sampled* something in the
 //!   profiled twin, so the equalities are not vacuous.
 //!
-//! The `#[ignore]`d overhead test times the fat-tree k=6 bench with the
-//! profiler on and off and asserts the default sampling cadence costs
-//! ≤ 5% throughput; CI runs it from the release binary where the timing
-//! is meaningful (`cargo test --release -- --ignored`).
+//! What the profiler costs in wall-clock is tcdbench's `obs.prof_ratio`.
 
 use lossless_flowctl::SimTime;
 use lossless_obs::prof::ProfConfig;
@@ -114,30 +111,4 @@ fn sweep_merges_identical_across_threads_and_profiling() {
             "{threads} threads: profiled sweep runs must carry a profile"
         );
     }
-}
-
-/// Release-only (CI) budget check: the default sampling cadence must not
-/// cost more than 5% of fat-tree k=6 bench throughput. Debug timings are
-/// meaningless, hence `#[ignore]` — run with `--release -- --ignored`.
-#[test]
-#[ignore = "wall-clock budget; run in release builds only"]
-fn profiler_overhead_within_budget() {
-    use tcd_repro::netsim::QueueKind;
-    let off = harness::timed_throughput(|| scenarios::fat_tree_k6_bench(QueueKind::Wheel));
-    let on = harness::timed_throughput(|| {
-        let mut sim = scenarios::fat_tree_k6_bench(QueueKind::Wheel);
-        sim.enable_profiler(ProfConfig::default());
-        sim
-    });
-    assert_eq!(
-        off.fingerprint, on.fingerprint,
-        "profiling must not perturb"
-    );
-    assert_eq!(off.events, on.events);
-    assert!(
-        on.best_eps() >= 0.95 * off.best_eps(),
-        "profiler overhead above 5% budget: {:.2}M events/s on vs {:.2}M off",
-        on.best_eps() / 1e6,
-        off.best_eps() / 1e6
-    );
 }
