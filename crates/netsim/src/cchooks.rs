@@ -87,9 +87,9 @@ impl CcAction {
 
 /// End-to-end congestion controller for one flow.
 ///
-/// `Send` so the conservative-parallel executor (`crate::par`) can move a
-/// host — controllers included — to a worker thread. Controllers are pure
-/// per-flow state machines, so this costs nothing in practice.
+/// `Send` so a simulator — controllers included — can be handed to
+/// another thread. Controllers are pure per-flow state machines, so this
+/// costs nothing in practice.
 pub trait RateController: Send {
     /// Called once when the flow starts. `line_rate` is the source NIC's
     /// link rate; the controller returns its initial timers and must leave

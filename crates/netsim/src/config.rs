@@ -180,13 +180,6 @@ pub struct SimConfig {
     /// semantics (`Trace::dropped_port_samples`). `None` by default: the
     /// run fingerprint includes the sample count, so capping is opt-in.
     pub max_port_samples: Option<usize>,
-    /// Intra-run partition workers for the conservative-parallel
-    /// executor (see `crate::par`): `0` (default) defers to the
-    /// `TCD_PARTITIONS` environment variable (absent → serial), `1`
-    /// forces serial, `n > 1` requests `n` workers. Any value produces
-    /// bit-identical traces and fingerprints; this affects wall-clock
-    /// throughput only.
-    pub partitions: usize,
     /// Scheduled fault injection (link flaps, degradation, route
     /// changes). Empty by default — an empty plan schedules no events,
     /// so fault-free runs are bit-identical to builds without the
@@ -219,7 +212,6 @@ impl SimConfig {
             obs: lossless_obs::ObsConfig::default(),
             max_marks: None,
             max_port_samples: None,
-            partitions: 0,
             fault_plan: crate::fault::FaultPlan::default(),
         }
     }
@@ -250,7 +242,6 @@ impl SimConfig {
             obs: lossless_obs::ObsConfig::default(),
             max_marks: None,
             max_port_samples: None,
-            partitions: 0,
             fault_plan: crate::fault::FaultPlan::default(),
         }
     }

@@ -185,32 +185,6 @@ const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
 #[cfg(feature = "audit")]
 pub(crate) const PAST_LOG_CAP: usize = 64;
 
-/// Base of the *provisional* sequence range used by the parallel
-/// executor. During a lookahead window each partition worker numbers its
-/// schedules `PROV_BASE | local_counter`; at the window barrier the
-/// coordinator's replay maps every provisional number to the exact
-/// sequence number the serial engine would have assigned (see
-/// `crate::par`). Raw comparisons stay correct mid-window because every
-/// provisional number exceeds every true number a queue can hold, and
-/// within one partition provisional order equals serial order.
-pub(crate) const PROV_BASE: u64 = 1 << 63;
-
-/// Outbox routing table installed into a partition worker's queue: any
-/// `PacketArrival` scheduled for a node owned by another partition is
-/// diverted to the matching outbox instead of the local ordering core.
-/// All other node events are partition-local by construction
-/// (debug-asserted).
-#[derive(Debug)]
-pub(crate) struct ParRoute {
-    /// `part_of[node] == partition` owning that node.
-    pub(crate) part_of: std::sync::Arc<Vec<u32>>,
-    /// The partition this queue belongs to.
-    pub(crate) me: u32,
-    /// Per-destination-partition outboxes of `(at, provisional seq,
-    /// event)` triples, drained by the coordinator at every barrier.
-    pub(crate) outboxes: Vec<Vec<(SimTime, u64, Event)>>,
-}
-
 /// Hierarchical timing wheel over `Scheduled` entries.
 ///
 /// Invariants:
@@ -242,16 +216,6 @@ struct Wheel {
     /// Events beyond the wheel horizon.
     overflow: Vec<Scheduled>,
     len: usize,
-    /// Dirty tracking for the barrier retag of provisional sequence
-    /// numbers: bit `s` of `dirty[l]` set ⇔ `slots[l*SLOTS + s]` may hold
-    /// an event with `seq >= PROV_BASE` (likewise the flags for `cur` and
-    /// `overflow`). Set on insert, cleared by [`Wheel::retag`]; the
-    /// retag therefore visits only buckets touched since the last
-    /// barrier, never the bulk of far-future events parked with true
-    /// sequence numbers.
-    dirty: [u64; LEVELS],
-    dirty_cur: bool,
-    dirty_overflow: bool,
 }
 
 impl Wheel {
@@ -263,9 +227,6 @@ impl Wheel {
             cur: Vec::new(),
             overflow: Vec::new(),
             len: 0,
-            dirty: [0; LEVELS],
-            dirty_cur: false,
-            dirty_overflow: false,
         }
     }
 
@@ -273,7 +234,6 @@ impl Wheel {
     // WHEEL_BITS = 6*LEVELS bits on that branch, and slot is masked to
     // SLOTS - 1, so every index is in bounds by construction.
     fn insert(&mut self, s: Scheduled) {
-        let prov = s.seq >= PROV_BASE;
         let tick = s.at.as_ps() >> GRAN_BITS;
         self.len += 1;
         if tick <= self.elapsed {
@@ -283,28 +243,21 @@ impl Wheel {
             // to the back, i.e. a tiny memmove.
             let pos = self.cur.partition_point(|e| (e.at, e.seq) > (s.at, s.seq));
             self.cur.insert(pos, s);
-            self.dirty_cur |= prov;
             return;
         }
         let x = tick ^ self.elapsed;
         if x >> WHEEL_BITS != 0 {
             self.overflow.push(s);
-            self.dirty_overflow |= prov;
         } else {
             let level = ((63 - x.leading_zeros()) / SLOT_BITS) as usize;
             let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
             self.slots[level * SLOTS + slot].push(s);
             self.occupied[level] |= 1 << slot;
-            if prov {
-                self.dirty[level] |= 1 << slot;
-            }
         }
     }
 
     /// Timestamp of the earliest stored event. Pure: never advances the
     /// wheel, so it is safe to call with a `limit` in hand and walk away.
-    // simlint: allow(hot-path-panic) -- level is yielded by the 0..LEVELS
-    // range and slot comes from trailing_zeros of a non-zero 64-bit mask.
     fn peek_min(&self) -> Option<SimTime> {
         if let Some(s) = self.cur.last() {
             return Some(s.at);
@@ -333,24 +286,6 @@ impl Wheel {
         Some(s)
     }
 
-    /// Pop the earliest event if its `(at, seq)` key is lexicographically
-    /// below `cut` — the parallel executor's window bound, which can
-    /// split a same-timestamp group exactly at a coordinator-dispatched
-    /// engine event's sequence number.
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    fn pop_cut(&mut self, cut: (SimTime, u64)) -> Option<Scheduled> {
-        if self.cur.is_empty() && !self.advance() {
-            return None;
-        }
-        if self.cur.last().is_some_and(|s| (s.at, s.seq) >= cut) {
-            return None;
-        }
-        let s = self.cur.pop()?;
-        self.len -= 1;
-        Some(s)
-    }
-
     /// Stage the earliest pending tick group into `cur`, cascading upper
     /// levels down as the position advances. Returns whether any event is
     /// staged. Advancing `elapsed` eagerly — possibly past a caller's
@@ -359,6 +294,10 @@ impl Wheel {
     // simlint: allow(hot-path-panic) -- indices are bounded exactly as in
     // insert/peek_min: level < LEVELS from the range, slot < SLOTS from
     // trailing_zeros of a u64.
+    // Out of line: this is the once-per-tick-group slow path, and inlined
+    // into `pop_next` it makes `pop_batched` too large to inline into the
+    // drive loop (+9 % run wall on tcdbench fig2-storm).
+    #[inline(never)]
     fn advance(&mut self) -> bool {
         loop {
             if !self.cur.is_empty() {
@@ -379,11 +318,6 @@ impl Wheel {
                 self.elapsed = (self.elapsed & !(SLOTS as u64 - 1)) | slot as u64;
                 std::mem::swap(&mut self.cur, &mut self.slots[idx]);
                 self.occupied[0] &= !(1u64 << slot);
-                // The staged group inherits the bucket's dirty flag (the
-                // bucket itself is now empty — it received the old,
-                // drained `cur`).
-                self.dirty_cur |= self.dirty[0] & (1u64 << slot) != 0;
-                self.dirty[0] &= !(1u64 << slot);
                 // Descending, so the earliest (at, seq) pops from the
                 // back without shifting. Keys are unique, so unstable is
                 // safe.
@@ -398,9 +332,6 @@ impl Wheel {
                 (self.elapsed & !((1u64 << (shift + SLOT_BITS)) - 1)) | ((slot as u64) << shift);
             let mut drained = std::mem::take(&mut self.slots[idx]);
             self.occupied[level] &= !(1u64 << slot);
-            // Re-inserting below recomputes dirty flags for wherever the
-            // events land.
-            self.dirty[level] &= !(1u64 << slot);
             self.len -= drained.len();
             for s in drained.drain(..) {
                 self.insert(s);
@@ -422,7 +353,6 @@ impl Wheel {
         debug_assert!(min_tick >= self.elapsed);
         self.elapsed = min_tick;
         let mut drained = std::mem::take(&mut self.overflow);
-        self.dirty_overflow = false;
         self.len -= drained.len();
         for s in drained.drain(..) {
             self.insert(s);
@@ -430,60 +360,6 @@ impl Wheel {
         if self.overflow.is_empty() {
             self.overflow = drained;
         }
-    }
-
-    /// Rewrite every provisional sequence number through `map`
-    /// (`map[p]` is the true number of provisional `PROV_BASE | p`).
-    /// Only dirty buckets are visited. The map is strictly monotone and
-    /// every true number it assigns exceeds every true number already
-    /// stored, so the rewrite preserves all `(at, seq)` comparisons —
-    /// nothing needs re-sorting.
-    ///
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    /// Called only from the window barrier, which runs once per window,
-    /// never per event.
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    fn retag(&mut self, map: &[u64]) {
-        fn fix(events: &mut [Scheduled], map: &[u64]) {
-            for s in events {
-                if s.seq >= PROV_BASE {
-                    s.seq = map[(s.seq - PROV_BASE) as usize];
-                }
-            }
-        }
-        if self.dirty_cur {
-            fix(&mut self.cur, map);
-            self.dirty_cur = false;
-        }
-        for level in 0..LEVELS {
-            while self.dirty[level] != 0 {
-                let slot = self.dirty[level].trailing_zeros() as usize;
-                self.dirty[level] &= !(1u64 << slot);
-                fix(&mut self.slots[level * SLOTS + slot], map);
-            }
-        }
-        if self.dirty_overflow {
-            fix(&mut self.overflow, map);
-            self.dirty_overflow = false;
-        }
-    }
-
-    /// Drain every stored event, in no particular order (callers re-sort
-    /// or re-insert by the embedded `(at, seq)` keys).
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    fn take_all(&mut self) -> Vec<Scheduled> {
-        let mut out = std::mem::take(&mut self.cur);
-        for b in &mut self.slots {
-            out.append(b);
-        }
-        out.append(&mut self.overflow);
-        self.occupied = [0; LEVELS];
-        self.dirty = [0; LEVELS];
-        self.dirty_cur = false;
-        self.dirty_overflow = false;
-        self.len = 0;
-        out
     }
 
     /// Every stored entry, staged group included (scheduled but not yet
@@ -504,10 +380,6 @@ pub struct EventQueue {
     wheel: Wheel,
     seq: u64,
     now: SimTime,
-    /// Cross-partition outbox routing, installed only on partition-worker
-    /// queues by the parallel executor; `None` (and cost-free beyond one
-    /// branch per schedule) in serial runs.
-    route: Option<Box<ParRoute>>,
     /// How many past-scheduled events were clamped to `now` (release
     /// builds); surfaced as the `event.clamped_past` metric so causality
     /// bugs are visible outside audit builds.
@@ -536,7 +408,6 @@ impl EventQueue {
             wheel: Wheel::new(),
             seq: 0,
             now: SimTime::ZERO,
-            route: None,
             clamped_past: 0,
             #[cfg(feature = "audit")]
             past_schedules: Vec::new(),
@@ -579,44 +450,6 @@ impl EventQueue {
         };
         let seq = self.seq;
         self.seq += 1;
-        // Partition-worker queues divert cross-partition arrivals to the
-        // outbox for the owning partition; the sequence number assigned
-        // above travels with the event, so the barrier replay can place
-        // it exactly. Only `PacketArrival` ever crosses: every other node
-        // event is scheduled by (and for) the node that owns it.
-        if let Some(r) = &mut self.route {
-            let dest = match &ev {
-                // simlint: allow(hot-path-panic) -- part_of is built over this
-                // topology's node table, so every event node id indexes in bounds
-                Event::PacketArrival { node, .. } => r.part_of[node.index()],
-                Event::PortTx { node, .. }
-                | Event::FcclTick { node, .. }
-                | Event::DetectorTimer { node, .. }
-                | Event::CcTimer { node, .. }
-                | Event::HostDrain { node } => {
-                    debug_assert_eq!(
-                        // simlint: allow(hot-path-panic) -- same node-table bound as above
-                        r.part_of[node.index()],
-                        r.me,
-                        "non-arrival node event scheduled across partitions"
-                    );
-                    r.me
-                }
-                _ => {
-                    debug_assert!(
-                        false,
-                        "engine-global event scheduled inside a partition window"
-                    );
-                    r.me
-                }
-            };
-            if dest != r.me {
-                // simlint: allow(hot-path-panic) -- dest came out of part_of,
-                // whose entries all name one of the `outboxes.len()` partitions
-                r.outboxes[dest as usize].push((at, seq, ev));
-                return;
-            }
-        }
         self.wheel.insert(Scheduled { at, seq, ev });
     }
 
@@ -657,126 +490,12 @@ impl EventQueue {
         self.clamped_past
     }
 
-    /// Fold a partition worker's clamp count into this queue's (gather).
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    pub(crate) fn add_clamped_past(&mut self, n: u64) {
-        self.clamped_past += n;
-    }
-
     /// Occupancy snapshot for the self-profiler: `(pending, staged,
     /// overflow)` — total pending events, events staged in the current
     /// same-timestamp group, and events parked on the timing wheel's
     /// overflow list. Pure reads, so sampling it never perturbs the queue.
     pub fn occupancy(&self) -> (usize, usize, usize) {
         (self.len(), self.wheel.cur.len(), self.wheel.overflow.len())
-    }
-
-    // --- Parallel-executor interface (crate-internal) -----------------
-    //
-    // The conservative-PDES executor (`crate::par`) drives partition
-    // queues through lookahead windows: `begin_window` switches schedules
-    // to provisional numbering, `pop_cut` bounds execution at the window
-    // cut, and at each barrier the coordinator translates outboxes,
-    // `retag`s provisional numbers to the exact serial sequence numbers,
-    // and (on gathers) rebuilds one serial queue via `take_all` +
-    // `schedule_with_seq`.
-
-    /// Install (or clear) the cross-partition outbox routing table.
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    pub(crate) fn set_route(&mut self, route: Option<Box<ParRoute>>) {
-        self.route = route;
-    }
-
-    /// The routing table installed by [`EventQueue::set_route`], for
-    /// draining outboxes at a barrier.
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    pub(crate) fn route_mut(&mut self) -> Option<&mut ParRoute> {
-        self.route.as_deref_mut()
-    }
-
-    /// Enter a lookahead window: subsequent schedules take provisional
-    /// sequence numbers `PROV_BASE | n` with `n` counted from zero.
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    pub(crate) fn begin_window(&mut self) {
-        self.seq = PROV_BASE;
-    }
-
-    /// How many provisional numbers this window has assigned so far.
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    pub(crate) fn prov_count(&self) -> u64 {
-        debug_assert!(self.seq >= PROV_BASE);
-        self.seq - PROV_BASE
-    }
-
-    /// The raw sequence counter (true numbering; used when rebuilding the
-    /// serial queue at a gather).
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    pub(crate) fn seq_counter(&self) -> u64 {
-        self.seq
-    }
-
-    /// Overwrite the sequence counter (true numbering).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    pub(crate) fn set_seq_counter(&mut self, seq: u64) {
-        self.seq = seq;
-    }
-
-    /// Force the clock (used when handing dispatch duty between the
-    /// coordinator and partition workers; never rewinds in practice).
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    pub(crate) fn set_now(&mut self, now: SimTime) {
-        self.now = now;
-    }
-
-    /// Insert an event with a caller-supplied sequence number, bypassing
-    /// the counter (outbox deliveries and queue rebuilds, where the
-    /// number was assigned elsewhere). The caller guarantees `at` is not
-    /// in the receiver's past.
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    pub(crate) fn schedule_with_seq(&mut self, at: SimTime, seq: u64, ev: Event) {
-        self.wheel.insert(Scheduled { at, seq, ev });
-    }
-
-    /// Pop the next event if its `(at, seq)` key is lexicographically
-    /// below `cut`, returning the key alongside the event; `None` at or
-    /// past the cut. Comparing raw keys is exact even mid-window: true
-    /// numbers sort below every provisional number, exactly as the serial
-    /// engine would order pre-window events before window schedules.
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    pub(crate) fn pop_cut(&mut self, cut: (SimTime, u64)) -> Option<(SimTime, u64, Event)> {
-        let s = self.wheel.pop_cut(cut)?;
-        debug_assert!(s.at >= self.now);
-        self.now = s.at;
-        Some((s.at, s.seq, s.ev))
-    }
-
-    /// Rewrite every provisional sequence number through `map` (index =
-    /// provisional number minus `PROV_BASE`), visiting only dirty
-    /// buckets. Map lookups are total: the barrier replay assigned a true
-    /// number to every provisional one. Called only from the
-    /// once-per-window barrier, never per event.
-    ///
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    pub(crate) fn retag(&mut self, map: &[u64]) {
-        self.wheel.retag(map);
-    }
-
-    /// Drain every pending event as raw `(at, seq, event)` triples, in
-    /// no particular order.
-    /// Parallel-executor hook; unused in audit builds (serial fallback).
-    #[cfg_attr(feature = "audit", allow(dead_code))]
-    pub(crate) fn take_all(&mut self) -> Vec<(SimTime, u64, Event)> {
-        let all = self.wheel.take_all();
-        all.into_iter().map(|s| (s.at, s.seq, s.ev)).collect()
     }
 
     /// Drain the log of attempts to schedule into the past.

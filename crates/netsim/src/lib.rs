@@ -35,9 +35,6 @@ pub mod fault;
 pub mod host;
 pub mod ibswitch;
 pub mod packet;
-#[cfg(not(feature = "audit"))]
-mod par;
-pub mod partition;
 pub mod routing;
 pub mod sim;
 pub mod switch;
@@ -50,7 +47,6 @@ pub use cchooks::{CcAction, CcEvent, RateController};
 pub use config::{DetectorKind, FeedbackMode, SimConfig};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkState};
 pub use packet::{FlowId, Packet, PacketKind};
-pub use partition::{partition, PartitionMap, PartitionStrategy};
 pub use sim::Simulator;
 pub use topology::{NodeId, NodeKind, Topology};
 

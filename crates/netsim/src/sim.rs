@@ -67,7 +67,7 @@ pub struct Ctx<'a> {
 // Hosts are by far the largest variant, but the node table is tiny (one
 // entry per network element), so boxing would only add indirection.
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum Node {
+enum Node {
     Host(Host),
     Eth(EthSwitch),
     Ib(IbSwitch),
@@ -79,7 +79,7 @@ pub(crate) enum Node {
 /// solely by the self-profiler's span attribution.
 ///
 /// [`NodeClass::Engine`]: lossless_obs::prof::NodeClass::Engine
-pub(crate) fn node_class(nodes: &[Option<Node>], ev: &Event) -> lossless_obs::prof::NodeClass {
+fn node_class(nodes: &[Node], ev: &Event) -> lossless_obs::prof::NodeClass {
     use lossless_obs::prof::NodeClass;
     let node = match ev {
         Event::PacketArrival { node, .. }
@@ -90,7 +90,7 @@ pub(crate) fn node_class(nodes: &[Option<Node>], ev: &Event) -> lossless_obs::pr
         | Event::HostDrain { node } => *node,
         _ => return NodeClass::Engine,
     };
-    match nodes.get(node.index()).and_then(|n| n.as_ref()) {
+    match nodes.get(node.index()) {
         Some(Node::Host(_)) => NodeClass::Host,
         Some(Node::Eth(_)) => NodeClass::EthSwitch,
         Some(Node::Ib(_)) => NodeClass::IbSwitch,
@@ -99,62 +99,53 @@ pub(crate) fn node_class(nodes: &[Option<Node>], ev: &Event) -> lossless_obs::pr
 }
 
 /// Dispatch a node-targeted event (everything except the engine-global
-/// trace / fault / route events) against a node table. Shared verbatim by
-/// the serial loop and the parallel workers in [`crate::par`], so both
-/// execute the exact same handler code and the bit-identity argument
-/// reduces to event *order* alone.
-// simlint: allow(hot-path-panic) -- node/flow ids index in bounds by construction; a `None`
-// node here would mean an event crossed partitions without going through an outbox, which
-// the queue's routing interception rules out
-pub(crate) fn dispatch_node_event(
-    nodes: &mut [Option<Node>],
+/// trace / fault / route events) against the node table. A free function
+/// so the handler can borrow its node and the rest of the simulator (the
+/// [`Ctx`]) mutably at once.
+// simlint: allow(hot-path-panic) -- event node/flow ids are created against this topology at
+// setup, so they index nodes/flows in bounds
+fn dispatch_node_event(
+    nodes: &mut [Node],
     pending_cc: &mut [Option<Box<dyn RateController>>],
     ctx: &mut Ctx,
     ev: Event,
 ) {
-    const RESIDENT: &str = "event dispatched to a node owned by another partition";
     match ev {
-        Event::PacketArrival { node, in_port, pkt } => {
-            match nodes[node.index()].as_mut().expect(RESIDENT) {
-                Node::Host(h) => h.on_packet(ctx, pkt),
-                Node::Eth(s) => s.on_packet(ctx, in_port, pkt),
-                Node::Ib(s) => s.on_packet(ctx, in_port, pkt),
-            }
-        }
-        Event::PortTx { node, port } => match nodes[node.index()].as_mut().expect(RESIDENT) {
+        Event::PacketArrival { node, in_port, pkt } => match &mut nodes[node.index()] {
+            Node::Host(h) => h.on_packet(ctx, pkt),
+            Node::Eth(s) => s.on_packet(ctx, in_port, pkt),
+            Node::Ib(s) => s.on_packet(ctx, in_port, pkt),
+        },
+        Event::PortTx { node, port } => match &mut nodes[node.index()] {
             Node::Host(h) => h.port_tx(ctx),
             Node::Eth(s) => s.port_tx(ctx, port),
             Node::Ib(s) => s.port_tx(ctx, port),
         },
-        Event::FcclTick { node, port, vl } => match nodes[node.index()].as_mut().expect(RESIDENT) {
+        Event::FcclTick { node, port, vl } => match &mut nodes[node.index()] {
             Node::Host(h) => h.on_fccl_tick(ctx, vl),
             Node::Ib(s) => s.on_fccl_tick(ctx, port, vl),
             Node::Eth(_) => unreachable!("FCCL tick in CEE mode"),
         },
-        Event::DetectorTimer { node, port, prio } => {
-            match nodes[node.index()].as_mut().expect(RESIDENT) {
-                Node::Eth(s) => s.on_detector_timer(ctx, port, prio),
-                Node::Ib(s) => s.on_detector_timer(ctx, port, prio),
-                Node::Host(_) => unreachable!("detector timer at a host"),
-            }
-        }
+        Event::DetectorTimer { node, port, prio } => match &mut nodes[node.index()] {
+            Node::Eth(s) => s.on_detector_timer(ctx, port, prio),
+            Node::Ib(s) => s.on_detector_timer(ctx, port, prio),
+            Node::Host(_) => unreachable!("detector timer at a host"),
+        },
         Event::FlowStart { flow } => {
             let spec = ctx.flows[flow.0 as usize];
             let cc = pending_cc[flow.0 as usize]
                 .take()
                 .expect("flow started twice");
-            match nodes[spec.src.index()].as_mut().expect(RESIDENT) {
+            match &mut nodes[spec.src.index()] {
                 Node::Host(h) => h.start_flow(ctx, flow, spec.dst, spec.size, spec.prio, cc),
                 _ => unreachable!("flow source is not a host"),
             }
         }
-        Event::CcTimer { node, flow, timer } => {
-            match nodes[node.index()].as_mut().expect(RESIDENT) {
-                Node::Host(h) => h.on_cc_timer(ctx, flow, timer),
-                _ => unreachable!("CC timer at a switch"),
-            }
-        }
-        Event::HostDrain { node } => match nodes[node.index()].as_mut().expect(RESIDENT) {
+        Event::CcTimer { node, flow, timer } => match &mut nodes[node.index()] {
+            Node::Host(h) => h.on_cc_timer(ctx, flow, timer),
+            _ => unreachable!("CC timer at a switch"),
+        },
+        Event::HostDrain { node } => match &mut nodes[node.index()] {
             Node::Host(h) => h.on_host_drain(ctx),
             _ => unreachable!("HostDrain at a switch"),
         },
@@ -164,25 +155,19 @@ pub(crate) fn dispatch_node_event(
 
 /// The simulator: topology + nodes + flows + event loop.
 pub struct Simulator {
-    pub(crate) topo: Topology,
-    pub(crate) routing: Routing,
-    pub(crate) cfg: SimConfig,
-    pub(crate) queue: EventQueue,
-    /// The node table. Entries are `None` only *during* a parallel
-    /// window, while a worker owns the node; every public entry point
-    /// sees them all resident.
-    pub(crate) nodes: Vec<Option<Node>>,
-    pub(crate) flows: Vec<FlowSpec>,
+    topo: Topology,
+    routing: Routing,
+    cfg: SimConfig,
+    queue: EventQueue,
+    /// The node table, indexed by `NodeId`.
+    nodes: Vec<Node>,
+    flows: Vec<FlowSpec>,
     /// Controllers waiting for their flow's start event.
-    pub(crate) pending_cc: Vec<Option<Box<dyn RateController>>>,
+    pending_cc: Vec<Option<Box<dyn RateController>>>,
     /// Packet allocation pool shared by all nodes.
-    pub(crate) pool: PacketPool,
+    pool: PacketPool,
     /// Runtime link health table, mutated by fault events.
-    pub(crate) links: crate::fault::LinkState,
-    /// Events delivered across a partition barrier before their window
-    /// floor (see [`crate::par`]); always 0 when the lookahead argument
-    /// holds.
-    pub(crate) par_causality: u64,
+    links: crate::fault::LinkState,
     /// Baseline routing tables, captured lazily at the first
     /// `RouteUpdate` so route sets always compose from (and revert to)
     /// the pristine tables.
@@ -202,7 +187,7 @@ pub struct Simulator {
     /// state: it samples dispatch spans and queue/pool occupancy but
     /// never schedules events or feeds a wall-clock value back, so runs
     /// are bit-identical with it on or off.
-    pub(crate) profiler: lossless_obs::prof::Prof,
+    profiler: lossless_obs::prof::Prof,
 }
 
 impl Simulator {
@@ -227,12 +212,12 @@ impl Simulator {
             match topo.kind(id) {
                 NodeKind::Host => {
                     let line_rate = topo.link(id, 0).rate;
-                    nodes.push(Some(Node::Host(Host::new(
+                    nodes.push(Node::Host(Host::new(
                         id,
                         line_rate,
                         &cfg.flow_control,
                         cfg.num_prios,
-                    ))));
+                    )));
                 }
                 NodeKind::Switch => {
                     let n_ports = topo.ports(id).len();
@@ -243,16 +228,16 @@ impl Simulator {
                     };
                     match cfg.flow_control {
                         FlowControlMode::Pfc(_) | FlowControlMode::Lossy { .. } => {
-                            nodes.push(Some(Node::Eth(EthSwitch::new(
+                            nodes.push(Node::Eth(EthSwitch::new(
                                 id,
                                 n_ports,
                                 cfg.num_prios,
                                 &cfg.flow_control,
                                 mk,
-                            ))));
+                            )));
                         }
                         FlowControlMode::Cbfc(_) => {
-                            nodes.push(Some(Node::Ib(IbSwitch::new(
+                            nodes.push(Node::Ib(IbSwitch::new(
                                 id,
                                 n_ports,
                                 cfg.num_prios,
@@ -260,7 +245,7 @@ impl Simulator {
                                 cfg.vl_weights.clone(),
                                 cfg.feedback_prio,
                                 mk,
-                            ))));
+                            )));
                         }
                     }
                 }
@@ -357,7 +342,6 @@ impl Simulator {
             pending_cc: Vec::new(),
             pool: PacketPool::new(),
             links,
-            par_causality: 0,
             base_routing: None,
             #[cfg(feature = "audit")]
             audit: crate::audit::Audit::default(),
@@ -519,22 +503,9 @@ impl Simulator {
         }
     }
 
-    /// Events that crossed a partition barrier earlier than the window
-    /// floor would allow. Always 0 when the conservative lookahead
-    /// argument holds (and trivially 0 for serial runs); the parallel
-    /// determinism suite asserts on it.
-    pub fn par_causality_violations(&self) -> u64 {
-        self.par_causality
-    }
-
-    /// The node table entry for `id`, which must be resident (all nodes
-    /// are, except from inside a parallel window — nodes are only taken
-    /// out while a worker owns them, and every public entry point runs
-    /// between windows, when all are resident).
+    /// The node table entry for `id`.
     fn node(&self, id: NodeId) -> &Node {
-        self.nodes[id.index()]
-            .as_ref()
-            .expect("node owned by a parallel worker")
+        &self.nodes[id.index()]
     }
 
     /// The single inner event loop every `run*` entry point drives:
@@ -543,18 +514,6 @@ impl Simulator {
     /// have completed.
     fn drive(&mut self, until: SimTime, stop_when_complete: bool) {
         let end = until.min(self.cfg.end_time);
-        // Conservative-parallel fast path. Falls back to this serial loop
-        // when lookahead is unavailable (zero-delay cross link, single
-        // partition) or the mode demands per-event global state
-        // (stop-when-complete polls a global counter; audit builds walk
-        // the whole network at checkpoints).
-        #[cfg(not(feature = "audit"))]
-        if !stop_when_complete {
-            let p = self.effective_partitions();
-            if p > 1 && crate::par::drive_parallel(self, end, p) {
-                return;
-            }
-        }
         let total = self.flows.len();
         #[cfg(feature = "audit")]
         let checkpoint_every = self.audit.config().checkpoint_every.max(1);
@@ -679,7 +638,6 @@ impl Simulator {
         let queued: u64 = self
             .nodes
             .iter()
-            .flatten()
             .map(|n| {
                 let q = match n {
                     Node::Host(h) => h.audit_queued_packets(),
@@ -715,7 +673,7 @@ impl Simulator {
         self.audit.note_check(InvariantFamily::Conservation);
 
         // (b) Per-node buffer accounting and local protocol state.
-        for node in self.nodes.iter().flatten() {
+        for node in &self.nodes {
             match node {
                 Node::Host(h) => h.audit_check(&mut self.audit, now),
                 Node::Eth(s) => s.audit_check(&mut self.audit, now),
@@ -986,25 +944,10 @@ impl Simulator {
         self.trace.completed_count == self.flows.len()
     }
 
-    /// How many intra-run partition workers this run should use:
-    /// [`SimConfig::partitions`] when nonzero, else the `TCD_PARTITIONS`
-    /// environment variable, else 1 (serial).
-    #[cfg(not(feature = "audit"))]
-    fn effective_partitions(&self) -> usize {
-        if self.cfg.partitions != 0 {
-            return self.cfg.partitions;
-        }
-        std::env::var("TCD_PARTITIONS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&p| p >= 1)
-            .unwrap_or(1)
-    }
-
     // simlint: allow(hot-path-panic) -- event node/flow ids are created against this topology at
     // setup, so they index nodes/flows in bounds; pending_cc and the RouteUpdate baseline are
     // invariants the expect() messages document
-    pub(crate) fn dispatch(&mut self, now: SimTime, ev: Event) {
+    fn dispatch(&mut self, now: SimTime, ev: Event) {
         self.trace.events += 1;
         self.obs.dispatched(ev.kind_index());
         // Split borrows: nodes vs the rest of the context.
@@ -1056,10 +999,7 @@ impl Simulator {
                 );
                 let mut ctx = ctx!();
                 for (n, p) in [(node, port), (l.peer, l.peer_port)] {
-                    match self.nodes[n.index()]
-                        .as_mut()
-                        .expect("faulted node owned by a parallel worker")
-                    {
+                    match &mut self.nodes[n.index()] {
                         Node::Host(h) => h.on_link_state(&mut ctx, up),
                         Node::Eth(s) => s.on_link_state(&mut ctx, p, up),
                         Node::Ib(s) => s.on_link_state(&mut ctx, p, up),
@@ -1117,10 +1057,7 @@ impl Simulator {
     // simlint: allow(hot-path-panic) -- sample_ports entries are validated node ids at config time
     fn sample_ports(&mut self, now: SimTime) {
         for &(node, port, prio) in &self.cfg.sample_ports {
-            let s = match self.nodes[node.index()]
-                .as_ref()
-                .expect("sampled node owned by a parallel worker")
-            {
+            let s = match &self.nodes[node.index()] {
                 Node::Eth(sw) => {
                     let p = sw.port(port);
                     PortSample {
@@ -1174,9 +1111,6 @@ impl Simulator {
             for (i, name) in Event::KIND_NAMES.iter().enumerate() {
                 reg.set_counter(Key::global(name), self.obs.dispatch_count(i));
             }
-            // Packet-pool hit/miss counters are deliberately NOT exported:
-            // they depend on global allocation order, which partitioned
-            // runs (each shard pools privately) cannot reproduce.
             reg.set_counter(Key::global("trace.dropped_marks"), self.trace.dropped_marks);
             reg.set_counter(
                 Key::global("trace.dropped_port_samples"),

@@ -9,9 +9,11 @@ use lossless_flowctl::{Rate, SimDuration, SimTime};
 use lossless_netsim::cchooks::FixedRate;
 use lossless_netsim::config::SimConfig;
 use lossless_netsim::fault::FaultPlan;
-use lossless_netsim::routing::RouteSelect;
-use lossless_netsim::topology::{dumbbell, figure2, Figure2Options, NodeId, NodeKind, Topology};
-use lossless_netsim::Simulator;
+use lossless_netsim::routing::{RouteSelect, Routing};
+use lossless_netsim::topology::{
+    dumbbell, fat_tree, figure2, leaf_spine, Figure2Options, NodeId, NodeKind, Topology,
+};
+use lossless_netsim::{FlowId, Simulator};
 use proptest::prelude::*;
 
 /// Faults land inside the first 300 µs; the run gets another 100 µs of
@@ -52,32 +54,47 @@ struct Observed {
 }
 
 /// Build and run one faulted scenario; panics (inside proptest) on any
-/// invariant violation in audit builds.
-fn run_one(use_fig2: bool, seed: u64, n: usize) -> Observed {
-    let (topo, flows, route_set): (Topology, Vec<(NodeId, NodeId)>, Vec<Vec<NodeId>>) = if use_fig2
-    {
-        let f = figure2(Figure2Options::default());
-        let path = vec![f.s0, f.t[0], f.t[1], f.t[2], f.t[3], f.r0];
-        (
-            f.topo,
-            vec![(f.s0, f.r0), (f.s2, f.r0), (f.s1, f.r1)],
-            vec![path],
-        )
-    } else {
-        let d = dumbbell(Rate::from_gbps(40), SimDuration::from_us(4));
-        (
-            d.topo,
-            vec![(d.h0, d.h1), (d.h1, d.h0)],
-            vec![vec![d.h0, d.sw, d.h1]],
-        )
+/// invariant violation in audit builds. `shape` picks the topology: the
+/// single-path dumbbell and Figure 2, or a multi-path leaf-spine and k=4
+/// fat-tree where ECMP spreads a host permutation over parallel links.
+fn run_one(shape: u8, seed: u64, n: usize) -> Observed {
+    let rate = Rate::from_gbps(40);
+    let (topo, flows): (Topology, Vec<(NodeId, NodeId)>) = match shape % 4 {
+        0 => {
+            let d = dumbbell(rate, SimDuration::from_us(4));
+            (d.topo, vec![(d.h0, d.h1), (d.h1, d.h0)])
+        }
+        1 => {
+            let f = figure2(Figure2Options::default());
+            (f.topo, vec![(f.s0, f.r0), (f.s2, f.r0), (f.s1, f.r1)])
+        }
+        multi_path => {
+            let (topo, hosts) = if multi_path == 2 {
+                let ls = leaf_spine(2, 2, 3, rate, SimDuration::from_us(1));
+                (ls.topo, ls.hosts)
+            } else {
+                let ft = fat_tree(4, rate, SimDuration::from_us(1));
+                (ft.topo, ft.hosts)
+            };
+            let at = |i: usize| hosts[(i + seed as usize) % hosts.len()];
+            let flows = (0..hosts.len()).map(|i| (at(i), at(i + 1))).collect();
+            (topo, flows)
+        }
     };
+    // The route set pins the path flow 0 takes anyway.
+    let (src, dst) = flows[0];
+    let mut route: Vec<NodeId> = Routing::new(&topo, RouteSelect::Ecmp)
+        .path(&topo, src, dst, FlowId(0))
+        .into_iter()
+        .map(|(node, _)| node)
+        .collect();
+    route.push(dst);
 
     let mut cfg = SimConfig::cee_baseline(end());
     let mut plan = FaultPlan::random(seed, &candidates(&topo), horizon(), n);
-    // A routing swap mid-faults and the revert later: the set pins the
-    // (only) path explicitly, so traffic is unchanged but the atomic
+    // A routing swap mid-faults and the revert later, so the atomic
     // table-swap machinery runs interleaved with flaps and degrades.
-    plan.route_sets.push(route_set);
+    plan.route_sets.push(vec![route]);
     plan.route_change(SimTime::from_ps(horizon().as_ps() / 3), Some(0));
     plan.route_change(SimTime::from_ps(horizon().as_ps() * 2 / 3), None);
     cfg.fault_plan = plan;
@@ -139,12 +156,12 @@ proptest! {
     fn random_fault_plans_stay_lossless_and_deterministic(
         seed in any::<u64>(),
         n in 0usize..8,
-        use_fig2 in any::<bool>(),
+        shape in any::<u8>(),
     ) {
-        let first = run_one(use_fig2, seed, n);
+        let first = run_one(shape, seed, n);
         prop_assert_eq!(first.drops, 0, "lossless fabric dropped under faults");
 
-        let again = run_one(use_fig2, seed, n);
+        let again = run_one(shape, seed, n);
         prop_assert_eq!(&first, &again, "faulted run is not reproducible");
     }
 }

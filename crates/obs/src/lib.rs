@@ -413,50 +413,6 @@ impl Obs {
     pub fn violation_dumps(&self) -> &[ViolationDump] {
         &self.dumps
     }
-
-    /// Split off a facade for a parallel worker owning the nodes selected
-    /// by `keep`: same configuration, empty registry and recorder, and —
-    /// crucially — the open XOFF / credit-stall spans of the kept nodes
-    /// *moved* across, so residency accounting survives scatter/gather
-    /// barriers (a span opened before a window must close against its
-    /// original start time, wherever the node now lives).
-    pub fn split_for_nodes(&mut self, keep: impl Fn(u32) -> bool) -> Obs {
-        let mut child = Obs::new(self.cfg);
-        let take = |map: &mut BTreeMap<(u32, u16, u8), SimTime>| {
-            let mut kept = BTreeMap::new();
-            map.retain(|&(node, port, prio), since| {
-                if keep(node) {
-                    kept.insert((node, port, prio), *since);
-                    false
-                } else {
-                    true
-                }
-            });
-            kept
-        };
-        child.pause_since = take(&mut self.pause_since);
-        child.stall_since = take(&mut self.stall_since);
-        child
-    }
-
-    /// Merge a worker facade (from [`Obs::split_for_nodes`]) back in:
-    /// registry counters/histograms sum (gauges last-writer — callers
-    /// absorb in a fixed partition order), dispatch counts sum, open
-    /// pause/stall spans return (key sets are disjoint by construction),
-    /// and retained flight-recorder records are re-pushed. Recorder
-    /// *sequence numbers* are reassigned here, so recorder fingerprints —
-    /// unlike the registry — are not bit-identical between serial and
-    /// partitioned runs.
-    pub fn absorb(&mut self, other: Obs) {
-        self.reg.merge_from(&other.reg);
-        self.rec.absorb(&other.rec);
-        for (i, n) in other.dispatch.iter().enumerate() {
-            self.dispatch[i] += n;
-        }
-        self.pause_since.extend(other.pause_since);
-        self.stall_since.extend(other.stall_since);
-        self.dumps.extend(other.dumps);
-    }
 }
 
 /// Metric name for a mark of the given code point.

@@ -304,53 +304,6 @@ impl Prof {
         });
     }
 
-    /// A worker-side profiler for a parallel partition: same sampling
-    /// configuration and its own countdown/clock, no inherited data.
-    /// Disabled parent → disabled fork (free).
-    pub fn fork(&self) -> Prof {
-        let mut child = Prof::disabled();
-        if self.on {
-            child.enable(ProfConfig {
-                sample_every: self.every,
-                tick_every: self.tick_every,
-                max_ticks: self.max_ticks,
-            });
-        }
-        child
-    }
-
-    /// Fold a worker profiler (from [`Prof::fork`]) back in: span
-    /// statistics sum (maxima take the max), sampled/event counts sum,
-    /// timeline ticks append up to this profiler's own cap (excess counts
-    /// as dropped). Wall-clock spans from concurrent workers overlap, so
-    /// summed span time can exceed elapsed wall time — shares and means
-    /// stay meaningful, absolute totals read as CPU time.
-    pub fn absorb(&mut self, other: &Prof) {
-        if !self.on || !other.on {
-            return;
-        }
-        self.events += other.events;
-        self.sampled += other.sampled;
-        for (s, o) in self.per_kind.iter_mut().zip(other.per_kind.iter()) {
-            s.samples += o.samples;
-            s.total_ns += o.total_ns;
-            s.max_ns = s.max_ns.max(o.max_ns);
-        }
-        for (s, o) in self.per_class.iter_mut().zip(other.per_class.iter()) {
-            s.samples += o.samples;
-            s.total_ns += o.total_ns;
-            s.max_ns = s.max_ns.max(o.max_ns);
-        }
-        for t in &other.ticks {
-            if self.ticks.len() >= self.max_ticks {
-                self.dropped_ticks += 1;
-            } else {
-                self.ticks.push(*t);
-            }
-        }
-        self.dropped_ticks += other.dropped_ticks;
-    }
-
     /// Snapshot the collected profile, resolving kind indices against
     /// `kind_names` (the engine's `Event::KIND_NAMES`). `None` while the
     /// profiler is disabled — callers can unconditionally thread the

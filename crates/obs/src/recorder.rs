@@ -227,28 +227,6 @@ impl FlightRecorder {
         out
     }
 
-    /// Re-push every record `other` retained, in `other`'s `(t, seq)`
-    /// order, reassigning global sequence numbers from this recorder's
-    /// counter. Used when merging per-partition recorders after a
-    /// parallel run: content survives (subject to this recorder's own
-    /// ring capacity) but sequence numbers — and therefore fingerprints —
-    /// differ from a serial run's.
-    pub fn absorb(&mut self, other: &FlightRecorder) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut records: Vec<Record> = other
-            .rings
-            .values()
-            .flat_map(|ring| ring.ordered())
-            .copied()
-            .collect();
-        records.sort_by_key(|r| (r.t, r.seq));
-        for r in records {
-            self.push(r);
-        }
-    }
-
     /// FNV-1a fingerprint over the binary encoding of a full-history dump
     /// (every retained record, ordered by `(t, seq)`).
     pub fn fingerprint(&self) -> u64 {

@@ -10,10 +10,7 @@
 //!
 //! The hot set is everything reachable from the engine's dispatch root
 //! (`Simulator::drive`, the single event loop every `run*` entry point
-//! funnels through), never entering `#[cfg(..)]`-gated definitions or
-//! functions declared `// simlint: cold -- <reason>` (per-window/epoch
-//! orchestration like the parallel executor's scatter/barrier/gather:
-//! reachable from `drive`, but not per-event).
+//! funnels through), never entering `#[cfg(..)]`-gated definitions.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -29,7 +26,7 @@ pub fn reachable(defs: &[FnDef], root: &str) -> BTreeSet<usize> {
     let mut seen: BTreeSet<usize> = BTreeSet::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
     for (i, d) in defs.iter().enumerate() {
-        if d.name == root && !d.cfg_gated && !d.cold {
+        if d.name == root && !d.cfg_gated {
             seen.insert(i);
             queue.push_back(i);
         }
@@ -64,7 +61,7 @@ pub fn reachable(defs: &[FnDef], root: &str) -> BTreeSet<usize> {
                 None => candidates.clone(),
             };
             for c in narrowed {
-                if !defs[c].cfg_gated && !defs[c].cold && seen.insert(c) {
+                if !defs[c].cfg_gated && seen.insert(c) {
                     queue.push_back(c);
                 }
             }

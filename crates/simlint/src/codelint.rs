@@ -186,10 +186,7 @@ impl FileClass {
         fc.wall_clock_ok = relpath == "src/harness.rs"
             || relpath == "crates/obs/src/prof.rs"
             || relpath.starts_with("crates/bench/");
-        // `crates/netsim/src/par.rs` is the conservative-parallel
-        // executor: the only engine file allowed to spawn threads, and
-        // only scoped per-epoch worker threads at that.
-        fc.threads_ok = relpath == "src/harness.rs" || relpath == "crates/netsim/src/par.rs";
+        fc.threads_ok = relpath == "src/harness.rs";
         fc.crate_root = relpath == "src/lib.rs"
             || (relpath.starts_with("crates/")
                 && relpath.ends_with("/src/lib.rs")
@@ -643,25 +640,10 @@ fn parse_allow_directives(
             });
         };
         let rest = rest.trim();
-        // `simlint: cold -- reason`: consumed by the symbol table (the
-        // next `fn` below is excluded from hot-path reachability); here
-        // only the justification is enforced.
-        if let Some(after) = rest.strip_prefix("cold") {
-            let reason_ok = after
-                .trim()
-                .strip_prefix("--")
-                .is_some_and(|r| !r.trim().is_empty());
-            if !reason_ok {
-                bad("cold directive is missing a justification; write \
-                     `simlint: cold -- <why this never runs per event>`"
-                    .to_string());
-            }
-            continue;
-        }
         let Some(rest) = rest.strip_prefix("allow(") else {
             bad(format!(
                 "unrecognized simlint directive `{text}`; expected \
-                 `simlint: allow(rule) -- reason` or `simlint: cold -- reason`"
+                 `simlint: allow(rule) -- reason`"
             ));
             continue;
         };
@@ -898,7 +880,6 @@ mod tests {
         assert!(!FileClass::classify("crates/bench/src/lib.rs").state_code);
         assert!(FileClass::classify("crates/bench/src/lib.rs").wall_clock_ok);
         assert!(FileClass::classify("src/harness.rs").threads_ok);
-        assert!(FileClass::classify("crates/netsim/src/par.rs").threads_ok);
         assert!(!FileClass::classify("crates/netsim/src/sim.rs").threads_ok);
         assert!(FileClass::classify("src/lib.rs").crate_root);
         assert!(FileClass::classify("crates/netsim/src/lib.rs").crate_root);
@@ -910,23 +891,24 @@ mod tests {
     }
 
     #[test]
-    fn thread_spawn_carve_out_is_exactly_harness_and_par() {
-        // The conservative-parallel executor is the one engine file
-        // allowed to touch threads; the identical source anywhere else
-        // in the engine is flagged.
+    fn thread_spawn_carve_out_is_exactly_the_harness() {
+        // The sweep harness is the one file allowed to touch threads; the
+        // identical source anywhere in the engine is flagged.
         let src = "#![forbid(unsafe_code)]\n\
                    fn run_epoch() {\n\
                        std::thread::scope(|s| { s.spawn(|| {}); });\n\
                    }\n";
         assert!(
-            lint_file("crates/netsim/src/par.rs", src).is_empty(),
-            "par.rs worker threads are sanctioned"
+            lint_file("src/harness.rs", src).is_empty(),
+            "harness worker threads are sanctioned"
         );
-        let diags = lint_file("crates/netsim/src/event.rs", src);
-        assert!(
-            diags.iter().any(|d| d.rule == Rule::ThreadSpawn),
-            "thread::scope outside the carve-out must be flagged: {diags:?}"
-        );
+        for engine_file in ["crates/netsim/src/par.rs", "crates/netsim/src/event.rs"] {
+            let diags = lint_file(engine_file, src);
+            assert!(
+                diags.iter().any(|d| d.rule == Rule::ThreadSpawn),
+                "thread::scope in {engine_file} must be flagged: {diags:?}"
+            );
+        }
     }
 
     /// A two-function fixture: `drive` reaches `step`, `cold` is unreachable.
@@ -977,51 +959,6 @@ mod tests {
         let diags = lint_file("crates/netsim/src/event.rs", src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].line, 5);
-    }
-
-    #[test]
-    fn cold_fn_and_its_callees_leave_the_hot_set() {
-        // `setup` allocates and indexes, and so does its callee `helper`;
-        // neither is flagged because the cold marker severs reachability.
-        // `step` stays hot through the direct `drive` edge.
-        let src = "#![forbid(unsafe_code)]\n\
-                   fn drive(v: &[u32]) { setup(v); step(v); }\n\
-                   // simlint: cold -- runs once at startup, before any event\n\
-                   fn setup(v: &[u32]) -> u32 { let x = Vec::from(v); helper(&x) }\n\
-                   fn helper(v: &[u32]) -> u32 { v[0] }\n\
-                   fn step(v: &[u32]) -> u32 { v[0] }\n";
-        let diags = lint_file("crates/netsim/src/event.rs", src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, Rule::HotPathPanic);
-        assert_eq!(diags[0].line, 6, "only the hot copy: {diags:?}");
-    }
-
-    #[test]
-    fn cold_callee_reached_another_way_stays_hot() {
-        // The cold marker removes `setup`, but `helper` is still reachable
-        // through `step`, so its panic site stays flagged.
-        let src = "#![forbid(unsafe_code)]\n\
-                   fn drive(v: &[u32]) { setup(v); step(v); }\n\
-                   // simlint: cold -- startup only\n\
-                   fn setup(v: &[u32]) -> u32 { helper(v) }\n\
-                   fn step(v: &[u32]) -> u32 { helper(v) }\n\
-                   fn helper(v: &[u32]) -> u32 { v[0] }\n";
-        let diags = lint_file("crates/netsim/src/event.rs", src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, Rule::HotPathPanic);
-        assert_eq!(diags[0].line, 6);
-    }
-
-    #[test]
-    fn cold_without_reason_is_reported() {
-        let src = "#![forbid(unsafe_code)]\n\
-                   fn drive() { setup(); }\n\
-                   // simlint: cold\n\
-                   fn setup() {}\n";
-        let diags = lint_file("crates/netsim/src/event.rs", src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, Rule::BadAllow);
-        assert!(diags[0].message.contains("cold"), "{diags:?}");
     }
 
     #[test]

@@ -44,12 +44,6 @@ pub struct FnDef {
     /// Behind `#[cfg(test)]` / `#[cfg(feature = ...)]` (directly or via an
     /// enclosing item): never part of the unconditional event path.
     pub cfg_gated: bool,
-    /// Marked `// simlint: cold -- <reason>`: declared off the per-event
-    /// path (per-window/per-epoch orchestration, setup, teardown).
-    /// Reachability neither classifies it as hot nor traverses through
-    /// it; the directive requires a justification, checked by the code
-    /// lint.
-    pub cold: bool,
     /// Every call site in the body.
     pub calls: Vec<CallRef>,
 }
@@ -71,33 +65,6 @@ pub fn matching_brace(toks: &[Token], open: usize) -> Option<usize> {
         }
     }
     None
-}
-
-/// Extract every function definition from `src` (workspace-relative path
-/// `relpath` is recorded on each definition). `// simlint: cold` markers
-/// in the source are resolved here: each marks the next function
-/// definition below it.
-pub fn extract(relpath: &str, src: &str) -> Vec<FnDef> {
-    let lexed = lex(src);
-    let mut defs = extract_tokens(relpath, &lexed.tokens);
-    for c in &lexed.comments {
-        let is_cold = c
-            .text
-            .trim()
-            .strip_prefix("simlint:")
-            .is_some_and(|r| r.trim().starts_with("cold"));
-        if !is_cold {
-            continue;
-        }
-        if let Some(d) = defs
-            .iter_mut()
-            .filter(|d| d.from_line > c.line)
-            .min_by_key(|d| d.from_line)
-        {
-            d.cold = true;
-        }
-    }
-    defs
 }
 
 /// Item keywords that consume a pending attribute without being callable.
@@ -128,7 +95,11 @@ fn is_item_qualifier(t: &Token) -> bool {
         || t.kind == TokKind::Literal
 }
 
-pub fn extract_tokens(relpath: &str, toks: &[Token]) -> Vec<FnDef> {
+/// Extract every function definition from `src` (workspace-relative path
+/// `relpath` is recorded on each definition).
+pub fn extract(relpath: &str, src: &str) -> Vec<FnDef> {
+    let lexed = lex(src);
+    let toks = &lexed.tokens[..];
     let mut defs = Vec::new();
     // Enclosing blocks that change context: (end token index, owner, gated).
     let mut regions: Vec<(usize, Option<String>, bool)> = Vec::new();
@@ -237,7 +208,6 @@ pub fn extract_tokens(relpath: &str, toks: &[Token]) -> Vec<FnDef> {
                         from_line: t.line,
                         to_line: toks[end].line,
                         cfg_gated: gated,
-                        cold: false,
                         calls: body_calls(&toks[open + 1..end]),
                     });
                 }

@@ -57,29 +57,6 @@ cargo test --workspace -q
 echo "=== cargo test --workspace --features audit -q ==="
 cargo test --workspace --features audit -q
 
-# Conservative-parallel twin: the netsim suite — including the dedicated
-# parallel_determinism bit-identity tests — must pass with every
-# simulation split over 4 partition workers. This runs against the
-# netsim crate's default (non-audit) feature set on purpose: the root
-# crate's test targets enable `audit`, which compiles the parallel
-# executor out, so only the netsim-crate targets genuinely exercise it.
-echo "=== parallel twin (TCD_PARTITIONS=4, netsim suite) ==="
-TCD_PARTITIONS=4 cargo test -q -p lossless-netsim
-
-# The same proof end to end through the release binary: the fig03
-# metrics registry fingerprint must match the committed golden with the
-# run split over 4 workers. (The flight recorder's internal seqs may
-# legitimately differ under partitioning, so only the registry
-# fingerprint — the cross-worker-count invariant — is compared.)
-echo "=== parallel exporter gate (TCD_PARTITIONS=4) ==="
-TCD_PARTITIONS=4 ./target/release/tcdsim metrics fig03 --end-ms 0.6 \
-    --out target/ci/metrics_fig03_par.json
-par_fp=$(grep -o '"fingerprint": "[0-9a-f]*"' target/ci/metrics_fig03_par.json | grep -o '[0-9a-f]\{16\}')
-if [ "$par_fp" != "$golden_fp" ]; then
-    echo "parallel metrics fingerprint $par_fp != committed golden $golden_fp" >&2
-    exit 1
-fi
-
 echo "=== golden fingerprints ==="
 cargo test --test golden_traces -q
 

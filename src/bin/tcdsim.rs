@@ -63,10 +63,6 @@ perf options:      --top N                  hot-kind report depth (default 8)
                                             stdout instead of the text report
                    --out PATH               wall-clock Perfetto trace output
                                             (default results/perf_fat_tree_k6.json)
-                   --partitions N           partition workers for the profiled
-                                            run (default 1 = serial; event count
-                                            and fingerprint are identical at
-                                            any value)
 lint options:      --code                   run only the workspace code lint
                    --topo NAME              run only the topology analysis of
                                             NAME (repeatable); without flags,
@@ -100,7 +96,6 @@ struct Args {
     scenario: Option<String>,
     end_ms: f64,
     top: usize,
-    partitions: usize,
 }
 
 fn parse() -> Args {
@@ -127,7 +122,6 @@ fn parse() -> Args {
         scenario: None,
         end_ms: 6.0,
         top: 8,
-        partitions: 1,
     };
     let mut i = 2;
     while i < argv.len() {
@@ -200,7 +194,7 @@ fn parse() -> Args {
                 a.end_ms = argv
                     .get(i + 1)
                     .and_then(|s| s.parse().ok())
-                    .filter(|&v: &f64| v > 0.0)
+                    .filter(|&v: &f64| (1..u64::MAX).contains(&ms_to_ps(v)))
                     .unwrap_or_else(|| usage());
                 i += 2;
             }
@@ -221,14 +215,6 @@ fn parse() -> Args {
                 a.lint_spec_table = Some(argv.get(i + 1).cloned().unwrap_or_else(|| usage()));
                 i += 2;
             }
-            "--partitions" => {
-                a.partitions = argv
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
             "--top" => {
                 a.top = argv
                     .get(i + 1)
@@ -247,11 +233,34 @@ fn parse() -> Args {
     a
 }
 
+/// Milliseconds to picoseconds. The cast saturates: NaN and anything
+/// below half a picosecond read 0, `inf` and anything past the clock's
+/// range read `u64::MAX`.
+fn ms_to_ps(ms: f64) -> u64 {
+    (ms * 1e9) as u64
+}
+
+/// Report an output path that could not be written and exit 1.
+fn fail(path: &str, err: std::io::Error) -> ! {
+    eprintln!("tcdsim: cannot write {path}: {err}");
+    exit(1)
+}
+
+/// Write `doc` to `path`, creating its parent directory first.
+fn write_output(path: &str, doc: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(path, e));
+        }
+    }
+    std::fs::write(path, doc).unwrap_or_else(|e| fail(path, e));
+}
+
 fn dump_csv(sim: &tcd_repro::netsim::Simulator, dir: &str, tag: &str) {
     let ports = format!("{dir}/{tag}_ports.csv");
     let flows = format!("{dir}/{tag}_flows.csv");
-    report::write_port_samples_csv(sim, &ports).expect("write ports csv");
-    report::write_flows_csv(sim, &flows).expect("write flows csv");
+    report::write_port_samples_csv(sim, &ports).unwrap_or_else(|e| fail(&ports, e));
+    report::write_flows_csv(sim, &flows).unwrap_or_else(|e| fail(&flows, e));
     println!("wrote {ports} and {flows}");
 }
 
@@ -354,7 +363,7 @@ fn cmd_trees(a: &Args) {
             Box::new(FixedRate::line_rate()),
         );
     }
-    sim.run_until(SimTime::from_ps((a.at_ms * 1e9) as u64));
+    sim.run_until(SimTime::from_ps(ms_to_ps(a.at_ms)));
     let snap = sim.congestion_snapshot(sim.config().data_prio);
     let ts = tree::trees(&snap);
     println!("congestion trees at {} ms: {}", a.at_ms, ts.len());
@@ -390,7 +399,8 @@ fn cmd_sweep(a: &Args) {
     }
     t.print();
     let results = format!("{}/sweep.json", a.out.as_deref().unwrap_or("results"));
-    rep.write_json(&results).expect("write sweep report");
+    rep.write_json(&results)
+        .unwrap_or_else(|e| fail(&results, e));
     println!(
         "fingerprint {:016x} | {} events in {:.2} s ({:.0} events/s) | wrote {results}",
         rep.merged_fingerprint(),
@@ -418,7 +428,7 @@ fn cmd_export(a: &Args, metrics: bool) {
         eprintln!("{}: missing <scenario>", a.cmd);
         known()
     };
-    let end = SimTime::from_ps((a.end_ms * 1e9) as u64);
+    let end = SimTime::from_ps(ms_to_ps(a.end_ms));
     let sim = match obs_export::run_scenario(name, end) {
         Some(r) => r.sim,
         None => match obs_export::run_fault_scenario(name, end) {
@@ -451,12 +461,7 @@ fn cmd_export(a: &Args, metrics: bool) {
         .out
         .clone()
         .unwrap_or_else(|| format!("results/{kind}_{name}.json"));
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&path, &doc).expect("write output file");
+    write_output(&path, &doc);
     println!(
         "wrote {path} ({} bytes, {name} over {} ms, {} sim events)",
         doc.len(),
@@ -470,15 +475,8 @@ fn cmd_export(a: &Args, metrics: bool) {
 fn cmd_perf(a: &Args) {
     use tcd_repro::obs::prof::ProfConfig;
 
-    if a.partitions > 1 {
-        eprintln!(
-            "profiling fat-tree k=6 workload ({} partition workers)...",
-            a.partitions
-        );
-    } else {
-        eprintln!("profiling fat-tree k=6 workload...");
-    }
-    let mut sim = scenarios::fat_tree_k6_bench(a.partitions);
+    eprintln!("profiling fat-tree k=6 workload...");
+    let mut sim = scenarios::fat_tree_k6_bench();
     sim.enable_profiler(ProfConfig::default());
     sim.run();
     let profile = sim.profile().expect("profiler was armed");
@@ -496,12 +494,7 @@ fn cmd_perf(a: &Args) {
                 .out
                 .clone()
                 .unwrap_or_else(|| "results/perf_fat_tree_k6.json".to_string());
-            if let Some(dir) = std::path::Path::new(&path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).expect("create output directory");
-                }
-            }
-            std::fs::write(&path, &doc).expect("write trace");
+            write_output(&path, &doc);
             eprintln!("wrote {path} ({n} Chrome-trace events)");
         }
         Err(e) => {

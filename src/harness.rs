@@ -131,15 +131,7 @@ impl Sweep {
     /// reports stay bit-identical with it on or off.
     pub fn run(self, threads: usize) -> SweepReport {
         let n = self.jobs.len();
-        // Cap the pool so sweep threads x intra-run partition workers
-        // never oversubscribes the machine: each job may itself fan out
-        // over `partition_workers()` cores (TCD_PARTITIONS), and running
-        // T x P threads on C < T x P cores slows *every* lane down.
-        let pw = partition_workers();
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let threads = threads.max(1).min(n.max(1)).min((cores / pw).max(1));
+        let threads = threads.max(1).min(n.max(1));
         let started = Instant::now();
 
         // Work queue: an atomic cursor over submission-order slots. Each
@@ -178,7 +170,7 @@ impl Sweep {
                         let util = busy_ns.load(Ordering::Relaxed) as f64
                             / (elapsed * 1e9 * threads as f64);
                         eprintln!(
-                            "  [{k}/{n}] {id}: {:.2}M events/s | {threads}x{pw} \
+                            "  [{k}/{n}] {id}: {:.2}M events/s | {threads} \
                              threads | {elapsed:.1}s elapsed, ETA {eta:.1}s, \
                              {:.0}% util",
                             eps / 1e6,
@@ -295,31 +287,16 @@ impl SweepReport {
 }
 
 /// Worker thread count: `TCD_THREADS` when set (clamped to ≥ 1), else
-/// the machine's available parallelism divided by the intra-run
-/// partition worker count, so sweep x partition parallelism together
-/// fill the machine exactly once. An explicit `TCD_THREADS` always
-/// wins — the operator asked for that many lanes.
+/// the machine's available parallelism.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("TCD_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             return n.max(1);
         }
     }
-    let cores = std::thread::available_parallelism()
+    std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(1);
-    (cores / partition_workers()).max(1)
-}
-
-/// Intra-run partition workers each sweep job may spin up, per
-/// `TCD_PARTITIONS` (the same knob the engine's parallel executor
-/// reads). 1 — the serial default — when unset or malformed.
-pub fn partition_workers() -> usize {
-    std::env::var("TCD_PARTITIONS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
         .unwrap_or(1)
-        .max(1)
 }
 
 /// Whether [`Sweep::run`] prints live progress to stderr: `TCD_PROGRESS=1`

@@ -319,8 +319,8 @@ mod tests {
         // The engine counters folded in by obs_registry.
         assert!(doc.contains("engine.events"));
         assert!(doc.contains("engine.dispatch.packet_arrival"));
-        // Pool hit/miss counters are deliberately absent: they depend on
-        // global allocation order, which partitioned runs cannot reproduce.
+        // Pool hit/miss counters are not part of the registry: exporting
+        // them would move the committed registry fingerprint.
         assert!(!doc.contains("pool.hit"));
     }
 

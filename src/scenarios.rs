@@ -169,11 +169,8 @@ pub fn default_config(network: Network, use_tcd: bool, end: SimTime) -> SimConfi
 /// registered up front — so the event queue carries hundreds of thousands
 /// of pending `FlowStart`s while near-term packet events churn through
 /// it. Returns the simulator *before* `run()` so timing excludes
-/// topology/routing/workload construction. `partitions = 1` pins the
-/// serial engine (ignoring `TCD_PARTITIONS`), `n > 1` requests the
-/// conservative-parallel executor: same workload, same schedule, same
-/// fingerprint at any worker count.
-pub fn fat_tree_k6_bench(partitions: usize) -> Simulator {
+/// topology/routing/workload construction.
+pub fn fat_tree_k6_bench() -> Simulator {
     let (sim, _ft, _flows) = workload::build(
         workload::Options {
             network: Network::Cee,
@@ -192,7 +189,6 @@ pub fn fat_tree_k6_bench(partitions: usize) -> Simulator {
             deadline: SimTime::from_ms(5),
         },
         |cfg| {
-            cfg.partitions = partitions;
             // Profile the engine, not the instrumentation. Dynamics (and
             // so the run fingerprint) are unaffected by the obs level.
             cfg.obs.level = lossless_obs::ObsLevel::Off;

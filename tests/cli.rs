@@ -1,16 +1,18 @@
 //! `tcdsim` argument validation: malformed or out-of-range input prints
 //! usage and exits 2 — it never runs a degenerate experiment and reports
-//! success.
+//! success — and an unwritable output path is reported, not a panic.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn exit_code(args: &[&str]) -> Option<i32> {
+fn tcdsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tcdsim"))
         .args(args)
         .output()
         .expect("run tcdsim")
-        .status
-        .code()
+}
+
+fn exit_code(args: &[&str]) -> Option<i32> {
+    tcdsim(args).status.code()
 }
 
 #[test]
@@ -23,7 +25,23 @@ fn out_of_range_and_removed_options_exit_2() {
         &["sweep", "--history", "h.jsonl"],
         &["perf", "--history", "h.jsonl"],
         &["perf", "--gate"],
+        &["perf", "--partitions", "2"],
+        &["metrics", "fig03", "--end-ms", "inf"],
+        &["metrics", "fig03", "--end-ms", "1e30"],
+        &["metrics", "fig03", "--end-ms", "1e-12"],
     ] {
         assert_eq!(exit_code(args), Some(2), "tcdsim {}", args.join(" "));
     }
+}
+
+#[test]
+fn unwritable_output_path_exits_1_without_panicking() {
+    let out = tcdsim(&["sweep", "--seeds", "1", "--out", "/proc/nope"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cannot write /proc/nope/sweep.json"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
