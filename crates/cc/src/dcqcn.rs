@@ -177,6 +177,14 @@ impl Dcqcn {
         self.cuts += 1;
     }
 
+    /// (Re)arm both timers — at flow start and after every rate cut.
+    fn restart_timers(&self) -> CcAction {
+        CcAction::timers2(
+            (TIMER_ALPHA, self.cfg.alpha_timer),
+            (TIMER_INCREASE, self.cfg.increase_timer),
+        )
+    }
+
     fn increase(&mut self) {
         let fr = self.cfg.fr_stages;
         if self.byte_stage >= fr && self.time_stage >= fr {
@@ -196,13 +204,7 @@ impl RateController for Dcqcn {
         self.line_rate = line_rate;
         self.rc = line_rate;
         self.rt = line_rate;
-        CcAction {
-            // simlint: allow(hot-path-alloc) -- one-time flow-start setup
-            timers: vec![
-                (TIMER_ALPHA, self.cfg.alpha_timer),
-                (TIMER_INCREASE, self.cfg.increase_timer),
-            ],
-        }
+        self.restart_timers()
     }
 
     fn on_event(&mut self, _now: SimTime, ev: CcEvent) -> CcAction {
@@ -212,13 +214,7 @@ impl RateController for Dcqcn {
                     CodePoint::CongestionEncountered => {
                         self.cut();
                         // Restart both timers after a cut.
-                        CcAction {
-                            // simlint: allow(hot-path-alloc) -- two-element timer list per rate cut, bounded by feedback frequency
-                            timers: vec![
-                                (TIMER_ALPHA, self.cfg.alpha_timer),
-                                (TIMER_INCREASE, self.cfg.increase_timer),
-                            ],
-                        }
+                        self.restart_timers()
                     }
                     CodePoint::UndeterminedEncountered if self.cfg.hold_on_ue => {
                         // TCD: an undetermined flow keeps its rate.
@@ -229,13 +225,7 @@ impl RateController for Dcqcn {
                         // A non-TCD-aware RP treats any congestion
                         // notification as CE (it cannot see UE).
                         self.cut();
-                        CcAction {
-                            // simlint: allow(hot-path-alloc) -- two-element timer list per rate cut, bounded by feedback frequency
-                            timers: vec![
-                                (TIMER_ALPHA, self.cfg.alpha_timer),
-                                (TIMER_INCREASE, self.cfg.increase_timer),
-                            ],
-                        }
+                        self.restart_timers()
                     }
                     _ => CcAction::none(),
                 }
@@ -298,7 +288,7 @@ mod tests {
         let mut d = Dcqcn::standard();
         let a = d.start(SimTime::ZERO, Rate::from_gbps(40));
         assert_eq!(d.rate(), Rate::from_gbps(40));
-        assert_eq!(a.timers.len(), 2);
+        assert_eq!(a.timers().count(), 2);
     }
 
     #[test]

@@ -256,8 +256,8 @@ mod tests {
         let mut c = started(IbCcConfig::default());
         let a = c.on_event(SimTime::ZERO, CcEvent::Timer { id: TIMER_CCTI });
         assert_eq!(
-            a.timers,
-            vec![(TIMER_CCTI, IbCcConfig::default().ccti_timer)]
+            a.timers().collect::<Vec<_>>(),
+            [(TIMER_CCTI, IbCcConfig::default().ccti_timer)]
         );
     }
 

@@ -60,14 +60,13 @@ impl CcEvent {
     }
 }
 
-/// Timer requests returned by a controller. An empty action means "nothing
-/// to schedule".
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Timer requests returned by a controller: at most two per action, held
+/// inline (no controller in this tree asks for more — DCQCN restarts its
+/// two timers together, IB CC owns one, TIMELY and HPCC none). An empty
+/// action means "nothing to schedule".
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CcAction {
-    /// `(timer id, delay from now)` pairs to schedule. Re-requesting an id
-    /// supersedes the previous request: only the most recently requested
-    /// deadline for an id is delivered.
-    pub timers: Vec<(u32, SimDuration)>,
+    timers: [Option<(u32, SimDuration)>; 2],
 }
 
 impl CcAction {
@@ -77,11 +76,24 @@ impl CcAction {
     }
 
     /// A single timer request.
-    // simlint: allow(hot-path-alloc) -- single-element timer request, bounded by CC event frequency
     pub fn timer(id: u32, delay: SimDuration) -> CcAction {
         CcAction {
-            timers: vec![(id, delay)],
+            timers: [Some((id, delay)), None],
         }
+    }
+
+    /// Two timer requests, scheduled in argument order.
+    pub fn timers2(first: (u32, SimDuration), second: (u32, SimDuration)) -> CcAction {
+        CcAction {
+            timers: [Some(first), Some(second)],
+        }
+    }
+
+    /// The `(timer id, delay from now)` pairs to schedule, in request
+    /// order. Re-requesting an id supersedes the previous request: only
+    /// the most recently requested deadline for an id is delivered.
+    pub fn timers(&self) -> impl Iterator<Item = (u32, SimDuration)> + '_ {
+        self.timers.iter().flatten().copied()
     }
 }
 
@@ -90,6 +102,12 @@ impl CcAction {
 /// `Send` so a simulator — controllers included — can be handed to
 /// another thread. Controllers are pure per-flow state machines, so this
 /// costs nothing in practice.
+///
+/// Two rules the host relies on: [`rate`](Self::rate) changes only inside
+/// [`start`](Self::start) and [`on_event`](Self::on_event) — the host reads
+/// it once after each and paces from that cached value — and a controller
+/// keeps at most two timer ids outstanding (`u32::MAX` is reserved for the
+/// host's retransmission timeout).
 pub trait RateController: Send {
     /// Called once when the flow starts. `line_rate` is the source NIC's
     /// link rate; the controller returns its initial timers and must leave
@@ -206,8 +224,17 @@ mod tests {
 
     #[test]
     fn action_helpers() {
-        assert_eq!(CcAction::none().timers.len(), 0);
+        assert_eq!(CcAction::none().timers().count(), 0);
         let a = CcAction::timer(3, SimDuration::from_us(55));
-        assert_eq!(a.timers, vec![(3, SimDuration::from_us(55))]);
+        assert_eq!(
+            a.timers().collect::<Vec<_>>(),
+            [(3, SimDuration::from_us(55))]
+        );
+        let b = CcAction::timers2((7, SimDuration::from_us(1)), (2, SimDuration::from_us(9)));
+        assert_eq!(
+            b.timers().collect::<Vec<_>>(),
+            [(7, SimDuration::from_us(1)), (2, SimDuration::from_us(9))],
+            "request order, not id order"
+        );
     }
 }

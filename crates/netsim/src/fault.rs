@@ -7,8 +7,9 @@
 //! regular engine event (`LinkState` / `LinkRate` / `RouteUpdate`), so
 //! fault timing obeys the same `(time, seq)` total order as everything
 //! else and runs are bit-reproducible. The runtime side is a
-//! [`LinkState`] table consulted by switches and hosts before putting a
-//! frame on the wire: a downed port holds its queues (the lossless
+//! [`LinkState`] table holding, per port, everything a transmission
+//! needs (peer, delay, health, effective rate, transmitter gate): a
+//! downed port holds its queues (the lossless
 //! policy — nothing is dropped, PFC/CBFC state is synchronized by the
 //! held control frames once the port recovers), and a degraded port
 //! serializes at the overridden rate.
@@ -18,8 +19,9 @@
 //! storms, cyclic back-pressure, deadlock) that a static healthy-fabric
 //! scenario can never reach.
 
+use crate::event::TxGate;
 use crate::topology::{NodeId, Topology};
-use lossless_flowctl::{Rate, SimTime};
+use lossless_flowctl::{Rate, SimDuration, SimTime};
 
 /// What a single fault event does to the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,62 +177,137 @@ impl FaultPlan {
     }
 }
 
-/// The runtime link table: which ports are currently dark and which
-/// carry a degraded rate. Owned by the simulator and visible to every
-/// node through [`crate::sim::Ctx`].
+/// Everything one transmission reads and writes about its port, in one
+/// record: the far end and wire delay (copied from the [`Topology`] at
+/// construction), the link's current health, and the transmitter gate.
+#[derive(Debug, Clone)]
+pub(crate) struct PortLink {
+    /// Peer node.
+    pub peer: NodeId,
+    /// Port index at the peer through which our transmissions arrive.
+    pub peer_port: u16,
+    /// Whether the link can transmit.
+    pub up: bool,
+    /// The rate frames serialize at right now: the degraded override
+    /// while one is set, the nominal capacity otherwise. Rewritten only
+    /// by [`LinkState::set_rate`].
+    pub rate: Rate,
+    /// Propagation delay.
+    pub delay: SimDuration,
+    /// The transmitter's busy/pending bookkeeping.
+    pub gate: TxGate,
+}
+
+/// The runtime link table: one [`PortLink`] per `(node, port)`, node-major
+/// in one flat vector. Owned by the simulator and visible to every node
+/// through [`crate::sim::Ctx`].
 #[derive(Debug, Clone)]
 pub struct LinkState {
-    /// `up[node][port]`.
-    up: Vec<Vec<bool>>,
-    /// `rate[node][port]`: `Some` overrides the topology's nominal rate.
-    rate: Vec<Vec<Option<Rate>>>,
+    ports: Vec<PortLink>,
+    /// Offset of each node's port 0 in `ports`.
+    first: Vec<u32>,
+    /// The degraded-rate override of each port, if any. Only fault
+    /// events, [`all_healthy`](Self::all_healthy) and the auditor read it;
+    /// transmissions read the precomputed [`PortLink::rate`].
+    overrides: Vec<Option<Rate>>,
 }
 
 impl LinkState {
     /// All links up at nominal rate.
     pub fn new(topo: &Topology) -> LinkState {
-        let up = (0..topo.node_count() as u32)
-            .map(|n| vec![true; topo.ports(NodeId(n)).len()])
-            .collect();
-        let rate = (0..topo.node_count() as u32)
-            .map(|n| vec![None; topo.ports(NodeId(n)).len()])
-            .collect();
-        LinkState { up, rate }
+        let mut first = Vec::with_capacity(topo.node_count());
+        let mut ports = Vec::new();
+        for n in 0..topo.node_count() as u32 {
+            first.push(ports.len() as u32);
+            ports.extend(topo.ports(NodeId(n)).iter().map(|l| PortLink {
+                peer: l.peer,
+                peer_port: l.peer_port,
+                up: true,
+                rate: l.rate,
+                delay: l.delay,
+                gate: TxGate::new(),
+            }));
+        }
+        let overrides = vec![None; ports.len()];
+        LinkState {
+            ports,
+            first,
+            overrides,
+        }
+    }
+
+    // simlint: allow(hot-path-panic) -- the table is sized per node from the same topology the ids come from
+    fn index(&self, n: NodeId, port: u16) -> usize {
+        self.first[n.index()] as usize + port as usize
+    }
+
+    /// The link record of `(node, port)`.
+    // simlint: allow(hot-path-panic) -- node/port pairs originate from the topology this table was sized from
+    pub(crate) fn port_mut(&mut self, n: NodeId, port: u16) -> &mut PortLink {
+        let i = self.index(n, port);
+        &mut self.ports[i]
     }
 
     /// Is `(node, port)` currently able to transmit?
-    // simlint: allow(hot-path-panic) -- matrices are sized per node/port from the same topology
+    // simlint: allow(hot-path-panic) -- node/port pairs originate from the topology this table was sized from
     pub fn is_up(&self, n: NodeId, port: u16) -> bool {
-        self.up[n.index()][port as usize]
+        self.ports[self.index(n, port)].up
     }
 
-    /// The current capacity of `(node, port)` given its `nominal` rate.
-    // simlint: allow(hot-path-panic) -- matrices are sized per node/port from the same topology
-    pub fn rate(&self, n: NodeId, port: u16, nominal: Rate) -> Rate {
-        self.rate[n.index()][port as usize].unwrap_or(nominal)
+    /// The current capacity of `(node, port)`: its degraded override, or
+    /// the nominal rate when none is set.
+    pub fn rate(&self, n: NodeId, port: u16) -> Rate {
+        self.ports[self.index(n, port)].rate
     }
 
     /// True when every link is up at nominal rate.
     pub fn all_healthy(&self) -> bool {
-        self.up.iter().all(|p| p.iter().all(|&u| u))
-            && self.rate.iter().all(|p| p.iter().all(|r| r.is_none()))
+        self.ports.iter().all(|p| p.up) && self.overrides.iter().all(|r| r.is_none())
     }
 
-    // simlint: allow(hot-path-panic) -- matrices are sized per node/port from the same topology
     pub(crate) fn set_up(&mut self, n: NodeId, port: u16, up: bool) {
-        self.up[n.index()][port as usize] = up;
+        self.port_mut(n, port).up = up;
     }
 
-    // simlint: allow(hot-path-panic) -- matrices are sized per node/port from the same topology
-    pub(crate) fn set_rate(&mut self, n: NodeId, port: u16, rate: Option<Rate>) {
-        self.rate[n.index()][port as usize] = rate;
+    /// Install (`Some`) or lift (`None`) a degraded-rate override;
+    /// `nominal` is the topology's capacity for this link.
+    // simlint: allow(hot-path-panic) -- node/port pairs originate from the topology this table was sized from
+    pub(crate) fn set_rate(&mut self, n: NodeId, port: u16, rate: Option<Rate>, nominal: Rate) {
+        let i = self.index(n, port);
+        self.overrides[i] = rate;
+        self.ports[i].rate = rate.unwrap_or(nominal);
+    }
+
+    /// Checkpoint: every port's precomputed rate must equal its override,
+    /// or the topology's nominal rate when none is set.
+    #[cfg(feature = "audit")]
+    pub(crate) fn audit_check(&self, topo: &Topology, a: &mut crate::audit::Audit, now: SimTime) {
+        for n in 0..topo.node_count() as u32 {
+            let node = NodeId(n);
+            for (p, l) in topo.ports(node).iter().enumerate() {
+                let i = self.index(node, p as u16);
+                let want = self.overrides[i].unwrap_or(l.rate);
+                let have = self.ports[i].rate;
+                if have != want {
+                    a.report(crate::audit::Violation {
+                        family: crate::audit::InvariantFamily::BufferAccounting,
+                        t: now,
+                        node,
+                        port: p as u16,
+                        prio: u8::MAX,
+                        message: format!(
+                            "link record serializes at {have:?} but override-or-nominal is {want:?}"
+                        ),
+                    });
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lossless_flowctl::SimDuration;
 
     fn tiny_topo() -> Topology {
         let mut b = Topology::builder();
@@ -252,16 +329,13 @@ mod tests {
         assert!(ls.is_up(NodeId(0), 0));
         assert!(!ls.all_healthy());
         ls.set_up(NodeId(0), 1, true);
-        ls.set_rate(NodeId(0), 0, Some(Rate::from_gbps(10)));
-        assert_eq!(
-            ls.rate(NodeId(0), 0, Rate::from_gbps(40)),
-            Rate::from_gbps(10)
-        );
-        assert_eq!(
-            ls.rate(NodeId(0), 1, Rate::from_gbps(40)),
-            Rate::from_gbps(40)
-        );
-        ls.set_rate(NodeId(0), 0, None);
+        let nominal = Rate::from_gbps(40);
+        ls.set_rate(NodeId(0), 0, Some(Rate::from_gbps(10)), nominal);
+        assert_eq!(ls.rate(NodeId(0), 0), Rate::from_gbps(10));
+        assert_eq!(ls.rate(NodeId(0), 1), nominal);
+        assert!(!ls.all_healthy());
+        ls.set_rate(NodeId(0), 0, None, nominal);
+        assert_eq!(ls.rate(NodeId(0), 0), nominal);
         assert!(ls.all_healthy());
     }
 

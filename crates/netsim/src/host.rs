@@ -16,7 +16,7 @@
 
 use crate::cchooks::{CcAction, CcEvent, RateController};
 use crate::config::{FeedbackMode, FlowControlMode};
-use crate::event::{Event, TxGate};
+use crate::event::Event;
 use crate::packet::{FlowId, Packet, PacketKind};
 use crate::sim::Ctx;
 use crate::topology::NodeId;
@@ -31,6 +31,45 @@ use tcd_core::CodePoint;
 /// Reserved timer id for the go-back-N retransmission timeout (lossy
 /// mode); controllers must not use it.
 const RTO_TIMER: u32 = u32::MAX;
+
+/// The expected fire time of each timer id a flow has outstanding
+/// (stale-timer guard): at most the controller's two ids plus
+/// [`RTO_TIMER`], held inline. Only ever looked up by id, so slot order
+/// never reaches event scheduling.
+#[derive(Debug, Default)]
+struct FlowTimers {
+    slots: [Option<(u32, SimTime)>; 3],
+}
+
+impl FlowTimers {
+    /// Expect `id` at `at`; a later request for the same id supersedes
+    /// the earlier one.
+    fn set(&mut self, id: u32, at: SimTime) {
+        let slots = &mut self.slots;
+        let i = slots
+            .iter()
+            .position(|s| s.is_some_and(|s| s.0 == id))
+            .or_else(|| slots.iter().position(Option::is_none));
+        match i.and_then(|i| slots.get_mut(i)) {
+            Some(slot) => *slot = Some((id, at)),
+            None => panic!("controller keeps more than two timer ids outstanding (id {id})"),
+        }
+    }
+
+    /// When `id` is expected to fire, if it is outstanding.
+    fn get(&self, id: u32) -> Option<SimTime> {
+        self.slots.iter().flatten().find(|s| s.0 == id).map(|s| s.1)
+    }
+
+    /// `id` fired.
+    fn clear(&mut self, id: u32) {
+        for s in &mut self.slots {
+            if s.is_some_and(|s| s.0 == id) {
+                *s = None;
+            }
+        }
+    }
+}
 
 /// Sender-side state of one active flow.
 struct SenderFlow {
@@ -47,10 +86,12 @@ struct SenderFlow {
     prio: u8,
     next_tx: SimTime,
     cc: Box<dyn RateController>,
-    /// Expected fire time per timer id (stale-timer guard). A `BTreeMap`
-    /// so any future iteration is in timer-id order — hash-order must
-    /// never leak into event scheduling.
-    timers: BTreeMap<u32, SimTime>,
+    /// `cc.rate()` as of the controller's last `start`/`on_event` — the
+    /// only calls that may change it — so the NIC scan and the pacer read
+    /// a field instead of making a virtual call per flow. Refreshed in
+    /// [`Host::apply_action`].
+    rate: Rate,
+    timers: FlowTimers,
 }
 
 /// Receiver-side state of one flow.
@@ -61,37 +102,74 @@ struct RxFlow {
     completed: bool,
 }
 
+/// Hop-by-hop flow-control state of one priority/VL at the NIC.
+enum LaneFc {
+    /// CEE, lossless or lossy.
+    Eth {
+        /// Pause state (set by PAUSE frames from the ToR).
+        paused: PfcEgress,
+        /// Slow receiver: PFC accounting for the host's own receive
+        /// buffer, so an overwhelmed host pauses its ToR (`None` in lossy
+        /// mode, which has no slow receivers).
+        rx_pfc: Option<PfcIngress>,
+    },
+    /// InfiniBand.
+    Ib {
+        /// Credit sender towards the ToR.
+        tx: CbfcSender,
+        /// "Wanted to send but had no credits."
+        blocked: bool,
+        /// Credit receiver (the host's own ingress buffer; drained
+        /// instantly unless the receiver is slow, so it mainly advertises
+        /// credits back upstream).
+        rx: CbfcReceiver,
+    },
+}
+
+/// One priority/VL of the NIC.
+struct HostLane {
+    fc: LaneFc,
+    /// Slow-receiver processing queue (packet sizes awaiting host
+    /// processing); empty and unused when `host_rx_rate` is `None`.
+    rx_q: VecDeque<u64>,
+}
+
+impl HostLane {
+    /// May a `bytes`-long frame leave on this lane now?
+    fn can_send(&self, bytes: u64) -> bool {
+        match &self.fc {
+            LaneFc::Eth { paused, .. } => !paused.is_paused(),
+            LaneFc::Ib { tx, .. } => tx.can_send(bytes),
+        }
+    }
+
+    /// IB: remember that a frame was held back for credits, so the next
+    /// FCCL re-kicks the NIC.
+    fn note_blocked(&mut self) {
+        if let LaneFc::Ib { blocked, .. } = &mut self.fc {
+            *blocked = true;
+        }
+    }
+}
+
 /// A host endpoint.
 pub struct Host {
     id: NodeId,
     line_rate: Rate,
-    gate: TxGate,
-    /// CEE: PFC pause state per priority (set by PAUSE frames from the ToR).
-    pfc_paused: Vec<PfcEgress>,
-    /// IB: credit senders per VL towards the ToR.
-    cbfc_tx: Vec<CbfcSender>,
-    /// IB: per-VL "wanted to send but had no credits" flag.
-    blocked_vl: Vec<bool>,
-    /// IB: credit receivers per VL (the host's own ingress buffer; drained
-    /// instantly, so it mainly advertises credits back upstream).
-    cbfc_rx: Vec<CbfcReceiver>,
+    /// One record per priority/VL.
+    lanes: Vec<HostLane>,
     /// Outgoing link-local control frames (FCCL), sent before anything else.
     ctrl: VecDeque<Box<Packet>>,
     /// Outgoing end-to-end feedback packets awaiting the NIC.
     feedback_q: VecDeque<Box<Packet>>,
     /// Active sender flows (small; linear scans are fine).
     active: Vec<SenderFlow>,
-    /// Receiver-side per-flow state, keyed in flow-id order (a
-    /// `BTreeMap`, for the same determinism reason as `SenderFlow::timers`).
+    /// Receiver-side per-flow state, keyed in flow-id order (a `BTreeMap`
+    /// so any iteration is in flow-id order — hash order must never leak
+    /// into event scheduling).
     rx: BTreeMap<FlowId, RxFlow>,
-    /// Slow-receiver processing queue per priority (packet sizes awaiting
-    /// host processing); empty and unused when `host_rx_rate` is `None`.
-    rx_q: Vec<VecDeque<u64>>,
     /// Whether a `HostDrain` event is outstanding.
     rx_draining: bool,
-    /// CEE slow receiver: PFC accounting for the host's own receive
-    /// buffer, so an overwhelmed host pauses its ToR.
-    rx_pfc: Vec<PfcIngress>,
     /// Cumulative data bytes transmitted (trace sampling).
     pub tx_bytes: u64,
 }
@@ -100,33 +178,35 @@ impl Host {
     /// Create a host attached to a link of `line_rate`, configured per
     /// `fc` with `num_prios` priorities/VLs.
     pub fn new(id: NodeId, line_rate: Rate, fc: &FlowControlMode, num_prios: u8) -> Host {
-        let n = num_prios as usize;
-        let (cbfc_tx, cbfc_rx) = match fc {
-            FlowControlMode::Cbfc(c) => (
-                (0..n).map(|_| CbfcSender::new(*c)).collect(),
-                (0..n).map(|_| CbfcReceiver::new(*c)).collect(),
-            ),
-            _ => (Vec::new(), Vec::new()),
-        };
-        let rx_pfc = match fc {
-            FlowControlMode::Pfc(p) => (0..n).map(|_| PfcIngress::new(*p)).collect(),
-            _ => Vec::new(),
-        };
+        let lanes = (0..num_prios)
+            .map(|_| HostLane {
+                fc: match fc {
+                    FlowControlMode::Cbfc(c) => LaneFc::Ib {
+                        tx: CbfcSender::new(*c),
+                        blocked: false,
+                        rx: CbfcReceiver::new(*c),
+                    },
+                    FlowControlMode::Pfc(p) => LaneFc::Eth {
+                        paused: PfcEgress::new(),
+                        rx_pfc: Some(PfcIngress::new(*p)),
+                    },
+                    FlowControlMode::Lossy { .. } => LaneFc::Eth {
+                        paused: PfcEgress::new(),
+                        rx_pfc: None,
+                    },
+                },
+                rx_q: VecDeque::new(),
+            })
+            .collect();
         Host {
             id,
             line_rate,
-            gate: TxGate::new(),
-            pfc_paused: (0..n).map(|_| PfcEgress::new()).collect(),
-            cbfc_tx,
-            blocked_vl: vec![false; n],
-            cbfc_rx,
+            lanes,
             ctrl: VecDeque::new(),
             feedback_q: VecDeque::new(),
             active: Vec::new(),
             rx: BTreeMap::new(),
-            rx_q: (0..n).map(|_| VecDeque::new()).collect(),
             rx_draining: false,
-            rx_pfc,
             tx_bytes: 0,
         }
     }
@@ -143,10 +223,7 @@ impl Host {
 
     /// The current CC rate of an active flow, if still sending.
     pub fn flow_rate(&self, flow: FlowId) -> Option<Rate> {
-        self.active
-            .iter()
-            .find(|f| f.id == flow)
-            .map(|f| f.cc.rate())
+        self.active.iter().find(|f| f.id == flow).map(|f| f.rate)
     }
 
     /// Start a flow: install its controller and kick the NIC.
@@ -170,14 +247,14 @@ impl Host {
             prio,
             next_tx: ctx.now,
             cc,
-            // simlint: allow(hot-path-alloc) -- one-time flow-start setup, not per-packet steady state
-            timers: BTreeMap::new(),
+            rate: Rate::ZERO,
+            timers: FlowTimers::default(),
         };
         Self::apply_action(ctx, self.id, &mut flow, action);
         if ctx.cfg.is_lossy() {
             // Arm the retransmission timeout.
             let at = ctx.now + ctx.cfg.rto;
-            flow.timers.insert(RTO_TIMER, at);
+            flow.timers.set(RTO_TIMER, at);
             ctx.q.schedule(
                 at,
                 Event::CcTimer {
@@ -191,10 +268,13 @@ impl Host {
         self.kick(ctx);
     }
 
+    /// Finish a controller call (`start` or `on_event`): schedule the
+    /// timers it asked for and re-read its rate.
     fn apply_action(ctx: &mut Ctx<'_>, host: NodeId, flow: &mut SenderFlow, action: CcAction) {
-        for (id, delay) in action.timers {
+        flow.rate = flow.cc.rate();
+        for (id, delay) in action.timers() {
             let at = ctx.now + delay;
-            flow.timers.insert(id, at);
+            flow.timers.set(id, at);
             ctx.q.schedule(
                 at,
                 Event::CcTimer {
@@ -213,17 +293,17 @@ impl Host {
             return; // flow finished sending; stale timer
         };
         let flow = &mut self.active[idx];
-        if flow.timers.get(&timer) != Some(&ctx.now) {
+        if flow.timers.get(timer) != Some(ctx.now) {
             return; // superseded
         }
-        flow.timers.remove(&timer);
+        flow.timers.clear(timer);
         if timer == RTO_TIMER {
             // Go-back-N: rewind to the last acknowledged byte and re-arm.
             if flow.acked < flow.size {
                 flow.sent = flow.acked;
                 flow.next_tx = ctx.now;
                 let at = ctx.now + ctx.cfg.rto;
-                flow.timers.insert(RTO_TIMER, at);
+                flow.timers.set(RTO_TIMER, at);
                 ctx.q.schedule(
                     at,
                     Event::CcTimer {
@@ -246,61 +326,38 @@ impl Host {
     /// Ask the engine to run `port_tx` as soon as the NIC could usefully
     /// transmit.
     pub fn kick(&mut self, ctx: &mut Ctx<'_>) {
-        // A downed link transmits nothing; on_link_state re-kicks on
-        // recovery so held queues (and control frames) drain then.
-        if !ctx.links.is_up(self.id, 0) {
-            return;
-        }
-        if let Some(at) = self.gate.want(ctx.now) {
-            ctx.q.schedule(
-                at,
-                Event::PortTx {
-                    node: self.id,
-                    port: 0,
-                },
-            );
-            self.gate.note_scheduled(at);
-        }
+        ctx.kick(self.id, 0);
     }
 
-    // simlint: allow(hot-path-panic) -- prio indexes per-priority arrays sized at construction
-    fn can_send_prio(&self, prio: u8, bytes: u64, is_ib: bool) -> bool {
-        if is_ib {
-            self.cbfc_tx[prio as usize].can_send(bytes)
-        } else {
-            !self.pfc_paused[prio as usize].is_paused()
-        }
+    /// The lane record of `prio`.
+    // simlint: allow(hot-path-panic) -- prio < num_prios is validated at flow registration and config build; lanes is sized num_prios at construction
+    fn lane(&mut self, prio: u8) -> &mut HostLane {
+        &mut self.lanes[prio as usize]
     }
 
     /// The NIC transmitter is (possibly) free: send the next frame.
-    // simlint: allow(hot-path-panic) -- pop_front follows a successful front(); flow/prio indices bounded by construction
+    // simlint: allow(hot-path-panic) -- the flow index comes from enumerate() over the same vec; flow prios index lanes, sized num_prios at construction
     pub fn port_tx(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.gate.on_event(ctx.now) {
+        if !ctx.tx_ready(self.id, 0) {
             return;
         }
-        // Checked only after the gate consumed the event — returning
-        // earlier would leave the gate believing a PortTx is still
-        // pending and the NIC would never restart after recovery.
-        if !ctx.links.is_up(self.id, 0) {
-            return;
-        }
-        let is_ib = ctx.cfg.is_ib();
 
         // 1. Link-local control (FCCL) preempts everything and is ungated.
         if let Some(pkt) = self.ctrl.pop_front() {
-            self.transmit(ctx, pkt, is_ib, false);
+            ctx.transmit(self.id, 0, pkt);
             return;
         }
 
         // 2. End-to-end feedback next.
         if let Some(pkt) = self.feedback_q.front() {
-            if self.can_send_prio(pkt.prio, pkt.size, is_ib) {
-                let pkt = self.feedback_q.pop_front().unwrap();
-                self.transmit(ctx, pkt, is_ib, true);
+            let (prio, size) = (pkt.prio, pkt.size);
+            if self.lane(prio).can_send(size) {
+                if let Some(pkt) = self.feedback_q.pop_front() {
+                    self.transmit(ctx, pkt);
+                }
                 return;
-            } else if is_ib {
-                self.blocked_vl[ctx.cfg.feedback_prio as usize] = true;
             }
+            self.lane(ctx.cfg.feedback_prio).note_blocked();
         }
 
         // 3. Data: pick the most overdue eligible flow.
@@ -315,13 +372,12 @@ impl Host {
                 continue;
             }
             let seg = mtu.min(f.size - f.sent);
-            if !self.can_send_prio(f.prio, seg, is_ib) {
-                if is_ib {
-                    self.blocked_vl[f.prio as usize] = true;
-                }
+            let lane = &mut self.lanes[f.prio as usize];
+            if !lane.can_send(seg) {
+                lane.note_blocked();
                 continue;
             }
-            if f.cc.rate() == Rate::ZERO {
+            if f.rate == Rate::ZERO {
                 continue; // fully throttled; a CC event will re-kick
             }
             if f.next_tx <= ctx.now {
@@ -341,16 +397,7 @@ impl Host {
         let Some(i) = best else {
             // Nothing due now; wake when the earliest pacer allows.
             if let Some(w) = pacing_wake {
-                if let Some(at) = self.gate.want(w) {
-                    ctx.q.schedule(
-                        at,
-                        Event::PortTx {
-                            node: self.id,
-                            port: 0,
-                        },
-                    );
-                    self.gate.note_scheduled(at);
-                }
+                ctx.wake_at(self.id, 0, w);
             }
             return;
         };
@@ -372,7 +419,7 @@ impl Host {
         pkt.sent_at = ctx.now;
         f.sent += seg;
         // Pace the next segment at the CC rate.
-        f.next_tx = ctx.now + f.cc.rate().serialize_time(seg);
+        f.next_tx = ctx.now + f.rate.serialize_time(seg);
         let ev = CcEvent::Sent { bytes: seg };
         ctx.obs.cc_event(self.id.0, ev.kind_name());
         let action = f.cc.on_event(ctx.now, ev);
@@ -388,75 +435,38 @@ impl Host {
             self.active.retain(|f| f.id != fid);
         }
         self.tx_bytes += seg;
-        self.transmit(ctx, pkt, is_ib, true);
+        self.transmit(ctx, pkt);
     }
 
-    /// Put a frame on the wire and schedule the next transmitter slot.
-    // simlint: allow(hot-path-panic) -- pkt.prio indexes the per-VL credit array sized at construction
-    fn transmit(&mut self, ctx: &mut Ctx<'_>, pkt: Box<Packet>, is_ib: bool, credit_gated: bool) {
-        if is_ib && credit_gated {
-            self.cbfc_tx[pkt.prio as usize].on_send(pkt.size);
+    /// Put a credit-gated frame (feedback or data) on the wire.
+    fn transmit(&mut self, ctx: &mut Ctx<'_>, pkt: Box<Packet>) {
+        if let LaneFc::Ib { tx, .. } = &mut self.lane(pkt.prio).fc {
+            tx.on_send(pkt.size);
         }
-        let link = *ctx.topo.link(self.id, 0);
-        // Latent-assumption tripwire: reaching here on a downed link
-        // means a caller skipped the link gate. Surface it as a
-        // structured violation (audited builds) or assert (plain debug
-        // builds), then transmit anyway — the packet stays in flight, so
-        // conservation holds either way.
-        if !ctx.links.is_up(self.id, 0) {
-            #[cfg(feature = "audit")]
-            ctx.audit.report(crate::audit::Violation {
-                family: crate::audit::InvariantFamily::ProtocolLegality,
-                t: ctx.now,
-                node: self.id,
-                port: 0,
-                prio: u8::MAX,
-                message: "transmit scheduled on a downed link".into(),
-            });
-            #[cfg(not(feature = "audit"))]
-            debug_assert!(false, "transmit scheduled on a downed host link");
-        }
-        let rate = ctx.links.rate(self.id, 0, link.rate);
-        let ser = rate.serialize_time(pkt.size);
-        ctx.q.schedule(
-            ctx.now + ser + link.delay,
-            Event::PacketArrival {
-                node: link.peer,
-                in_port: link.peer_port,
-                pkt,
-            },
-        );
-        let free = self.gate.begin_tx(ctx.now, ser);
-        ctx.q.schedule(
-            free,
-            Event::PortTx {
-                node: self.id,
-                port: 0,
-            },
-        );
-        self.gate.note_scheduled(free);
+        ctx.transmit(self.id, 0, pkt);
     }
 
     /// A packet finished arriving at this host.
-    // simlint: allow(hot-path-panic) -- prio/VL fields index per-priority arrays sized at construction
     pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, mut pkt: Box<Packet>) {
         match pkt.kind {
             PacketKind::Pause { prio, pause } => {
-                let changed = self.pfc_paused[prio as usize].on_frame(pause);
-                if changed {
-                    ctx.obs.pfc_frame_rx(ctx.now, self.id.0, 0, prio, pause);
-                    if !pause {
-                        self.kick(ctx);
+                if let LaneFc::Eth { paused, .. } = &mut self.lane(prio).fc {
+                    if paused.on_frame(pause) {
+                        ctx.obs.pfc_frame_rx(ctx.now, self.id.0, 0, prio, pause);
+                        if !pause {
+                            self.kick(ctx);
+                        }
                     }
                 }
                 ctx.pool.recycle(pkt);
             }
             PacketKind::Fccl { vl, fccl } => {
-                let tx = &mut self.cbfc_tx[vl as usize];
-                tx.on_fccl(fccl);
-                if self.blocked_vl[vl as usize] && tx.available_blocks() > 0 {
-                    self.blocked_vl[vl as usize] = false;
-                    self.kick(ctx);
+                if let LaneFc::Ib { tx, blocked, .. } = &mut self.lane(vl).fc {
+                    tx.on_fccl(fccl);
+                    if *blocked && tx.available_blocks() > 0 {
+                        *blocked = false;
+                        self.kick(ctx);
+                    }
                 }
                 ctx.pool.recycle(pkt);
             }
@@ -466,7 +476,7 @@ impl Host {
                 echo,
                 acked_bytes,
             } => {
-                self.account_feedback_rx(ctx, pkt.prio, pkt.size);
+                self.account_feedback_rx(pkt.prio, pkt.size);
                 if ctx.cfg.is_lossy() {
                     self.on_reliable_ack(ctx, pkt.flow, acked_bytes);
                 }
@@ -486,7 +496,7 @@ impl Host {
                 );
             }
             PacketKind::Cnp { code } => {
-                self.account_feedback_rx(ctx, pkt.prio, pkt.size);
+                self.account_feedback_rx(pkt.prio, pkt.size);
                 let flow = pkt.flow;
                 ctx.pool.recycle(pkt);
                 self.deliver_cc_event(ctx, flow, CcEvent::Feedback { code });
@@ -499,10 +509,8 @@ impl Host {
     /// upstream switch paid CBFC credits to deliver them, so skipping this
     /// accounting would let its FCTBS drift ahead of our ABR and slowly
     /// leak credits out of the loop.
-    // simlint: allow(hot-path-panic) -- prio indexes the per-VL credit array sized at construction
-    fn account_feedback_rx(&mut self, ctx: &Ctx<'_>, prio: u8, bytes: u64) {
-        if ctx.cfg.is_ib() {
-            let rx = &mut self.cbfc_rx[prio as usize];
+    fn account_feedback_rx(&mut self, prio: u8, bytes: u64) {
+        if let LaneFc::Ib { rx, .. } = &mut self.lane(prio).fc {
             rx.on_packet_received(bytes);
             rx.on_buffer_freed(bytes);
         }
@@ -525,7 +533,7 @@ impl Host {
             }
             // Progress: push the RTO out.
             let at = ctx.now + ctx.cfg.rto;
-            f.timers.insert(RTO_TIMER, at);
+            f.timers.set(RTO_TIMER, at);
             ctx.q.schedule(
                 at,
                 Event::CcTimer {
@@ -556,52 +564,55 @@ impl Host {
         }
     }
 
-    // simlint: allow(hot-path-panic) -- prio/flow ids index arrays sized at registration; front() precedes the unwrap
+    // simlint: allow(hot-path-panic) -- flow ids index the spec table they were minted from; the receiver map holds the flow's entry (created above) by then
     fn on_data(&mut self, ctx: &mut Ctx<'_>, mut pkt: Box<Packet>) {
+        let id = self.id;
+        let lane = self.lane(pkt.prio);
         if let Some(rate) = ctx.cfg.host_rx_rate {
             // Slow receiver: packets occupy the host's receive buffer until
             // the host processes them at `rate`; the backlog back-pressures
             // the ToR through the normal hop-by-hop machinery.
-            let prio = pkt.prio as usize;
-            if ctx.cfg.is_ib() {
-                self.cbfc_rx[prio].on_packet_received(pkt.size);
-                // freed later, when processed
-            } else if let Some(PfcCommand::SendPause) = self.rx_pfc[prio].on_enqueue(pkt.size) {
-                #[cfg(feature = "audit")]
-                ctx.audit.pfc_pause_sent(
-                    ctx.now,
-                    self.id,
-                    0,
-                    pkt.prio,
-                    self.rx_pfc[prio].buffered_bytes(),
-                    self.rx_pfc[prio].config().xoff_bytes,
-                );
-                self.ctrl.push_back(ctx.pool.boxed(Packet::link_local(
-                    PacketKind::Pause {
-                        prio: pkt.prio,
-                        pause: true,
-                    },
-                    CTRL_FRAME_BYTES,
-                    0,
-                )));
+            let pause = match &mut lane.fc {
+                LaneFc::Ib { rx, .. } => {
+                    rx.on_packet_received(pkt.size); // freed later, when processed
+                    false
+                }
+                LaneFc::Eth {
+                    rx_pfc: Some(pin), ..
+                } => {
+                    let pause = pin.on_enqueue(pkt.size) == Some(PfcCommand::SendPause);
+                    #[cfg(feature = "audit")]
+                    if pause {
+                        ctx.audit.pfc_pause_sent(
+                            ctx.now,
+                            id,
+                            0,
+                            pkt.prio,
+                            pin.buffered_bytes(),
+                            pin.config().xoff_bytes,
+                        );
+                    }
+                    pause
+                }
+                LaneFc::Eth { rx_pfc: None, .. } => false,
+            };
+            lane.rx_q.push_back(pkt.size);
+            let head = lane.rx_q.front().copied().unwrap_or(pkt.size);
+            if pause {
                 ctx.trace.pause_frames += 1;
-                ctx.obs.pfc_frame_tx(ctx.now, self.id.0, 0, pkt.prio, true);
-                self.kick(ctx);
+                self.send_pfc(ctx, pkt.prio, true);
             }
-            self.rx_q[prio].push_back(pkt.size);
             if !self.rx_draining {
                 self.rx_draining = true;
-                let head = *self.rx_q[prio].front().unwrap();
                 ctx.q.schedule(
                     ctx.now + rate.serialize_time(head),
-                    Event::HostDrain { node: self.id },
+                    Event::HostDrain { node: id },
                 );
             }
-        } else if ctx.cfg.is_ib() {
+        } else if let LaneFc::Ib { rx, .. } = &mut lane.fc {
             // Infinitely fast receiver: account and immediately free the
             // host ingress buffer, so the next FCCL advertises the space
             // back upstream.
-            let rx = &mut self.cbfc_rx[pkt.prio as usize];
             rx.on_packet_received(pkt.size);
             rx.on_buffer_freed(pkt.size);
         }
@@ -683,50 +694,72 @@ impl Host {
         }
     }
 
+    /// Queue a PAUSE/RESUME frame for the ToR (slow receiver).
+    fn send_pfc(&mut self, ctx: &mut Ctx<'_>, prio: u8, pause: bool) {
+        self.ctrl.push_back(ctx.pool.boxed(Packet::link_local(
+            PacketKind::Pause { prio, pause },
+            CTRL_FRAME_BYTES,
+            0,
+        )));
+        ctx.obs.pfc_frame_tx(ctx.now, self.id.0, 0, prio, pause);
+        self.kick(ctx);
+    }
+
+    /// The size at the head of the slow-receiver queues (strict priority:
+    /// the lowest-index non-empty lane), with its lane index.
+    fn rx_head(&self) -> Option<(usize, u64)> {
+        self.lanes
+            .iter()
+            .enumerate()
+            .find_map(|(prio, l)| Some((prio, *l.rx_q.front()?)))
+    }
+
     /// A slow receiver finished processing its current head-of-queue
     /// packet: release the buffer space (PFC counter / CBFC credits) and
     /// start on the next packet.
-    // simlint: allow(hot-path-panic) -- prio found by the non-empty scan just above each use; front()/pop follow that check
     pub fn on_host_drain(&mut self, ctx: &mut Ctx<'_>) {
         let Some(rate) = ctx.cfg.host_rx_rate else {
             return;
         };
-        // Strict priority: process the lowest-index non-empty queue.
-        let Some(prio) = (0..self.rx_q.len()).find(|&p| !self.rx_q[p].is_empty()) else {
+        let Some((prio, size)) = self.rx_head() else {
             self.rx_draining = false;
             return;
         };
-        let size = self.rx_q[prio].pop_front().unwrap();
-        if ctx.cfg.is_ib() {
-            self.cbfc_rx[prio].on_buffer_freed(size);
-        } else if let Some(PfcCommand::SendResume) = self.rx_pfc[prio].on_dequeue(size) {
-            #[cfg(feature = "audit")]
-            ctx.audit.pfc_resume_sent(
-                ctx.now,
-                self.id,
-                0,
-                prio as u8,
-                self.rx_pfc[prio].buffered_bytes(),
-                self.rx_pfc[prio].config().xon_bytes,
-            );
-            self.ctrl.push_back(ctx.pool.boxed(Packet::link_local(
-                PacketKind::Pause {
-                    prio: prio as u8,
-                    pause: false,
-                },
-                CTRL_FRAME_BYTES,
-                0,
-            )));
-            ctx.obs
-                .pfc_frame_tx(ctx.now, self.id.0, 0, prio as u8, false);
-            self.kick(ctx);
+        let id = self.id;
+        let lane = self.lane(prio as u8);
+        lane.rx_q.pop_front();
+        let resume = match &mut lane.fc {
+            LaneFc::Ib { rx, .. } => {
+                rx.on_buffer_freed(size);
+                false
+            }
+            LaneFc::Eth {
+                rx_pfc: Some(pin), ..
+            } => {
+                let resume = pin.on_dequeue(size) == Some(PfcCommand::SendResume);
+                #[cfg(feature = "audit")]
+                if resume {
+                    ctx.audit.pfc_resume_sent(
+                        ctx.now,
+                        id,
+                        0,
+                        prio as u8,
+                        pin.buffered_bytes(),
+                        pin.config().xon_bytes,
+                    );
+                }
+                resume
+            }
+            LaneFc::Eth { rx_pfc: None, .. } => false,
+        };
+        if resume {
+            self.send_pfc(ctx, prio as u8, false);
         }
         // Schedule the next processing completion, if any work remains.
-        if let Some(next_prio) = (0..self.rx_q.len()).find(|&p| !self.rx_q[p].is_empty()) {
-            let head = *self.rx_q[next_prio].front().unwrap();
+        if let Some((_, head)) = self.rx_head() {
             ctx.q.schedule(
                 ctx.now + rate.serialize_time(head),
-                Event::HostDrain { node: self.id },
+                Event::HostDrain { node: id },
             );
         } else {
             self.rx_draining = false;
@@ -735,18 +768,16 @@ impl Host {
 
     /// Periodic CBFC credit update: advertise this host's ingress buffer
     /// upstream and reschedule the tick.
-    // simlint: allow(hot-path-panic) -- vl indexes the per-VL credit array sized at construction
     pub fn on_fccl_tick(&mut self, ctx: &mut Ctx<'_>, vl: u8) {
-        let rx = &self.cbfc_rx[vl as usize];
-        let period = rx.update_period();
+        let LaneFc::Ib { rx, .. } = &self.lane(vl).fc else {
+            return; // FCCL ticks are only scheduled in InfiniBand mode
+        };
+        let (period, fccl) = (rx.update_period(), rx.fccl());
         // A dark link carries no credit updates, but the tick train keeps
         // running so advertisement resumes on recovery.
         if ctx.links.is_up(self.id, 0) {
             let msg = ctx.pool.boxed(Packet::link_local(
-                PacketKind::Fccl {
-                    vl,
-                    fccl: rx.fccl(),
-                },
+                PacketKind::Fccl { vl, fccl },
                 FCCL_FRAME_BYTES,
                 ctx.cfg.feedback_prio,
             ));
@@ -781,110 +812,110 @@ impl Host {
     }
 
     /// Checkpoint: the host's receive-side accounting (CBFC occupancy or
-    /// PFC counters) must match the slow-receiver queue contents, and its
-    /// credit senders must respect the switch's advertised limit.
+    /// PFC counters) must match the slow-receiver queue contents, its
+    /// credit senders must respect the switch's advertised limit, and
+    /// every sender flow's cached rate must be its controller's.
     #[cfg(feature = "audit")]
     pub(crate) fn audit_check(&self, a: &mut crate::audit::Audit, now: SimTime) {
         use crate::audit::{InvariantFamily, Violation};
         use lossless_flowctl::units::bytes_to_blocks;
 
         let headroom = a.config().pfc_headroom_bytes;
-        for prio in 0..self.rx_q.len() {
-            if let Some(rx) = self.cbfc_rx.get(prio) {
-                let blocks: u64 = self.rx_q[prio].iter().map(|&s| bytes_to_blocks(s)).sum();
-                let occ = rx.occupied_blocks();
-                if occ != blocks {
-                    a.report(Violation {
-                        family: InvariantFamily::BufferAccounting,
-                        t: now,
-                        node: self.id,
-                        port: 0,
-                        prio: prio as u8,
-                        message: format!(
-                            "host ingress occupancy {occ} blocks != queued {blocks} blocks"
-                        ),
-                    });
-                }
-                let cap = rx.capacity_blocks();
-                if occ > cap {
-                    a.report(Violation {
-                        family: InvariantFamily::BufferAccounting,
-                        t: now,
-                        node: self.id,
-                        port: 0,
-                        prio: prio as u8,
-                        message: format!(
-                            "host receive buffer holds {occ} blocks, capacity is {cap}"
-                        ),
-                    });
-                }
+        for f in &self.active {
+            let want = f.cc.rate();
+            if f.rate != want {
+                a.report(Violation {
+                    family: InvariantFamily::BufferAccounting,
+                    t: now,
+                    node: self.id,
+                    port: 0,
+                    prio: f.prio,
+                    message: format!(
+                        "flow {} paces at a cached {:?} but its controller says {want:?}",
+                        f.id.0, f.rate
+                    ),
+                });
             }
-            if let Some(tx) = self.cbfc_tx.get(prio) {
-                let (fctbs, fccl) = (tx.fctbs(), tx.fccl_limit());
-                if fctbs > fccl {
-                    a.report(Violation {
-                        family: InvariantFamily::ProtocolLegality,
-                        t: now,
-                        node: self.id,
-                        port: 0,
-                        prio: prio as u8,
-                        message: format!("FCTBS {fctbs} exceeds the advertised FCCL {fccl}"),
-                    });
+        }
+        for (prio, lane) in self.lanes.iter().enumerate() {
+            let mut report = |family, message| {
+                a.report(Violation {
+                    family,
+                    t: now,
+                    node: self.id,
+                    port: 0,
+                    prio: prio as u8,
+                    message,
+                })
+            };
+            match &lane.fc {
+                LaneFc::Ib { tx, rx, .. } => {
+                    let blocks: u64 = lane.rx_q.iter().map(|&s| bytes_to_blocks(s)).sum();
+                    let occ = rx.occupied_blocks();
+                    if occ != blocks {
+                        report(
+                            InvariantFamily::BufferAccounting,
+                            format!(
+                                "host ingress occupancy {occ} blocks != queued {blocks} blocks"
+                            ),
+                        );
+                    }
+                    let cap = rx.capacity_blocks();
+                    if occ > cap {
+                        report(
+                            InvariantFamily::BufferAccounting,
+                            format!("host receive buffer holds {occ} blocks, capacity is {cap}"),
+                        );
+                    }
+                    let (fctbs, fccl) = (tx.fctbs(), tx.fccl_limit());
+                    if fctbs > fccl {
+                        report(
+                            InvariantFamily::ProtocolLegality,
+                            format!("FCTBS {fctbs} exceeds the advertised FCCL {fccl}"),
+                        );
+                    }
                 }
-            }
-            if let Some(pin) = self.rx_pfc.get(prio) {
-                let bytes: u64 = self.rx_q[prio].iter().sum();
-                let b = pin.buffered_bytes();
-                let cfg = pin.config();
-                if b != bytes {
-                    a.report(Violation {
-                        family: InvariantFamily::BufferAccounting,
-                        t: now,
-                        node: self.id,
-                        port: 0,
-                        prio: prio as u8,
-                        message: format!("host PFC counter {b} != queued bytes {bytes}"),
-                    });
+                LaneFc::Eth {
+                    rx_pfc: Some(pin), ..
+                } => {
+                    let bytes: u64 = lane.rx_q.iter().sum();
+                    let b = pin.buffered_bytes();
+                    let cfg = pin.config();
+                    if b != bytes {
+                        report(
+                            InvariantFamily::BufferAccounting,
+                            format!("host PFC counter {b} != queued bytes {bytes}"),
+                        );
+                    }
+                    if b > cfg.xoff_bytes.saturating_add(headroom) {
+                        report(
+                            InvariantFamily::BufferAccounting,
+                            format!(
+                                "host PFC counter {b} exceeds X_off {} + headroom {headroom}",
+                                cfg.xoff_bytes
+                            ),
+                        );
+                    }
+                    if pin.is_pausing_upstream() && b <= cfg.xon_bytes {
+                        report(
+                            InvariantFamily::ProtocolLegality,
+                            format!(
+                                "PAUSE outstanding while counter {b} <= X_on {}",
+                                cfg.xon_bytes
+                            ),
+                        );
+                    }
+                    if !pin.is_pausing_upstream() && b > cfg.xoff_bytes {
+                        report(
+                            InvariantFamily::ProtocolLegality,
+                            format!(
+                                "no PAUSE outstanding while counter {b} > X_off {}",
+                                cfg.xoff_bytes
+                            ),
+                        );
+                    }
                 }
-                if b > cfg.xoff_bytes.saturating_add(headroom) {
-                    a.report(Violation {
-                        family: InvariantFamily::BufferAccounting,
-                        t: now,
-                        node: self.id,
-                        port: 0,
-                        prio: prio as u8,
-                        message: format!(
-                            "host PFC counter {b} exceeds X_off {} + headroom {headroom}",
-                            cfg.xoff_bytes
-                        ),
-                    });
-                }
-                if pin.is_pausing_upstream() && b <= cfg.xon_bytes {
-                    a.report(Violation {
-                        family: InvariantFamily::ProtocolLegality,
-                        t: now,
-                        node: self.id,
-                        port: 0,
-                        prio: prio as u8,
-                        message: format!(
-                            "PAUSE outstanding while counter {b} <= X_on {}",
-                            cfg.xon_bytes
-                        ),
-                    });
-                }
-                if !pin.is_pausing_upstream() && b > cfg.xoff_bytes {
-                    a.report(Violation {
-                        family: InvariantFamily::ProtocolLegality,
-                        t: now,
-                        node: self.id,
-                        port: 0,
-                        prio: prio as u8,
-                        message: format!(
-                            "no PAUSE outstanding while counter {b} > X_off {}",
-                            cfg.xoff_bytes
-                        ),
-                    });
-                }
+                LaneFc::Eth { rx_pfc: None, .. } => {}
             }
         }
     }
@@ -892,16 +923,18 @@ impl Host {
     /// Sender-side credit state towards the ToR: `(FCTBS, FCCL)`.
     #[cfg(feature = "audit")]
     pub(crate) fn audit_cbfc_tx(&self, vl: u8) -> Option<(u64, u64)> {
-        self.cbfc_tx
-            .get(vl as usize)
-            .map(|t| (t.fctbs(), t.fccl_limit()))
+        match &self.lanes.get(vl as usize)?.fc {
+            LaneFc::Ib { tx, .. } => Some((tx.fctbs(), tx.fccl_limit())),
+            LaneFc::Eth { .. } => None,
+        }
     }
 
     /// Receiver-side credit state: `(ABR, occupied, capacity)`.
     #[cfg(feature = "audit")]
     pub(crate) fn audit_cbfc_rx(&self, vl: u8) -> Option<(u64, u64, u64)> {
-        self.cbfc_rx
-            .get(vl as usize)
-            .map(|r| (r.abr(), r.occupied_blocks(), r.capacity_blocks()))
+        match &self.lanes.get(vl as usize)?.fc {
+            LaneFc::Ib { rx, .. } => Some((rx.abr(), rx.occupied_blocks(), rx.capacity_blocks())),
+            LaneFc::Eth { .. } => None,
+        }
     }
 }

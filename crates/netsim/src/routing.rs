@@ -33,8 +33,13 @@ pub enum RouteSelect {
 /// Precomputed next-hop tables for a topology.
 #[derive(Debug, Clone)]
 pub struct Routing {
-    /// `table[node][dst_dense] -> sorted candidate egress ports`.
-    table: Vec<Vec<Vec<u16>>>,
+    /// Every `(node, destination)` cell's sorted candidate egress ports,
+    /// concatenated.
+    cands: Vec<u16>,
+    /// Where cell `node * n_dsts + dst_dense` sits in `cands`: `(offset,
+    /// length)`.
+    cells: Vec<(u32, u16)>,
+    n_dsts: usize,
     /// Dense index per destination host (`usize::MAX` for non-hosts).
     dst_index: Vec<usize>,
     select: RouteSelect,
@@ -49,7 +54,9 @@ impl Routing {
         for (i, h) in hosts.iter().enumerate() {
             dst_index[h.index()] = i;
         }
-        let mut table = vec![vec![Vec::new(); hosts.len()]; n];
+        let n_dsts = hosts.len();
+        let mut cands: Vec<u16> = Vec::new();
+        let mut cells = vec![(0u32, 0u16); n * n_dsts];
 
         // Reverse BFS from each destination host.
         let mut dist = vec![u32::MAX; n];
@@ -75,34 +82,44 @@ impl Routing {
                     continue;
                 }
                 let node = NodeId(u as u32);
-                let mut cands: Vec<u16> = topo
-                    .ports(node)
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| dist[l.peer.index()] + 1 == dist[u])
-                    .map(|(p, _)| p as u16)
-                    .collect();
-                cands.sort_unstable();
-                table[u][di] = cands;
+                // Ports are visited in index order, so each cell is sorted.
+                let off = cands.len();
+                cands.extend(
+                    topo.ports(node)
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, l)| dist[l.peer.index()] + 1 == dist[u])
+                        .map(|(p, _)| p as u16),
+                );
+                cells[u * n_dsts + di] = (off as u32, (cands.len() - off) as u16);
             }
         }
 
         Routing {
-            table,
+            cands,
+            cells,
+            n_dsts,
             dst_index,
             select,
         }
     }
 
+    /// The candidate ports of cell `(node, dst_dense)`.
+    // simlint: allow(hot-path-panic) -- node/dst ids index tables built for this topology; every cell's (offset, length) lies inside `cands` by construction
+    fn cell(&self, node: usize, di: usize) -> &[u16] {
+        let (off, len) = self.cells[node * self.n_dsts + di];
+        &self.cands[off as usize..off as usize + len as usize]
+    }
+
     /// The egress port `node` should use to forward `flow` towards `dst`.
     ///
     /// Panics if `dst` is unreachable from `node` (a topology bug).
-    // simlint: allow(hot-path-panic) -- node/dst ids index tables built for this topology; the
+    // simlint: allow(hot-path-panic) -- dst ids index the table built for this topology; the
     // explicit assert documents the unreachable-destination bug case, and idx is % cands.len()
     pub fn out_port(&self, node: NodeId, dst: NodeId, flow: FlowId) -> u16 {
         let di = self.dst_index[dst.index()];
         debug_assert!(di != usize::MAX, "destination {dst:?} is not a host");
-        let cands = &self.table[node.index()][di];
+        let cands = self.cell(node.index(), di);
         assert!(
             !cands.is_empty(),
             "no route from node {:?} to host {:?}",
@@ -132,7 +149,7 @@ impl Routing {
     /// All equal-cost candidate ports from `node` towards `dst` (tests and
     /// diagnostics).
     pub fn candidates(&self, node: NodeId, dst: NodeId) -> &[u16] {
-        &self.table[node.index()][self.dst_index[dst.index()]]
+        self.cell(node.index(), self.dst_index[dst.index()])
     }
 
     /// The path a given flow takes from `src` to `dst`, as a list of
@@ -170,9 +187,8 @@ impl Routing {
     ///
     /// Panics if consecutive path nodes are not directly linked or the
     /// path's last node is not a host.
-    // simlint: allow(hot-path-panic, hot-path-alloc) -- validated statically by topolint's
-    // fault-route checks before any plan runs; the panics are the documented contract, and the
-    // single-port vec replaces a candidate set only when a fault event rewires routing
+    // simlint: allow(hot-path-panic) -- validated statically by topolint's fault-route checks
+    // before any plan runs; the panics are the documented contract
     pub fn apply_path(&mut self, topo: &Topology, path: &[NodeId]) {
         let Some(&dst) = path.last() else { return };
         let di = self.dst_index[dst.index()];
@@ -182,7 +198,11 @@ impl Routing {
             let p = topo
                 .port_towards(u, v)
                 .unwrap_or_else(|| panic!("pinned path hop {u:?} -> {v:?} is not a link"));
-            self.table[u.index()][di] = vec![p];
+            // The pinned port goes at the end of `cands` (a cell may have
+            // been empty); the cell's old candidates stay behind unused
+            // until the next swap recomposes from the baseline tables.
+            self.cells[u.index() * self.n_dsts + di] = (self.cands.len() as u32, 1);
+            self.cands.push(p);
         }
     }
 
@@ -197,17 +217,16 @@ impl Routing {
     /// path is considered.
     pub fn channel_dependencies(&self, topo: &Topology) -> BTreeSet<(Channel, Channel)> {
         let mut deps = BTreeSet::new();
-        let n_dsts = topo.hosts().len();
-        for di in 0..n_dsts {
+        for di in 0..self.n_dsts {
             for u in 0..topo.node_count() {
-                let cands = &self.table[u][di];
+                let cands = self.cell(u, di);
                 if cands.is_empty() {
                     continue;
                 }
                 let node = NodeId(u as u32);
                 for &p in cands {
                     let v = topo.link(node, p).peer;
-                    for &q in &self.table[v.index()][di] {
+                    for &q in self.cell(v.index(), di) {
                         deps.insert(((node, p), (v, q)));
                     }
                 }

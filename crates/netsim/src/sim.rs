@@ -3,10 +3,10 @@
 
 use crate::cchooks::RateController;
 use crate::config::{FlowControlMode, SimConfig};
-use crate::event::{Event, EventQueue};
+use crate::event::{Event, EventQueue, TxGate};
 use crate::host::Host;
 use crate::ibswitch::IbSwitch;
-use crate::packet::{FlowId, PacketPool};
+use crate::packet::{FlowId, Packet, PacketPool};
 use crate::routing::{RouteSelect, Routing};
 use crate::switch::EthSwitch;
 use crate::topology::{NodeId, NodeKind, Topology};
@@ -54,14 +54,90 @@ pub struct Ctx<'a> {
     /// [`ObsLevel::Off`](lossless_obs::ObsLevel)): handlers feed it
     /// control frames, marks, stalls and state transitions.
     pub obs: &'a mut lossless_obs::Obs,
-    /// Runtime link health (fault injection): nodes consult it before
-    /// scheduling a transmission — a downed port holds its queues, a
+    /// The per-port link records: peer, delay, health (fault injection),
+    /// effective rate and transmitter gate. Nodes reach it through
+    /// [`tx_ready`](Ctx::tx_ready), [`kick`](Ctx::kick) and
+    /// [`transmit`](Ctx::transmit) — a downed port holds its queues, a
     /// degraded one serializes at the overridden rate.
-    pub links: &'a crate::fault::LinkState,
+    pub links: &'a mut crate::fault::LinkState,
     /// The invariant auditor (audit builds only); handlers feed it state
     /// transitions, marks, and PFC threshold crossings.
     #[cfg(feature = "audit")]
     pub audit: &'a mut crate::audit::Audit,
+}
+
+impl Ctx<'_> {
+    /// Enter a `PortTx` handler for `(node, port)`: consume the pending
+    /// wake-up and report whether a frame may start now (transmitter free
+    /// and link up). The link is checked only after the gate consumed the
+    /// event — returning earlier would leave the gate believing a `PortTx`
+    /// is still pending and the port would never restart after recovery.
+    pub(crate) fn tx_ready(&mut self, node: NodeId, port: u16) -> bool {
+        let l = self.links.port_mut(node, port);
+        l.gate.on_event(self.now) && l.up
+    }
+
+    /// Ask for a `PortTx` at `(node, port)` as soon as the transmitter
+    /// could usefully run. A downed link transmits nothing; the node's
+    /// `on_link_state` re-kicks on recovery so held queues (and control
+    /// frames) drain then.
+    pub(crate) fn kick(&mut self, node: NodeId, port: u16) {
+        let l = self.links.port_mut(node, port);
+        if l.up {
+            wake(&mut l.gate, self.q, node, port, self.now);
+        }
+    }
+
+    /// Schedule a `PortTx` at `(node, port)` for `at` (or when the
+    /// transmitter frees up, if later) unless an earlier-or-equal one is
+    /// already pending.
+    pub(crate) fn wake_at(&mut self, node: NodeId, port: u16, at: SimTime) {
+        let l = self.links.port_mut(node, port);
+        wake(&mut l.gate, self.q, node, port, at);
+    }
+
+    /// Put `pkt` on the wire at `(node, port)`: schedule its arrival at
+    /// the peer and the transmitter's next `PortTx` slot.
+    pub(crate) fn transmit(&mut self, node: NodeId, port: u16, pkt: Box<Packet>) {
+        let l = self.links.port_mut(node, port);
+        // Latent-assumption tripwire: reaching here on a downed link
+        // means a caller skipped the link gate. Surface it as a
+        // structured violation (audited builds) or assert (plain debug
+        // builds), then transmit anyway — the packet stays in flight, so
+        // conservation holds either way.
+        if !l.up {
+            #[cfg(feature = "audit")]
+            self.audit.report(crate::audit::Violation {
+                family: crate::audit::InvariantFamily::ProtocolLegality,
+                t: self.now,
+                node,
+                port,
+                prio: u8::MAX,
+                message: "transmit scheduled on a downed link".into(),
+            });
+            #[cfg(not(feature = "audit"))]
+            debug_assert!(false, "transmit scheduled on a downed link at port {port}");
+        }
+        let ser = l.rate.serialize_time(pkt.size);
+        self.q.schedule(
+            self.now + ser + l.delay,
+            Event::PacketArrival {
+                node: l.peer,
+                in_port: l.peer_port,
+                pkt,
+            },
+        );
+        let free = l.gate.begin_tx(self.now, ser);
+        self.q.schedule(free, Event::PortTx { node, port });
+        l.gate.note_scheduled(free);
+    }
+}
+
+fn wake(gate: &mut TxGate, q: &mut EventQueue, node: NodeId, port: u16, at: SimTime) {
+    if let Some(at) = gate.want(at) {
+        q.schedule(at, Event::PortTx { node, port });
+        gate.note_scheduled(at);
+    }
 }
 
 // Hosts are by far the largest variant, but the node table is tiny (one
@@ -680,6 +756,7 @@ impl Simulator {
                 Node::Ib(s) => s.audit_check(&mut self.audit, now),
             }
         }
+        self.links.audit_check(&self.topo, &mut self.audit, now);
         self.audit.note_check(InvariantFamily::BufferAccounting);
 
         // (c) Global CBFC credit ledger: along every directed link, the
@@ -963,7 +1040,7 @@ impl Simulator {
                     flows: &self.flows,
                     pool: &mut self.pool,
                     obs: &mut self.obs,
-                    links: &self.links,
+                    links: &mut self.links,
                     #[cfg(feature = "audit")]
                     audit: &mut self.audit,
                 }
@@ -1012,8 +1089,8 @@ impl Simulator {
                 // started with (as on real hardware, where a frame's
                 // clocking is fixed once it starts).
                 let l = *self.topo.link(node, port);
-                self.links.set_rate(node, port, rate);
-                self.links.set_rate(l.peer, l.peer_port, rate);
+                self.links.set_rate(node, port, rate, l.rate);
+                self.links.set_rate(l.peer, l.peer_port, rate, l.rate);
                 self.obs.fault(
                     now,
                     node.0,

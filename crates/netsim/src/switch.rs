@@ -11,7 +11,7 @@
 //! serving that priority — that is the ON-OFF pattern TCD observes.
 
 use crate::config::FlowControlMode;
-use crate::event::{Event, TxGate};
+use crate::event::Event;
 use crate::packet::{Packet, PacketKind};
 use crate::sim::Ctx;
 use crate::topology::NodeId;
@@ -22,74 +22,91 @@ use std::collections::VecDeque;
 use tcd_core::detector::{CongestionDetector, DequeueContext};
 use tcd_core::TernaryState;
 
-/// One port of an Ethernet switch (egress queues + ingress accounting).
-pub struct EthPort {
-    /// Per-priority egress FIFO.
-    q: Vec<VecDeque<Box<Packet>>>,
-    /// Per-priority queued bytes.
-    qbytes: Vec<u64>,
+/// One (port, priority) lane of an Ethernet switch: the egress FIFO with
+/// its pause state and detector, plus the PFC accounting of packets that
+/// *arrived* through this port on this priority.
+struct EthLane {
+    /// Egress FIFO.
+    q: VecDeque<Box<Packet>>,
+    /// Queued bytes.
+    qbytes: u64,
+    /// Pause state of this egress (set by the downstream switch's PAUSE
+    /// frames).
+    paused: PfcEgress,
+    /// PFC accounting for packets that arrived through this port.
+    pfc_in: PfcIngress,
+    /// Number of times this egress was paused. Packets stamp the epoch at
+    /// enqueue; an advance during their wait means they were "delayed by
+    /// flow control" — the input NP-ECN-style detectors need.
+    pause_epoch: u64,
+    /// Congestion detector (only the data priority's is consulted, but
+    /// every lane owns one for uniformity).
+    det: Box<dyn CongestionDetector>,
+    /// Earliest pending detector-timer event.
+    det_timer: Option<SimTime>,
+    /// Last detector state observed, used to detect Fig.-6 transitions
+    /// for the observability layer without polling.
+    last_state: TernaryState,
+}
+
+/// The per-port state that is not per-priority.
+struct EthPortCtl {
     /// Link-local control frames (PAUSE/RESUME) to send out this port;
     /// preempt all data.
     ctrl: VecDeque<Box<Packet>>,
-    /// Pause state of this egress per priority (set by the downstream
-    /// switch's PAUSE frames).
-    paused: Vec<PfcEgress>,
-    /// PFC accounting for packets that *arrived* through this port, per
-    /// priority.
-    pfc_in: Vec<PfcIngress>,
-    /// Number of times this egress was paused, per priority. Packets stamp
-    /// the epoch at enqueue; an advance during their wait means they were
-    /// "delayed by flow control" — the input NP-ECN-style detectors need.
-    pause_epochs: Vec<u64>,
-    /// Congestion detector per priority (only the data priority is
-    /// consulted, but every priority owns one for uniformity).
-    det: Vec<Box<dyn CongestionDetector>>,
-    /// Earliest pending detector-timer event per priority.
-    det_timer: Vec<Option<SimTime>>,
-    /// Last detector state observed per priority, used to detect Fig.-6
-    /// transitions for the observability layer without polling.
-    last_state: Vec<TernaryState>,
-    gate: TxGate,
+    /// Cumulative data bytes transmitted (trace sampling).
+    tx_bytes: u64,
+}
+
+/// A read-only view of one port of an Ethernet switch (egress queues +
+/// ingress accounting), for traces and tests.
+pub struct EthPort<'a> {
+    lanes: &'a [EthLane],
     /// Cumulative data bytes transmitted (trace sampling).
     pub tx_bytes: u64,
 }
 
-impl EthPort {
+impl EthPort<'_> {
+    // simlint: allow(hot-path-panic) -- prio < num_prios is validated at config build; a port's lane slice is num_prios long
+    fn lane(&self, prio: u8) -> &EthLane {
+        &self.lanes[prio as usize]
+    }
+
     /// Egress queue length in bytes for `prio`.
-    // simlint: allow(hot-path-panic) -- prio < num_prios is validated at config build; qbytes is sized num_prios at construction
     pub fn queue_bytes(&self, prio: u8) -> u64 {
-        self.qbytes[prio as usize]
+        self.lane(prio).qbytes
     }
 
     /// Whether this egress is paused for `prio`.
-    // simlint: allow(hot-path-panic) -- prio < num_prios is validated at config build; paused is sized num_prios at construction
     pub fn is_paused(&self, prio: u8) -> bool {
-        self.paused[prio as usize].is_paused()
+        self.lane(prio).paused.is_paused()
     }
 
     /// The detector's current belief for `prio`.
-    // simlint: allow(hot-path-panic) -- prio < num_prios is validated at config build; det is sized num_prios at construction
     pub fn port_state(&self, prio: u8) -> TernaryState {
-        self.det[prio as usize].port_state()
+        self.lane(prio).det.port_state()
     }
 
     /// Total PAUSE frames this port's ingress accounting has emitted.
     pub fn pauses_sent(&self) -> u64 {
-        self.pfc_in.iter().map(|p| p.pauses_sent()).sum()
+        self.lanes.iter().map(|l| l.pfc_in.pauses_sent()).sum()
     }
 
     /// Whether this port's ingress accounting currently has an outstanding
     /// PAUSE towards its upstream neighbour for `prio`.
-    // simlint: allow(hot-path-panic) -- prio < num_prios is validated at config build; pfc_in is sized num_prios at construction
     pub fn is_pausing_upstream(&self, prio: u8) -> bool {
-        self.pfc_in[prio as usize].is_pausing_upstream()
+        self.lane(prio).pfc_in.is_pausing_upstream()
     }
 }
 
 /// A shared-buffer Ethernet switch with PFC, or a drop-tail lossy switch.
 pub struct EthSwitch {
     id: NodeId,
-    ports: Vec<EthPort>,
+    /// Priorities per port.
+    np: usize,
+    /// One record per (port, priority): `lanes[port * np + prio]`.
+    lanes: Vec<EthLane>,
+    ports: Vec<EthPortCtl>,
     /// Total bytes buffered across the switch (high-water tracked).
     buffered: u64,
     /// Buffer high-water mark.
@@ -100,8 +117,8 @@ pub struct EthSwitch {
 }
 
 impl EthSwitch {
-    /// Build a switch for `node` with one [`EthPort`] per topology port.
-    /// `mk_det` builds the detector for each `(port, prio)`.
+    /// Build a switch for `node` with `n_ports` ports of `num_prios`
+    /// lanes each. `mk_det` builds the detector for each `(port, prio)`.
     pub fn new(
         id: NodeId,
         n_ports: usize,
@@ -124,28 +141,32 @@ impl EthSwitch {
             FlowControlMode::Cbfc(_) => panic!("EthSwitch cannot run CBFC"),
         };
         let np = num_prios as usize;
-        let ports = (0..n_ports)
-            .map(|p| {
-                let det: Vec<Box<dyn CongestionDetector>> =
-                    (0..np).map(|pr| mk_det(p as u16, pr as u8)).collect();
-                let last_state = det.iter().map(|d| d.port_state()).collect();
-                EthPort {
-                    q: (0..np).map(|_| VecDeque::new()).collect(),
-                    qbytes: vec![0; np],
-                    ctrl: VecDeque::new(),
-                    paused: (0..np).map(|_| PfcEgress::new()).collect(),
-                    pfc_in: (0..np).map(|_| PfcIngress::new(pfc_cfg)).collect(),
-                    pause_epochs: vec![0; np],
+        let mut lanes = Vec::with_capacity(n_ports * np);
+        for p in 0..n_ports {
+            for pr in 0..np {
+                let det = mk_det(p as u16, pr as u8);
+                lanes.push(EthLane {
+                    q: VecDeque::new(),
+                    qbytes: 0,
+                    paused: PfcEgress::new(),
+                    pfc_in: PfcIngress::new(pfc_cfg),
+                    pause_epoch: 0,
+                    last_state: det.port_state(),
                     det,
-                    det_timer: vec![None; np],
-                    last_state,
-                    gate: TxGate::new(),
-                    tx_bytes: 0,
-                }
+                    det_timer: None,
+                });
+            }
+        }
+        let ports = (0..n_ports)
+            .map(|_| EthPortCtl {
+                ctrl: VecDeque::new(),
+                tx_bytes: 0,
             })
             .collect();
         EthSwitch {
             id,
+            np,
+            lanes,
             ports,
             buffered: 0,
             max_buffered: 0,
@@ -154,29 +175,19 @@ impl EthSwitch {
     }
 
     /// Access a port (for traces and tests).
-    // simlint: allow(hot-path-panic) -- port indices come from the topology, which sized the ports vec
-    pub fn port(&self, p: u16) -> &EthPort {
-        &self.ports[p as usize]
+    // simlint: allow(hot-path-panic) -- port indices come from the topology, which sized the ports vec and (x num_prios) the lanes vec
+    pub fn port(&self, p: u16) -> EthPort<'_> {
+        let first = p as usize * self.np;
+        EthPort {
+            lanes: &self.lanes[first..first + self.np],
+            tx_bytes: self.ports[p as usize].tx_bytes,
+        }
     }
 
-    // simlint: allow(hot-path-panic) -- port indices come from the topology, which sized the ports vec
-    fn kick(&mut self, ctx: &mut Ctx<'_>, port: u16) {
-        // A downed link transmits nothing; on_link_state re-kicks on
-        // recovery so held queues (and control frames) drain then.
-        if !ctx.links.is_up(self.id, port) {
-            return;
-        }
-        let gate = &mut self.ports[port as usize].gate;
-        if let Some(at) = gate.want(ctx.now) {
-            ctx.q.schedule(
-                at,
-                Event::PortTx {
-                    node: self.id,
-                    port,
-                },
-            );
-            gate.note_scheduled(at);
-        }
+    /// The lane record of `(port, prio)`.
+    // simlint: allow(hot-path-panic) -- ports come from the topology/routing tables that sized this switch, prio < num_prios is validated at config build
+    fn lane(&mut self, port: u16, prio: usize) -> &mut EthLane {
+        &mut self.lanes[port as usize * self.np + prio]
     }
 
     /// Push a PAUSE/RESUME frame out through `port` (towards the upstream
@@ -191,64 +202,54 @@ impl EthSwitch {
         self.ports[port as usize].ctrl.push_back(frame);
         ctx.trace.pause_frames += 1;
         ctx.obs.pfc_frame_tx(ctx.now, self.id.0, port, prio, pause);
-        self.kick(ctx, port);
+        ctx.kick(self.id, port);
     }
 
     /// Report a detector state change for `(port, prio)` to the
     /// observability layer (cheap two-byte compare when nothing changed).
-    // simlint: allow(hot-path-panic) -- (port, prio) validated by the callers' invariants; vecs sized at construction
     fn obs_note_state(&mut self, ctx: &mut Ctx<'_>, port: u16, prio: u8) {
-        let p = &mut self.ports[port as usize];
-        let cur = p.det[prio as usize].port_state();
-        let prev = p.last_state[prio as usize];
+        let id = self.id;
+        let l = self.lane(port, prio as usize);
+        let cur = l.det.port_state();
+        let prev = l.last_state;
         if cur != prev {
-            p.last_state[prio as usize] = cur;
-            ctx.obs
-                .transition(ctx.now, self.id.0, port, prio, prev, cur);
+            l.last_state = cur;
+            ctx.obs.transition(ctx.now, id.0, port, prio, prev, cur);
         }
     }
 
     /// Re-sync the detector timer for `(port, prio)` with the engine.
-    // simlint: allow(hot-path-panic) -- (port, prio) pairs originate from this switch's own event scheduling; vecs sized at construction
     fn sync_det_timer(&mut self, ctx: &mut Ctx<'_>, port: u16, prio: u8) {
-        let p = &mut self.ports[port as usize];
-        let want = p.det[prio as usize].timer_deadline();
-        let pend = &mut p.det_timer[prio as usize];
-        if let Some(dl) = want {
-            if pend.is_none_or(|t| dl < t) {
-                ctx.q.schedule(
-                    dl,
-                    Event::DetectorTimer {
-                        node: self.id,
-                        port,
-                        prio,
-                    },
-                );
-                *pend = Some(dl);
+        let node = self.id;
+        let l = self.lane(port, prio as usize);
+        if let Some(dl) = l.det.timer_deadline() {
+            if l.det_timer.is_none_or(|t| dl < t) {
+                ctx.q
+                    .schedule(dl, Event::DetectorTimer { node, port, prio });
+                l.det_timer = Some(dl);
             }
         }
     }
 
     /// A detector trend timer fired.
-    // simlint: allow(hot-path-panic) -- (port, prio) echo back from events this switch scheduled; vecs sized at construction
     pub fn on_detector_timer(&mut self, ctx: &mut Ctx<'_>, port: u16, prio: u8) {
         // Back-pressure signal: is this switch currently pausing any
         // upstream on this priority? (Shared-buffer accounting cannot
         // attribute the pause to one egress, so this is switch-wide — a
         // conservative approximation discussed in DESIGN.md.)
         let backpressured = self
-            .ports
+            .lanes
             .iter()
-            .any(|p| p.pfc_in[prio as usize].is_pausing_upstream());
+            .skip(prio as usize)
+            .step_by(self.np)
+            .any(|l| l.pfc_in.is_pausing_upstream());
         {
-            let p = &mut self.ports[port as usize];
-            let pend = &mut p.det_timer[prio as usize];
-            if *pend == Some(ctx.now) {
-                *pend = None;
+            let l = self.lane(port, prio as usize);
+            if l.det_timer == Some(ctx.now) {
+                l.det_timer = None;
             }
-            if p.det[prio as usize].timer_deadline() == Some(ctx.now) {
-                let q = p.qbytes[prio as usize];
-                p.det[prio as usize].on_timer(ctx.now, q, backpressured);
+            if l.det.timer_deadline() == Some(ctx.now) {
+                l.det.on_timer(ctx.now, l.qbytes, backpressured);
             }
         }
         self.obs_note_state(ctx, port, prio);
@@ -258,22 +259,21 @@ impl EthSwitch {
     }
 
     /// A packet finished arriving through `in_port`.
-    // simlint: allow(hot-path-panic) -- in_port/out come from the topology and routing table, both sized with the ports vec; prio validated at config build
     pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, in_port: u16, mut pkt: Box<Packet>) {
+        let id = self.id;
         if let PacketKind::Pause { prio, pause } = pkt.kind {
             // PAUSE from the downstream node on this link: gate our egress.
-            let p = &mut self.ports[in_port as usize];
-            let changed = p.paused[prio as usize].on_frame(pause);
+            let l = self.lane(in_port, prio as usize);
+            let changed = l.paused.on_frame(pause);
             if changed {
-                ctx.obs
-                    .pfc_frame_rx(ctx.now, self.id.0, in_port, prio, pause);
+                ctx.obs.pfc_frame_rx(ctx.now, id.0, in_port, prio, pause);
                 if pause {
-                    p.pause_epochs[prio as usize] += 1;
-                    p.det[prio as usize].on_pause(ctx.now);
+                    l.pause_epoch += 1;
+                    l.det.on_pause(ctx.now);
                 } else {
-                    p.det[prio as usize].on_resume(ctx.now);
+                    l.det.on_resume(ctx.now);
                     self.sync_det_timer(ctx, in_port, prio);
-                    self.kick(ctx, in_port);
+                    ctx.kick(id, in_port);
                 }
                 self.obs_note_state(ctx, in_port, prio);
                 #[cfg(feature = "audit")]
@@ -287,12 +287,8 @@ impl EthSwitch {
             // wiring bug: report it (audited builds), assert (plain debug
             // builds), and consume the frame instead of mis-forwarding it.
             #[cfg(feature = "audit")]
-            ctx.audit.misrouted_control_frame(
-                ctx.now,
-                self.id,
-                in_port,
-                "FCCL at an Ethernet switch",
-            );
+            ctx.audit
+                .misrouted_control_frame(ctx.now, id, in_port, "FCCL at an Ethernet switch");
             #[cfg(not(feature = "audit"))]
             debug_assert!(false, "FCCL frame at an Ethernet switch");
             ctx.pool.recycle(pkt);
@@ -300,12 +296,12 @@ impl EthSwitch {
         }
 
         // Forward: enqueue at the routed egress, account the ingress.
-        let out = ctx.routing.out_port(self.id, pkt.dst, pkt.flow);
+        let out = ctx.routing.out_port(id, pkt.dst, pkt.flow);
         let prio = pkt.prio as usize;
         // Lossy mode: drop-tail at the egress queue. Feedback packets are
         // spared (they are tiny and model hardware-prioritized control).
         if let Some(limit) = self.drop_tail {
-            if pkt.is_data() && self.ports[out as usize].qbytes[prio] + pkt.size > limit {
+            if pkt.is_data() && self.lane(out, prio).qbytes + pkt.size > limit {
                 ctx.trace.drops += 1;
                 ctx.pool.recycle(pkt);
                 return;
@@ -314,133 +310,104 @@ impl EthSwitch {
         pkt.in_port = in_port;
         self.buffered += pkt.size;
         self.max_buffered = self.max_buffered.max(self.buffered);
-        {
-            let pin = &mut self.ports[in_port as usize].pfc_in[prio];
-            if let Some(PfcCommand::SendPause) = pin.on_enqueue(pkt.size) {
-                #[cfg(feature = "audit")]
-                {
-                    let pin = &self.ports[in_port as usize].pfc_in[prio];
-                    ctx.audit.pfc_pause_sent(
-                        ctx.now,
-                        self.id,
-                        in_port,
-                        prio as u8,
-                        pin.buffered_bytes(),
-                        pin.config().xoff_bytes,
-                    );
-                }
-                self.send_pfc(ctx, in_port, prio as u8, true);
+        if let Some(PfcCommand::SendPause) = self.lane(in_port, prio).pfc_in.on_enqueue(pkt.size) {
+            #[cfg(feature = "audit")]
+            {
+                let pin = &self.lane(in_port, prio).pfc_in;
+                ctx.audit.pfc_pause_sent(
+                    ctx.now,
+                    id,
+                    in_port,
+                    prio as u8,
+                    pin.buffered_bytes(),
+                    pin.config().xoff_bytes,
+                );
             }
+            self.send_pfc(ctx, in_port, prio as u8, true);
         }
-        let op = &mut self.ports[out as usize];
-        pkt.enq_epoch = op.pause_epochs[prio];
-        op.qbytes[prio] += pkt.size;
-        op.q[prio].push_back(pkt);
-        self.kick(ctx, out);
+        let ol = self.lane(out, prio);
+        pkt.enq_epoch = ol.pause_epoch;
+        ol.qbytes += pkt.size;
+        ol.q.push_back(pkt);
+        ctx.kick(id, out);
     }
 
     /// The egress transmitter of `port` is (possibly) free.
-    // simlint: allow(hot-path-panic) -- port echoes back from events this switch scheduled; prio indices scan 0..q.len(); empty-pop is handled via let-else, not unwrap
+    // simlint: allow(hot-path-panic) -- port echoes back from events this switch scheduled, so it indexes the ports vec and (x num_prios) the lanes vec in bounds
     pub fn port_tx(&mut self, ctx: &mut Ctx<'_>, port: u16) {
-        if !self.ports[port as usize].gate.on_event(ctx.now) {
-            return;
-        }
-        // Checked only after the gate consumed the event — returning
-        // earlier would leave the gate believing a PortTx is still
-        // pending and the port would never restart after recovery.
-        if !ctx.links.is_up(self.id, port) {
+        let id = self.id;
+        if !ctx.tx_ready(id, port) {
             return;
         }
 
         // Control frames preempt data and ignore pause state.
         if let Some(frame) = self.ports[port as usize].ctrl.pop_front() {
-            self.transmit(ctx, port, frame);
+            ctx.transmit(id, port, frame);
             return;
         }
 
         // Strict priority among unpaused, non-empty queues.
-        let np = self.ports[port as usize].q.len();
-        let mut chosen: Option<usize> = None;
-        for prio in 0..np {
-            let p = &self.ports[port as usize];
-            if !p.paused[prio].is_paused() && !p.q[prio].is_empty() {
-                chosen = Some(prio);
-                break;
-            }
-        }
-        let Some(prio) = chosen else {
+        let first = port as usize * self.np;
+        let Some(prio) = self.lanes[first..first + self.np]
+            .iter()
+            .position(|l| !l.paused.is_paused() && !l.q.is_empty())
+        else {
             return; // idle; a future enqueue/RESUME will kick us
         };
+        let l = self.lane(port, prio);
 
         // The scan above saw a non-empty queue; an empty pop here means the
         // queue/byte accounting diverged. Surface a structured violation
         // (audited builds) or assert (plain debug builds) instead of
         // panicking on `unwrap`, and leave the port idle otherwise.
-        let Some(pkt) = self.ports[port as usize].q[prio].pop_front() else {
+        let Some(mut pkt) = l.q.pop_front() else {
             #[cfg(feature = "audit")]
-            ctx.audit.empty_dequeue(
-                ctx.now,
-                self.id,
-                port,
-                prio as u8,
-                self.ports[port as usize].qbytes[prio],
-            );
+            ctx.audit
+                .empty_dequeue(ctx.now, id, port, prio as u8, l.qbytes);
             #[cfg(not(feature = "audit"))]
             debug_assert!(false, "empty dequeue at port {port} prio {prio}");
             return;
         };
-        let q_incl = self.ports[port as usize].qbytes[prio];
-        self.ports[port as usize].qbytes[prio] -= pkt.size;
+        let q_incl = l.qbytes;
+        l.qbytes -= pkt.size;
         self.buffered -= pkt.size;
 
         // Ingress accounting: the departing packet frees its ingress share.
         let in_port = pkt.in_port;
-        {
-            let pin = &mut self.ports[in_port as usize].pfc_in[prio];
-            if let Some(PfcCommand::SendResume) = pin.on_dequeue(pkt.size) {
-                #[cfg(feature = "audit")]
-                {
-                    let pin = &self.ports[in_port as usize].pfc_in[prio];
-                    ctx.audit.pfc_resume_sent(
-                        ctx.now,
-                        self.id,
-                        in_port,
-                        prio as u8,
-                        pin.buffered_bytes(),
-                        pin.config().xon_bytes,
-                    );
-                }
-                self.send_pfc(ctx, in_port, prio as u8, false);
+        if let Some(PfcCommand::SendResume) = self.lane(in_port, prio).pfc_in.on_dequeue(pkt.size) {
+            #[cfg(feature = "audit")]
+            {
+                let pin = &self.lane(in_port, prio).pfc_in;
+                ctx.audit.pfc_resume_sent(
+                    ctx.now,
+                    id,
+                    in_port,
+                    prio as u8,
+                    pin.buffered_bytes(),
+                    pin.config().xon_bytes,
+                );
             }
+            self.send_pfc(ctx, in_port, prio as u8, false);
         }
 
         // Congestion detection on the dequeue path (data packets on the
         // data priority only; feedback is never marked).
-        let mut pkt = pkt;
         if pkt.is_data() && pkt.prio == ctx.cfg.data_prio {
+            let l = self.lane(port, prio);
             // "Delayed by flow control": the egress was paused at some
             // point while this packet waited (pause-epoch advanced).
-            let delayed = self.ports[port as usize].pause_epochs[prio] > pkt.enq_epoch;
             let dctx = DequeueContext {
                 now: ctx.now,
                 queue_bytes: q_incl,
-                delayed_by_fc: delayed,
+                delayed_by_fc: l.pause_epoch > pkt.enq_epoch,
             };
-            let decision = self.ports[port as usize].det[prio].on_dequeue(&dctx);
-            if let Some(mark) = decision {
+            if let Some(mark) = l.det.on_dequeue(&dctx) {
                 pkt.code = pkt.code.apply(mark);
-                ctx.trace.on_mark(ctx.now, self.id, port, pkt.flow, mark);
-                ctx.obs
-                    .mark(ctx.now, self.id.0, port, prio as u8, mark, q_incl);
+                ctx.trace.on_mark(ctx.now, id, port, pkt.flow, mark);
+                ctx.obs.mark(ctx.now, id.0, port, prio as u8, mark, q_incl);
                 #[cfg(feature = "audit")]
-                ctx.audit.note_mark(
-                    ctx.now,
-                    self.id,
-                    port,
-                    prio as u8,
-                    mark,
-                    self.ports[port as usize].det[prio].port_state(),
-                );
+                ctx.audit
+                    .note_mark(ctx.now, id, port, prio as u8, mark, l.det.port_state());
             }
             self.obs_note_state(ctx, port, prio as u8);
             #[cfg(feature = "audit")]
@@ -450,59 +417,17 @@ impl EthSwitch {
 
         pkt.in_port = u16::MAX;
         ctx.trace.forwarded_pkts += 1;
-        self.ports[port as usize].tx_bytes += pkt.size;
+        let pc = &mut self.ports[port as usize];
+        pc.tx_bytes += pkt.size;
         if ctx.cfg.int_telemetry && pkt.is_data() {
             pkt.int.push(crate::packet::IntHop {
                 qlen_bytes: q_incl - pkt.size,
-                tx_bytes: self.ports[port as usize].tx_bytes,
+                tx_bytes: pc.tx_bytes,
                 ts: ctx.now,
-                rate: ctx.topo.link(self.id, port).rate,
+                rate: ctx.topo.link(id, port).rate,
             });
         }
-        self.transmit(ctx, port, pkt);
-    }
-
-    // simlint: allow(hot-path-panic) -- port indices come from the topology, which sized the ports vec
-    fn transmit(&mut self, ctx: &mut Ctx<'_>, port: u16, pkt: Box<Packet>) {
-        let link = *ctx.topo.link(self.id, port);
-        // Latent-assumption tripwire: reaching here on a downed link
-        // means a caller skipped the link gate. Surface it as a
-        // structured violation (audited builds) or assert (plain debug
-        // builds), then transmit anyway — the packet stays in flight, so
-        // conservation holds either way.
-        if !ctx.links.is_up(self.id, port) {
-            #[cfg(feature = "audit")]
-            ctx.audit.report(crate::audit::Violation {
-                family: crate::audit::InvariantFamily::ProtocolLegality,
-                t: ctx.now,
-                node: self.id,
-                port,
-                prio: u8::MAX,
-                message: "transmit scheduled on a downed link".into(),
-            });
-            #[cfg(not(feature = "audit"))]
-            debug_assert!(false, "transmit scheduled on a downed link at port {port}");
-        }
-        let rate = ctx.links.rate(self.id, port, link.rate);
-        let ser = rate.serialize_time(pkt.size);
-        ctx.q.schedule(
-            ctx.now + ser + link.delay,
-            Event::PacketArrival {
-                node: link.peer,
-                in_port: link.peer_port,
-                pkt,
-            },
-        );
-        let gate = &mut self.ports[port as usize].gate;
-        let free = gate.begin_tx(ctx.now, ser);
-        ctx.q.schedule(
-            free,
-            Event::PortTx {
-                node: self.id,
-                port,
-            },
-        );
-        gate.note_scheduled(free);
+        ctx.transmit(id, port, pkt);
     }
 
     /// The link on `port` changed state (fault injection). On recovery
@@ -511,10 +436,9 @@ impl EthSwitch {
     /// state before any data moves. On failure a lossless switch holds
     /// everything (zero-loss policy); a lossy switch sheds the dark
     /// egress as counted drops.
-    // simlint: allow(hot-path-panic) -- port indices come from the topology, which sized the ports vec
     pub fn on_link_state(&mut self, ctx: &mut Ctx<'_>, port: u16, up: bool) {
         if up {
-            self.kick(ctx, port);
+            ctx.kick(self.id, port);
             return;
         }
         if self.drop_tail.is_none() {
@@ -523,13 +447,11 @@ impl EthSwitch {
         // Drain the dark egress, keeping byte and ingress accounting
         // exact. Lossy mode parks the PFC thresholds at u64::MAX, so the
         // on_dequeue calls can never emit a RESUME here.
-        let np = self.ports[port as usize].q.len();
-        for prio in 0..np {
-            while let Some(pkt) = self.ports[port as usize].q[prio].pop_front() {
-                self.ports[port as usize].qbytes[prio] -= pkt.size;
+        for prio in 0..self.np {
+            while let Some(pkt) = self.lane(port, prio).q.pop_front() {
+                self.lane(port, prio).qbytes -= pkt.size;
                 self.buffered -= pkt.size;
-                let pin = &mut self.ports[pkt.in_port as usize].pfc_in[prio];
-                let _ = pin.on_dequeue(pkt.size);
+                let _ = self.lane(pkt.in_port, prio).pfc_in.on_dequeue(pkt.size);
                 ctx.trace.drops += 1;
                 ctx.pool.recycle(pkt);
             }
@@ -542,15 +464,12 @@ impl EthSwitch {
     /// recovery and are not a wait-for dependency.
     #[cfg(feature = "audit")]
     pub(crate) fn audit_blocked_channels(&self) -> Vec<u16> {
-        let mut v = Vec::new();
-        for (pi, p) in self.ports.iter().enumerate() {
-            let blocked =
-                (0..p.q.len()).any(|prio| p.paused[prio].is_paused() && !p.q[prio].is_empty());
-            if blocked {
-                v.push(pi as u16);
-            }
-        }
-        v
+        self.lanes
+            .chunks(self.np)
+            .enumerate()
+            .filter(|(_, port)| port.iter().any(|l| l.paused.is_paused() && !l.q.is_empty()))
+            .map(|(pi, _)| pi as u16)
+            .collect()
     }
 
     /// Wait-for successors of the upstream channel feeding `ingress`:
@@ -561,13 +480,16 @@ impl EthSwitch {
     #[cfg(feature = "audit")]
     pub(crate) fn audit_wait_successors(&self, ingress: u16) -> Vec<u16> {
         let mut v = Vec::new();
-        let np = self.ports[ingress as usize].pfc_in.len();
-        for prio in 0..np {
-            if !self.ports[ingress as usize].pfc_in[prio].is_pausing_upstream() {
+        for prio in 0..self.np {
+            if !self.lanes[ingress as usize * self.np + prio]
+                .pfc_in
+                .is_pausing_upstream()
+            {
                 continue;
             }
-            for (pi, p) in self.ports.iter().enumerate() {
-                if p.paused[prio].is_paused() && p.q[prio].iter().any(|k| k.in_port == ingress) {
+            for (pi, port) in self.lanes.chunks(self.np).enumerate() {
+                let l = &port[prio];
+                if l.paused.is_paused() && l.q.iter().any(|k| k.in_port == ingress) {
                     v.push(pi as u16);
                 }
             }
@@ -580,24 +502,22 @@ impl EthSwitch {
     /// Feed the auditor the detector's current state for `(port, prio)`.
     #[cfg(feature = "audit")]
     fn audit_note_state(&self, ctx: &mut Ctx<'_>, port: u16, prio: u8) {
-        let p = &self.ports[port as usize];
+        let l = &self.lanes[port as usize * self.np + prio as usize];
         ctx.audit.note_state(
             ctx.now,
             self.id,
             port,
             prio,
-            p.det[prio as usize].port_state(),
-            p.pause_epochs[prio as usize],
+            l.det.port_state(),
+            l.pause_epoch,
         );
     }
 
     /// Boxes currently queued in this switch (conservation check).
     #[cfg(feature = "audit")]
     pub(crate) fn audit_queued_packets(&self) -> usize {
-        self.ports
-            .iter()
-            .map(|p| p.ctrl.len() + p.q.iter().map(|q| q.len()).sum::<usize>())
-            .sum()
+        self.ports.iter().map(|p| p.ctrl.len()).sum::<usize>()
+            + self.lanes.iter().map(|l| l.q.len()).sum::<usize>()
     }
 
     /// Checkpoint checks: per-priority byte counters match the queue
@@ -611,10 +531,10 @@ impl EthSwitch {
         let lossy = self.drop_tail.is_some();
         let mut queued_total: u64 = 0;
         let mut ingress_total: u64 = 0;
-        for (pi, p) in self.ports.iter().enumerate() {
-            for prio in 0..p.q.len() {
-                let actual: u64 = p.q[prio].iter().map(|k| k.size).sum();
-                if actual != p.qbytes[prio] {
+        for (pi, port) in self.lanes.chunks(self.np).enumerate() {
+            for (prio, l) in port.iter().enumerate() {
+                let actual: u64 = l.q.iter().map(|k| k.size).sum();
+                if actual != l.qbytes {
                     a.report(Violation {
                         family: InvariantFamily::BufferAccounting,
                         t: now,
@@ -623,12 +543,12 @@ impl EthSwitch {
                         prio: prio as u8,
                         message: format!(
                             "egress byte counter {} != queued bytes {actual}",
-                            p.qbytes[prio]
+                            l.qbytes
                         ),
                     });
                 }
                 queued_total += actual;
-                let pin = &p.pfc_in[prio];
+                let pin = &l.pfc_in;
                 let b = pin.buffered_bytes();
                 ingress_total += b;
                 // Lossy mode parks the PFC thresholds at u64::MAX; only

@@ -53,8 +53,12 @@ pub struct LinkEnd {
 pub struct Topology {
     kinds: Vec<NodeKind>,
     names: Vec<String>,
-    /// `ports[node][port]` describes the link attached to that port.
-    ports: Vec<Vec<LinkEnd>>,
+    /// The link ends of every node, node-major: node `n` owns
+    /// `links[first[n]..first[n + 1]]`, one entry per port.
+    links: Vec<LinkEnd>,
+    /// Offset of each node's first port in `links` (`node_count + 1`
+    /// entries).
+    first: Vec<u32>,
 }
 
 impl Topology {
@@ -83,14 +87,15 @@ impl Topology {
     }
 
     /// All ports of a node.
+    // simlint: allow(hot-path-panic) -- node ids are minted by this topology's builder; `first` has node_count + 1 monotone entries bounded by links.len()
     pub fn ports(&self, n: NodeId) -> &[LinkEnd] {
-        &self.ports[n.index()]
+        &self.links[self.first[n.index()] as usize..self.first[n.index() + 1] as usize]
     }
 
     /// The link attached to `(node, port)`.
     // simlint: allow(hot-path-panic) -- node/port pairs originate from this topology's own tables
     pub fn link(&self, n: NodeId, port: u16) -> &LinkEnd {
-        &self.ports[n.index()][port as usize]
+        &self.ports(n)[port as usize]
     }
 
     /// All host node ids, in id order.
@@ -111,9 +116,8 @@ impl Topology {
 
     /// Find the port on `from` whose link leads to `to`, if directly
     /// connected.
-    // simlint: allow(hot-path-panic) -- from is a NodeId minted by this builder, in bounds by construction
     pub fn port_towards(&self, from: NodeId, to: NodeId) -> Option<u16> {
-        self.ports[from.index()]
+        self.ports(from)
             .iter()
             .position(|l| l.peer == to)
             .map(|p| p as u16)
@@ -181,22 +185,29 @@ impl TopologyBuilder {
 
     /// Finish building.
     pub fn build(self) -> Topology {
-        let topo = Topology {
-            kinds: self.kinds,
-            names: self.names,
-            ports: self.ports,
-        };
-        for (i, k) in topo.kinds.iter().enumerate() {
+        for (i, k) in self.kinds.iter().enumerate() {
             if *k == NodeKind::Host {
                 assert_eq!(
-                    topo.ports[i].len(),
+                    self.ports[i].len(),
                     1,
                     "host {} must have exactly one NIC port",
-                    topo.names[i]
+                    self.names[i]
                 );
             }
         }
-        topo
+        let mut first = Vec::with_capacity(self.ports.len() + 1);
+        let mut links = Vec::new();
+        for node_ports in self.ports {
+            first.push(links.len() as u32);
+            links.extend(node_ports);
+        }
+        first.push(links.len() as u32);
+        Topology {
+            kinds: self.kinds,
+            names: self.names,
+            links,
+            first,
+        }
     }
 }
 

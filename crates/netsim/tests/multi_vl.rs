@@ -38,6 +38,39 @@ fn fanin(rate: Rate) -> Fanin {
     }
 }
 
+/// The run fingerprint (the root crate's `harness::fingerprint_sim`, which
+/// this crate cannot depend on): FNV-1a over every flow's lifecycle record
+/// plus the trace's aggregate counters.
+fn run_fingerprint(sim: &Simulator) -> u64 {
+    let t = &sim.trace;
+    let mut words = Vec::new();
+    for r in &t.flows {
+        words.extend([
+            r.flow.0 as u64,
+            r.size,
+            r.start.as_ps(),
+            r.end.map_or(u64::MAX, |e| e.as_ps()),
+            r.delivered.pkts,
+            r.delivered.bytes,
+            r.delivered.ce,
+            r.delivered.ue,
+        ]);
+    }
+    words.extend([
+        t.forwarded_pkts,
+        t.pause_frames,
+        t.drops,
+        t.port_samples.len() as u64,
+        t.events,
+    ]);
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf29ce484222325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        })
+}
+
 fn three_vl_cfg(end: SimTime, weights: Vec<u32>) -> SimConfig {
     let mut cfg = SimConfig::ib_baseline(end);
     cfg.num_prios = 3; // VL0 feedback, VL1 + VL2 data
@@ -84,6 +117,13 @@ fn wrr_splits_a_saturated_link_by_weight() {
     // And the link is fully used.
     let total_gbps = (d1 + d2) * 8.0 / end.as_secs_f64() / 1e9;
     assert!(total_gbps > 35.0, "link underused: {total_gbps:.1} Gbps");
+    // The exact service order, not only the shares: the fingerprint the
+    // `Vec`-building arbiter produced before the lane-major re-layout.
+    assert_eq!(
+        format!("{:016x}", run_fingerprint(&sim)),
+        "9517c9bd23f2fa38",
+        "WRR service order moved"
+    );
 }
 
 #[test]

@@ -73,6 +73,26 @@ cargo run --release --quiet --offline \
     --manifest-path crates/bench/src/bin/tcdbench/Cargo.toml -- \
     --workload fig2-storm --seconds 1 > target/ci/tcdbench.txt
 
+# Deterministic perf gate: the same command on the InfiniBand fat-tree,
+# traced, read for two exact counters that repeat bit-for-bit on any host —
+# heap allocations per thousand events across run() (460.6 before the
+# per-event path stopped allocating, ~5 since) and the event count itself
+# (a change to it is a change to scheduling, which must be deliberate).
+echo "=== tcdbench (allocation + event-count gate) ==="
+cargo run --release --quiet --offline \
+    --manifest-path crates/bench/src/bin/tcdbench/Cargo.toml -- \
+    --workload ft6-ibcc --seed 1 --seconds 1 --trace 1 > target/ci/tcdbench_ibcc.txt
+counter() {
+    tail -n 1 target/ci/tcdbench_ibcc.txt \
+        | grep -o "\"$1\": {\"value\": [0-9.]*" | awk '{print $NF}'
+}
+allocs=$(counter sim.allocs_per_kevent)
+events=$(counter sim.events)
+if ! awk -v a="$allocs" -v e="$events" 'BEGIN { exit !(a != "" && a <= 12 && e == 6824062) }'; then
+    echo "ft6-ibcc: sim.allocs_per_kevent=$allocs (limit 12), sim.events=$events (want 6824062)" >&2
+    exit 1
+fi
+
 # Profiler smoke: the self-profiling run must emit parseable tcd-prof-v1
 # JSON and a valid wall-clock Chrome trace.
 echo "=== tcdsim perf --json (smoke) ==="
