@@ -13,7 +13,7 @@ use tcd_bench::scenarios::Network;
 use tcd_bench::{port_rate_series, print_port_trace, queue_series};
 
 fn main() {
-    let _args = report::ExpArgs::parse(1.0);
+    report::ExpArgs::parse_fixed();
     for network in [Network::Cee, Network::Ib] {
         let tag = match network {
             Network::Cee => "CEE (ECN)",

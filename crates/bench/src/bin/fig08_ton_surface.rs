@@ -11,7 +11,7 @@ use tcd_bench::report;
 use tcd_core::model::{fig8_surface, OnOffModel, RECOMMENDED_EPSILON};
 
 fn main() {
-    let _args = report::ExpArgs::parse(1.0);
+    report::ExpArgs::parse_fixed();
     report::header("Fig. 8", "T_on vs (epsilon, R_d); tau = 8us, C = 40Gbps");
 
     let epsilons = [0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8];

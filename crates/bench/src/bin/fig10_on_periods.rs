@@ -18,7 +18,7 @@ use tcd_bench::scenarios::{default_config, Network};
 use tcd_core::model::{cee_max_ton, RECOMMENDED_EPSILON};
 
 fn main() {
-    let _args = report::ExpArgs::parse(1.0);
+    report::ExpArgs::parse_fixed();
     for network in [Network::Cee, Network::Ib] {
         let tag = match network {
             Network::Cee => "CEE / PFC (RESUME periods)",

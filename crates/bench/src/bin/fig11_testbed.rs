@@ -17,7 +17,7 @@ use tcd_bench::scenarios::testbed;
 use tcd_bench::scenarios::Network;
 
 fn main() {
-    let _args = report::ExpArgs::parse(1.0);
+    report::ExpArgs::parse_fixed();
     let end = SimTime::from_ms(40);
     for network in [Network::Cee, Network::Ib] {
         let tag = match network {

@@ -15,7 +15,7 @@ use tcd_bench::{print_port_trace, state_series};
 use tcd_core::TernaryState;
 
 fn main() {
-    let _args = report::ExpArgs::parse(1.0);
+    report::ExpArgs::parse_fixed();
     for network in [Network::Cee, Network::Ib] {
         let tag = match network {
             Network::Cee => "CEE",

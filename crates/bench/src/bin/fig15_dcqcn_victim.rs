@@ -8,131 +8,7 @@
 //! (b) Varying the concurrent burst size: as bursts grow, more victims are
 //!     marked undetermined; DCQCN+TCD's advantage is largest when
 //!     congestion is caused by interference of small flows.
-//!
-//! The burst-size × scheme grid runs on the parallel harness
-//! (`--threads`); each worker reduces its run to per-bucket slowdown means
-//! and summary metrics, and both tables come out of the submission-ordered
-//! results — identical at any thread count. The 100 KB pair is shared
-//! between (a) and (b) instead of being re-simulated.
-
-use lossless_flowctl::SimDuration;
-use lossless_stats::{mean, SizeBuckets};
-use tcd_bench::harness::{self, Sweep};
-use tcd_bench::report::{self, f2, pct};
-use tcd_bench::scenarios::victim::{run, Options};
-use tcd_bench::scenarios::{Cc, CcAlgo, Network};
-
-const BURSTS_KB: [u64; 5] = [32, 64, 100, 150, 250];
-
-fn victim_opts(tcd: bool, burst_bytes: u64, seed: u64) -> Options {
-    Options {
-        network: Network::Cee,
-        use_tcd: tcd,
-        cc: Some(Cc {
-            algo: CcAlgo::Dcqcn,
-            tcd,
-        }),
-        burst_bytes,
-        burst_gap: SimDuration::from_us(450),
-        load: 0.5,
-        seed,
-        ..Default::default()
-    }
-}
 
 fn main() {
-    let args = report::ExpArgs::parse(1.0);
-
-    // Base one-way latency of the victim path S0 -> R0 (5 hops).
-    let base = SimDuration::from_us(4) * 5 + SimDuration::from_us(2);
-    let buckets = SizeBuckets::hadoop_buckets();
-    let nbuckets = buckets.len();
-
-    let mut sweep = Sweep::new();
-    for kb in BURSTS_KB {
-        for tcd in [false, true] {
-            let seed = args.seed;
-            let name = if tcd { "dcqcn+tcd" } else { "dcqcn" };
-            sweep.add(format!("{name}_{kb}kb"), move || {
-                let r = run(victim_opts(tcd, kb * 1024, seed));
-                let buckets = SizeBuckets::hadoop_buckets();
-                let groups = buckets.group(&r.victim_slowdowns(base));
-                let mut metrics = vec![
-                    (
-                        "mean_fct_us".into(),
-                        r.victim_mean_fct().unwrap_or(0.0) * 1e6,
-                    ),
-                    ("ue_fraction".into(), r.victim_ue_fraction()),
-                    (
-                        "completed_victims".into(),
-                        r.victims
-                            .iter()
-                            .filter(|f| r.sim.trace.flows[f.0 as usize].end.is_some())
-                            .count() as f64,
-                    ),
-                ];
-                for (b, g) in groups.iter().enumerate() {
-                    metrics.push((format!("slowdown_b{b}"), mean(g).unwrap_or(f64::NAN)));
-                }
-                harness::outcome_of(&r.sim, metrics)
-            });
-        }
-    }
-    let rep = sweep.run(args.threads);
-    // Submission order: [plain, tcd] per burst size.
-    let pair = |kb: u64| {
-        let i = BURSTS_KB.iter().position(|&b| b == kb).unwrap() * 2;
-        (&rep.results[i].outcome, &rep.results[i + 1].outcome)
-    };
-
-    // (a) FCT breakdown by size, 100 KB bursts.
-    report::header("Fig. 15a", "victim FCT breakdown (DCQCN vs DCQCN+TCD)");
-    let (plain, tcd) = pair(100);
-    let mut t = report::Table::new(vec![
-        "size bucket",
-        "dcqcn avg slowdown",
-        "dcqcn+tcd avg slowdown",
-    ]);
-    for b in 0..nbuckets {
-        let cell = |o: &harness::RunOutcome| {
-            let v = o.metric(&format!("slowdown_b{b}")).unwrap_or(f64::NAN);
-            if v.is_finite() {
-                f2(v)
-            } else {
-                "-".into()
-            }
-        };
-        t.row(vec![buckets.label(b).to_string(), cell(plain), cell(tcd)]);
-    }
-    t.print();
-    for (name, o) in [("dcqcn", plain), ("dcqcn+tcd", tcd)] {
-        println!(
-            "{name}: mean victim FCT {:.1} us over {} completed victims",
-            o.metric("mean_fct_us").unwrap_or(0.0),
-            o.metric("completed_victims").unwrap_or(0.0) as u64
-        );
-    }
-
-    // (b) Varying burst size.
-    report::header("Fig. 15b", "victim avg FCT and UE fraction vs burst size");
-    let mut t = report::Table::new(vec![
-        "burst KB",
-        "dcqcn FCT us",
-        "dcqcn+tcd FCT us",
-        "speedup",
-        "UE-flagged victims",
-    ]);
-    for kb in BURSTS_KB {
-        let (plain, tcd) = pair(kb);
-        let f_plain = plain.metric("mean_fct_us").unwrap_or(0.0);
-        let f_tcd = tcd.metric("mean_fct_us").unwrap_or(0.0);
-        t.row(vec![
-            kb.to_string(),
-            format!("{f_plain:.1}"),
-            format!("{f_tcd:.1}"),
-            format!("{:.2}x", if f_tcd > 0.0 { f_plain / f_tcd } else { 0.0 }),
-            pct(tcd.metric("ue_fraction").unwrap_or(0.0)),
-        ]);
-    }
-    t.print();
+    tcd_bench::victim_fct_figure(15, tcd_bench::scenarios::CcAlgo::Dcqcn);
 }

@@ -7,118 +7,7 @@
 //! packets only carry UE. The paper reports 2.2× / 2.3× better average FCT
 //! for small (<10 KB) and large (>1 MB) victim flows, and a growing
 //! UE-flagged fraction as the burst size grows.
-//!
-//! Same harness structure as Fig. 15: the burst-size × scheme grid fans
-//! out over `--threads` workers, each run reduced to per-bucket slowdown
-//! means, and the 100 KB pair is shared between (a) and (b).
-
-use lossless_flowctl::SimDuration;
-use lossless_stats::{mean, SizeBuckets};
-use tcd_bench::harness::{self, Sweep};
-use tcd_bench::report::{self, f2, pct};
-use tcd_bench::scenarios::victim::{run, Options};
-use tcd_bench::scenarios::{Cc, CcAlgo, Network};
-
-const BURSTS_KB: [u64; 5] = [32, 64, 100, 150, 250];
-
-fn victim_opts(tcd: bool, burst_bytes: u64, seed: u64) -> Options {
-    Options {
-        network: Network::Cee,
-        use_tcd: tcd,
-        cc: Some(Cc {
-            algo: CcAlgo::Timely,
-            tcd,
-        }),
-        burst_bytes,
-        burst_gap: SimDuration::from_us(450),
-        load: 0.5,
-        seed,
-        ..Default::default()
-    }
-}
 
 fn main() {
-    let args = report::ExpArgs::parse(1.0);
-
-    let base = SimDuration::from_us(4) * 5 + SimDuration::from_us(2);
-    let buckets = SizeBuckets::hadoop_buckets();
-    let nbuckets = buckets.len();
-
-    let mut sweep = Sweep::new();
-    for kb in BURSTS_KB {
-        for tcd in [false, true] {
-            let seed = args.seed;
-            let name = if tcd { "timely+tcd" } else { "timely" };
-            sweep.add(format!("{name}_{kb}kb"), move || {
-                let r = run(victim_opts(tcd, kb * 1024, seed));
-                let buckets = SizeBuckets::hadoop_buckets();
-                let groups = buckets.group(&r.victim_slowdowns(base));
-                let mut metrics = vec![
-                    (
-                        "mean_fct_us".into(),
-                        r.victim_mean_fct().unwrap_or(0.0) * 1e6,
-                    ),
-                    ("ue_fraction".into(), r.victim_ue_fraction()),
-                ];
-                for (b, g) in groups.iter().enumerate() {
-                    metrics.push((format!("slowdown_b{b}"), mean(g).unwrap_or(f64::NAN)));
-                }
-                harness::outcome_of(&r.sim, metrics)
-            });
-        }
-    }
-    let rep = sweep.run(args.threads);
-    // Submission order: [plain, tcd] per burst size.
-    let pair = |kb: u64| {
-        let i = BURSTS_KB.iter().position(|&b| b == kb).unwrap() * 2;
-        (&rep.results[i].outcome, &rep.results[i + 1].outcome)
-    };
-
-    report::header("Fig. 18a", "victim FCT breakdown (TIMELY vs TIMELY+TCD)");
-    let (plain, tcd) = pair(100);
-    let mut t = report::Table::new(vec![
-        "size bucket",
-        "timely avg slowdown",
-        "timely+tcd avg slowdown",
-    ]);
-    for b in 0..nbuckets {
-        let cell = |o: &harness::RunOutcome| {
-            let v = o.metric(&format!("slowdown_b{b}")).unwrap_or(f64::NAN);
-            if v.is_finite() {
-                f2(v)
-            } else {
-                "-".into()
-            }
-        };
-        t.row(vec![buckets.label(b).to_string(), cell(plain), cell(tcd)]);
-    }
-    t.print();
-    for (name, o) in [("timely", plain), ("timely+tcd", tcd)] {
-        println!(
-            "{name}: mean victim FCT {:.1} us",
-            o.metric("mean_fct_us").unwrap_or(0.0)
-        );
-    }
-
-    report::header("Fig. 18b", "victim avg FCT and UE fraction vs burst size");
-    let mut t = report::Table::new(vec![
-        "burst KB",
-        "timely FCT us",
-        "timely+tcd FCT us",
-        "speedup",
-        "UE-flagged victims",
-    ]);
-    for kb in BURSTS_KB {
-        let (plain, tcd) = pair(kb);
-        let f_plain = plain.metric("mean_fct_us").unwrap_or(0.0);
-        let f_tcd = tcd.metric("mean_fct_us").unwrap_or(0.0);
-        t.row(vec![
-            kb.to_string(),
-            format!("{f_plain:.1}"),
-            format!("{f_tcd:.1}"),
-            format!("{:.2}x", if f_tcd > 0.0 { f_plain / f_tcd } else { 0.0 }),
-            pct(tcd.metric("ue_fraction").unwrap_or(0.0)),
-        ]);
-    }
-    t.print();
+    tcd_bench::victim_fct_figure(18, tcd_bench::scenarios::CcAlgo::Timely);
 }

@@ -15,7 +15,7 @@ use tcd_bench::scenarios::fairness::run;
 use tcd_bench::scenarios::{Cc, CcAlgo};
 
 fn main() {
-    let _args = report::ExpArgs::parse(1.0);
+    report::ExpArgs::parse_fixed();
     for algo in [CcAlgo::Dcqcn, CcAlgo::Timely] {
         let cc = Cc { algo, tcd: true };
         report::header("Fig. 20", &format!("fairness with TCD — {}", cc.name()));

@@ -490,14 +490,6 @@ impl EventQueue {
         self.clamped_past
     }
 
-    /// Occupancy snapshot for the self-profiler: `(pending, staged,
-    /// overflow)` — total pending events, events staged in the current
-    /// same-timestamp group, and events parked on the timing wheel's
-    /// overflow list. Pure reads, so sampling it never perturbs the queue.
-    pub fn occupancy(&self) -> (usize, usize, usize) {
-        (self.len(), self.wheel.cur.len(), self.wheel.overflow.len())
-    }
-
     /// Drain the log of attempts to schedule into the past.
     #[cfg(feature = "audit")]
     pub(crate) fn take_past_schedules(&mut self) -> Vec<(SimTime, SimTime)> {

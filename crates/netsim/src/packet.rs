@@ -240,10 +240,6 @@ pub struct PacketPool {
     /// the nodes are actually holding.
     #[cfg(feature = "audit")]
     outstanding: u64,
-    /// `boxed` calls served from a recycled allocation.
-    hits: u64,
-    /// `boxed` calls that had to allocate fresh.
-    misses: u64,
 }
 
 impl PacketPool {
@@ -272,7 +268,6 @@ impl PacketPool {
         }
         match self.free.pop() {
             Some(mut b) => {
-                self.hits += 1;
                 let mut spare = std::mem::take(&mut b.int);
                 *b = pkt;
                 // Keep the recycled INT vector's capacity unless the new
@@ -283,17 +278,8 @@ impl PacketPool {
                 }
                 b
             }
-            None => {
-                self.misses += 1;
-                Box::new(pkt)
-            }
+            None => Box::new(pkt),
         }
-    }
-
-    /// Allocation statistics as `(hits, misses)`: how many `boxed` calls
-    /// reused a recycled allocation vs. allocated fresh.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// Return a consumed packet's allocation for reuse.

@@ -259,10 +259,10 @@ pub struct Simulator {
     pub trace: Trace,
     /// The observability layer: metrics registry + flight recorder.
     pub obs: lossless_obs::Obs,
-    /// The wall-clock self-profiler. Read-only with respect to simulation
-    /// state: it samples dispatch spans and queue/pool occupancy but
-    /// never schedules events or feeds a wall-clock value back, so runs
-    /// are bit-identical with it on or off.
+    /// The wall-clock span sampler. Read-only with respect to simulation
+    /// state: it times sampled dispatches but never schedules events or
+    /// feeds a wall-clock value back, so runs are bit-identical with it
+    /// on or off. Disabled until [`Simulator::enable_profiler`].
     profiler: lossless_obs::prof::Prof,
 }
 
@@ -425,7 +425,7 @@ impl Simulator {
             audit_obs_seen: 0,
             trace,
             obs,
-            profiler: lossless_obs::prof::Prof::from_env(),
+            profiler: lossless_obs::prof::Prof::disabled(),
         }
     }
 
@@ -458,8 +458,7 @@ impl Simulator {
     }
 
     /// Snapshot the wall-clock profile collected so far; `None` unless
-    /// the profiler was armed via [`Simulator::enable_profiler`] or
-    /// `TCD_PROF=1`.
+    /// the profiler was armed via [`Simulator::enable_profiler`].
     pub fn profile(&self) -> Option<lossless_obs::prof::ProfSummary> {
         self.profiler.summary(&Event::KIND_NAMES)
     }
@@ -621,23 +620,6 @@ impl Simulator {
             // dispatch count (always compiled), so recorder contents are
             // identical with or without the auditor.
             self.obs.maybe_checkpoint(now, self.trace.events);
-            // Timeline tick: cadence is a pure function of the dispatch
-            // count; the queue/pool occupancy reads flow *into* the
-            // profiler only.
-            // simlint: allow(prof-leak) -- sanctioned drive() wiring: tick_due is a deterministic counter check, occupancy/pool reads only flow into the profiler
-            if self.profiler.tick_due(self.trace.events) {
-                let (pending, staged, overflow) = self.queue.occupancy();
-                let (hit, miss) = self.pool.stats();
-                self.profiler.record_tick(
-                    now,
-                    self.trace.events,
-                    pending,
-                    staged,
-                    overflow,
-                    hit,
-                    miss,
-                );
-            }
             // Checkpoints run between dispatches, never as scheduled
             // events, so event counts and fingerprints are identical with
             // the auditor on or off.

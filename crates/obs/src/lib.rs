@@ -19,8 +19,9 @@
 //! run fingerprints.
 //!
 //! A fourth pillar, [`prof`], deliberately breaks the simulated-time rule:
-//! it is the engine's *wall-clock* self-profiler, the one module allowed
-//! to read [`std::time::Instant`]. It keeps the non-perturbation
+//! it is the engine's *wall-clock* span sampler (armed by
+//! `Simulator::enable_profiler` only, read by tcdbench), the one module
+//! allowed to read [`std::time::Instant`]. It keeps the non-perturbation
 //! guarantee by a different route — it only ever reads the clock and
 //! never feeds a wall-clock value back into simulation state (statically
 //! enforced by simlint's `prof-leak` rule).
@@ -53,31 +54,23 @@ pub enum ObsLevel {
     Default,
 }
 
-/// Observability knobs, embedded in the simulator configuration.
-#[derive(Debug, Clone, Copy)]
+/// The observability knob, embedded in the simulator configuration.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ObsConfig {
     /// Recording level.
     pub level: ObsLevel,
-    /// Flight-recorder ring capacity per node (0 disables the recorder).
-    pub recorder_capacity: usize,
-    /// History window a violation dump covers.
-    pub dump_window: SimDuration,
-    /// Engine checkpoint record cadence, in dispatched events. Matches the
-    /// audit layer's default so recorder contents are identical with the
-    /// `audit` feature on or off.
-    pub checkpoint_every: u64,
 }
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            level: ObsLevel::Default,
-            recorder_capacity: 1024,
-            dump_window: SimDuration::from_us(200),
-            checkpoint_every: 16 * 1024,
-        }
-    }
-}
+/// Flight-recorder ring capacity per node.
+const RECORDER_CAPACITY: usize = 1024;
+/// History window a violation dump covers.
+const DUMP_WINDOW: SimDuration = SimDuration::from_us(200);
+/// Engine checkpoint record cadence, in dispatched events. Matches the
+/// audit layer's default so recorder contents are identical with the
+/// `audit` feature on or off; a power of two, so the per-event test in
+/// [`Obs::maybe_checkpoint`] is a mask.
+const CHECKPOINT_EVERY: u64 = 16 * 1024;
+const _: () = assert!(CHECKPOINT_EVERY.is_power_of_two());
 
 /// A flight-recorder window captured when the audit layer reported a new
 /// violation.
@@ -125,7 +118,7 @@ impl Obs {
     pub fn new(cfg: ObsConfig) -> Obs {
         let recorder_capacity = match cfg.level {
             ObsLevel::Off => 0,
-            ObsLevel::Default => cfg.recorder_capacity,
+            ObsLevel::Default => RECORDER_CAPACITY,
         };
         Obs {
             cfg,
@@ -367,10 +360,7 @@ impl Obs {
     /// its cadence is identical with and without the `audit` feature.
     #[inline]
     pub fn maybe_checkpoint(&mut self, t: SimTime, events: u64) {
-        if self.on()
-            && self.cfg.checkpoint_every > 0
-            && events.is_multiple_of(self.cfg.checkpoint_every)
-        {
+        if self.on() && events & (CHECKPOINT_EVERY - 1) == 0 {
             self.rec.push(Record {
                 t,
                 seq: 0,
@@ -401,7 +391,7 @@ impl Obs {
             a: total_violations,
             b: 0,
         });
-        let records = self.rec.dump(t, self.cfg.dump_window);
+        let records = self.rec.dump(t, DUMP_WINDOW);
         self.dumps.push(ViolationDump {
             t,
             total_violations,
@@ -454,7 +444,6 @@ mod tests {
     fn off_level_is_inert() {
         let mut obs = Obs::new(ObsConfig {
             level: ObsLevel::Off,
-            ..ObsConfig::default()
         });
         obs.dispatched(0);
         obs.pfc_frame_tx(SimTime::from_us(1), 1, 0, 0, true);
@@ -523,16 +512,15 @@ mod tests {
 
     #[test]
     fn violation_dump_captures_window() {
-        let mut obs = Obs::new(ObsConfig {
-            dump_window: SimDuration::from_us(5),
-            ..ObsConfig::default()
-        });
+        let mut obs = Obs::default();
+        let at = SimTime::from_us(10) + DUMP_WINDOW;
         obs.pfc_frame_tx(SimTime::from_us(1), 1, 0, 0, true);
-        obs.pfc_frame_tx(SimTime::from_us(8), 1, 0, 0, false);
-        obs.on_violation(SimTime::from_us(10), 1);
+        obs.pfc_frame_tx(at - SimDuration::from_us(2), 1, 0, 0, false);
+        obs.on_violation(at, 1);
         let dumps = obs.violation_dumps();
         assert_eq!(dumps.len(), 1);
-        // Only the t=8µs frame and the violation record are in the window.
+        // The window opens at t=10µs: only the later frame and the
+        // violation record are in it.
         assert_eq!(dumps[0].records.len(), 2);
         assert_eq!(
             RecordKind::from_u8(dumps[0].records[1].kind),
@@ -542,11 +530,8 @@ mod tests {
 
     #[test]
     fn checkpoint_cadence() {
-        let mut obs = Obs::new(ObsConfig {
-            checkpoint_every: 100,
-            ..ObsConfig::default()
-        });
-        for ev in 1..=250u64 {
+        let mut obs = Obs::default();
+        for ev in 1..=CHECKPOINT_EVERY * 5 / 2 {
             obs.maybe_checkpoint(SimTime::from_ns(ev), ev);
         }
         assert_eq!(obs.rec.total(), 2);

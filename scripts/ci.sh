@@ -93,13 +93,20 @@ if ! awk -v a="$allocs" -v e="$events" 'BEGIN { exit !(a != "" && a <= 12 && e =
     exit 1
 fi
 
-# Profiler smoke: the self-profiling run must emit parseable tcd-prof-v1
-# JSON and a valid wall-clock Chrome trace.
-echo "=== tcdsim perf --json (smoke) ==="
-./target/release/tcdsim perf --json --out target/ci/perf_fat_tree_k6.json \
-    > target/ci/perf.json
-grep -q '"schema": "tcd-prof-v1"' target/ci/perf.json
-grep -q 'engine wall-clock profile' target/ci/perf_fat_tree_k6.json
+# Figure gate: every committed results/<bin>.txt (the tables
+# EXPERIMENTS.md quotes) must regenerate byte-for-byte from
+# crates/bench/src/bin/<bin>.rs at its default arguments (~20 s in all).
+echo "=== figure binaries vs results/*.txt ==="
+cargo build --release -p tcd-bench
+mkdir -p target/ci/figs
+for want in results/*.txt; do
+    bin=$(basename "$want" .txt)
+    ./target/release/"$bin" > "target/ci/figs/$bin.txt"
+    if ! diff "$want" "target/ci/figs/$bin.txt"; then
+        echo "$want no longer regenerates from crates/bench/src/bin/$bin.rs" >&2
+        exit 1
+    fi
+done
 
 echo "=== cargo clippy -- -D warnings ==="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -32,8 +32,6 @@ commands:
   sweep      the victim grid (network x detector x seed) on a worker pool
   trace      run a named scenario and emit a Chrome/Perfetto trace.json
   metrics    run a named scenario and emit the metrics registry as JSON
-  perf       self-profile the fat-tree k=6 bench (hot-event-kind report +
-             wall-clock Perfetto track)
   lint       static analysis: workspace code lint + scenario topology checks
 
 common options:
@@ -58,11 +56,6 @@ sweep options:     --seeds N                seeds per cell (default 3)
                                             or the machine's parallelism; results
                                             are identical at any value)
                    --out DIR                report directory (default results)
-perf options:      --top N                  hot-kind report depth (default 8)
-                   --json                   emit the full profile as JSON on
-                                            stdout instead of the text report
-                   --out PATH               wall-clock Perfetto trace output
-                                            (default results/perf_fat_tree_k6.json)
 lint options:      --code                   run only the workspace code lint
                    --topo NAME              run only the topology analysis of
                                             NAME (repeatable); without flags,
@@ -95,7 +88,6 @@ struct Args {
     lint_spec_table: Option<String>,
     scenario: Option<String>,
     end_ms: f64,
-    top: usize,
 }
 
 fn parse() -> Args {
@@ -121,7 +113,6 @@ fn parse() -> Args {
         lint_spec_table: None,
         scenario: None,
         end_ms: 6.0,
-        top: 8,
     };
     let mut i = 2;
     while i < argv.len() {
@@ -213,14 +204,6 @@ fn parse() -> Args {
             }
             "--spec-table" => {
                 a.lint_spec_table = Some(argv.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--top" => {
-                a.top = argv
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| usage());
                 i += 2;
             }
             s if !s.starts_with('-') && a.scenario.is_none() => {
@@ -470,40 +453,6 @@ fn cmd_export(a: &Args, metrics: bool) {
     );
 }
 
-/// `tcdsim perf`: self-profile the fat-tree k=6 bench and report where
-/// the wall-clock cycles go (plus a validated wall-clock Perfetto track).
-fn cmd_perf(a: &Args) {
-    use tcd_repro::obs::prof::ProfConfig;
-
-    eprintln!("profiling fat-tree k=6 workload...");
-    let mut sim = scenarios::fat_tree_k6_bench();
-    sim.enable_profiler(ProfConfig::default());
-    sim.run();
-    let profile = sim.profile().expect("profiler was armed");
-    if a.lint_json {
-        print!("{}", profile.to_json());
-    } else {
-        print!("{}", profile.hot_report(a.top));
-    }
-    // The wall-clock Perfetto track alongside the sim-time tracks,
-    // structurally validated before anything touches the filesystem.
-    let doc = obs_export::perfetto_trace_json(&sim);
-    match tcd_repro::obs::perfetto::validate_chrome_trace(&doc) {
-        Ok(n) => {
-            let path = a
-                .out
-                .clone()
-                .unwrap_or_else(|| "results/perf_fat_tree_k6.json".to_string());
-            write_output(&path, &doc);
-            eprintln!("wrote {path} ({n} Chrome-trace events)");
-        }
-        Err(e) => {
-            eprintln!("perf: generated invalid Chrome trace ({e}); not writing");
-            exit(1);
-        }
-    }
-}
-
 fn cmd_lint(a: &Args) {
     use tcd_repro::lintspec;
 
@@ -609,7 +558,6 @@ fn main() {
         "sweep" => cmd_sweep(&a),
         "trace" => cmd_export(&a, false),
         "metrics" => cmd_export(&a, true),
-        "perf" => cmd_perf(&a),
         "lint" => cmd_lint(&a),
         _ => usage(),
     }

@@ -29,7 +29,7 @@ use std::time::Instant;
 /// The deterministic product of one run: a fingerprint of everything the
 /// simulation computed, the engine's event count, and named scalar
 /// metrics the experiment wants to report.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// FNV-1a digest of the run's observable results (see
     /// [`fingerprint_sim`]).
@@ -43,22 +43,6 @@ pub struct RunOutcome {
     /// is off). Deterministic, so it merges identically at any thread
     /// count.
     pub registry: lossless_obs::Registry,
-    /// The run's wall-clock self-profile, when the simulator ran with the
-    /// profiler armed (`TCD_PROF=1` or `Simulator::enable_profiler`).
-    /// Machine-dependent by nature, so it is excluded from equality and
-    /// from every deterministic report.
-    pub perf: Option<lossless_obs::prof::ProfSummary>,
-}
-
-/// Equality covers the deterministic fields only: `perf` is wall-clock
-/// data and differs between any two runs by construction.
-impl PartialEq for RunOutcome {
-    fn eq(&self, other: &Self) -> bool {
-        self.fingerprint == other.fingerprint
-            && self.events == other.events
-            && self.metrics == other.metrics
-            && self.registry == other.registry
-    }
 }
 
 impl RunOutcome {
@@ -287,11 +271,21 @@ impl SweepReport {
 }
 
 /// Worker thread count: `TCD_THREADS` when set (clamped to ≥ 1), else
-/// the machine's available parallelism.
+/// the machine's available parallelism. A value that is not a number is
+/// reported once on stderr rather than silently ignored.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("TCD_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
+        match v.trim().parse::<usize>() {
+            Ok(n) => return n.max(1),
+            Err(_) => {
+                static WARNED: std::sync::Once = std::sync::Once::new();
+                WARNED.call_once(|| {
+                    eprintln!(
+                        "warning: TCD_THREADS={v:?} is not a thread count; \
+                         using the machine's parallelism"
+                    );
+                });
+            }
         }
     }
     std::thread::available_parallelism()
@@ -341,7 +335,6 @@ pub fn outcome_of(sim: &Simulator, metrics: Vec<(String, f64)>) -> RunOutcome {
         events: sim.trace.events,
         metrics,
         registry: sim.obs_registry(),
-        perf: sim.profile(),
     }
 }
 
@@ -468,7 +461,6 @@ mod tests {
             events: 100 + seed,
             metrics: vec![("seed".into(), seed as f64)],
             registry,
-            perf: None,
         }
     }
 
@@ -532,23 +524,6 @@ mod tests {
     fn golden_diff_reports_truncation() {
         let d = golden_diff("a\nb\n", "a\n").expect("must differ");
         assert!(d.contains("<end of trace>"), "{d}");
-    }
-
-    #[test]
-    fn outcome_equality_ignores_the_perf_profile() {
-        let a = toy_job(1);
-        let mut b = toy_job(1);
-        b.perf = Some(lossless_obs::prof::ProfSummary {
-            sample_every: 64,
-            events: 1,
-            sampled: 1,
-            wall_ns: 123,
-            per_kind: Vec::new(),
-            per_class: Vec::new(),
-            ticks: Vec::new(),
-            dropped_ticks: 0,
-        });
-        assert_eq!(a, b, "perf is machine noise, not part of the outcome");
     }
 
     #[test]

@@ -11,13 +11,6 @@
 //! Everything here is a pure read of the [`Simulator`]'s trace and
 //! registry — exporting never perturbs a run, so fingerprints are
 //! unaffected by whether a trace was written.
-//!
-//! Profiled runs (`TCD_PROF=1` or `Simulator::enable_profiler`) get one
-//! extra pseudo-process, [`WALL_PROFILE_PID`]: the self-profiler's
-//! timeline as counter tracks — wall-clock events/s, event-queue
-//! occupancy and timing-wheel overflow, packet-pool hit rate — keyed at
-//! *simulated* time so wall-clock throughput dips line up against the
-//! sim-time congestion tracks above them.
 
 use lossless_netsim::trace::PortSample;
 use lossless_netsim::Simulator;
@@ -46,44 +39,6 @@ fn state_name(s: TernaryState) -> &'static str {
         '1' => "congestion (1)",
         '/' => "undetermined (/)",
         _ => "non-congestion (0)",
-    }
-}
-
-/// Process id of the wall-clock profile pseudo-process in exported
-/// traces — far above any real node id, so the two id spaces never
-/// collide.
-pub const WALL_PROFILE_PID: u32 = 1_000_000;
-
-/// Append the self-profiler's timeline as counter tracks under
-/// [`WALL_PROFILE_PID`]. Timestamps are the ticks' *simulated* times;
-/// the values are wall-clock derived (instantaneous events/s between
-/// consecutive ticks) or occupancy snapshots (queue depth, staged batch,
-/// wheel overflow, pool hit percentage).
-fn append_wall_profile_tracks(tb: &mut TraceBuilder, p: &lossless_obs::prof::ProfSummary) {
-    if p.ticks.is_empty() {
-        return;
-    }
-    tb.process_name(WALL_PROFILE_PID, "engine wall-clock profile");
-    let mut prev: Option<&lossless_obs::prof::ProfTick> = None;
-    for t in &p.ticks {
-        if let Some(q) = prev {
-            let d_ev = t.events.saturating_sub(q.events);
-            let d_ns = t.wall_ns.saturating_sub(q.wall_ns).max(1);
-            let eps = (d_ev as f64 / (d_ns as f64 / 1e9)) as u64;
-            tb.counter(WALL_PROFILE_PID, "wall.events_per_sec", t.t, eps);
-        }
-        tb.counter(WALL_PROFILE_PID, "wall.queue_len", t.t, t.queue_len);
-        tb.counter(WALL_PROFILE_PID, "wall.queue_staged", t.t, t.queue_staged);
-        tb.counter(
-            WALL_PROFILE_PID,
-            "wall.queue_overflow",
-            t.t,
-            t.queue_overflow,
-        );
-        if let Some(hit_pct) = (t.pool_hit * 100).checked_div(t.pool_hit + t.pool_miss) {
-            tb.counter(WALL_PROFILE_PID, "wall.pool_hit_pct", t.t, hit_pct);
-        }
-        prev = Some(t);
     }
 }
 
@@ -183,11 +138,6 @@ pub fn perfetto_trace_json(sim: &Simulator) -> String {
             lossless_obs::mark_counter_name(m.code),
             m.t,
         );
-    }
-
-    // Wall-clock self-profile tracks, for profiled runs only.
-    if let Some(p) = sim.profile() {
-        append_wall_profile_tracks(&mut tb, &p);
     }
 
     tb.to_json()
@@ -350,39 +300,6 @@ mod tests {
         assert!(
             metrics_json(&sim).contains("fault.route_update"),
             "route swap exported"
-        );
-    }
-
-    #[test]
-    fn profiled_runs_export_wall_clock_tracks() {
-        let end = SimTime::from_us(400);
-        let mut sim = crate::scenarios::fault::deadlock_ring(3, end, None).sim;
-        sim.enable_profiler(lossless_obs::prof::ProfConfig {
-            sample_every: 4,
-            tick_every: 256,
-            max_ticks: 64,
-        });
-        sim.record_violations();
-        sim.run();
-        let profile = sim.profile().expect("profiler was armed");
-        assert!(profile.sampled > 0, "spans were sampled");
-        assert!(!profile.ticks.is_empty(), "timeline ticks were recorded");
-        let doc = perfetto_trace_json(&sim);
-        validate_chrome_trace(&doc).expect("valid Chrome trace");
-        assert!(doc.contains("engine wall-clock profile"), "profile process");
-        assert!(doc.contains("wall.events_per_sec"), "throughput track");
-        assert!(doc.contains("wall.queue_len"), "occupancy track");
-        // An unprofiled twin exports no wall tracks and computes the
-        // identical results.
-        let mut twin = crate::scenarios::fault::deadlock_ring(3, end, None).sim;
-        twin.record_violations();
-        twin.run();
-        let twin_doc = perfetto_trace_json(&twin);
-        assert!(!twin_doc.contains("wall."), "no wall tracks unprofiled");
-        assert_eq!(
-            crate::harness::fingerprint_sim(&sim),
-            crate::harness::fingerprint_sim(&twin),
-            "profiling must not perturb the run"
         );
     }
 

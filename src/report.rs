@@ -165,52 +165,61 @@ pub struct ExpArgs {
 }
 
 impl ExpArgs {
-    /// Parse from `std::env::args`, with a default scale.
+    /// Parse from `std::env::args`, with a default scale. A malformed
+    /// command line prints the one-line reason and exits 2.
     pub fn parse(default_scale: f64) -> ExpArgs {
-        let mut scale = default_scale;
-        let mut seed = 1u64;
-        let mut threads = crate::harness::default_threads();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    scale = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| panic!("--scale needs a number"));
-                    i += 2;
-                }
-                "--seed" => {
-                    seed = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| panic!("--seed needs an integer"));
-                    i += 2;
-                }
-                "--threads" => {
-                    threads = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .unwrap_or_else(|| panic!("--threads needs a positive integer"));
-                    i += 2;
-                }
-                "--full" => {
-                    scale = 1.0;
-                    i += 1;
-                }
-                other => panic!(
-                    "unknown argument: {other} (supported: --scale F, --seed N, --threads N, --full)"
-                ),
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse_from(default_scale, &args).unwrap_or_else(|why| {
+            eprintln!("{why} (supported: --scale F, --seed N, --threads N, --full)");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`ExpArgs::parse`] for the figures whose set-up is fixed (one
+    /// scenario, the seed-1 figure): the common flags are accepted so
+    /// `run_all.sh` can hand every binary the same arguments, and
+    /// reported on stderr as having no effect.
+    pub fn parse_fixed() {
+        Self::parse(1.0);
+        let given: Vec<String> = std::env::args().skip(1).collect();
+        if !given.is_empty() {
+            eprintln!(
+                "note: this figure's set-up is fixed; `{}` has no effect",
+                given.join(" ")
+            );
+        }
+    }
+
+    /// The pure core of [`ExpArgs::parse`]: `args` is the command line
+    /// after the program name.
+    pub fn parse_from(default_scale: f64, args: &[String]) -> Result<ExpArgs, String> {
+        fn value<T: std::str::FromStr>(v: Option<&String>, what: &str) -> Result<T, String> {
+            v.and_then(|s| s.parse().ok())
+                .ok_or_else(|| what.to_string())
+        }
+        let mut a = ExpArgs {
+            scale: default_scale,
+            seed: 1,
+            threads: crate::harness::default_threads(),
+        };
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            match flag.as_str() {
+                "--scale" => a.scale = value(it.next(), "--scale needs a number")?,
+                "--seed" => a.seed = value(it.next(), "--seed needs an integer")?,
+                "--threads" => a.threads = value(it.next(), "--threads needs a positive integer")?,
+                "--full" => a.scale = 1.0,
+                other => return Err(format!("unknown argument: {other}")),
             }
         }
-        assert!(scale > 0.0, "scale must be positive");
-        ExpArgs {
-            scale,
-            seed,
-            threads,
+        if a.threads == 0 {
+            return Err("--threads needs a positive integer".to_string());
         }
+        // `!(x > 0)` rather than `x <= 0` so that NaN is refused too.
+        if !(a.scale > 0.0 && a.scale.is_finite()) {
+            return Err("--scale needs a positive number".to_string());
+        }
+        Ok(a)
     }
 
     /// Scale an integer quantity, keeping at least `min`.
@@ -251,6 +260,29 @@ mod tests {
         assert_eq!(f3(1.2345), "1.234"); // banker's-free truncating format
         assert_eq!(pct(0.266), "26.6%");
         assert_eq!(ms(SimTime::from_us(1500)), "1.500");
+    }
+
+    #[test]
+    fn exp_args_parse_or_say_why() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            ExpArgs::parse_from(0.05, &args)
+        };
+        let a = parse(&["--seed", "7", "--threads", "3"]).unwrap();
+        assert_eq!((a.scale, a.seed, a.threads), (0.05, 7, 3));
+        assert_eq!(parse(&["--full"]).unwrap().scale, 1.0);
+        assert_eq!(parse(&["--scale", "0.5"]).unwrap().scale, 0.5);
+        for (bad, why) in [
+            (&["--seed", "seven"][..], "--seed needs an integer"),
+            (&["--seed"], "--seed needs an integer"),
+            (&["--scale", "0"], "--scale needs a positive number"),
+            (&["--scale", "nan"], "--scale needs a positive number"),
+            (&["--threads", "0"], "--threads needs a positive integer"),
+            (&["--threads", "-1"], "--threads needs a positive integer"),
+            (&["--fast"], "unknown argument: --fast"),
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), why, "{bad:?}");
+        }
     }
 
     #[test]

@@ -163,40 +163,6 @@ pub fn default_config(network: Network, use_tcd: bool, end: SimTime) -> SimConfi
     cfg
 }
 
-/// The fat-tree k=6 run `tcdsim perf` profiles: the §5.2 realistic
-/// workload (Hadoop sizes, Poisson arrivals at 0.6 load, DCQCN+TCD, a
-/// pinch of partition-aggregate incast) with the full flow schedule
-/// registered up front — so the event queue carries hundreds of thousands
-/// of pending `FlowStart`s while near-term packet events churn through
-/// it. Returns the simulator *before* `run()` so timing excludes
-/// topology/routing/workload construction.
-pub fn fat_tree_k6_bench() -> Simulator {
-    let (sim, _ft, _flows) = workload::build(
-        workload::Options {
-            network: Network::Cee,
-            cc: Cc {
-                algo: CcAlgo::Dcqcn,
-                tcd: true,
-            },
-            use_tcd: true,
-            k: 6,
-            workload: workload::Workload::Hadoop,
-            load: 0.6,
-            flows: 360_000,
-            incast_fraction: 0.05,
-            incast_fanin: 16,
-            seed: 1,
-            deadline: SimTime::from_ms(5),
-        },
-        |cfg| {
-            // Profile the engine, not the instrumentation. Dynamics (and
-            // so the run fingerprint) are unaffected by the obs level.
-            cfg.obs.level = lossless_obs::ObsLevel::Off;
-        },
-    );
-    sim
-}
-
 pub mod observation {
     //! The §3.1 observation scenarios on the Figure-2 topology.
 
@@ -848,21 +814,16 @@ pub mod workload {
         }
     }
 
-    /// Build a fat-tree workload experiment without running it: the
-    /// simulator comes back with every flow registered (pending
-    /// `FlowStart`s in the event queue) so callers can time `run()` in
-    /// isolation or on an explicit event-queue core.
-    pub fn build(
-        opt: Options,
-        tune: impl FnOnce(&mut lossless_netsim::SimConfig),
-    ) -> (Simulator, FatTree, Vec<FlowId>) {
+    /// Build and run a fat-tree workload experiment: every flow is
+    /// registered up front (pending `FlowStart`s in the event queue), then
+    /// the run goes to completion or the deadline.
+    pub fn run(opt: Options) -> Run {
         let rate = Rate::from_gbps(40);
         let delay = SimDuration::from_us(4);
         let ft = fat_tree(opt.k, rate, delay);
         let mut cfg = default_config(opt.network, opt.use_tcd, opt.deadline);
         cfg.feedback = opt.cc.feedback();
         cfg.seed = opt.seed;
-        tune(&mut cfg);
         let mut sim = Simulator::new(ft.topo.clone(), cfg, opt.network.routing());
         let mut rng = StdRng::seed_from_u64(opt.seed);
 
@@ -921,14 +882,8 @@ pub mod workload {
                 flows.push(sim.add_flow(src, dst, size, t, opt.cc.controller()));
             }
         }
-        (sim, ft, flows)
-    }
-
-    /// Build and run a fat-tree workload experiment.
-    pub fn run(opt: Options) -> Run {
-        let (mut sim, ft, flows) = build(opt, |_| {});
         sim.run_until_all_complete();
-        finish(sim, ft, flows, Rate::from_gbps(40), SimDuration::from_us(4))
+        finish(sim, ft, flows, rate, delay)
     }
 
     /// Options for the HPC MPI + I/O run (Fig. 17).

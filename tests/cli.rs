@@ -23,9 +23,7 @@ fn out_of_range_and_removed_options_exit_2() {
         &["trees", "--at-ms", "inf"],
         &["sweep", "--seeds", "0"],
         &["sweep", "--history", "h.jsonl"],
-        &["perf", "--history", "h.jsonl"],
-        &["perf", "--gate"],
-        &["perf", "--partitions", "2"],
+        &["perf"],
         &["metrics", "fig03", "--end-ms", "inf"],
         &["metrics", "fig03", "--end-ms", "1e30"],
         &["metrics", "fig03", "--end-ms", "1e-12"],
@@ -44,4 +42,21 @@ fn unwritable_output_path_exits_1_without_panicking() {
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn unparsable_tcd_threads_is_reported_not_silently_ignored() {
+    let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_tcd_threads");
+    let out = Command::new(env!("CARGO_BIN_EXE_tcdsim"))
+        .args(["sweep", "--seeds", "1", "--out", dir])
+        .env("TCD_THREADS", "two")
+        .output()
+        .expect("run tcdsim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert_eq!(
+        stderr.matches("warning: TCD_THREADS=\"two\"").count(),
+        1,
+        "{stderr}"
+    );
 }
