@@ -88,19 +88,10 @@ fn main() {
     ]);
     for (name, det) in variants {
         let r = run_with(det, args.seed);
-        let ce_flagged = r
-            .victims
-            .iter()
-            .filter(|f| r.sim.trace.flows[f.0 as usize].delivered.ce > 0)
-            .count();
-        let ue_flagged = r
-            .victims
-            .iter()
-            .filter(|f| r.sim.trace.flows[f.0 as usize].delivered.ue > 0)
-            .count();
+        let ce_flagged = r.victims_with(|d| d.ce > 0);
+        let ue_flagged = r.victims_with(|d| d.ue > 0);
         let (mut pkts, mut ce) = (0u64, 0u64);
-        for f in &r.victims {
-            let d = r.sim.trace.flows[f.0 as usize].delivered;
+        for d in r.victim_deliveries() {
             pkts += d.pkts;
             ce += d.ce;
         }

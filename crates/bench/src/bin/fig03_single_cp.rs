@@ -13,78 +13,51 @@
 //! * F0 and F2 (victims) receive CE marks at P2 under ECN/FECN;
 //! * after the bursts end, P2's rate settles at ~10 Gbps (F0 + F2).
 
-use tcd_bench::report::{self, pct};
-use tcd_bench::scenarios::observation::{run, Options};
-use tcd_bench::scenarios::Network;
-use tcd_bench::{peak_queue, port_rate_series, print_port_trace, queue_series};
+use tcd_bench::{
+    observation_figure, peak_queue, port_rate_series, print_flow_marks, print_port_trace,
+};
 
 fn main() {
-    report::ExpArgs::parse_fixed();
-    for network in [Network::Cee, Network::Ib] {
-        let tag = match network {
-            Network::Cee => "CEE (ECN)",
-            Network::Ib => "InfiniBand (FECN)",
-        };
-        report::header("Fig. 3", &format!("single congestion point — {tag}"));
-        let r = run(Options {
-            network,
-            multi_cp: false,
-            use_tcd: false,
-            ..Default::default()
-        });
-        let prio = r.sim.config().data_prio;
+    observation_figure(
+        "Fig. 3",
+        "single congestion point",
+        false,
+        false,
+        |r, prio| {
+            print_port_trace(&r.sim, "P2 queue/rate", r.fig.p2.0, r.fig.p2.1, prio, 30);
 
-        print_port_trace(&r.sim, "P2 queue/rate", r.fig.p2.0, r.fig.p2.1, prio, 30);
+            let flows = [
+                ("F0 (victim)", r.f0),
+                ("F1 (congested)", r.f1),
+                ("F2 (victim)", r.f2),
+            ];
+            print_flow_marks(&r.sim, &flows, false);
 
-        let d = |f: lossless_netsim::FlowId| r.sim.trace.flows[f.0 as usize].delivered;
-        let mut t = report::Table::new(vec!["flow", "pkts", "CE-marked", "CE frac"]);
-        for (name, f) in [
-            ("F0 (victim)", r.f0),
-            ("F1 (congested)", r.f1),
-            ("F2 (victim)", r.f2),
-        ] {
-            let del = d(f);
-            t.row(vec![
-                name.to_string(),
-                del.pkts.to_string(),
-                del.ce.to_string(),
-                pct(if del.pkts == 0 {
-                    0.0
-                } else {
-                    del.ce as f64 / del.pkts as f64
-                }),
-            ]);
-        }
-        t.print();
+            let peak_p2 = peak_queue(&r.sim, r.fig.p2.0, r.fig.p2.1, prio);
+            let peak_p0 = peak_queue(&r.sim, r.fig.p0.0, r.fig.p0.1, prio);
+            println!(
+                "peak queue: P2 = {:.0} KB, P0 = {:.0} KB",
+                peak_p2 as f64 / 1024.0,
+                peak_p0 as f64 / 1024.0
+            );
 
-        let peak_p2 = peak_queue(&r.sim, r.fig.p2.0, r.fig.p2.1, prio);
-        let peak_p0 = peak_queue(&r.sim, r.fig.p0.0, r.fig.p0.1, prio);
-        println!(
-            "peak queue: P2 = {:.0} KB, P0 = {:.0} KB",
-            peak_p2 as f64 / 1024.0,
-            peak_p0 as f64 / 1024.0
-        );
+            // Late-run P2 rate (after bursts end): should approach F0+F2 = 10G.
+            let rates = port_rate_series(&r.sim, r.fig.p2.0, r.fig.p2.1, prio);
+            let late: Vec<f64> = rates
+                .iter()
+                .filter(|p| p.t.as_ms_f64() > 4.5)
+                .map(|p| p.gbps)
+                .collect();
+            let late_avg = late.iter().sum::<f64>() / late.len().max(1) as f64;
+            println!("P2 rate after bursts: {late_avg:.1} Gbps (paper: ~10 Gbps)");
 
-        // Late-run P2 rate (after bursts end): should approach F0+F2 = 10G.
-        let rates = port_rate_series(&r.sim, r.fig.p2.0, r.fig.p2.1, prio);
-        let late: Vec<f64> = rates
-            .iter()
-            .filter(|p| p.t.as_ms_f64() > 4.5)
-            .map(|p| p.gbps)
-            .collect();
-        let late_avg = late.iter().sum::<f64>() / late.len().max(1) as f64;
-        println!("P2 rate after bursts: {late_avg:.1} Gbps (paper: ~10 Gbps)");
-
-        // P3 queue for context.
-        let p3_peak = queue_series(&r.sim, r.fig.p3.0, r.fig.p3.1, prio)
-            .iter()
-            .map(|&(_, q)| q)
-            .max()
-            .unwrap_or(0);
-        println!(
-            "P3 (congestion root) peak queue: {:.0} KB",
-            p3_peak as f64 / 1024.0
-        );
-        println!("PAUSE frames in run: {}\n", r.sim.trace.pause_frames);
-    }
+            // P3 queue for context.
+            let p3_peak = peak_queue(&r.sim, r.fig.p3.0, r.fig.p3.1, prio);
+            println!(
+                "P3 (congestion root) peak queue: {:.0} KB",
+                p3_peak as f64 / 1024.0
+            );
+            println!("PAUSE frames in run: {}\n", r.sim.trace.pause_frames);
+        },
+    );
 }

@@ -50,8 +50,7 @@ fn main() {
                 });
                 let mut pkts = 0u64;
                 let mut ce = 0u64;
-                for f in &r.victims {
-                    let d = r.sim.trace.flows[f.0 as usize].delivered;
+                for d in r.victim_deliveries() {
                     pkts += d.pkts;
                     ce += d.ce;
                 }

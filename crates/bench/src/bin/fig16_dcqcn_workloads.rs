@@ -2,167 +2,13 @@
 //! TCD (§5.2.1).
 //!
 //! Fat-tree k = 10 (250 hosts), 40 Gbps links, 4 µs delay, 60% average
-//! load, Hadoop and WebSearch flow-size distributions. The paper runs 40k
-//! flows; the default here is scaled down (`--full` restores the paper's
-//! size). Reported: median/95th/99th-percentile FCT slowdown overall and
-//! per size bucket, plus the paper's headline ratios.
+//! load, Hadoop and WebSearch flow-size distributions, plus a
+//! supplementary incast-heavy cell.
 //!
 //! Expected shape: DCQCN+TCD wins, most strongly for small flows; the
 //! paper quotes 3.3× median and 2.0× p99 improvements (Hadoop, small
 //! flows: median 10.8 → 3.6).
-//!
-//! These are the repo's heaviest runs, and the workload × scheme grid is
-//! six independent simulations — they fan out on the parallel harness
-//! (`--threads`), each worker reducing its run to slowdown summaries, and
-//! the tables print from the submission-ordered results.
-
-use lossless_flowctl::SimTime;
-use lossless_stats::SlowdownSummary;
-use tcd_bench::harness::{self, Sweep};
-use tcd_bench::report::{self, f2};
-use tcd_bench::scenarios::workload::{run, Options, Workload};
-use tcd_bench::scenarios::{Cc, CcAlgo, Network};
-
-/// Flatten an optional summary into `prefix:count/p50/p95/p99/mean`
-/// metrics (count 0 when the bucket is empty).
-fn push_summary(metrics: &mut Vec<(String, f64)>, prefix: &str, s: &Option<SlowdownSummary>) {
-    let (count, p50, p95, p99, mean) = match s {
-        Some(s) => (s.count as f64, s.p50, s.p95, s.p99, s.mean),
-        None => (0.0, f64::NAN, f64::NAN, f64::NAN, f64::NAN),
-    };
-    metrics.push((format!("{prefix}:count"), count));
-    metrics.push((format!("{prefix}:p50"), p50));
-    metrics.push((format!("{prefix}:p95"), p95));
-    metrics.push((format!("{prefix}:p99"), p99));
-    metrics.push((format!("{prefix}:mean"), mean));
-}
-
-fn summary_row(o: &harness::RunOutcome, prefix: &str) -> Option<Vec<String>> {
-    let count = o.metric(&format!("{prefix}:count"))? as u64;
-    if count == 0 {
-        return None;
-    }
-    Some(vec![
-        count.to_string(),
-        f2(o.metric(&format!("{prefix}:p50"))?),
-        f2(o.metric(&format!("{prefix}:p95"))?),
-        f2(o.metric(&format!("{prefix}:p99"))?),
-        f2(o.metric(&format!("{prefix}:mean"))?),
-    ])
-}
-
-const GRID: [(Workload, f64); 3] = [
-    (Workload::Hadoop, 0.0),
-    (Workload::WebSearch, 0.0),
-    // Supplementary: the pause-heavy regime of production fabrics,
-    // where a slice of the flow budget arrives as synchronized
-    // partition-aggregate incasts (the paper's §3 motivation traffic).
-    (Workload::Hadoop, 0.08),
-];
 
 fn main() {
-    let args = report::ExpArgs::parse(0.05);
-    let flows = args.scaled(40_000, 500);
-
-    let mut sweep = Sweep::new();
-    for (wl, incast) in GRID {
-        for tcd in [false, true] {
-            let seed = args.seed;
-            let name = if tcd { "dcqcn+tcd" } else { "dcqcn" };
-            let wname = match wl {
-                Workload::Hadoop => "hadoop",
-                Workload::WebSearch => "websearch",
-            };
-            sweep.add(format!("{wname}_incast{incast}_{name}"), move || {
-                let r = run(Options {
-                    network: Network::Cee,
-                    cc: Cc {
-                        algo: CcAlgo::Dcqcn,
-                        tcd,
-                    },
-                    use_tcd: tcd,
-                    k: 10,
-                    workload: wl,
-                    load: 0.6,
-                    flows,
-                    incast_fraction: incast,
-                    incast_fanin: 12,
-                    seed,
-                    deadline: SimTime::from_ms(2_000),
-                });
-                let buckets = wl.buckets();
-                let mut metrics = vec![("completion_rate".into(), r.completion_rate)];
-                push_summary(&mut metrics, "all", &r.summary());
-                for (b, s) in r.bucket_summaries(&buckets).iter().enumerate() {
-                    push_summary(&mut metrics, &format!("b{b}"), s);
-                }
-                harness::outcome_of(&r.sim, metrics)
-            });
-        }
-    }
-    let rep = sweep.run(args.threads);
-
-    for (gi, (wl, incast)) in GRID.iter().enumerate() {
-        let name = match wl {
-            Workload::Hadoop => "Hadoop",
-            Workload::WebSearch => "WebSearch",
-        };
-        let tag = if *incast > 0.0 {
-            format!(
-                "{name} + {:.0}% incast jobs (supplementary)",
-                incast * 100.0
-            )
-        } else {
-            name.to_string()
-        };
-        report::header(
-            "Fig. 16",
-            &format!("{tag}, {flows} flows, fat-tree k=10, 60% load"),
-        );
-
-        // Submission order: [plain, tcd] per grid cell.
-        let results = [
-            ("dcqcn", &rep.results[gi * 2].outcome),
-            ("dcqcn+tcd", &rep.results[gi * 2 + 1].outcome),
-        ];
-        let buckets = wl.buckets();
-        let mut t = report::Table::new(vec!["bucket", "scheme", "n", "p50", "p95", "p99", "mean"]);
-        for (name, o) in &results {
-            if let Some(cells) = summary_row(o, "all") {
-                let mut row = vec!["ALL".to_string(), name.to_string()];
-                row.extend(cells);
-                t.row(row);
-            }
-        }
-        for b in 0..buckets.len() {
-            for (name, o) in &results {
-                if let Some(cells) = summary_row(o, &format!("b{b}")) {
-                    let mut row = vec![buckets.label(b).to_string(), name.to_string()];
-                    row.extend(cells);
-                    t.row(row);
-                }
-            }
-        }
-        t.print();
-
-        if let (Some(a50), Some(b50), Some(a99), Some(b99)) = (
-            results[0].1.metric("all:p50"),
-            results[1].1.metric("all:p50"),
-            results[0].1.metric("all:p99"),
-            results[1].1.metric("all:p99"),
-        ) {
-            println!(
-                "improvement: median {:.2}x, p99 {:.2}x (paper headline: 3.3x median, 2.0x p99)",
-                a50 / b50,
-                a99 / b99
-            );
-        }
-        for (name, o) in &results {
-            println!(
-                "{name}: completion rate {:.1}%",
-                o.metric("completion_rate").unwrap_or(0.0) * 100.0
-            );
-        }
-        println!();
-    }
+    tcd_bench::workload_fct_figure(16, tcd_bench::scenarios::CcAlgo::Dcqcn);
 }

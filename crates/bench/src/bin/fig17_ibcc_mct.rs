@@ -14,7 +14,7 @@ use lossless_stats::mean;
 use tcd_bench::report::{self, f2};
 use tcd_bench::scenarios::victim;
 use tcd_bench::scenarios::workload::{run_hpc, HpcOptions};
-use tcd_bench::scenarios::{Cc, CcAlgo, Network};
+use tcd_bench::scenarios::Network;
 
 fn main() {
     let args = report::ExpArgs::parse(0.05);
@@ -45,10 +45,6 @@ fn main() {
         let r = victim::run(victim::Options {
             network: Network::Ib,
             use_tcd: tcd,
-            cc: Some(Cc {
-                algo: CcAlgo::IbCc,
-                tcd,
-            }),
             burst_gap: SimDuration::from_us(700),
             load: 0.3,
             io_fraction: 0.1,
@@ -84,10 +80,7 @@ fn main() {
     let mut runs = Vec::new();
     for tcd in [false, true] {
         let r = run_hpc(HpcOptions {
-            cc: Cc {
-                algo: CcAlgo::IbCc,
-                tcd,
-            },
+            cc: Network::Ib.cc(tcd),
             use_tcd: tcd,
             k,
             messages,

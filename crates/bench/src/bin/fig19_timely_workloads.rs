@@ -4,133 +4,7 @@
 //! Expected shape: TIMELY with TCD improves median and tail slowdowns,
 //! especially for small and medium flows (the paper quotes Hadoop <50 KB
 //! p99 going from 50.3 to 36.6).
-//!
-//! As in Fig. 16, the workload × scheme grid fans out on the parallel
-//! harness (`--threads`) with each worker reducing its run to slowdown
-//! summaries.
-
-use lossless_flowctl::SimTime;
-use lossless_stats::SlowdownSummary;
-use tcd_bench::harness::{self, Sweep};
-use tcd_bench::report::{self, f2};
-use tcd_bench::scenarios::workload::{run, Options, Workload};
-use tcd_bench::scenarios::{Cc, CcAlgo, Network};
-
-/// Flatten an optional summary into `prefix:count/p50/p95/p99` metrics
-/// (count 0 when the bucket is empty).
-fn push_summary(metrics: &mut Vec<(String, f64)>, prefix: &str, s: &Option<SlowdownSummary>) {
-    let (count, p50, p95, p99) = match s {
-        Some(s) => (s.count as f64, s.p50, s.p95, s.p99),
-        None => (0.0, f64::NAN, f64::NAN, f64::NAN),
-    };
-    metrics.push((format!("{prefix}:count"), count));
-    metrics.push((format!("{prefix}:p50"), p50));
-    metrics.push((format!("{prefix}:p95"), p95));
-    metrics.push((format!("{prefix}:p99"), p99));
-}
-
-fn summary_row(o: &harness::RunOutcome, prefix: &str) -> Option<Vec<String>> {
-    let count = o.metric(&format!("{prefix}:count"))? as u64;
-    if count == 0 {
-        return None;
-    }
-    Some(vec![
-        count.to_string(),
-        f2(o.metric(&format!("{prefix}:p50"))?),
-        f2(o.metric(&format!("{prefix}:p95"))?),
-        f2(o.metric(&format!("{prefix}:p99"))?),
-    ])
-}
-
-const WORKLOADS: [Workload; 2] = [Workload::Hadoop, Workload::WebSearch];
 
 fn main() {
-    let args = report::ExpArgs::parse(0.05);
-    let flows = args.scaled(40_000, 500);
-
-    let mut sweep = Sweep::new();
-    for wl in WORKLOADS {
-        for tcd in [false, true] {
-            let seed = args.seed;
-            let name = if tcd { "timely+tcd" } else { "timely" };
-            let wname = match wl {
-                Workload::Hadoop => "hadoop",
-                Workload::WebSearch => "websearch",
-            };
-            sweep.add(format!("{wname}_{name}"), move || {
-                let r = run(Options {
-                    network: Network::Cee,
-                    cc: Cc {
-                        algo: CcAlgo::Timely,
-                        tcd,
-                    },
-                    use_tcd: tcd,
-                    k: 10,
-                    workload: wl,
-                    load: 0.6,
-                    flows,
-                    incast_fraction: 0.04,
-                    incast_fanin: 12,
-                    seed,
-                    deadline: SimTime::from_ms(2_000),
-                });
-                let buckets = wl.buckets();
-                let mut metrics = Vec::new();
-                push_summary(&mut metrics, "all", &r.summary());
-                for (b, s) in r.bucket_summaries(&buckets).iter().enumerate() {
-                    push_summary(&mut metrics, &format!("b{b}"), s);
-                }
-                harness::outcome_of(&r.sim, metrics)
-            });
-        }
-    }
-    let rep = sweep.run(args.threads);
-
-    for (wi, wl) in WORKLOADS.iter().enumerate() {
-        let name = match wl {
-            Workload::Hadoop => "Hadoop",
-            Workload::WebSearch => "WebSearch",
-        };
-        report::header(
-            "Fig. 19",
-            &format!("{name} workload, {flows} flows (TIMELY ± TCD)"),
-        );
-
-        // Submission order: [plain, tcd] per workload.
-        let results = [
-            ("timely", &rep.results[wi * 2].outcome),
-            ("timely+tcd", &rep.results[wi * 2 + 1].outcome),
-        ];
-        let buckets = wl.buckets();
-        let mut t = report::Table::new(vec!["bucket", "scheme", "n", "p50", "p95", "p99"]);
-        for (name, o) in &results {
-            if let Some(cells) = summary_row(o, "all") {
-                let mut row = vec!["ALL".to_string(), name.to_string()];
-                row.extend(cells);
-                t.row(row);
-            }
-        }
-        for b in 0..buckets.len() {
-            for (name, o) in &results {
-                if let Some(cells) = summary_row(o, &format!("b{b}")) {
-                    let mut row = vec![buckets.label(b).to_string(), name.to_string()];
-                    row.extend(cells);
-                    t.row(row);
-                }
-            }
-        }
-        t.print();
-        if let (Some(a50), Some(b50), Some(a99), Some(b99)) = (
-            results[0].1.metric("all:p50"),
-            results[1].1.metric("all:p50"),
-            results[0].1.metric("all:p99"),
-            results[1].1.metric("all:p99"),
-        ) {
-            println!(
-                "improvement: median {:.2}x, p99 {:.2}x\n",
-                a50 / b50,
-                a99 / b99
-            );
-        }
-    }
+    tcd_bench::workload_fct_figure(19, tcd_bench::scenarios::CcAlgo::Timely);
 }

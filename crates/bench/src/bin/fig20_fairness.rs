@@ -9,7 +9,7 @@
 //! beside F1) for both DCQCN+TCD and TIMELY+TCD.
 
 use lossless_flowctl::SimTime;
-use lossless_stats::timeseries::rate_series;
+use tcd_bench::port_rate_series;
 use tcd_bench::report::{self, f2};
 use tcd_bench::scenarios::fairness::run;
 use tcd_bench::scenarios::{Cc, CcAlgo};
@@ -29,15 +29,8 @@ fn main() {
             .b_hosts
             .iter()
             .map(|&h| {
-                let cum: Vec<(lossless_flowctl::SimTime, u64)> = r
-                    .sim
-                    .trace
-                    .port_samples
-                    .iter()
-                    .filter(|s| s.node == h && s.prio == prio)
-                    .map(|s| (s.t, s.tx_bytes))
-                    .collect();
-                rate_series(&cum)
+                // Each B host's NIC (port 0) carries exactly one flow.
+                port_rate_series(&r.sim, h, 0, prio)
                     .iter()
                     .map(|p| (p.t.as_ms_f64(), p.gbps))
                     .collect()

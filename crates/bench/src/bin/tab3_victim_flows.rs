@@ -48,11 +48,7 @@ fn main() {
             opt.io_fraction = 0.1;
         }
         let r = run(opt);
-        let marked = r
-            .victims
-            .iter()
-            .filter(|f| r.sim.trace.flows[f.0 as usize].delivered.ce > 0)
-            .count();
+        let marked = r.victims_with(|d| d.ce > 0);
         t.row(vec![
             label.to_string(),
             r.victims.len().to_string(),

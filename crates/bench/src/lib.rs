@@ -7,7 +7,8 @@
 //! `--seed <n>`, `--threads <n>` and `--full`; sweep-shaped binaries
 //! (figs. 14/15/16/18/19) fan their independent runs out on the
 //! deterministic parallel [`harness`]. Figs. 15 and 18 are one program
-//! ([`victim_fct_figure`]) run with two congestion controllers.
+//! ([`victim_fct_figure`]) run with two congestion controllers, and so are
+//! Figs. 16 and 19 ([`workload_fct_figure`]).
 
 #![forbid(unsafe_code)]
 
@@ -17,34 +18,24 @@ pub use tcd_repro::scenarios;
 
 use harness::Sweep;
 use lossless_flowctl::{SimDuration, SimTime};
-use lossless_netsim::trace::PortSample;
-use lossless_netsim::Simulator;
-use lossless_netsim::{NodeId, TernaryState};
+use lossless_netsim::{FlowId, NodeId, Simulator, TernaryState};
 use lossless_stats::timeseries::{downsample, rate_series, RatePoint};
-use lossless_stats::{mean, SizeBuckets};
+use lossless_stats::{mean, SizeBuckets, SlowdownSummary};
 use report::{f2, pct};
-use scenarios::{victim, Cc, CcAlgo, Network};
+use scenarios::workload::{self, Workload};
+use scenarios::{observation, victim, Cc, CcAlgo, Network};
 
 /// Extract `(t, queue_bytes)` for one sampled egress.
 pub fn queue_series(sim: &Simulator, node: NodeId, port: u16, prio: u8) -> Vec<(SimTime, u64)> {
-    sim.trace
-        .port_samples
-        .iter()
-        .filter(|s| s.node == node && s.port == port && s.prio == prio)
-        .map(|s| (s.t, s.queue_bytes))
-        .collect()
+    let samples = sim.trace.samples_of(node, port, prio);
+    samples.iter().map(|s| (s.t, s.queue_bytes)).collect()
 }
 
 /// Extract the sending-rate series (Gbps per sample interval) for one
 /// sampled egress.
 pub fn port_rate_series(sim: &Simulator, node: NodeId, port: u16, prio: u8) -> Vec<RatePoint> {
-    let cum: Vec<(SimTime, u64)> = sim
-        .trace
-        .port_samples
-        .iter()
-        .filter(|s| s.node == node && s.port == port && s.prio == prio)
-        .map(|s| (s.t, s.tx_bytes))
-        .collect();
+    let samples = sim.trace.samples_of(node, port, prio);
+    let cum: Vec<(SimTime, u64)> = samples.iter().map(|s| (s.t, s.tx_bytes)).collect();
     rate_series(&cum)
 }
 
@@ -55,12 +46,8 @@ pub fn state_series(
     port: u16,
     prio: u8,
 ) -> Vec<(SimTime, TernaryState)> {
-    sim.trace
-        .port_samples
-        .iter()
-        .filter(|s| s.node == node && s.port == port && s.prio == prio)
-        .map(|s| (s.t, s.state))
-        .collect()
+    let samples = sim.trace.samples_of(node, port, prio);
+    samples.iter().map(|s| (s.t, s.state)).collect()
 }
 
 /// Print a queue/rate/state trace of one port as a compact table of at
@@ -73,12 +60,7 @@ pub fn print_port_trace(
     prio: u8,
     rows: usize,
 ) {
-    let samples: Vec<&PortSample> = sim
-        .trace
-        .port_samples
-        .iter()
-        .filter(|s| s.node == node && s.port == port && s.prio == prio)
-        .collect();
+    let samples = sim.trace.samples_of(node, port, prio);
     if samples.is_empty() {
         println!("-- {label}: no samples --");
         return;
@@ -103,19 +85,62 @@ pub fn print_port_trace(
 
 /// Peak queue length (bytes) seen in the samples of one egress.
 pub fn peak_queue(sim: &Simulator, node: NodeId, port: u16, prio: u8) -> u64 {
-    queue_series(sim, node, port, prio)
-        .iter()
-        .map(|&(_, q)| q)
-        .max()
-        .unwrap_or(0)
+    let samples = sim.trace.samples_of(node, port, prio);
+    samples.iter().map(|s| s.queue_bytes).max().unwrap_or(0)
 }
 
-/// Whether an egress was ever observed paused/credit-blocked.
-pub fn ever_paused(sim: &Simulator, node: NodeId, port: u16, prio: u8) -> bool {
-    sim.trace
-        .port_samples
-        .iter()
-        .any(|s| s.node == node && s.port == port && s.prio == prio && s.paused)
+/// The frame Figs. 3, 4, 12 and 13 share: the §3.1 observation scenario
+/// under one detector, on CEE and then on InfiniBand, with a header per
+/// network; `body` prints that figure's tables from the completed run and
+/// its data priority.
+pub fn observation_figure(
+    fig: &str,
+    title: &str,
+    multi_cp: bool,
+    use_tcd: bool,
+    body: impl Fn(&observation::Run, u8),
+) {
+    report::ExpArgs::parse_fixed();
+    for network in [Network::Cee, Network::Ib] {
+        let tag = match (network, use_tcd) {
+            (Network::Cee, true) => "CEE",
+            (Network::Cee, false) => "CEE (ECN)",
+            (Network::Ib, true) => "InfiniBand",
+            (Network::Ib, false) => "InfiniBand (FECN)",
+        };
+        report::header(fig, &format!("{title} — {tag}"));
+        let r = observation::run(observation::Options {
+            network,
+            multi_cp,
+            use_tcd,
+            ..Default::default()
+        });
+        body(&r, r.sim.config().data_prio);
+    }
+}
+
+/// Print the per-flow mark table of Figs. 3, 4 and 12: delivered packets
+/// and the CE count and fraction of each named flow, with the UE count and
+/// fraction beside them when `with_ue` (the TCD figures).
+pub fn print_flow_marks(sim: &Simulator, flows: &[(&str, FlowId)], with_ue: bool) {
+    let mut t = report::Table::new(if with_ue {
+        vec!["flow", "pkts", "CE", "UE", "CE frac", "UE frac"]
+    } else {
+        vec!["flow", "pkts", "CE-marked", "CE frac"]
+    });
+    for &(name, f) in flows {
+        let d = sim.trace.flows[f.0 as usize].delivered;
+        let mut row = vec![name.to_string(), d.pkts.to_string(), d.ce.to_string()];
+        if with_ue {
+            row.push(d.ue.to_string());
+        }
+        row.push(pct(sim.trace.ce_fraction(f)));
+        if with_ue {
+            row.push(pct(sim.trace.ue_fraction(f)));
+        }
+        t.row(row);
+    }
+    t.print();
 }
 
 /// Figures 15 (DCQCN) and 18 (TIMELY): FCT of victim flows under `algo`
@@ -246,4 +271,139 @@ pub fn victim_fct_figure(fig: u32, algo: CcAlgo) {
         ]);
     }
     t.print();
+}
+
+/// Figures 16 (DCQCN) and 19 (TIMELY): overall FCT slowdown under
+/// realistic workloads with and without TCD, on the §5.2 fat-tree
+/// ([`workload::Options::paper`]; the paper runs 40k flows, `--full`
+/// restores that). Reported: median/95th/99th-percentile slowdown overall
+/// and per size bucket, plus the improvement ratios.
+///
+/// These are the repo's heaviest runs, and the workload × scheme grid is
+/// independent simulations — they fan out on the parallel harness
+/// (`--threads`), each worker reducing its run to slowdown summaries, and
+/// the tables print from the submission-ordered results.
+///
+/// The two committed outputs differ in what they carry, not in how it is
+/// computed: Fig. 16 has a `mean` column, a supplementary cell (the
+/// pause-heavy regime of production fabrics, where 8 % of the flow budget
+/// arrives as synchronized partition-aggregate incasts), completion rates
+/// and the paper's headline beside the ratios; Fig. 19 mixes 4 % incast
+/// jobs into both workloads.
+pub fn workload_fct_figure(fig: u32, algo: CcAlgo) {
+    const STATS: [&str; 5] = ["count", "p50", "p95", "p99", "mean"];
+    const FABRIC: &str = "fat-tree k=10, 60% load";
+    let args = report::ExpArgs::parse(0.05);
+    let flows = args.scaled(40_000, 500);
+    let upper = format!("{algo:?}").to_uppercase();
+    let lower = upper.to_lowercase();
+    let schemes = [lower.clone(), format!("{lower}+tcd")];
+    let fig16 = fig == 16;
+    let grid: &[(Workload, f64)] = if fig16 {
+        &[
+            (Workload::Hadoop, 0.0),
+            (Workload::WebSearch, 0.0),
+            (Workload::Hadoop, 0.08),
+        ]
+    } else {
+        &[(Workload::Hadoop, 0.04), (Workload::WebSearch, 0.04)]
+    };
+
+    let mut sweep = Sweep::new();
+    for &(wl, incast) in grid {
+        for (tcd, scheme) in [false, true].into_iter().zip(&schemes) {
+            let seed = args.seed;
+            let id = format!("{wl:?}_incast{incast}_{scheme}").to_lowercase();
+            sweep.add(id, move || {
+                let cc = Cc { algo, tcd };
+                let r = workload::run(workload::Options::paper(cc, wl, incast, flows, seed));
+                // Flatten each summary into `prefix:STATS` metrics (count 0
+                // when the bucket is empty).
+                let mut metrics = vec![("completion_rate".into(), r.completion_rate)];
+                let mut push = |prefix: &str, s: &Option<SlowdownSummary>| {
+                    let vals = match s {
+                        Some(s) => [s.count as f64, s.p50, s.p95, s.p99, s.mean],
+                        None => [0.0, f64::NAN, f64::NAN, f64::NAN, f64::NAN],
+                    };
+                    for (stat, v) in STATS.iter().zip(vals) {
+                        metrics.push((format!("{prefix}:{stat}"), v));
+                    }
+                };
+                push("all", &r.summary());
+                for (b, s) in r.bucket_summaries(&wl.buckets()).iter().enumerate() {
+                    push(&format!("b{b}"), s);
+                }
+                harness::outcome_of(&r.sim, metrics)
+            });
+        }
+    }
+    let rep = sweep.run(args.threads);
+
+    // Only Fig. 16 prints the mean.
+    let stats = &STATS[..if fig16 { 5 } else { 4 }];
+    for (gi, &(wl, incast)) in grid.iter().enumerate() {
+        let name = format!("{wl:?}");
+        let title = if !fig16 {
+            format!("{name} workload, {flows} flows ({upper} ± TCD)")
+        } else if incast > 0.0 {
+            let pc = incast * 100.0;
+            format!("{name} + {pc:.0}% incast jobs (supplementary), {flows} flows, {FABRIC}")
+        } else {
+            format!("{name}, {flows} flows, {FABRIC}")
+        };
+        report::header(&format!("Fig. {fig}"), &title);
+
+        // Submission order: [plain, tcd] per grid cell.
+        let results = [
+            &rep.results[gi * 2].outcome,
+            &rep.results[gi * 2 + 1].outcome,
+        ];
+        let buckets = wl.buckets();
+        let mut headers = vec!["bucket", "scheme", "n"];
+        headers.extend(&stats[1..]);
+        let mut t = report::Table::new(headers);
+        let labels = std::iter::once(("ALL", "all".to_string()))
+            .chain((0..buckets.len()).map(|b| (buckets.label(b), format!("b{b}"))));
+        for (label, prefix) in labels {
+            for (scheme, o) in schemes.iter().zip(results) {
+                let stat = |s: &str| o.metric(&format!("{prefix}:{s}")).unwrap_or(f64::NAN);
+                let count = stat("count") as u64;
+                if count == 0 {
+                    continue;
+                }
+                let mut row = vec![label.to_string(), scheme.clone(), count.to_string()];
+                row.extend(stats[1..].iter().map(|s| f2(stat(s))));
+                t.row(row);
+            }
+        }
+        t.print();
+
+        let [plain, tcd] = results;
+        if let (Some(a50), Some(b50), Some(a99), Some(b99)) = (
+            plain.metric("all:p50"),
+            tcd.metric("all:p50"),
+            plain.metric("all:p99"),
+            tcd.metric("all:p99"),
+        ) {
+            print!(
+                "improvement: median {:.2}x, p99 {:.2}x",
+                a50 / b50,
+                a99 / b99
+            );
+            if fig16 {
+                println!(" (paper headline: 3.3x median, 2.0x p99)");
+            } else {
+                println!("\n");
+            }
+        }
+        if fig16 {
+            for (scheme, o) in schemes.iter().zip(results) {
+                println!(
+                    "{scheme}: completion rate {:.1}%",
+                    o.metric("completion_rate").unwrap_or(0.0) * 100.0
+                );
+            }
+            println!();
+        }
+    }
 }

@@ -216,11 +216,6 @@ impl Host {
         self.line_rate
     }
 
-    /// Number of flows currently sending.
-    pub fn active_flows(&self) -> usize {
-        self.active.len()
-    }
-
     /// The current CC rate of an active flow, if still sending.
     pub fn flow_rate(&self, flow: FlowId) -> Option<Rate> {
         self.active.iter().find(|f| f.id == flow).map(|f| f.rate)

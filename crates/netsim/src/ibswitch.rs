@@ -103,11 +103,6 @@ impl IbPort<'_> {
         self.lane(vl).det.port_state()
     }
 
-    /// Ingress buffer occupancy high-water mark in blocks, summed over VLs.
-    pub fn max_rx_occupied_blocks(&self) -> u64 {
-        self.lanes.iter().map(|l| l.rx.max_occupied()).sum()
-    }
-
     /// Whether this port's ingress is currently credit-constraining its
     /// upstream for `vl`: the free space is below what a sender at
     /// `line_rate` would need per credit-update period.

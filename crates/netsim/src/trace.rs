@@ -10,7 +10,6 @@
 use crate::packet::FlowId;
 use crate::topology::NodeId;
 use lossless_flowctl::SimTime;
-use std::collections::BTreeMap;
 use tcd_core::{CodePoint, TernaryState};
 
 /// One periodic sample of an egress (port, priority).
@@ -255,13 +254,6 @@ impl Trace {
             .iter()
             .filter(|s| s.node == node && s.port == port && s.prio == prio)
             .collect()
-    }
-
-    /// Summary map flow → delivered stats (convenience for experiments).
-    /// A `BTreeMap` so iteration order is the flow-id order — experiment
-    /// output derived by walking this map is deterministic.
-    pub fn delivered_map(&self) -> BTreeMap<FlowId, Delivered> {
-        self.flows.iter().map(|f| (f.flow, f.delivered)).collect()
     }
 }
 

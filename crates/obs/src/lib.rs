@@ -151,15 +151,6 @@ impl Obs {
         }
     }
 
-    /// Fold the dispatch array into the registry under
-    /// `engine.dispatch.<kind name>` keys. Idempotent (absolute values),
-    /// so it can be called at any snapshot point.
-    pub fn fold_dispatch(&mut self, kind_names: &[&'static str]) {
-        for (i, name) in kind_names.iter().enumerate().take(MAX_EVENT_KINDS) {
-            self.reg.set_counter(Key::global(name), self.dispatch[i]);
-        }
-    }
-
     /// Raw dispatch count for one kind index.
     pub fn dispatch_count(&self, kind: usize) -> u64 {
         self.dispatch.get(kind).copied().unwrap_or(0)
@@ -535,19 +526,5 @@ mod tests {
             obs.maybe_checkpoint(SimTime::from_ns(ev), ev);
         }
         assert_eq!(obs.rec.total(), 2);
-    }
-
-    #[test]
-    fn fold_dispatch_is_idempotent() {
-        let names = ["engine.dispatch.A", "engine.dispatch.B"];
-        let mut obs = Obs::default();
-        obs.dispatched(0);
-        obs.dispatched(0);
-        obs.dispatched(1);
-        obs.fold_dispatch(&names);
-        let fp = obs.reg.fingerprint();
-        obs.fold_dispatch(&names);
-        assert_eq!(obs.reg.fingerprint(), fp);
-        assert_eq!(obs.reg.counter(Key::global("engine.dispatch.A")), 2);
     }
 }

@@ -1,10 +1,9 @@
-//! CSV and JSON export primitives for post-processing in external tools.
+//! CSV export primitives for post-processing in external tools.
 //!
-//! Deliberately minimal: plain RFC-4180-ish quoting and hand-rolled JSON
-//! literals, no dependencies. The experiment binaries use this (via
-//! `tcd_repro::report`) when asked to dump raw series next to their
-//! printed tables; the sweep harness and observability exporters share the
-//! JSON helpers so every emitted report escapes identically.
+//! Deliberately minimal: plain RFC-4180-ish quoting, no dependencies. The
+//! experiment binaries use this (via `tcd_repro::report`) when asked to
+//! dump raw series next to their printed tables. JSON is emitted through
+//! `lossless_obs::json`, the one set of escaping rules in the workspace.
 
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -67,35 +66,6 @@ where
     f.write_all(to_csv(headers, rows).as_bytes())
 }
 
-/// Render `s` as a JSON string literal with standard escaping.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON-safe float formatting (JSON has no NaN/Inf; `{:?}` keeps full
-/// round-trip precision for finite values).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,14 +106,5 @@ mod tests {
     fn empty_rows_ok() {
         let csv = to_csv(&["x"], Vec::<Vec<String>>::new());
         assert_eq!(csv, "x\n");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
     }
 }

@@ -42,13 +42,8 @@ fn main() {
     // Walk P2's sampled state and print every transition.
     let mut last = TernaryState::NonCongestion;
     println!("port P2 state transitions:");
-    for s in r
-        .sim
-        .trace
-        .port_samples
-        .iter()
-        .filter(|s| s.node == r.fig.p2.0 && s.port == r.fig.p2.1 && s.prio == prio)
-    {
+    let p2 = r.sim.trace.samples_of(r.fig.p2.0, r.fig.p2.1, prio);
+    for s in &p2 {
         if s.state != last {
             println!(
                 "  {:>8.3} ms: {} -> {}",
@@ -61,14 +56,7 @@ fn main() {
     }
 
     // The covered root must have been undetermined first, then congested.
-    let states: Vec<TernaryState> = r
-        .sim
-        .trace
-        .port_samples
-        .iter()
-        .filter(|s| s.node == r.fig.p2.0 && s.port == r.fig.p2.1 && s.prio == prio)
-        .map(|s| s.state)
-        .collect();
+    let states: Vec<TernaryState> = p2.iter().map(|s| s.state).collect();
     let first_undet = states.iter().position(|s| s.is_undetermined());
     let first_cong_after = first_undet.and_then(|i| {
         states[i..]

@@ -16,10 +16,7 @@ fn main() {
     for algo in [CcAlgo::Dcqcn, CcAlgo::Timely, CcAlgo::IbCc] {
         for tcd in [false, true] {
             let cc = Cc { algo, tcd };
-            let network = match algo {
-                CcAlgo::IbCc => Network::Ib,
-                _ => Network::Cee,
-            };
+            let network = cc.network();
             let mut opt = Options {
                 network,
                 use_tcd: tcd,
@@ -34,26 +31,13 @@ fn main() {
                 opt.burst_gap = SimDuration::from_us(700);
             }
             let r = run(opt);
-            let flagged = |ce: bool| {
-                r.victims
-                    .iter()
-                    .filter(|f| {
-                        let d = r.sim.trace.flows[f.0 as usize].delivered;
-                        if ce {
-                            d.ce > 0
-                        } else {
-                            d.ue > 0
-                        }
-                    })
-                    .count()
-            };
             println!(
                 "{:<12} {:>9} {:>12.1} {:>14} {:>12}",
                 cc.name(),
                 r.victims.len(),
                 r.victim_mean_fct().unwrap_or(0.0) * 1e6,
-                flagged(false),
-                flagged(true),
+                r.victims_with(|d| d.ue > 0),
+                r.victims_with(|d| d.ce > 0),
             );
         }
     }

@@ -8,7 +8,7 @@ use tcd_repro::netsim::cchooks::FixedRate;
 use tcd_repro::netsim::routing::RouteSelect;
 use tcd_repro::netsim::topology::figure2;
 use tcd_repro::netsim::Simulator;
-use tcd_repro::scenarios::{default_config, Cc, CcAlgo, Network};
+use tcd_repro::scenarios::{default_config, Network};
 
 fn main() {
     // 1. A topology: the paper's Figure-2 chain (S-hosts, T0..T3, burst
@@ -20,10 +20,7 @@ fn main() {
     //    max(T_on) from the ON-OFF model, K_max = 200 KB, RED marking in
     //    determined states.
     let mut cfg = default_config(Network::Cee, true, SimTime::from_ms(6));
-    let cc = Cc {
-        algo: CcAlgo::Dcqcn,
-        tcd: true,
-    };
+    let cc = Network::Cee.cc(true);
     cfg.feedback = cc.feedback();
     cfg.trace_interval = Some(SimDuration::from_us(10));
     cfg.sample_ports = vec![(fig.p2.0, fig.p2.1, cfg.data_prio)];

@@ -32,16 +32,8 @@ fn main() {
             opt.burst_gap = tcd_repro::flowctl::SimDuration::from_us(700);
         }
         let r = run(opt);
-        let ce = r
-            .victims
-            .iter()
-            .filter(|f| r.sim.trace.flows[f.0 as usize].delivered.ce > 0)
-            .count();
-        let ue = r
-            .victims
-            .iter()
-            .filter(|f| r.sim.trace.flows[f.0 as usize].delivered.ue > 0)
-            .count();
+        let ce = r.victims_with(|d| d.ce > 0);
+        let ue = r.victims_with(|d| d.ue > 0);
         println!(
             "{:<12} {:>8} {:>10} {:>10} {:>8.1}us",
             label,

@@ -9,8 +9,8 @@ cargo build --release
 
 # Static analysis gates ahead of the test passes: the call-graph-aware
 # code lint (hot-path rules, Fig. 6 spec conformance, stale-allow audit)
-# plus the buffer-dependency and fault-plan analysis of every committed
-# scenario topology. `tcdsim lint` exits non-zero on any finding.
+# plus the buffer-dependency and fault-plan analysis of every scenario
+# catalog row expected clean. `tcdsim lint` exits non-zero on any finding.
 echo "=== tcdsim lint ==="
 ./target/release/tcdsim lint
 
@@ -23,11 +23,12 @@ mkdir -p target/ci
 grep -q '"ok":true' target/ci/lint.json
 grep -q '"hot_functions":\[{' target/ci/lint.json
 
-# Negative smokes: the seeded route-swap cycle and a mutated Fig. 6 table
-# must both be *caught* (exit 1). A gate that cannot fail gates nothing.
+# Negative smokes: the route-swap cycle in the deadlock-triangle row's
+# fault plan and a mutated Fig. 6 table must both be *caught* (exit 1). A
+# gate that cannot fail gates nothing.
 echo "=== tcdsim lint (seeded negatives) ==="
-if ./target/release/tcdsim lint --topo seeded-fault-route-swap > /dev/null; then
-    echo "seeded-fault-route-swap was not caught" >&2
+if ./target/release/tcdsim lint --topo deadlock-triangle > /dev/null; then
+    echo "deadlock-triangle's route-swap cycle was not caught" >&2
     exit 1
 fi
 if ./target/release/tcdsim lint --code \
@@ -93,14 +94,19 @@ if ! awk -v a="$allocs" -v e="$events" 'BEGIN { exit !(a != "" && a <= 12 && e =
     exit 1
 fi
 
-# Figure gate: every committed results/<bin>.txt (the tables
-# EXPERIMENTS.md quotes) must regenerate byte-for-byte from
-# crates/bench/src/bin/<bin>.rs at its default arguments (~20 s in all).
+# Figure gate: every figure binary crates/bench/src/bin/<bin>.rs must
+# have a committed results/<bin>.txt (the tables EXPERIMENTS.md quotes)
+# and regenerate it byte-for-byte at its default arguments (~20 s in all).
 echo "=== figure binaries vs results/*.txt ==="
 cargo build --release -p tcd-bench
 mkdir -p target/ci/figs
-for want in results/*.txt; do
-    bin=$(basename "$want" .txt)
+for src in crates/bench/src/bin/*.rs; do
+    bin=$(basename "$src" .rs)
+    want=results/$bin.txt
+    if [ ! -f "$want" ]; then
+        echo "$src has no committed $want (scripts/run_all.sh writes it)" >&2
+        exit 1
+    fi
     ./target/release/"$bin" > "target/ci/figs/$bin.txt"
     if ! diff "$want" "target/ci/figs/$bin.txt"; then
         echo "$want no longer regenerates from crates/bench/src/bin/$bin.rs" >&2

@@ -4,28 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 SCALE_ARGS=("$@")
-BINS=(
-  fig00_lossless_motivation
-  fig03_single_cp
-  fig04_multi_cp
-  fig08_ton_surface
-  fig10_on_periods
-  fig11_testbed
-  fig12_tcd_single_cp
-  fig13_tcd_multi_cp
-  tab3_victim_flows
-  fig14_epsilon_sensitivity
-  fig15_dcqcn_victim
-  fig16_dcqcn_workloads
-  fig17_ibcc_mct
-  fig18_timely_victim
-  fig19_timely_workloads
-  fig20_fairness
-  abl_design_choices
-)
 cargo build --release -p tcd-bench
 mkdir -p results
-for b in "${BINS[@]}"; do
+# Every figure binary: one source file each (tcdbench is a directory).
+for src in crates/bench/src/bin/*.rs; do
+  b=$(basename "$src" .rs)
   echo "=== $b ==="
   cargo run --release -q -p tcd-bench --bin "$b" -- "${SCALE_ARGS[@]}" | tee "results/$b.txt"
 done

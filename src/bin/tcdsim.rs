@@ -14,10 +14,9 @@
 use std::process::exit;
 use tcd_repro::flowctl::SimTime;
 use tcd_repro::harness;
-use tcd_repro::netsim::cchooks::FixedRate;
 use tcd_repro::obs_export;
 use tcd_repro::report;
-use tcd_repro::scenarios::{self, observation, victim, Cc, CcAlgo, Network};
+use tcd_repro::scenarios::{self, observation, victim, Cc, CcAlgo, Lint, Network, Scale};
 use tcd_repro::tcd::tree;
 
 fn usage() -> ! {
@@ -43,11 +42,11 @@ common options:
 observe options:   --multi-cp
 fairness options:  --cc dcqcn|timely|ibcc   (default dcqcn)
 trees options:     --at-ms F                (default 1.0)
-trace/metrics:     <scenario>               fig03|fig04|fig12|fig13|ib|ib-tcd
-                                            or a fault/deadlock scenario:
-                                            fault-flap-incast|fault-degrade|
-                                            deadlock-triangle|deadlock-recovery
-                   --end-ms F               simulated duration (default 6.0)
+trace/metrics:     <scenario>               a scenario-catalog name (README.md,
+                                            \"Scenario catalog\"; an unknown
+                                            name prints the list)
+                   --end-ms F               simulated duration (default: the
+                                            scenario's own run length)
                    --out PATH               output file (default
                                             results/trace_<scenario>.json or
                                             results/metrics_<scenario>.json)
@@ -58,9 +57,12 @@ sweep options:     --seeds N                seeds per cell (default 3)
                    --out DIR                report directory (default results)
 lint options:      --code                   run only the workspace code lint
                    --topo NAME              run only the topology analysis of
-                                            NAME (repeatable); without flags,
-                                            lint runs the code lint plus every
-                                            committed scenario
+                                            NAME (repeatable): a catalog
+                                            scenario or a lint-only fixture
+                                            (seeded-cyclic-triangle|-square,
+                                            seeded-headroom-starved); without
+                                            flags, lint runs the code lint plus
+                                            every catalog row expected clean
                    --json                   emit one machine-readable JSON
                                             report line instead of text
                    --spec-table PATH        check the Fig. 6 conformance pass
@@ -87,7 +89,7 @@ struct Args {
     lint_json: bool,
     lint_spec_table: Option<String>,
     scenario: Option<String>,
-    end_ms: f64,
+    end_ms: Option<f64>,
 }
 
 fn parse() -> Args {
@@ -112,106 +114,71 @@ fn parse() -> Args {
         lint_json: false,
         lint_spec_table: None,
         scenario: None,
-        end_ms: 6.0,
+        end_ms: None,
     };
+    // The value after flag `i`, parsed and range-checked; anything else is
+    // a usage error.
+    fn checked<T: std::str::FromStr>(argv: &[String], i: usize, ok: impl Fn(&T) -> bool) -> T {
+        argv.get(i + 1)
+            .and_then(|s| s.parse().ok())
+            .filter(ok)
+            .unwrap_or_else(|| usage())
+    }
+    fn value<T: std::str::FromStr>(argv: &[String], i: usize) -> T {
+        checked(argv, i, |_| true)
+    }
     let mut i = 2;
     while i < argv.len() {
-        match argv[i].as_str() {
+        let flag = argv[i].as_str();
+        // Flags that take no value.
+        let switch = match flag {
+            "--tcd" => Some(&mut a.tcd),
+            "--multi-cp" => Some(&mut a.multi_cp),
+            "--code" => Some(&mut a.lint_code),
+            "--json" => Some(&mut a.lint_json),
+            _ => None,
+        };
+        if let Some(on) = switch {
+            *on = true;
+            i += 1;
+            continue;
+        }
+        match flag {
             "--network" => {
-                a.network = match argv.get(i + 1).map(String::as_str) {
-                    Some("cee") => Network::Cee,
-                    Some("ib") => Network::Ib,
+                a.network = match value::<String>(&argv, i).as_str() {
+                    "cee" => Network::Cee,
+                    "ib" => Network::Ib,
                     _ => usage(),
-                };
-                i += 2;
-            }
-            "--tcd" => {
-                a.tcd = true;
-                i += 1;
-            }
-            "--multi-cp" => {
-                a.multi_cp = true;
-                i += 1;
-            }
-            "--seed" => {
-                a.seed = argv
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--csv" => {
-                a.csv = Some(argv.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
+                }
             }
             "--cc" => {
-                a.cc = match argv.get(i + 1).map(String::as_str) {
-                    Some("dcqcn") => CcAlgo::Dcqcn,
-                    Some("timely") => CcAlgo::Timely,
-                    Some("ibcc") => CcAlgo::IbCc,
+                a.cc = match value::<String>(&argv, i).as_str() {
+                    "dcqcn" => CcAlgo::Dcqcn,
+                    "timely" => CcAlgo::Timely,
+                    "ibcc" => CcAlgo::IbCc,
                     _ => usage(),
-                };
-                i += 2;
+                }
             }
-            "--at-ms" => {
-                a.at_ms = argv
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&v: &f64| v.is_finite() && v >= 0.0)
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--seeds" => {
-                a.seeds = argv
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &u64| n >= 1)
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--threads" => {
-                a.threads = argv
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--out" => {
-                a.out = Some(argv.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
+            "--seed" => a.seed = value(&argv, i),
+            "--csv" => a.csv = Some(value(&argv, i)),
+            "--at-ms" => a.at_ms = checked(&argv, i, |&v: &f64| v.is_finite() && v >= 0.0),
+            "--seeds" => a.seeds = checked(&argv, i, |&n| n >= 1),
+            "--threads" => a.threads = checked(&argv, i, |&n| n >= 1),
+            "--out" => a.out = Some(value(&argv, i)),
             "--end-ms" => {
-                a.end_ms = argv
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&v: &f64| (1..u64::MAX).contains(&ms_to_ps(v)))
-                    .unwrap_or_else(|| usage());
-                i += 2;
+                let in_clock_range = |&v: &f64| (1..u64::MAX).contains(&ms_to_ps(v));
+                a.end_ms = Some(checked(&argv, i, in_clock_range));
             }
-            "--code" => {
-                a.lint_code = true;
-                i += 1;
-            }
-            "--topo" => {
-                a.lint_topos
-                    .push(argv.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--json" => {
-                a.lint_json = true;
-                i += 1;
-            }
-            "--spec-table" => {
-                a.lint_spec_table = Some(argv.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 2;
-            }
+            "--topo" => a.lint_topos.push(value(&argv, i)),
+            "--spec-table" => a.lint_spec_table = Some(value(&argv, i)),
             s if !s.starts_with('-') && a.scenario.is_none() => {
                 a.scenario = Some(s.to_string());
                 i += 1;
+                continue;
             }
             _ => usage(),
         }
+        i += 2;
     }
     a
 }
@@ -239,7 +206,9 @@ fn write_output(path: &str, doc: &str) {
     std::fs::write(path, doc).unwrap_or_else(|e| fail(path, e));
 }
 
-fn dump_csv(sim: &tcd_repro::netsim::Simulator, dir: &str, tag: &str) {
+/// With `--csv DIR`, dump the run's port samples and flow outcomes there.
+fn dump_csv(a: &Args, sim: &tcd_repro::netsim::Simulator, tag: &str) {
+    let Some(dir) = &a.csv else { return };
     let ports = format!("{dir}/{tag}_ports.csv");
     let flows = format!("{dir}/{tag}_flows.csv");
     report::write_port_samples_csv(sim, &ports).unwrap_or_else(|e| fail(&ports, e));
@@ -266,9 +235,7 @@ fn cmd_observe(a: &Args) {
     }
     t.print();
     println!("PAUSE frames: {}", r.sim.trace.pause_frames);
-    if let Some(dir) = &a.csv {
-        dump_csv(&r.sim, dir, "observe");
-    }
+    dump_csv(a, &r.sim, "observe");
 }
 
 fn cmd_victim(a: &Args) {
@@ -278,20 +245,14 @@ fn cmd_victim(a: &Args) {
         seed: a.seed,
         ..Default::default()
     });
-    let flagged = r
-        .victims
-        .iter()
-        .filter(|f| r.sim.trace.flows[f.0 as usize].delivered.ce > 0)
-        .count();
+    let flagged = r.victims_with(|d| d.ce > 0);
     println!(
         "victims: {} | CE-flagged: {flagged} ({:.1}%) | mean victim FCT: {:.1} us",
         r.victims.len(),
         100.0 * r.victim_ce_fraction(),
         r.victim_mean_fct().unwrap_or(0.0) * 1e6
     );
-    if let Some(dir) = &a.csv {
-        dump_csv(&r.sim, dir, "victim");
-    }
+    dump_csv(a, &r.sim, "victim");
 }
 
 fn cmd_fairness(a: &Args) {
@@ -309,43 +270,16 @@ fn cmd_fairness(a: &Args) {
         })
         .collect();
     println!("B-flow delivered volumes after 20 ms: {}", last.join(" / "));
-    if let Some(dir) = &a.csv {
-        dump_csv(&r.sim, dir, "fairness");
-    }
+    dump_csv(a, &r.sim, "fairness");
 }
 
 fn cmd_trees(a: &Args) {
-    use tcd_repro::netsim::routing::RouteSelect;
-    use tcd_repro::netsim::topology::figure2;
-    use tcd_repro::netsim::Simulator;
-
-    let fig = figure2(Default::default());
-    let cc = Cc {
-        algo: if a.network == Network::Ib {
-            CcAlgo::IbCc
-        } else {
-            CcAlgo::Dcqcn
-        },
-        tcd: true,
-    };
-    let mut cfg = scenarios::default_config(a.network, true, SimTime::from_ms(6));
-    cfg.feedback = cc.feedback();
-    cfg.seed = a.seed;
-    let select = match a.network {
-        Network::Cee => RouteSelect::Ecmp,
-        Network::Ib => RouteSelect::DModK,
-    };
-    let mut sim = Simulator::new(fig.topo.clone(), cfg, select);
-    sim.add_flow(fig.s1, fig.r1, 40_000_000, SimTime::ZERO, cc.controller());
-    for &x in &fig.bursters {
-        sim.add_flow(
-            x,
-            fig.r1,
-            1_000_000,
-            SimTime::ZERO,
-            Box::new(FixedRate::line_rate()),
-        );
-    }
+    let mut sim = observation::build(observation::Options {
+        network: a.network,
+        use_tcd: true,
+        ..Default::default()
+    })
+    .sim;
     sim.run_until(SimTime::from_ps(ms_to_ps(a.at_ms)));
     let snap = sim.congestion_snapshot(sim.config().data_prio);
     let ts = tree::trees(&snap);
@@ -393,35 +327,32 @@ fn cmd_sweep(a: &Args) {
     );
 }
 
-/// `tcdsim trace <scenario>` / `tcdsim metrics <scenario>`: run a named
-/// observation scenario and write the requested JSON document. Output is
-/// structurally validated before anything touches the filesystem.
-fn cmd_export(a: &Args, metrics: bool) {
-    let known = || {
-        eprintln!("known scenarios:");
-        for (n, d) in obs_export::SCENARIOS {
-            eprintln!("  {n:18} {d}");
-        }
-        for (n, d) in obs_export::FAULT_SCENARIOS {
-            eprintln!("  {n:18} {d}");
-        }
-        exit(2)
-    };
-    let Some(name) = a.scenario.as_deref() else {
-        eprintln!("{}: missing <scenario>", a.cmd);
-        known()
-    };
-    let end = SimTime::from_ps(ms_to_ps(a.end_ms));
-    let sim = match obs_export::run_scenario(name, end) {
-        Some(r) => r.sim,
-        None => match obs_export::run_fault_scenario(name, end) {
-            Some(sim) => sim,
-            None => {
-                eprintln!("{}: unknown scenario `{name}`", a.cmd);
-                known()
+/// The catalog row called `name`, or exit 2 with the catalog listing —
+/// the one way `trace`, `metrics` and `lint --topo` resolve a name.
+fn scenario_or_exit(cmd: &str, name: Option<&str>) -> &'static scenarios::Scenario {
+    match name {
+        Some(name) => {
+            if let Some(row) = scenarios::by_name(name) {
+                return row;
             }
-        },
-    };
+            eprintln!("{cmd}: unknown scenario `{name}`");
+        }
+        None => eprintln!("{cmd}: missing <scenario>"),
+    }
+    eprint!("known scenarios:\n{}", scenarios::listing());
+    exit(2)
+}
+
+/// `tcdsim trace <scenario>` / `tcdsim metrics <scenario>`: run a catalog
+/// scenario and write the requested JSON document. Output is structurally
+/// validated before anything touches the filesystem.
+fn cmd_export(a: &Args, metrics: bool) {
+    let row = scenario_or_exit(&a.cmd, a.scenario.as_deref());
+    let name = row.name;
+    let end = a
+        .end_ms
+        .map_or(row.end, |ms| SimTime::from_ps(ms_to_ps(ms)));
+    let sim = row.run(Scale::new(end));
     let (doc, kind) = if metrics {
         let doc = obs_export::metrics_json(&sim);
         if let Err(e) = tcd_repro::obs::json::parse(&doc) {
@@ -448,7 +379,7 @@ fn cmd_export(a: &Args, metrics: bool) {
     println!(
         "wrote {path} ({} bytes, {name} over {} ms, {} sim events)",
         doc.len(),
-        a.end_ms,
+        end.as_ms_f64(),
         sim.trace.events
     );
 }
@@ -456,12 +387,23 @@ fn cmd_export(a: &Args, metrics: bool) {
 fn cmd_lint(a: &Args) {
     use tcd_repro::lintspec;
 
-    // Default (no flags): code lint + every committed scenario.
+    // Default (no flags): code lint + every catalog row expected clean.
     let run_code = a.lint_code || a.lint_topos.is_empty();
-    let topos: Vec<String> = if a.lint_topos.is_empty() && !a.lint_code {
-        lintspec::COMMITTED.iter().map(|s| s.to_string()).collect()
+    let specs: Vec<simlint::TopoSpec> = if a.lint_topos.is_empty() && !a.lint_code {
+        scenarios::CATALOG
+            .iter()
+            .filter(|row| row.lint == Lint::Clean)
+            .map(|row| row.lint_spec())
+            .collect()
     } else {
-        a.lint_topos.clone()
+        // A lint-only fixture, else a catalog row (or exit 2).
+        a.lint_topos
+            .iter()
+            .map(|name| {
+                lintspec::build(name)
+                    .unwrap_or_else(|| scenario_or_exit("lint", Some(name)).lint_spec())
+            })
+            .collect()
     };
     let mut failed = false;
 
@@ -503,21 +445,14 @@ fn cmd_lint(a: &Args) {
         }
     }
 
-    let mut clean = Vec::new();
+    let mut clean = 0usize;
     let mut reports = Vec::new();
-    for name in &topos {
-        let Some(spec) = lintspec::build(name) else {
-            eprintln!(
-                "lint: unknown scenario `{name}` (known: {}, seeded-bad: {})",
-                lintspec::COMMITTED.join(", "),
-                lintspec::SEEDED_BAD.join(", ")
-            );
-            exit(2);
-        };
-        let rep = simlint::analyze(&spec);
+    for spec in &specs {
+        let name = &spec.name;
+        let rep = simlint::analyze(spec);
         if !a.lint_json {
             if rep.diags.is_empty() {
-                clean.push(name.as_str());
+                clean += 1;
             } else {
                 println!(
                     "{name}: {} channel(s), {} dependency edge(s)",
@@ -536,12 +471,8 @@ fn cmd_lint(a: &Args) {
             "{}",
             simlint::json_report(&code_diags, code_files, &hot, &reports)
         );
-    } else if !topos.is_empty() {
-        println!(
-            "topology lint: {}/{} scenario(s) clean",
-            clean.len(),
-            topos.len()
-        );
+    } else if !specs.is_empty() {
+        println!("topology lint: {clean}/{} scenario(s) clean", specs.len());
     }
     if failed {
         exit(1);

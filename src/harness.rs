@@ -20,7 +20,7 @@
 //! that order (see [`default_threads`]).
 
 use lossless_netsim::Simulator;
-use lossless_stats::export::{json_f64, json_str};
+use lossless_obs::json::{escape, num_f64};
 use std::io::IsTerminal as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -238,7 +238,7 @@ impl SweepReport {
         for (i, r) in self.results.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"id\": {}, \"fingerprint\": \"{:016x}\", \"events\": {}, \"metrics\": {{",
-                json_str(&r.id),
+                escape(&r.id),
                 r.outcome.fingerprint,
                 r.outcome.events,
             ));
@@ -246,7 +246,7 @@ impl SweepReport {
                 if j > 0 {
                     s.push_str(", ");
                 }
-                s.push_str(&format!("{}: {}", json_str(k), json_f64(*v)));
+                s.push_str(&format!("{}: {}", escape(k), num_f64(*v)));
             }
             s.push_str(if i + 1 < self.results.len() {
                 "}},\n"

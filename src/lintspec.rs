@@ -1,144 +1,52 @@
-//! Named scenario specs for the static topology analyzer (`tcdsim lint`).
+//! Lint-only fixtures for the static topology analyzer (`tcdsim lint`).
 //!
-//! Bridges the experiment scenarios in [`crate::scenarios`] to
-//! [`simlint::TopoSpec`]: each name maps to the topology + configuration +
-//! route selection a committed experiment or golden trace actually runs
-//! with, so `tcdsim lint --topo <name>` (and the CI gate, which runs every
-//! committed name) analyzes exactly what the simulator would execute.
-//!
-//! The extra *seeded-bad* specs are deliberately broken — cyclic
-//! up-down-violating rings, a headroom-starved long-haul dumbbell, and a
-//! baseline-clean ring whose fault plan swaps routes into a cycle. They
-//! are excluded from the committed set; naming them explicitly makes
-//! `tcdsim lint` exit non-zero, which the test suite relies on.
+//! The lint spec of every *runnable* scenario is derived from the
+//! simulator its catalog row builds ([`crate::scenarios::Scenario::lint_spec`]),
+//! so `tcdsim lint` analyzes what the simulator executes by construction.
+//! What is left here are the three specs that are deliberately **not**
+//! runnable scenarios: two rings whose cyclic routes exist only as
+//! [`TopoSpec::route_overrides`] (the analyzer's own override mechanism,
+//! which no simulator run installs) and a dumbbell whose rate·delay
+//! product starves the provisioned PFC headroom. Naming one with
+//! `tcdsim lint --topo` exits non-zero, which the test suite relies on;
+//! none is part of the default lint set. The runnable counterpart — a
+//! baseline-clean ring whose *fault plan* swaps routes into a cycle — is
+//! the catalog's `deadlock-triangle` row.
 
-use lossless_flowctl::pfc::PfcConfig;
 use lossless_flowctl::{Rate, SimDuration, SimTime};
-use lossless_netsim::config::FlowControlMode;
 use lossless_netsim::routing::RouteSelect;
-use lossless_netsim::topology::{
-    dumbbell, fat_tree, figure2, leaf_spine, testbed_compact, Figure2Options, Topology,
-};
+use lossless_netsim::topology::dumbbell;
 use simlint::TopoSpec;
 
-use crate::scenarios::{default_config, Network};
+use crate::scenarios::{default_config, fault, Network};
 
-/// Scenario names whose specs must analyze clean — the golden-trace set
-/// plus every other committed experiment topology. CI runs all of them.
-pub const COMMITTED: [&str; 10] = [
-    "cee-single-cp",
-    "cee-multi-cp",
-    "ib-single-cp",
-    "incast-victim",
-    "fat-tree-k4",
-    "fat-tree-k6",
-    "hpc-fat-tree-k4",
-    "testbed-compact",
-    "fairness",
-    "leaf-spine",
-];
-
-/// Deliberately broken specs (never part of the CI-clean set).
-pub const SEEDED_BAD: [&str; 4] = [
+/// The deliberately broken fixtures (never part of the default lint set).
+pub const SEEDED_BAD: [&str; 3] = [
     "seeded-cyclic-triangle",
     "seeded-cyclic-square",
     "seeded-headroom-starved",
-    "seeded-fault-route-swap",
 ];
 
-/// The paper's default link parameters (40 Gbps, 4 µs).
-fn paper_link() -> (Rate, SimDuration) {
-    (Rate::from_gbps(40), SimDuration::from_us(4))
-}
-
 /// Analysis ignores the end time; any value works.
-fn end() -> SimTime {
-    SimTime::from_ms(1)
-}
+const END: SimTime = SimTime::from_ms(1);
 
-/// The deliberately deadlock-prone triangle: three switches in a ring, one
-/// host each, with route overrides sending every pair "the long way round"
-/// — the classic cyclic buffer dependency that up-down routing exists to
-/// prevent (DCFIT's motivating example).
-fn cyclic_triangle() -> TopoSpec {
-    let mut b = Topology::builder();
-    let (r, d) = paper_link();
-    let s: Vec<_> = (0..3).map(|i| b.switch(format!("s{i}"))).collect();
-    let h: Vec<_> = (0..3).map(|i| b.host(format!("h{i}"))).collect();
-    for i in 0..3 {
-        b.link(h[i], s[i], r, d);
-        b.link(s[i], s[(i + 1) % 3], r, d);
-    }
-    let topo = b.build();
-    let mut spec = TopoSpec::new(
-        "seeded-cyclic-triangle",
-        topo,
-        default_config(Network::Cee, false, end()),
-        RouteSelect::Ecmp,
-    );
-    spec.route_overrides = vec![
-        (h[0], h[2], vec![h[0], s[0], s[1], s[2], h[2]]),
-        (h[1], h[0], vec![h[1], s[1], s[2], s[0], h[0]]),
-        (h[2], h[1], vec![h[2], s[2], s[0], s[1], h[1]]),
-    ];
-    spec
-}
-
-/// The four-switch variant of the cyclic ring: each host sends two hops
-/// clockwise, so every inter-switch link depends on the next one around
-/// the square. A second, larger CDC cycle for the runtime deadlock suite.
-fn cyclic_square() -> TopoSpec {
-    let mut b = Topology::builder();
-    let (r, d) = paper_link();
-    let s: Vec<_> = (0..4).map(|i| b.switch(format!("s{i}"))).collect();
-    let h: Vec<_> = (0..4).map(|i| b.host(format!("h{i}"))).collect();
-    for i in 0..4 {
-        b.link(h[i], s[i], r, d);
-        b.link(s[i], s[(i + 1) % 4], r, d);
-    }
-    let topo = b.build();
-    let mut spec = TopoSpec::new(
-        "seeded-cyclic-square",
-        topo,
-        default_config(Network::Cee, false, end()),
-        RouteSelect::Ecmp,
-    );
-    spec.route_overrides = (0..4)
-        .map(|i| {
-            (
-                h[i],
-                h[(i + 2) % 4],
-                vec![h[i], s[i], s[(i + 1) % 4], s[(i + 2) % 4], h[(i + 2) % 4]],
-            )
-        })
+/// The deliberately deadlock-prone `n`-switch ring — the classic cyclic
+/// buffer dependency that up-down routing exists to prevent (DCFIT's
+/// motivating example). It is `scenarios::fault::deadlock_ring(n)`'s
+/// topology with that scenario's cyclic route set (every host two hops
+/// clockwise) lifted out of the fault plan and installed as baseline
+/// route overrides, so the analyzer's *baseline* pass must flag it and
+/// node names and port numbers line up with the runtime ring.
+fn cyclic_ring(name: &str, n: usize) -> TopoSpec {
+    let sim = fault::deadlock_ring(n, END, None).sim;
+    let mut cfg = sim.config().clone();
+    let plan = std::mem::take(&mut cfg.fault_plan);
+    let mut spec = TopoSpec::new(name, sim.topology().clone(), cfg, RouteSelect::Ecmp);
+    spec.route_overrides = plan.route_sets[0]
+        .iter()
+        .map(|path| (path[0], path[path.len() - 1], path.clone()))
         .collect();
     spec
-}
-
-/// The baseline-acyclic ring whose *fault plan* swaps routes into a
-/// cycle: same construction as `scenarios::fault::deadlock_ring(3, ..)`
-/// (each host rerouted two hops clockwise at t=0 via `route_sets[0]`).
-/// The baseline ECMP routes are clean — only the fault-plan composition
-/// pass catches this one, cross-checked at runtime by the PFC-deadlock
-/// watchdog.
-fn fault_route_swap() -> TopoSpec {
-    let mut b = Topology::builder();
-    let (r, d) = paper_link();
-    let s: Vec<_> = (0..3).map(|i| b.switch(format!("s{i}"))).collect();
-    let h: Vec<_> = (0..3).map(|i| b.host(format!("h{i}"))).collect();
-    for i in 0..3 {
-        b.link(h[i], s[i], r, d);
-        b.link(s[i], s[(i + 1) % 3], r, d);
-    }
-    let topo = b.build();
-    let mut cfg = default_config(Network::Cee, true, end());
-    cfg.fault_plan.route_sets.push(
-        (0..3)
-            .map(|i| vec![h[i], s[i], s[(i + 1) % 3], s[(i + 2) % 3], h[(i + 2) % 3]])
-            .collect(),
-    );
-    cfg.fault_plan.route_change(SimTime::ZERO, Some(0));
-    TopoSpec::new("seeded-fault-route-swap", topo, cfg, RouteSelect::Ecmp)
 }
 
 /// A PFC dumbbell whose rate·delay product needs far more PAUSE headroom
@@ -149,96 +57,19 @@ fn headroom_starved() -> TopoSpec {
     TopoSpec::new(
         "seeded-headroom-starved",
         db.topo,
-        default_config(Network::Cee, false, end()),
+        default_config(Network::Cee, false, END),
         RouteSelect::Ecmp,
     )
 }
 
-/// Build the spec for a scenario name; `None` for unknown names.
+/// Build the fixture called `name`; `None` for any other name.
 pub fn build(name: &str) -> Option<TopoSpec> {
-    let (r, d) = paper_link();
-    let spec = match name {
-        // Figure-2 observation scenarios: single vs multiple congestion
-        // points differ only in traffic, not in topology or flow control.
-        "cee-single-cp" | "cee-multi-cp" => TopoSpec::new(
-            name,
-            figure2(Figure2Options::default()).topo,
-            default_config(Network::Cee, false, end()),
-            Network::Cee.routing(),
-        ),
-        "ib-single-cp" => TopoSpec::new(
-            name,
-            figure2(Figure2Options::default()).topo,
-            default_config(Network::Ib, false, end()),
-            Network::Ib.routing(),
-        ),
-        // §5.1.3 victim scenario: 20 Gbps sender edges.
-        "incast-victim" => TopoSpec::new(
-            name,
-            figure2(Figure2Options {
-                s_edge_rate: Some(Rate::from_gbps(20)),
-                ..Default::default()
-            })
-            .topo,
-            default_config(Network::Cee, false, end()),
-            Network::Cee.routing(),
-        ),
-        "fat-tree-k4" => TopoSpec::new(
-            name,
-            fat_tree(4, r, d).topo,
-            default_config(Network::Cee, false, end()),
-            Network::Cee.routing(),
-        ),
-        "fat-tree-k6" => TopoSpec::new(
-            name,
-            fat_tree(6, r, d).topo,
-            default_config(Network::Cee, false, end()),
-            Network::Cee.routing(),
-        ),
-        // §5.2.2-style HPC setup: InfiniBand + D-mod-k on a fat-tree.
-        "hpc-fat-tree-k4" => TopoSpec::new(
-            name,
-            fat_tree(4, r, d).topo,
-            default_config(Network::Ib, false, end()),
-            RouteSelect::DModK,
-        ),
-        // §5.1.1 DPDK testbed: 10 Gbps, 1 µs, 800/770 KB PFC thresholds.
-        "testbed-compact" => {
-            let rate = Rate::from_gbps(10);
-            let delay = SimDuration::from_us(1);
-            let mut cfg = default_config(Network::Cee, false, end());
-            cfg.flow_control = FlowControlMode::Pfc(PfcConfig::paper_testbed());
-            TopoSpec::new(
-                name,
-                testbed_compact(rate, delay).topo,
-                cfg,
-                Network::Cee.routing(),
-            )
-        }
-        // §5.2.4 fairness: Figure 2 plus the B hosts.
-        "fairness" => TopoSpec::new(
-            name,
-            figure2(Figure2Options {
-                with_b_hosts: true,
-                ..Default::default()
-            })
-            .topo,
-            default_config(Network::Cee, false, end()),
-            Network::Cee.routing(),
-        ),
-        "leaf-spine" => TopoSpec::new(
-            name,
-            leaf_spine(3, 2, 4, r, d).topo,
-            default_config(Network::Cee, false, end()),
-            Network::Cee.routing(),
-        ),
-        "seeded-cyclic-triangle" => cyclic_triangle(),
-        "seeded-cyclic-square" => cyclic_square(),
-        "seeded-headroom-starved" => headroom_starved(),
-        "seeded-fault-route-swap" => fault_route_swap(),
-        _ => return None,
-    };
-    Some(spec)
+    match name {
+        "seeded-cyclic-triangle" => Some(cyclic_ring("seeded-cyclic-triangle", 3)),
+        "seeded-cyclic-square" => Some(cyclic_ring("seeded-cyclic-square", 4)),
+        "seeded-headroom-starved" => Some(headroom_starved()),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -247,9 +78,10 @@ mod tests {
 
     #[test]
     fn every_registered_name_builds() {
-        for name in COMMITTED.iter().chain(SEEDED_BAD.iter()) {
+        for name in SEEDED_BAD {
             assert!(build(name).is_some(), "spec {name} should build");
         }
         assert!(build("no-such-scenario").is_none());
+        assert!(build("deadlock-triangle").is_none(), "a catalog row");
     }
 }

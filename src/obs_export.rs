@@ -149,104 +149,21 @@ pub fn metrics_json(sim: &Simulator) -> String {
     sim.obs_registry().to_json()
 }
 
-/// Scenario names `tcdsim trace`/`tcdsim metrics` accept, with their
-/// meanings. All are observation runs on the Figure-2 topology.
-pub const SCENARIOS: [(&str, &str); 6] = [
-    (
-        "fig03",
-        "CEE, single congestion point, binary detector (Fig. 3)",
-    ),
-    (
-        "fig04",
-        "CEE, multiple congestion points, binary detector (Fig. 4)",
-    ),
-    ("fig12", "CEE, single congestion point, TCD (Fig. 12)"),
-    ("fig13", "CEE, multiple congestion points, TCD (Fig. 13)"),
-    ("ib", "InfiniBand, single congestion point, binary detector"),
-    ("ib-tcd", "InfiniBand, single congestion point, TCD"),
-];
-
-/// Run a named observation scenario for the exporters. `None` for an
-/// unknown name; see [`SCENARIOS`].
-pub fn run_scenario(
-    name: &str,
-    end: lossless_flowctl::SimTime,
-) -> Option<crate::scenarios::observation::Run> {
-    use crate::scenarios::observation::{run, Options};
-    use crate::scenarios::Network;
-    let (network, multi_cp, use_tcd) = match name {
-        "fig03" => (Network::Cee, false, false),
-        "fig04" => (Network::Cee, true, false),
-        "fig12" => (Network::Cee, false, true),
-        "fig13" => (Network::Cee, true, true),
-        "ib" => (Network::Ib, false, false),
-        "ib-tcd" => (Network::Ib, false, true),
-        _ => return None,
-    };
-    Some(run(Options {
-        network,
-        multi_cp,
-        use_tcd,
-        end,
-        ..Default::default()
-    }))
-}
-
-/// Fault-injection and deadlock scenario names the exporters also
-/// accept; see [`crate::scenarios::fault`]. The deadlock runs sample
-/// every ring egress, so the exported trace carries the TCD ternary
-/// timeline through wedge formation (and, for the recovery variant,
-/// through the drain after the route revert).
-pub const FAULT_SCENARIOS: [(&str, &str); 4] = [
-    (
-        "fault-flap-incast",
-        "fat-tree incast with the victim edge's uplinks flapping mid-run",
-    ),
-    (
-        "fault-degrade",
-        "dumbbell with the receiver-side link degraded to 10 Gbps mid-transfer",
-    ),
-    (
-        "deadlock-triangle",
-        "3-switch CDC ring driven into genuine runtime PFC deadlock",
-    ),
-    (
-        "deadlock-recovery",
-        "the same ring, routes reverted at end/8 so the fabric drains",
-    ),
-];
-
-/// Run a named fault or deadlock scenario for the exporters. `None` for
-/// an unknown name; see [`FAULT_SCENARIOS`].
-pub fn run_fault_scenario(name: &str, end: lossless_flowctl::SimTime) -> Option<Simulator> {
-    use crate::scenarios::fault;
-    use lossless_flowctl::SimTime;
-    let mut sim = match name {
-        "fault-flap-incast" => fault::flap_incast(end).0,
-        "fault-degrade" => fault::degrade_recovery(end),
-        "deadlock-triangle" => fault::deadlock_ring(3, end, None).sim,
-        "deadlock-recovery" => {
-            fault::deadlock_ring(3, end, Some(SimTime::from_ps(end.as_ps() / 8))).sim
-        }
-        _ => return None,
-    };
-    // The deadlock runs *provoke* a Liveness violation by design; in
-    // audit builds the watchdog must record it, not abort the export.
-    sim.record_violations();
-    sim.run();
-    Some(sim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::{by_name, Scale};
     use lossless_flowctl::SimTime;
     use lossless_obs::perfetto::validate_chrome_trace;
 
+    /// Run the catalog row `name` for `end` at the exporters' sampling.
+    fn run(name: &str, end: SimTime) -> Simulator {
+        by_name(name).expect("catalog row").run(Scale::new(end))
+    }
+
     #[test]
     fn fig03_trace_is_valid_and_has_all_track_kinds() {
-        let r = run_scenario("fig03", SimTime::from_us(600)).expect("known scenario");
-        let doc = perfetto_trace_json(&r.sim);
+        let doc = perfetto_trace_json(&run("fig03", SimTime::from_us(600)));
         let n = validate_chrome_trace(&doc).expect("valid Chrome trace");
         assert!(n > 0, "trace must contain events");
         assert!(doc.contains("queue p"), "queue-depth counter track");
@@ -257,8 +174,7 @@ mod tests {
 
     #[test]
     fn fig03_metrics_dump_parses_and_self_describes() {
-        let r = run_scenario("fig03", SimTime::from_us(600)).expect("known scenario");
-        let doc = metrics_json(&r.sim);
+        let doc = metrics_json(&run("fig03", SimTime::from_us(600)));
         let v = lossless_obs::json::parse(&doc).expect("valid JSON");
         assert_eq!(
             v.get("schema").and_then(|s| s.as_str()),
@@ -276,13 +192,14 @@ mod tests {
 
     #[test]
     fn unknown_scenario_is_rejected() {
-        assert!(run_scenario("nope", SimTime::from_us(100)).is_none());
-        assert!(run_fault_scenario("nope", SimTime::from_us(100)).is_none());
+        for gone in ["nope", "fig12", "fig13", "ib-tcd", "leaf-spine"] {
+            assert!(by_name(gone).is_none(), "{gone}");
+        }
     }
 
     #[test]
     fn fault_scenarios_export_tcd_timelines_and_fault_counters() {
-        let sim = run_fault_scenario("fault-degrade", SimTime::from_ms(2)).expect("known");
+        let sim = run("fault-degrade", SimTime::from_ms(2));
         let doc = perfetto_trace_json(&sim);
         validate_chrome_trace(&doc).expect("valid Chrome trace");
         assert!(doc.contains("state"), "TCD ternary-state track present");
@@ -293,7 +210,7 @@ mod tests {
             "recovery counter exported"
         );
 
-        let sim = run_fault_scenario("deadlock-triangle", SimTime::from_us(400)).expect("known");
+        let sim = run("deadlock-triangle", SimTime::from_us(400));
         let doc = perfetto_trace_json(&sim);
         validate_chrome_trace(&doc).expect("valid Chrome trace");
         assert!(doc.contains("state"), "ring egress timeline present");
@@ -305,17 +222,17 @@ mod tests {
 
     #[test]
     fn exporting_never_perturbs_the_run() {
-        let a = run_scenario("fig03", SimTime::from_us(400)).expect("known scenario");
-        let _ = perfetto_trace_json(&a.sim);
-        let _ = metrics_json(&a.sim);
-        let b = run_scenario("fig03", SimTime::from_us(400)).expect("known scenario");
+        let a = run("fig03", SimTime::from_us(400));
+        let _ = perfetto_trace_json(&a);
+        let _ = metrics_json(&a);
+        let b = run("fig03", SimTime::from_us(400));
         assert_eq!(
-            crate::harness::fingerprint_sim(&a.sim),
-            crate::harness::fingerprint_sim(&b.sim)
+            crate::harness::fingerprint_sim(&a),
+            crate::harness::fingerprint_sim(&b)
         );
         assert_eq!(
-            a.sim.obs_registry().fingerprint(),
-            b.sim.obs_registry().fingerprint()
+            a.obs_registry().fingerprint(),
+            b.obs_registry().fingerprint()
         );
     }
 }

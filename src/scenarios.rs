@@ -8,7 +8,14 @@
 //! * [`testbed`] — the §5.1.1 compact testbed (Fig. 11);
 //! * [`workload`] — the §5.2 fat-tree realistic-workload runs (Fig. 16/19)
 //!   and the HPC MPI/I-O mix (Fig. 17);
-//! * [`fairness`] — the §5.2.4 fairness scenario (Fig. 20).
+//! * [`fairness`] — the §5.2.4 fairness scenario (Fig. 20);
+//! * [`fault`] — link flaps, degradations and the runtime-deadlock rings.
+//!
+//! Each module is `build` (a [`Simulator`] with config, routing and flows
+//! registered, not yet run) plus the drive call. [`CATALOG`] names the
+//! scenarios that goldens, exporters and `tcdsim lint` refer to: which
+//! named scenarios exist, and how each is built, is decided here and
+//! nowhere else.
 
 use lossless_cc::{Dcqcn, DcqcnConfig, Hpcc, IbCc, IbCcConfig, Timely, TimelyConfig};
 use lossless_flowctl::cbfc::CbfcConfig;
@@ -39,6 +46,16 @@ impl Network {
             Network::Ib => RouteSelect::DModK,
         }
     }
+
+    /// The network's own congestion controller (DCQCN on CEE, IB CC on
+    /// InfiniBand), TCD-aware or not.
+    pub fn cc(self, tcd: bool) -> Cc {
+        let algo = match self {
+            Network::Cee => CcAlgo::Dcqcn,
+            Network::Ib => CcAlgo::IbCc,
+        };
+        Cc { algo, tcd }
+    }
 }
 
 /// Which congestion controller endpoints run.
@@ -64,6 +81,14 @@ pub struct Cc {
 }
 
 impl Cc {
+    /// The network this controller runs on (the inverse of [`Network::cc`]).
+    pub fn network(&self) -> Network {
+        match self.algo {
+            CcAlgo::IbCc => Network::Ib,
+            _ => Network::Cee,
+        }
+    }
+
     /// Instantiate a controller for one flow.
     pub fn controller(&self) -> Box<dyn RateController> {
         match (self.algo, self.tcd) {
@@ -126,16 +151,6 @@ pub fn ib_tcd_config(cbfc: &CbfcConfig) -> TcdConfig {
     TcdConfig::new(ib_max_ton(cbfc.update_period, 1.0), 50 * 1024, 5 * 1024).with_confirm(3)
 }
 
-/// Baseline (binary) detector per network: ECN-RED for CEE, FECN for IB.
-pub fn baseline_detector(network: Network) -> DetectorKind {
-    match network {
-        Network::Cee => DetectorKind::EcnRed(RedConfig::dcqcn_40g()),
-        Network::Ib => DetectorKind::IbFecn {
-            threshold_bytes: 50 * 1024,
-        },
-    }
-}
-
 /// The paper's default SimConfig for a network at 40 Gbps with 4 µs links.
 pub fn default_config(network: Network, use_tcd: bool, end: SimTime) -> SimConfig {
     let mut cfg = match network {
@@ -168,7 +183,7 @@ pub mod observation {
 
     use super::*;
     use lossless_netsim::packet::FlowId;
-    use lossless_netsim::topology::{figure2, Figure2, Figure2Options, NodeId};
+    use lossless_netsim::topology::{figure2, Figure2, Figure2Options};
     use lossless_workloads::burst::rounds_for_duration;
 
     /// Options for an observation run.
@@ -199,9 +214,9 @@ pub mod observation {
         }
     }
 
-    /// Handles into a completed observation run.
+    /// Handles into an observation run.
     pub struct Run {
-        /// The simulator, after `run()`.
+        /// The simulator.
         pub sim: Simulator,
         /// The Figure-2 topology handles.
         pub fig: Figure2,
@@ -217,17 +232,42 @@ pub mod observation {
 
     /// Build and run the scenario.
     pub fn run(opt: Options) -> Run {
+        let mut r = build(opt);
+        r.sim.run();
+        r
+    }
+
+    /// Register the §3.1 incast on R1 that the observation and fairness
+    /// scenarios share, returning F1 and the burst flows. F1 is the
+    /// long-lived S1 → R1 flow under `cc`, starting at line rate ("F1
+    /// achieves 40 Gbps at the beginning"); A0..A14 send back-to-back 64 KB
+    /// bursts for ~3 ms, the aggregate sized so the bottleneck stays
+    /// saturated that long.
+    pub(super) fn add_incast(sim: &mut Simulator, fig: &Figure2, cc: Cc) -> (FlowId, Vec<FlowId>) {
+        let f1 = sim.add_flow(fig.s1, fig.r1, 40_000_000, SimTime::ZERO, cc.controller());
+        let rounds =
+            rounds_for_duration(fig.bursters.len(), 64 * 1024, 40, SimDuration::from_ms(3));
+        let burst = |&a| {
+            let line_rate = Box::new(FixedRate::line_rate());
+            sim.add_flow(
+                a,
+                fig.r1,
+                rounds as u64 * 64 * 1024,
+                SimTime::ZERO,
+                line_rate,
+            )
+        };
+        (f1, fig.bursters.iter().map(burst).collect())
+    }
+
+    /// Build the scenario — config, routing and flows registered — without
+    /// running it.
+    pub fn build(opt: Options) -> Run {
         let fig = figure2(Figure2Options::default());
         let mut cfg = default_config(opt.network, opt.use_tcd, opt.end);
 
         // End-to-end CC for F1 (the only CC-regulated flow here).
-        let cc = Cc {
-            algo: match opt.network {
-                Network::Cee => CcAlgo::Dcqcn,
-                Network::Ib => CcAlgo::IbCc,
-            },
-            tcd: opt.use_tcd,
-        };
+        let cc = opt.network.cc(opt.use_tcd);
         cfg.feedback = cc.feedback();
         cfg.trace_interval = Some(opt.sample_every);
         cfg.sample_ports = vec![
@@ -240,28 +280,7 @@ pub mod observation {
         let mut sim = Simulator::new(fig.topo.clone(), cfg, opt.network.routing());
         sim.record_marks(true);
 
-        // F1: long-lived S1 -> R1, starts at line rate ("F1 achieves
-        // 40 Gbps at the beginning").
-        let f1 = sim.add_flow(fig.s1, fig.r1, 40_000_000, SimTime::ZERO, cc.controller());
-
-        // Bursts: A0..A14 send back-to-back 64 KB bursts for ~3 ms; the
-        // aggregate is sized so the bottleneck stays saturated that long.
-        let rounds =
-            rounds_for_duration(fig.bursters.len(), 64 * 1024, 40, SimDuration::from_ms(3));
-        let burst_bytes = rounds as u64 * 64 * 1024;
-        let bursts: Vec<FlowId> = fig
-            .bursters
-            .iter()
-            .map(|&a| {
-                sim.add_flow(
-                    a,
-                    fig.r1,
-                    burst_bytes,
-                    SimTime::ZERO,
-                    Box::new(FixedRate::line_rate()),
-                )
-            })
-            .collect();
+        let (f1, bursts) = add_incast(&mut sim, &fig, cc);
 
         // F0/F2: constant-rate cross traffic to R0, started once F1 has
         // been throttled ("the rate of F1 has decreased below 15 Gbps when
@@ -288,7 +307,6 @@ pub mod observation {
             Box::new(FixedRate::new(cross)),
         );
 
-        sim.run();
         Run {
             sim,
             fig,
@@ -297,11 +315,6 @@ pub mod observation {
             f2,
             bursts,
         }
-    }
-
-    /// Convenience: the `(node, port)` of the paper's P0..P3 as sampled.
-    pub fn p_ports(fig: &Figure2) -> [(NodeId, u16); 4] {
-        [fig.p0, fig.p1, fig.p2, fig.p3]
     }
 }
 
@@ -312,6 +325,7 @@ pub mod victim {
     use super::*;
     use lossless_netsim::packet::FlowId;
     use lossless_netsim::topology::{figure2, Figure2, Figure2Options};
+    use lossless_netsim::trace::Delivered;
     use lossless_workloads::burst::BurstPlan;
     use lossless_workloads::{hadoop, mpi_io, EmpiricalCdf, PoissonArrivals};
     use rand::rngs::StdRng;
@@ -367,9 +381,9 @@ pub mod victim {
         }
     }
 
-    /// A completed victim run.
+    /// Handles into a victim run.
     pub struct Run {
-        /// The simulator, after `run()`.
+        /// The simulator.
         pub sim: Simulator,
         /// Topology handles.
         pub fig: Figure2,
@@ -387,28 +401,25 @@ pub mod victim {
         /// with CE is non-zero, we consider the flow mistakenly detected
         /// as congested").
         pub fn victim_ce_fraction(&self) -> f64 {
-            if self.victims.is_empty() {
-                return 0.0;
-            }
-            let marked = self
-                .victims
-                .iter()
-                .filter(|f| self.sim.trace.flows[f.0 as usize].delivered.ce > 0)
-                .count();
-            marked as f64 / self.victims.len() as f64
+            self.victims_with(|d| d.ce > 0) as f64 / self.victims.len().max(1) as f64
         }
 
         /// Fraction of victim flows with at least one UE-marked packet.
         pub fn victim_ue_fraction(&self) -> f64 {
-            if self.victims.is_empty() {
-                return 0.0;
-            }
-            let marked = self
-                .victims
+            self.victims_with(|d| d.ue > 0) as f64 / self.victims.len().max(1) as f64
+        }
+
+        /// Number of victim flows whose delivered-packet counts satisfy
+        /// `flagged`.
+        pub fn victims_with(&self, flagged: impl Fn(&Delivered) -> bool) -> usize {
+            self.victim_deliveries().filter(flagged).count()
+        }
+
+        /// The delivered-packet counts of every victim flow.
+        pub fn victim_deliveries(&self) -> impl Iterator<Item = Delivered> + '_ {
+            self.victims
                 .iter()
-                .filter(|f| self.sim.trace.flows[f.0 as usize].delivered.ue > 0)
-                .count();
-            marked as f64 / self.victims.len() as f64
+                .map(|f| self.sim.trace.flows[f.0 as usize].delivered)
         }
 
         /// `(size, slowdown)` of completed victim flows, for FCT breakdowns.
@@ -439,12 +450,16 @@ pub mod victim {
 
     /// Build and run the scenario.
     pub fn run(opt: Options) -> Run {
-        run_inner(opt, None)
+        let mut r = build(opt, None);
+        r.sim.run();
+        r
     }
 
     /// Build and run with an explicit detector override (ablations).
     pub fn run_with_detector(opt: Options, detector: DetectorKind) -> Run {
-        run_inner(opt, Some(detector))
+        let mut r = build(opt, Some(detector));
+        r.sim.run();
+        r
     }
 
     /// The cells of the Table-3 victim grid — network × detector × seeds
@@ -490,7 +505,9 @@ pub mod victim {
         sweep
     }
 
-    fn run_inner(opt: Options, detector_override: Option<DetectorKind>) -> Run {
+    /// Build the scenario without running it; `detector_override`
+    /// replaces the detector `opt` selects (ablations).
+    pub fn build(opt: Options, detector_override: Option<DetectorKind>) -> Run {
         // S0/S1 edge links at 20 Gbps, no flows from S2 (paper §5.1.3).
         let fig = figure2(Figure2Options {
             s_edge_rate: Some(Rate::from_gbps(20)),
@@ -507,13 +524,7 @@ pub mod victim {
             }
             cfg.detector = DetectorKind::TcdRed(tc, RedConfig::dcqcn_40g());
         }
-        let cc = opt.cc.unwrap_or(Cc {
-            algo: match opt.network {
-                Network::Cee => CcAlgo::Dcqcn,
-                Network::Ib => CcAlgo::IbCc,
-            },
-            tcd: opt.use_tcd,
-        });
+        let cc = opt.cc.unwrap_or(opt.network.cc(opt.use_tcd));
         cfg.feedback = cc.feedback();
         cfg.seed = opt.seed;
         if cc.algo == CcAlgo::Hpcc {
@@ -584,7 +595,6 @@ pub mod victim {
             ));
         }
 
-        sim.run();
         Run {
             sim,
             fig,
@@ -603,9 +613,9 @@ pub mod testbed {
     use lossless_netsim::packet::FlowId;
     use lossless_netsim::topology::{testbed_compact, TestbedCompact};
 
-    /// A completed testbed run.
+    /// Handles into a testbed run.
     pub struct Run {
-        /// The simulator, after `run()`.
+        /// The simulator.
         pub sim: Simulator,
         /// Topology handles.
         pub tb: TestbedCompact,
@@ -645,10 +655,17 @@ pub mod testbed {
         }
     }
 
-    /// Build and run the testbed scenario. `network` selects PFC (with the
-    /// testbed's 800/770 KB thresholds and ε = 0.04) or CBFC (800 KB
-    /// buffer, `T_c` = 60 µs).
+    /// Build and run the testbed scenario.
     pub fn run(network: Network, end: SimTime) -> Run {
+        let mut r = build(network, end);
+        r.sim.run();
+        r
+    }
+
+    /// Build the testbed scenario without running it. `network` selects
+    /// PFC (with the testbed's 800/770 KB thresholds and ε = 0.04) or CBFC
+    /// (800 KB buffer, `T_c` = 60 µs).
+    pub fn build(network: Network, end: SimTime) -> Run {
         let rate = Rate::from_gbps(10);
         let delay = SimDuration::from_us(1);
         let tb = testbed_compact(rate, delay);
@@ -700,7 +717,6 @@ pub mod testbed {
             Box::new(FixedRate::line_rate()),
         );
 
-        sim.run();
         Run {
             sim,
             tb,
@@ -783,6 +799,43 @@ pub mod workload {
         pub deadline: SimTime,
     }
 
+    impl Options {
+        /// The §5.2 set-up Figs. 16 and 19 run: fat-tree k = 10 on CEE at
+        /// 60 % load, fan-in-12 incast jobs, a 2 s deadline, and the TCD
+        /// detector exactly when `cc` is TCD-aware.
+        pub fn paper(
+            cc: Cc,
+            workload: Workload,
+            incast_fraction: f64,
+            flows: usize,
+            seed: u64,
+        ) -> Options {
+            Options {
+                network: Network::Cee,
+                cc,
+                use_tcd: cc.tcd,
+                k: 10,
+                workload,
+                load: 0.6,
+                flows,
+                incast_fraction,
+                incast_fanin: 12,
+                seed,
+                deadline: SimTime::from_ms(2_000),
+            }
+        }
+    }
+
+    /// A built workload experiment: every flow registered, nothing run.
+    pub struct Built {
+        /// The simulator, before the run.
+        pub sim: Simulator,
+        /// The fat-tree.
+        pub ft: FatTree,
+        /// All generated flows.
+        pub flows: Vec<FlowId>,
+    }
+
     /// A completed workload run with slowdown accounting.
     pub struct Run {
         /// The simulator, after the run.
@@ -814,12 +867,19 @@ pub mod workload {
         }
     }
 
-    /// Build and run a fat-tree workload experiment: every flow is
-    /// registered up front (pending `FlowStart`s in the event queue), then
-    /// the run goes to completion or the deadline.
+    /// The §5.2 link parameters: 40 Gbps, 4 µs.
+    const LINK: (Rate, SimDuration) = (Rate::from_gbps(40), SimDuration::from_us(4));
+
+    /// Build and run a fat-tree workload experiment to completion or the
+    /// deadline.
     pub fn run(opt: Options) -> Run {
-        let rate = Rate::from_gbps(40);
-        let delay = SimDuration::from_us(4);
+        build(opt).complete()
+    }
+
+    /// Build a fat-tree workload experiment: every flow is registered up
+    /// front (pending `FlowStart`s in the event queue).
+    pub fn build(opt: Options) -> Built {
+        let (rate, delay) = LINK;
         let ft = fat_tree(opt.k, rate, delay);
         let mut cfg = default_config(opt.network, opt.use_tcd, opt.deadline);
         cfg.feedback = opt.cc.feedback();
@@ -882,8 +942,7 @@ pub mod workload {
                 flows.push(sim.add_flow(src, dst, size, t, opt.cc.controller()));
             }
         }
-        sim.run_until_all_complete();
-        finish(sim, ft, flows, rate, delay)
+        Built { sim, ft, flows }
     }
 
     /// Options for the HPC MPI + I/O run (Fig. 17).
@@ -905,10 +964,14 @@ pub mod workload {
         pub deadline: SimTime,
     }
 
-    /// Build and run the HPC experiment on InfiniBand with D-mod-k routing.
+    /// Build and run the HPC experiment to completion or the deadline.
     pub fn run_hpc(opt: HpcOptions) -> Run {
-        let rate = Rate::from_gbps(40);
-        let delay = SimDuration::from_us(4);
+        build_hpc(opt).complete()
+    }
+
+    /// Build the HPC experiment on InfiniBand with D-mod-k routing.
+    pub fn build_hpc(opt: HpcOptions) -> Built {
+        let (rate, delay) = LINK;
         let ft = fat_tree(opt.k, rate, delay);
         let mut cfg = default_config(Network::Ib, opt.use_tcd, opt.deadline);
         cfg.feedback = opt.cc.feedback();
@@ -924,24 +987,13 @@ pub mod workload {
             0.25,
             &mut rng,
         );
-        let io_servers: Vec<usize> = roles
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r == HpcRole::IoServer)
-            .map(|(i, _)| i)
-            .collect();
-        let io_clients: Vec<usize> = roles
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r == HpcRole::IoClient)
-            .map(|(i, _)| i)
-            .collect();
-        let mpi_nodes: Vec<usize> = roles
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r == HpcRole::Mpi)
-            .map(|(i, _)| i)
-            .collect();
+        let hosts_in = |role: HpcRole| -> Vec<usize> {
+            let of_role = roles.iter().enumerate().filter(|(_, r)| **r == role);
+            of_role.map(|(i, _)| i).collect()
+        };
+        let io_servers = hosts_in(HpcRole::IoServer);
+        let io_clients = hosts_in(HpcRole::IoClient);
+        let mpi_nodes = hosts_in(HpcRole::Mpi);
         let mpi_cdf = mpi_io::mpi_message_cdf();
 
         // Aggregate Poisson arrival stream at moderate load.
@@ -972,40 +1024,38 @@ pub mod workload {
             };
             flows.push(sim.add_flow(ft.hosts[src], ft.hosts[dst], size, t, opt.cc.controller()));
         }
-
-        sim.run_until_all_complete();
-        finish(sim, ft, flows, rate, delay)
+        Built { sim, ft, flows }
     }
 
-    fn finish(
-        sim: Simulator,
-        ft: FatTree,
-        flows: Vec<FlowId>,
-        rate: Rate,
-        delay: SimDuration,
-    ) -> Run {
-        let routing = sim.routing();
-        let topo = sim.topology();
-        let mut slowdowns = Vec::new();
-        let mut completed = 0usize;
-        for &f in &flows {
-            let rec = &sim.trace.flows[f.0 as usize];
-            let Some(fct) = rec.fct() else { continue };
-            completed += 1;
-            // Idle-network baseline: serialization at line rate plus the
-            // path's propagation and per-hop store-and-forward latency.
-            let hops = routing.path(topo, rec.src, rec.dst, f).len() as u64;
-            let base = delay * hops + rate.serialize_time(1000) * hops;
-            let ideal = ideal_fct(rec.size, rate, base);
-            slowdowns.push((rec.size, fct.as_secs_f64() / ideal.as_secs_f64()));
-        }
-        let completion_rate = completed as f64 / flows.len().max(1) as f64;
-        Run {
-            sim,
-            ft,
-            flows,
-            slowdowns,
-            completion_rate,
+    impl Built {
+        /// Run to completion or the deadline and account the slowdowns.
+        pub fn complete(self) -> Run {
+            let Built { mut sim, ft, flows } = self;
+            sim.run_until_all_complete();
+            let (rate, delay) = LINK;
+            let routing = sim.routing();
+            let topo = sim.topology();
+            let mut slowdowns = Vec::new();
+            let mut completed = 0usize;
+            for &f in &flows {
+                let rec = &sim.trace.flows[f.0 as usize];
+                let Some(fct) = rec.fct() else { continue };
+                completed += 1;
+                // Idle-network baseline: serialization at line rate plus the
+                // path's propagation and per-hop store-and-forward latency.
+                let hops = routing.path(topo, rec.src, rec.dst, f).len() as u64;
+                let base = delay * hops + rate.serialize_time(1000) * hops;
+                let ideal = ideal_fct(rec.size, rate, base);
+                slowdowns.push((rec.size, fct.as_secs_f64() / ideal.as_secs_f64()));
+            }
+            let completion_rate = completed as f64 / flows.len().max(1) as f64;
+            Run {
+                sim,
+                ft,
+                flows,
+                slowdowns,
+                completion_rate,
+            }
         }
     }
 }
@@ -1018,11 +1068,10 @@ pub mod fairness {
     use super::*;
     use lossless_netsim::packet::FlowId;
     use lossless_netsim::topology::{figure2, Figure2, Figure2Options};
-    use lossless_workloads::burst::rounds_for_duration;
 
-    /// A completed fairness run.
+    /// Handles into a fairness run.
     pub struct Run {
-        /// The simulator, after the run.
+        /// The simulator.
         pub sim: Simulator,
         /// Topology handles.
         pub fig: Figure2,
@@ -1034,14 +1083,18 @@ pub mod fairness {
 
     /// Build and run the fairness scenario with the given CC.
     pub fn run(cc: Cc, end: SimTime) -> Run {
+        let mut r = build(cc, end);
+        r.sim.run();
+        r
+    }
+
+    /// Build the fairness scenario without running it.
+    pub fn build(cc: Cc, end: SimTime) -> Run {
         let fig = figure2(Figure2Options {
             with_b_hosts: true,
             ..Default::default()
         });
-        let network = match cc.algo {
-            CcAlgo::IbCc => Network::Ib,
-            _ => Network::Cee,
-        };
+        let network = cc.network();
         let mut cfg = default_config(network, cc.tcd, end);
         cfg.feedback = cc.feedback();
         cfg.trace_interval = Some(SimDuration::from_us(20));
@@ -1051,25 +1104,13 @@ pub mod fairness {
 
         let mut sim = Simulator::new(fig.topo.clone(), cfg, network.routing());
 
-        let f1 = sim.add_flow(fig.s1, fig.r1, 40_000_000, SimTime::ZERO, cc.controller());
-        let rounds =
-            rounds_for_duration(fig.bursters.len(), 64 * 1024, 40, SimDuration::from_ms(3));
-        for &a in &fig.bursters {
-            sim.add_flow(
-                a,
-                fig.r1,
-                rounds as u64 * 64 * 1024,
-                SimTime::ZERO,
-                Box::new(FixedRate::line_rate()),
-            );
-        }
+        let (f1, _bursts) = observation::add_incast(&mut sim, &fig, cc);
         let b_flows: Vec<FlowId> = fig
             .b_hosts
             .iter()
             .map(|&b| sim.add_flow(b, fig.r0, 60_000_000, SimTime::ZERO, cc.controller()))
             .collect();
 
-        sim.run();
         Run {
             sim,
             fig,
@@ -1102,13 +1143,6 @@ pub mod fault {
         let down = SimTime::from_ps(end.as_ps() / 8);
         let up = SimTime::from_ps(end.as_ps() / 3);
         let edge = ft.edges[0];
-        for &agg in &ft.aggs[..2] {
-            let port = ft
-                .topo
-                .port_towards(edge, agg)
-                .expect("edge0 uplinks to its pod aggs");
-            cfg.fault_plan.flap(edge, port, down, up);
-        }
         // Sample the TCD state on the victim access port and the flapped
         // uplinks: the exported timeline shows congestion forming at the
         // onset and clearing after recovery.
@@ -1119,8 +1153,12 @@ pub mod fault {
             .expect("edge0 connects to its first host");
         cfg.sample_ports = vec![(edge, victim_port, cfg.data_prio)];
         for &agg in &ft.aggs[..2] {
-            let p = ft.topo.port_towards(edge, agg).expect("edge0 uplink");
-            cfg.sample_ports.push((edge, p, cfg.data_prio));
+            let port = ft
+                .topo
+                .port_towards(edge, agg)
+                .expect("edge0 uplinks to its pod aggs");
+            cfg.fault_plan.flap(edge, port, down, up);
+            cfg.sample_ports.push((edge, port, cfg.data_prio));
         }
         let mut sim = Simulator::new(ft.topo.clone(), cfg, Network::Cee.routing());
         let victim = ft.hosts[0];
@@ -1248,4 +1286,363 @@ pub mod fault {
             hosts: h,
         }
     }
+}
+
+/// The two things a catalog consumer varies about a named scenario.
+#[derive(Debug, Clone, Copy)]
+pub struct Scale {
+    /// Simulated run length (the hard deadline for the run-to-completion
+    /// fat-tree rows).
+    pub end: SimTime,
+    /// Port-sampling period of the observation rows. The fairness and
+    /// fault rows fix their own (their period is part of the scenario:
+    /// the deadlock rings' 2 µs tick keeps the watchdog running after the
+    /// wedge) and the other rows sample no port.
+    pub sample_every: SimDuration,
+}
+
+impl Scale {
+    /// `end` at the 5 µs sampling the figures and exporters plot from.
+    pub const fn new(end: SimTime) -> Scale {
+        Scale {
+            end,
+            sample_every: SimDuration::from_us(5),
+        }
+    }
+}
+
+/// What the static analyzer must find in a row's lint spec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lint {
+    /// No error-severity finding; part of `tcdsim lint`'s default set.
+    Clean,
+    /// Exactly one error, of this check — the seeded negative the row
+    /// exists to provoke.
+    Raises(&'static str),
+}
+
+/// One named scenario: the single place that knows how it is built.
+/// Goldens, exporters, `tcdsim lint` and the test suites all start from
+/// [`by_name`] or [`CATALOG`] and never re-construct a scenario themselves.
+pub struct Scenario {
+    /// The one name of this scenario (also its golden's file stem).
+    pub name: &'static str,
+    /// What it is and which paper figure runs it.
+    pub about: &'static str,
+    /// The static-analysis verdict its lint spec must produce.
+    pub lint: Lint,
+    /// The run length its figure binary, subcommand or test uses.
+    pub end: SimTime,
+    /// The scale `tests/golden/<name>.txt` is committed at, if it is.
+    pub golden: Option<Scale>,
+    build: fn(Scale) -> Simulator,
+    drive: fn(&mut Simulator),
+}
+
+impl Scenario {
+    /// A row expected clean, with no committed golden, that runs for
+    /// `end_ms`; the three methods below record what a row does otherwise.
+    const fn new(
+        name: &'static str,
+        about: &'static str,
+        end_ms: u64,
+        build: fn(Scale) -> Simulator,
+    ) -> Scenario {
+        Scenario {
+            name,
+            about,
+            lint: Lint::Clean,
+            end: SimTime::from_ms(end_ms),
+            golden: None,
+            build,
+            drive: |sim| sim.run(),
+        }
+    }
+
+    /// Its golden is committed, at `end_ms` and 50 µs sampling.
+    const fn golden(self, end_ms: u64) -> Scenario {
+        let scale = Scale {
+            end: SimTime::from_ms(end_ms),
+            sample_every: SimDuration::from_us(50),
+        };
+        Scenario {
+            golden: Some(scale),
+            ..self
+        }
+    }
+
+    /// It runs until every flow completes (or `end`, its hard deadline).
+    const fn until_complete(self) -> Scenario {
+        Scenario {
+            drive: |sim| {
+                sim.run_until_all_complete();
+            },
+            ..self
+        }
+    }
+
+    /// It is a seeded negative: its lint spec must raise exactly one
+    /// `check` error, and its run *provokes* a Liveness violation by
+    /// design, which audit builds must record, not abort on.
+    const fn raises(self, check: &'static str) -> Scenario {
+        Scenario {
+            lint: Lint::Raises(check),
+            drive: |sim| {
+                sim.record_violations();
+                sim.run();
+            },
+            ..self
+        }
+    }
+
+    /// The simulator with config, routing and flows registered, not run.
+    pub fn build(&self, scale: Scale) -> Simulator {
+        (self.build)(scale)
+    }
+
+    /// [`Scenario::build`], then driven the way the scenario is run.
+    pub fn run(&self, scale: Scale) -> Simulator {
+        let mut sim = self.build(scale);
+        (self.drive)(&mut sim);
+        sim
+    }
+
+    /// What `tcdsim lint` analyzes: the topology, configuration (fault
+    /// plan included) and route selection of the very simulator this row
+    /// builds at its own run length.
+    pub fn lint_spec(&self) -> simlint::TopoSpec {
+        let sim = self.build(Scale::new(self.end));
+        simlint::TopoSpec::new(
+            self.name,
+            sim.topology().clone(),
+            sim.config().clone(),
+            sim.routing().select(),
+        )
+    }
+}
+
+fn observation_sim(network: Network, multi_cp: bool, use_tcd: bool, s: Scale) -> Simulator {
+    observation::build(observation::Options {
+        network,
+        multi_cp,
+        use_tcd,
+        end: s.end,
+        sample_every: s.sample_every,
+    })
+    .sim
+}
+
+fn victim_tcd(network: Network, s: Scale) -> Simulator {
+    let opt = victim::Options {
+        network,
+        use_tcd: true,
+        end: s.end,
+        ..Default::default()
+    };
+    victim::build(opt, None).sim
+}
+
+/// Figs. 16/19's set-up under DCQCN+TCD with Hadoop sizes, for the
+/// fat-tree rows to adjust.
+fn hadoop_fat_tree(incast_fraction: f64, flows: usize, seed: u64) -> workload::Options {
+    workload::Options::paper(
+        Network::Cee.cc(true),
+        workload::Workload::Hadoop,
+        incast_fraction,
+        flows,
+        seed,
+    )
+}
+
+/// Every named scenario, in the order `tcdsim` lists them. README.md's
+/// scenario table is the prose copy of this array.
+pub static CATALOG: [Scenario; 21] = [
+    Scenario::new(
+        "fig03",
+        "CEE, single congestion point, ECN (Fig. 3)",
+        6,
+        |s| observation_sim(Network::Cee, false, false, s),
+    ),
+    Scenario::new(
+        "fig04",
+        "CEE, multiple congestion points, ECN (Fig. 4)",
+        6,
+        |s| observation_sim(Network::Cee, true, false, s),
+    ),
+    Scenario::new(
+        "cee-single-cp",
+        "CEE, single congestion point, TCD (Fig. 12)",
+        6,
+        |s| observation_sim(Network::Cee, false, true, s),
+    )
+    .golden(3),
+    Scenario::new(
+        "cee-multi-cp",
+        "CEE, multiple congestion points, TCD (Fig. 13)",
+        6,
+        |s| observation_sim(Network::Cee, true, true, s),
+    )
+    .golden(3),
+    Scenario::new(
+        "ib",
+        "InfiniBand, single congestion point, FECN (Fig. 3)",
+        6,
+        |s| observation_sim(Network::Ib, false, false, s),
+    ),
+    Scenario::new(
+        "ib-multi",
+        "InfiniBand, multiple congestion points, FECN (Fig. 4)",
+        6,
+        |s| observation_sim(Network::Ib, true, false, s),
+    ),
+    Scenario::new(
+        "ib-single-cp",
+        "InfiniBand, single congestion point, TCD (Fig. 12)",
+        6,
+        |s| observation_sim(Network::Ib, false, true, s),
+    )
+    .golden(3),
+    Scenario::new(
+        "ib-multi-cp",
+        "InfiniBand, multiple congestion points, TCD (Fig. 13)",
+        6,
+        |s| observation_sim(Network::Ib, true, true, s),
+    ),
+    Scenario::new(
+        "incast-victim",
+        "CEE head-of-line victim run, TCD (Table 3, Figs. 14/15/18, tcdsim sweep)",
+        30,
+        |s| victim_tcd(Network::Cee, s),
+    )
+    .golden(10),
+    Scenario::new(
+        "ib-victim",
+        "InfiniBand head-of-line victim run, TCD (Table 3, Fig. 17a)",
+        30,
+        |s| victim_tcd(Network::Ib, s),
+    ),
+    Scenario::new(
+        "testbed-compact",
+        "10 Gbps testbed, PFC 800/770 KB, eps 0.04 (Fig. 11)",
+        40,
+        |s| testbed::build(Network::Cee, s.end).sim,
+    ),
+    Scenario::new(
+        "ib-testbed",
+        "10 Gbps testbed, CBFC 800 KB, T_c 60 us (Fig. 11)",
+        40,
+        |s| testbed::build(Network::Ib, s.end).sim,
+    ),
+    Scenario::new(
+        "fairness",
+        "four long flows through the undetermined port, DCQCN+TCD (Fig. 20)",
+        40,
+        |s| fairness::build(Network::Cee.cc(true), s.end).sim,
+    ),
+    Scenario::new(
+        "fat-tree-k4",
+        "fat-tree k=4, 200 Hadoop flows with 4:1 incasts, DCQCN+TCD (golden only)",
+        20,
+        |s| {
+            workload::build(workload::Options {
+                k: 4,
+                load: 0.3,
+                incast_fanin: 4,
+                deadline: s.end,
+                ..hadoop_fat_tree(0.1, 200, 7)
+            })
+            .sim
+        },
+    )
+    .golden(20)
+    .until_complete(),
+    Scenario::new(
+        "fat-tree-k6",
+        "fat-tree k=6 on CEE: the fabric of tcdbench's ft6-* workloads (own flow generator)",
+        5,
+        |s| {
+            workload::build(workload::Options {
+                k: 6,
+                incast_fanin: 16,
+                deadline: s.end,
+                ..hadoop_fat_tree(0.05, 500, 1)
+            })
+            .sim
+        },
+    )
+    .until_complete(),
+    Scenario::new(
+        "fat-tree-k10",
+        "fat-tree k=10, 2000 Hadoop flows at 60% load, DCQCN+TCD (Figs. 16/19)",
+        2_000,
+        |s| {
+            workload::build(workload::Options {
+                deadline: s.end,
+                ..hadoop_fat_tree(0.0, 2_000, 1)
+            })
+            .sim
+        },
+    )
+    .until_complete(),
+    Scenario::new(
+        "hpc-fat-tree-k8",
+        "InfiniBand fat-tree k=8, D-mod-k, 4000 MPI + I/O messages, IB CC+TCD (Fig. 17b)",
+        2_000,
+        |s| {
+            workload::build_hpc(workload::HpcOptions {
+                cc: Network::Ib.cc(true),
+                use_tcd: true,
+                k: 8,
+                messages: 4_000,
+                io_fraction: 0.1,
+                seed: 1,
+                deadline: s.end,
+            })
+            .sim
+        },
+    )
+    .until_complete(),
+    Scenario::new(
+        "fault-flap-incast",
+        "fat-tree k=4 incast with the victim edge's uplinks flapping mid-run",
+        4,
+        |s| fault::flap_incast(s.end).0,
+    )
+    .golden(4),
+    Scenario::new(
+        "fault-degrade",
+        "dumbbell with the receiver-side link degraded to 10 Gbps mid-transfer",
+        4,
+        |s| fault::degrade_recovery(s.end),
+    )
+    .golden(4),
+    Scenario::new(
+        "deadlock-triangle",
+        "3-switch ring whose fault plan swaps routes into a cycle: runtime PFC deadlock",
+        5,
+        |s| fault::deadlock_ring(3, s.end, None).sim,
+    )
+    .raises("fault-route-cycle"),
+    Scenario::new(
+        "deadlock-recovery",
+        "the same ring, routes reverted at end/8 so the fabric drains",
+        5,
+        |s| fault::deadlock_ring(3, s.end, Some(SimTime::from_ps(s.end.as_ps() / 8))).sim,
+    )
+    .raises("fault-route-cycle"),
+];
+
+/// The catalog row called `name`: the one lookup `tcdsim lint`, `trace`
+/// and `metrics` and the golden suite resolve names through.
+pub fn by_name(name: &str) -> Option<&'static Scenario> {
+    CATALOG.iter().find(|s| s.name == name)
+}
+
+/// The catalog as the indented `name  about` lines `tcdsim` prints when a
+/// scenario name is missing or unknown.
+pub fn listing() -> String {
+    CATALOG
+        .iter()
+        .map(|s| format!("  {:18} {}\n", s.name, s.about))
+        .collect()
 }

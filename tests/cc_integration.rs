@@ -8,10 +8,7 @@ use tcd_repro::scenarios::victim::{run, Options};
 use tcd_repro::scenarios::{Cc, CcAlgo, Network};
 
 fn opts(algo: CcAlgo, tcd: bool) -> Options {
-    let network = match algo {
-        CcAlgo::IbCc => Network::Ib,
-        _ => Network::Cee,
-    };
+    let network = Cc { algo, tcd }.network();
     let mut o = Options {
         network,
         use_tcd: tcd,
@@ -53,11 +50,7 @@ fn all_six_controllers_complete_their_flows() {
 fn tcd_variants_never_ce_flag_victims() {
     for algo in [CcAlgo::Dcqcn, CcAlgo::Timely, CcAlgo::IbCc] {
         let r = run(opts(algo, true));
-        let flagged = r
-            .victims
-            .iter()
-            .filter(|f| r.sim.trace.flows[f.0 as usize].delivered.ce > 0)
-            .count();
+        let flagged = r.victims_with(|d| d.ce > 0);
         assert_eq!(
             flagged, 0,
             "{algo:?}+tcd flagged {flagged} victims as congested"
@@ -69,11 +62,7 @@ fn tcd_variants_never_ce_flag_victims() {
 fn baselines_do_flag_victims() {
     for algo in [CcAlgo::Dcqcn, CcAlgo::IbCc] {
         let r = run(opts(algo, false));
-        let flagged = r
-            .victims
-            .iter()
-            .filter(|f| r.sim.trace.flows[f.0 as usize].delivered.ce > 0)
-            .count();
+        let flagged = r.victims_with(|d| d.ce > 0);
         assert!(
             flagged > 0,
             "{algo:?} baseline should mistakenly flag victims"
@@ -101,11 +90,7 @@ fn ue_notifications_reach_tcd_endpoints_only() {
     // The feedback plumbing: UE CNPs are generated only when the endpoint
     // opted in (notify_ue). Baseline runs therefore never see UE holds.
     let r = run(opts(CcAlgo::Dcqcn, true));
-    let ue_flagged = r
-        .victims
-        .iter()
-        .filter(|f| r.sim.trace.flows[f.0 as usize].delivered.ue > 0)
-        .count();
+    let ue_flagged = r.victims_with(|d| d.ue > 0);
     assert!(
         ue_flagged > 0,
         "TCD run must deliver UE-marked packets to victims"

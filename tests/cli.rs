@@ -1,8 +1,11 @@
 //! `tcdsim` argument validation: malformed or out-of-range input prints
 //! usage and exits 2 — it never runs a degenerate experiment and reports
 //! success — and an unwritable output path is reported, not a panic.
+//! Scenario names resolve through the one catalog: `trace`, `metrics` and
+//! `lint --topo` accept every row and reject everything else alike.
 
 use std::process::{Command, Output};
+use tcd_repro::scenarios::{self, Lint, CATALOG};
 
 fn tcdsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tcdsim"))
@@ -59,4 +62,68 @@ fn unparsable_tcd_threads_is_reported_not_silently_ignored() {
         1,
         "{stderr}"
     );
+}
+
+#[test]
+fn every_catalog_name_is_accepted_by_trace_metrics_and_lint() {
+    let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_catalog");
+    let names: std::collections::BTreeSet<_> = CATALOG.iter().map(|row| row.name).collect();
+    assert_eq!(names.len(), CATALOG.len(), "one name per scenario");
+    for row in &CATALOG {
+        let name = row.name;
+        for cmd in ["trace", "metrics"] {
+            let out = format!("{dir}/{cmd}_{name}.json");
+            let run = tcdsim(&[cmd, name, "--end-ms", "0.05", "--out", &out]);
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(0), "{cmd} {name}: {stderr}");
+        }
+        // Clean rows pass; a row recording a seeded error exits 1 with it.
+        let want = if row.lint == Lint::Clean { 0 } else { 1 };
+        assert_eq!(
+            exit_code(&["lint", "--topo", name]),
+            Some(want),
+            "lint --topo {name}"
+        );
+    }
+}
+
+#[test]
+fn unknown_and_retired_names_exit_2_with_the_same_list_everywhere() {
+    let listing = scenarios::listing();
+    for name in ["no-such-scenario", "fig12", "fig13", "ib-tcd", "leaf-spine"] {
+        for args in [
+            &["trace", name][..],
+            &["metrics", name],
+            &["lint", "--topo", name],
+        ] {
+            let out = tcdsim(args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "tcdsim {}", args.join(" "));
+            assert!(
+                stderr.ends_with(&format!("known scenarios:\n{listing}")),
+                "tcdsim {}: {stderr}",
+                args.join(" ")
+            );
+        }
+    }
+}
+
+#[test]
+fn readme_scenario_table_lists_every_catalog_row() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md");
+    for row in &CATALOG {
+        // | `name` | what it is | paper | golden | lint |
+        let cell = format!("| `{}` |", row.name);
+        let line = readme.lines().find(|l| l.starts_with(&cell));
+        let line = line.unwrap_or_else(|| panic!("README.md has no table row for {}", row.name));
+        let cols: Vec<&str> = line.split('|').map(str::trim).collect();
+        assert_eq!(
+            cols[4] != "–",
+            row.golden.is_some(),
+            "golden column: {line}"
+        );
+        let raises = cols[5].starts_with("raises");
+        assert_eq!(raises, row.lint != Lint::Clean, "lint column: {line}");
+    }
 }

@@ -2,12 +2,17 @@
 //! simulator snapshots, including the covered-root case.
 
 use tcd_repro::flowctl::SimTime;
-use tcd_repro::netsim::cchooks::FixedRate;
-use tcd_repro::netsim::routing::RouteSelect;
-use tcd_repro::netsim::topology::{figure2, Figure2Options};
-use tcd_repro::netsim::Simulator;
-use tcd_repro::scenarios::{default_config, Cc, CcAlgo, Network};
+use tcd_repro::scenarios::observation::{build, Options, Run};
 use tcd_repro::tcd::tree;
+
+/// The CEE observation scenario under TCD, built but not yet run.
+fn observation(multi_cp: bool) -> Run {
+    build(Options {
+        multi_cp,
+        use_tcd: true,
+        ..Default::default()
+    })
+}
 
 fn key(node: u32, port: u16) -> u64 {
     ((node as u64) << 16) | port as u64
@@ -17,24 +22,7 @@ fn key(node: u32, port: u16) -> u64 {
 fn deep_tree_visible_mid_burst() {
     // During the incast, P3 (T3 -> R1) is the root; the chain ports P2,
     // P1 (and P0) are its transitive leaves.
-    let fig = figure2(Figure2Options::default());
-    let cc = Cc {
-        algo: CcAlgo::Dcqcn,
-        tcd: true,
-    };
-    let mut cfg = default_config(Network::Cee, true, SimTime::from_ms(6));
-    cfg.feedback = cc.feedback();
-    let mut sim = Simulator::new(fig.topo.clone(), cfg, RouteSelect::Ecmp);
-    sim.add_flow(fig.s1, fig.r1, 40_000_000, SimTime::ZERO, cc.controller());
-    for &a in &fig.bursters {
-        sim.add_flow(
-            a,
-            fig.r1,
-            1_000_000,
-            SimTime::ZERO,
-            Box::new(FixedRate::line_rate()),
-        );
-    }
+    let Run { mut sim, fig, .. } = observation(false);
 
     // Run into the middle of the burst phase, then snapshot.
     sim.run_until(SimTime::from_ms(1));
@@ -67,41 +55,7 @@ fn deep_tree_visible_mid_burst() {
 fn covered_root_relation_detected_in_snapshot() {
     // Multi-congestion-point variant: after the bursts end, P2 (fed by
     // 50 Gbps of F0+F2) persists as a root of its own tree.
-    let fig = figure2(Figure2Options::default());
-    let cc = Cc {
-        algo: CcAlgo::Dcqcn,
-        tcd: true,
-    };
-    let mut cfg = default_config(Network::Cee, true, SimTime::from_ms(6));
-    cfg.feedback = cc.feedback();
-    let mut sim = Simulator::new(fig.topo.clone(), cfg, RouteSelect::Ecmp);
-    sim.add_flow(fig.s1, fig.r1, 40_000_000, SimTime::ZERO, cc.controller());
-    for &a in &fig.bursters {
-        sim.add_flow(
-            a,
-            fig.r1,
-            1_000_000,
-            SimTime::ZERO,
-            Box::new(FixedRate::line_rate()),
-        );
-    }
-    use tcd_repro::flowctl::Rate;
-    let rate = Rate::from_gbps(25);
-    let bytes = rate.bytes_in(tcd_repro::flowctl::SimDuration::from_ms(6));
-    sim.add_flow(
-        fig.s0,
-        fig.r0,
-        bytes,
-        SimTime::from_us(200),
-        Box::new(FixedRate::new(rate)),
-    );
-    sim.add_flow(
-        fig.s2,
-        fig.r0,
-        bytes,
-        SimTime::from_us(200),
-        Box::new(FixedRate::new(rate)),
-    );
+    let Run { mut sim, fig, .. } = observation(true);
 
     sim.run_until(SimTime::from_ms(5));
     let snap = sim.congestion_snapshot(sim.config().data_prio);

@@ -2,7 +2,7 @@
 //! the static analyzer flags as CDC-cyclic must *actually* deadlock at
 //! runtime under the constructed ring workload — with the auditor's
 //! stalled-progress watchdog reporting exactly the statically predicted
-//! channel cycle — and every committed (clean) topology must never trip
+//! channel cycle — and every catalog row expected clean must never trip
 //! the watchdog, no matter how hard it is driven.
 
 use std::collections::BTreeSet;
@@ -13,33 +13,31 @@ use lossless_netsim::topology::NodeId;
 use lossless_netsim::{AuditMode, InvariantFamily, Simulator};
 use simlint::analyze;
 use tcd_repro::lintspec;
-use tcd_repro::scenarios::fault;
+use tcd_repro::scenarios::{self, fault, Lint, Scale, CATALOG};
 
-/// The seeded CDC-cyclic lint specs and the ring size that reproduces
-/// each at runtime ([`fault::deadlock_ring`] builds the identical
-/// topology, so node names and port numbers line up with the lint spec).
-fn ring_size(name: &str) -> Option<usize> {
-    match name {
-        "seeded-cyclic-triangle" => Some(3),
-        "seeded-cyclic-square" => Some(4),
-        _ => None,
-    }
+/// The seeded CDC-cyclic lint fixtures and the ring size that reproduces
+/// each at runtime (the fixtures *are* [`fault::deadlock_ring`]'s topology
+/// and route set, so node names and port numbers line up).
+const CYCLIC_RINGS: [(&str, usize); 2] =
+    [("seeded-cyclic-triangle", 3), ("seeded-cyclic-square", 4)];
+
+/// Run `sim` with the watchdog recording at dense checkpoints.
+fn run_audited(sim: &mut Simulator, checkpoint_every: u64) {
+    sim.audit_mut().config_mut().mode = AuditMode::Record;
+    sim.audit_mut().config_mut().checkpoint_every = checkpoint_every;
+    sim.run();
 }
 
 /// Drive one ring to (attempted) deadlock and return the simulator.
 fn run_ring(n: usize, revert_at: Option<SimTime>) -> fault::DeadlockRing {
     let mut run = fault::deadlock_ring(n, SimTime::from_ms(5), revert_at);
-    run.sim.audit_mut().config_mut().mode = AuditMode::Record;
-    run.sim.audit_mut().config_mut().checkpoint_every = 256;
-    run.sim.run();
+    run_audited(&mut run.sim, 256);
     run
 }
 
 #[test]
 fn statically_flagged_cycles_deadlock_at_runtime() {
-    for name in lintspec::SEEDED_BAD {
-        let Some(n) = ring_size(name) else { continue };
-
+    for (name, n) in CYCLIC_RINGS {
         // Static verdict: the analyzer flags exactly one channel cycle.
         let spec = lintspec::build(name).expect("seeded spec builds");
         let report = analyze(&spec);
@@ -93,43 +91,50 @@ fn statically_flagged_cycles_deadlock_at_runtime() {
 
 #[test]
 fn fault_plan_static_cycle_matches_the_runtime_watchdog_hop_for_hop() {
-    // Static verdict: the seeded-fault-route-swap spec is clean under its
-    // baseline ECMP routes; only the fault-plan composition pass names the
-    // post-swap channel cycle, with structured (node, port) hops.
-    let spec = lintspec::build("seeded-fault-route-swap").expect("seeded spec builds");
-    let report = analyze(&spec);
-    assert!(
-        report.diags.iter().all(|d| d.check != "deadlock-cycle"),
-        "baseline routes must be acyclic: {:?}",
-        report.diags
-    );
-    let diag = report
-        .diags
-        .iter()
-        .find(|d| d.check == "fault-route-cycle")
-        .expect("the fault plan pass must flag the swap");
-
-    // Runtime verdict: `deadlock_ring(3)` executes that exact RouteChange
-    // (same topology construction, same route set) and wedges.
-    let run = run_ring(3, None);
-    let audit = run.sim.audit();
-    let cycle = audit.deadlock_cycle().expect("the watchdog must trip");
-
-    // Hop for hop: the statically predicted cycle is the runtime one.
+    // Runtime verdict: the simulator the `deadlock-triangle` row builds,
+    // actually driven, wedges and the watchdog names the cycle.
+    let triangle = scenarios::by_name("deadlock-triangle").expect("catalog row");
+    let mut sim = triangle.build(Scale::new(triangle.end));
+    run_audited(&mut sim, 256);
+    let cycle = sim
+        .audit()
+        .deadlock_cycle()
+        .expect("the watchdog must trip");
     let got: BTreeSet<(String, u16)> = cycle
         .iter()
-        .map(|&(node, port)| (run.sim.topology().name(node).to_string(), port))
+        .map(|&(node, port)| (sim.topology().name(node).to_string(), port))
         .collect();
-    let want: BTreeSet<(String, u16)> = diag.cycle.iter().cloned().collect();
-    assert_eq!(
-        got, want,
-        "static fault-plan cycle != runtime watchdog cycle"
-    );
     assert_eq!(
         got.len(),
         3,
         "the ring wedges on all three inter-switch links"
     );
+
+    // Static verdict, from the topology, fault plan and route selection of
+    // that same simulator (and of `deadlock-recovery`, whose plan carries
+    // the same route set): clean under the baseline ECMP routes; only the
+    // fault-plan composition pass names the post-swap channel cycle — hop
+    // for hop the runtime one.
+    for row in CATALOG.iter().filter(|row| row.lint != Lint::Clean) {
+        let report = analyze(&row.lint_spec());
+        assert!(
+            report.diags.iter().all(|d| d.check != "deadlock-cycle"),
+            "{}: baseline routes must be acyclic: {:?}",
+            row.name,
+            report.diags
+        );
+        let diag = report
+            .diags
+            .iter()
+            .find(|d| d.check == "fault-route-cycle")
+            .expect("the fault plan pass must flag the swap");
+        let want: BTreeSet<(String, u16)> = diag.cycle.iter().cloned().collect();
+        assert_eq!(
+            got, want,
+            "{}: static fault-plan cycle != runtime watchdog cycle",
+            row.name
+        );
+    }
 }
 
 #[test]
@@ -159,19 +164,23 @@ fn reverting_routes_before_the_wedge_recovers() {
 
 #[test]
 fn committed_topologies_never_trip_the_watchdog() {
-    // Every committed (statically clean) scenario topology, driven with a
-    // saturating incast at dense checkpoints: the watchdog must run and
-    // must never report a deadlock.
-    for name in lintspec::COMMITTED {
-        let spec = lintspec::build(name).expect("committed name builds");
+    // The topology, configuration (fault plan included) and routing of
+    // every catalog row expected clean, driven with a saturating incast
+    // for 1 ms at dense checkpoints: the watchdog must run and must never
+    // report a deadlock.
+    for row in CATALOG.iter().filter(|row| row.lint == Lint::Clean) {
+        let name = row.name;
         assert!(
-            !analyze(&spec).has_errors(),
+            !analyze(&row.lint_spec()).has_errors(),
             "{name} must be statically clean"
         );
 
-        let mut sim = Simulator::new(spec.topo.clone(), spec.config.clone(), spec.select);
-        sim.audit_mut().config_mut().mode = AuditMode::Record;
-        sim.audit_mut().config_mut().checkpoint_every = 1024;
+        let built = row.build(Scale::new(SimTime::from_ms(1)));
+        let mut sim = Simulator::new(
+            built.topology().clone(),
+            built.config().clone(),
+            built.routing().select(),
+        );
         let hosts = sim.topology().hosts();
         let victim = hosts[0];
         for (i, &src) in hosts.iter().enumerate().skip(1) {
@@ -183,7 +192,7 @@ fn committed_topologies_never_trip_the_watchdog() {
                 Box::new(FixedRate::line_rate()),
             );
         }
-        sim.run();
+        run_audited(&mut sim, 1024);
 
         let audit = sim.audit();
         assert!(

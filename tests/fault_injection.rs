@@ -12,17 +12,13 @@
 use lossless_flowctl::SimTime;
 use lossless_netsim::Simulator;
 use tcd_repro::harness::{self, Sweep};
-use tcd_repro::scenarios::fault;
+use tcd_repro::scenarios::{self, fault, Scale};
 
 fn end() -> SimTime {
     SimTime::from_ms(4)
 }
 
 /// Run the flap scenario to completion and hand back the simulator.
-fn flap_run() -> Simulator {
-    flap_run_with_window().0
-}
-
 fn flap_run_with_window() -> (Simulator, (SimTime, SimTime)) {
     let (mut sim, window) = fault::flap_incast(end());
     assert!(
@@ -104,20 +100,12 @@ fn degradation_recovers_loss_free() {
 fn fault_fingerprints_bit_identical_across_thread_counts() {
     let build = || {
         let mut sweep = Sweep::new();
-        sweep.add("fault-flap-incast", || {
-            harness::outcome_of(&flap_run(), Vec::new())
-        });
-        sweep.add("fault-degrade", || {
-            let mut sim = fault::degrade_recovery(end());
-            sim.run_until_all_complete();
-            harness::outcome_of(&sim, Vec::new())
-        });
-        sweep.add("deadlock-triangle", || {
-            let mut run = fault::deadlock_ring(3, SimTime::from_us(400), None);
-            run.sim.record_violations();
-            run.sim.run();
-            harness::outcome_of(&run.sim, Vec::new())
-        });
+        for name in ["fault-flap-incast", "fault-degrade", "deadlock-triangle"] {
+            let row = scenarios::by_name(name).expect("catalog row");
+            sweep.add(name, move || {
+                harness::outcome_of(&row.run(Scale::new(end())), Vec::new())
+            });
+        }
         sweep
     };
     let f1 = build().run(1).merged_fingerprint();

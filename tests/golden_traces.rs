@@ -14,102 +14,30 @@
 
 use std::path::PathBuf;
 
-use lossless_flowctl::{SimDuration, SimTime};
-use lossless_netsim::Simulator;
 use tcd_repro::harness::{self, golden_diff, golden_trace, Sweep};
-use tcd_repro::scenarios::{fault, observation, victim, workload, Cc, CcAlgo, Network};
+use tcd_repro::scenarios::{Scale, Scenario, CATALOG};
 
-fn cee_single_cp() -> Simulator {
-    observation::run(observation::Options {
-        network: Network::Cee,
-        multi_cp: false,
-        use_tcd: true,
-        end: SimTime::from_ms(3),
-        sample_every: SimDuration::from_us(50),
+/// The catalog rows with a committed golden, each with the scale it was
+/// blessed at.
+fn goldens() -> impl Iterator<Item = (&'static Scenario, Scale)> {
+    CATALOG
+        .iter()
+        .filter_map(|row| row.golden.map(|scale| (row, scale)))
+}
+
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{name}.txt"))
+}
+
+/// The committed golden of scenario `name`.
+fn committed(name: &str) -> String {
+    let path = golden_path(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden trace {}: {e}\nregenerate with TCD_REGEN_GOLDEN=1",
+            path.display()
+        )
     })
-    .sim
-}
-
-fn cee_multi_cp() -> Simulator {
-    observation::run(observation::Options {
-        network: Network::Cee,
-        multi_cp: true,
-        use_tcd: true,
-        end: SimTime::from_ms(3),
-        sample_every: SimDuration::from_us(50),
-    })
-    .sim
-}
-
-fn ib_single_cp() -> Simulator {
-    observation::run(observation::Options {
-        network: Network::Ib,
-        multi_cp: false,
-        use_tcd: true,
-        end: SimTime::from_ms(3),
-        sample_every: SimDuration::from_us(50),
-    })
-    .sim
-}
-
-fn incast_victim() -> Simulator {
-    victim::run(victim::Options {
-        network: Network::Cee,
-        use_tcd: true,
-        end: SimTime::from_ms(10),
-        ..Default::default()
-    })
-    .sim
-}
-
-fn fat_tree_k4() -> Simulator {
-    workload::run(workload::Options {
-        network: Network::Cee,
-        cc: Cc {
-            algo: CcAlgo::Dcqcn,
-            tcd: true,
-        },
-        use_tcd: true,
-        k: 4,
-        workload: workload::Workload::Hadoop,
-        load: 0.3,
-        flows: 200,
-        incast_fraction: 0.1,
-        incast_fanin: 4,
-        seed: 7,
-        deadline: SimTime::from_ms(20),
-    })
-    .sim
-}
-
-fn fault_flap_incast() -> Simulator {
-    let (mut sim, _window) = fault::flap_incast(SimTime::from_ms(4));
-    sim.run();
-    sim
-}
-
-fn fault_degrade() -> Simulator {
-    let mut sim = fault::degrade_recovery(SimTime::from_ms(4));
-    sim.run();
-    sim
-}
-
-/// A named scenario builder, as committed in golden-file order.
-type Scenario = (&'static str, fn() -> Simulator);
-
-/// The committed conformance scenarios, in golden-file order.
-const SCENARIOS: [Scenario; 7] = [
-    ("cee-single-cp", cee_single_cp),
-    ("cee-multi-cp", cee_multi_cp),
-    ("ib-single-cp", ib_single_cp),
-    ("incast-victim", incast_victim),
-    ("fat-tree-k4", fat_tree_k4),
-    ("fault-flap-incast", fault_flap_incast),
-    ("fault-degrade", fault_degrade),
-];
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
 fn regen_requested() -> bool {
@@ -119,27 +47,29 @@ fn regen_requested() -> bool {
 #[test]
 fn golden_traces_match_committed() {
     let regen = regen_requested();
-    for (name, build) in SCENARIOS {
-        let sim = build();
-        let actual = golden_trace(&sim, name);
-        let path = golden_dir().join(format!("{name}.txt"));
+    for (row, scale) in goldens() {
+        let name = row.name;
+        let actual = golden_trace(&row.run(scale), name);
         if regen {
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, &actual).unwrap();
+            std::fs::write(golden_path(name), &actual).unwrap();
             continue;
         }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden trace {}: {e}\nregenerate with TCD_REGEN_GOLDEN=1",
-                path.display()
-            )
-        });
-        if let Some(diff) = golden_diff(&expected, &actual) {
+        if let Some(diff) = golden_diff(&committed(name), &actual) {
             panic!(
                 "scenario `{name}` diverged from its committed golden trace\n{diff}\
                  if this change is intended, re-bless with TCD_REGEN_GOLDEN=1"
             );
         }
+    }
+    // No orphans: every committed trace belongs to a catalog row
+    // (`obs_fig03.txt` is `tests/obs_determinism.rs`'s).
+    for entry in std::fs::read_dir(golden_path("x").parent().unwrap()).unwrap() {
+        let file = entry.unwrap().file_name().into_string().unwrap();
+        let stem = file.trim_end_matches(".txt");
+        assert!(
+            stem == "obs_fig03" || goldens().any(|(row, _)| row.name == stem),
+            "tests/golden/{file} has no catalog row with a golden"
+        );
     }
 }
 
@@ -149,18 +79,14 @@ fn sweep_reproduces_golden_fingerprints() {
         return; // goldens are being rewritten; nothing to check against
     }
     let mut sweep = Sweep::new();
-    for (name, build) in SCENARIOS {
-        sweep.add(name, move || harness::outcome_of(&build(), Vec::new()));
+    for (row, scale) in goldens() {
+        sweep.add(row.name, move || {
+            harness::outcome_of(&row.run(scale), Vec::new())
+        });
     }
     let rep = sweep.run(2);
     for r in &rep.results {
-        let path = golden_dir().join(format!("{}.txt", r.id));
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden trace {}: {e}\nregenerate with TCD_REGEN_GOLDEN=1",
-                path.display()
-            )
-        });
+        let text = committed(&r.id);
         let want = text
             .lines()
             .find_map(|l| l.strip_prefix("fingerprint "))

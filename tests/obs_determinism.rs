@@ -17,22 +17,22 @@ use std::path::PathBuf;
 
 use lossless_flowctl::SimTime;
 use tcd_repro::harness::{self, Sweep};
-use tcd_repro::obs_export;
+use tcd_repro::scenarios::{self, Scale};
 
-fn fig03(end_us: u64) -> tcd_repro::netsim::Simulator {
-    obs_export::run_scenario("fig03", SimTime::from_us(end_us))
-        .expect("known scenario")
-        .sim
+/// Run the catalog row `name` at the exporters' sampling.
+fn run(name: &str, end_us: u64) -> tcd_repro::netsim::Simulator {
+    scenarios::by_name(name)
+        .expect("catalog row")
+        .run(Scale::new(SimTime::from_us(end_us)))
 }
 
 #[test]
 fn merged_registry_bit_identical_across_thread_counts() {
     let build = || {
         let mut sweep = Sweep::new();
-        for name in ["fig03", "fig12", "ib"] {
+        for name in ["fig03", "cee-single-cp", "ib"] {
             sweep.add(name, move || {
-                let r = obs_export::run_scenario(name, SimTime::from_us(400)).unwrap();
-                harness::outcome_of(&r.sim, Vec::new())
+                harness::outcome_of(&run(name, 400), Vec::new())
             });
         }
         sweep
@@ -51,8 +51,8 @@ fn merged_registry_bit_identical_across_thread_counts() {
 
 #[test]
 fn registry_and_recorder_reproduce_across_runs() {
-    let a = fig03(400);
-    let b = fig03(400);
+    let a = run("fig03", 400);
+    let b = run("fig03", 400);
     assert_eq!(
         a.obs_registry().fingerprint(),
         b.obs_registry().fingerprint()
@@ -68,7 +68,7 @@ fn golden_path() -> PathBuf {
 
 #[test]
 fn obs_fingerprints_match_committed_golden() {
-    let sim = fig03(600);
+    let sim = run("fig03", 600);
     let actual = format!(
         "registry_fingerprint {:016x}\nrecorder_fingerprint {:016x}\nrecorder_total {}\n",
         sim.obs_registry().fingerprint(),

@@ -18,6 +18,13 @@ fn short(network: Network, multi_cp: bool, use_tcd: bool, end_ms: u64) -> Option
     }
 }
 
+/// The sampled detector states of port P2, in time order.
+fn p2_states(r: &tcd_repro::scenarios::observation::Run) -> Vec<TernaryState> {
+    let prio = r.sim.config().data_prio;
+    let samples = r.sim.trace.samples_of(r.fig.p2.0, r.fig.p2.1, prio);
+    samples.iter().map(|s| s.state).collect()
+}
+
 #[test]
 fn cee_ecn_improperly_marks_victims() {
     // §3.1.2: with plain ECN, the victim flows F0/F2 are marked CE at the
@@ -56,15 +63,7 @@ fn cee_single_cp_p2_ends_non_congested() {
     // Fig. 12: P2 transitions undetermined -> non-congestion after the
     // bursts drain.
     let r = run(short(Network::Cee, false, true, 6));
-    let prio = r.sim.config().data_prio;
-    let states: Vec<TernaryState> = r
-        .sim
-        .trace
-        .port_samples
-        .iter()
-        .filter(|s| s.node == r.fig.p2.0 && s.port == r.fig.p2.1 && s.prio == prio)
-        .map(|s| s.state)
-        .collect();
+    let states = p2_states(&r);
     assert!(
         states.iter().any(|s| s.is_undetermined()),
         "P2 must visit undetermined"
@@ -81,15 +80,7 @@ fn cee_multi_cp_covered_root_emerges() {
     // Fig. 13: with F0/F2 at 25 Gbps, P2 is a covered root that TCD
     // detects as congestion (transition 5) after the deep tree dissolves.
     let r = run(short(Network::Cee, true, true, 6));
-    let prio = r.sim.config().data_prio;
-    let states: Vec<TernaryState> = r
-        .sim
-        .trace
-        .port_samples
-        .iter()
-        .filter(|s| s.node == r.fig.p2.0 && s.port == r.fig.p2.1 && s.prio == prio)
-        .map(|s| s.state)
-        .collect();
+    let states = p2_states(&r);
     let undet_at = states
         .iter()
         .position(|s| s.is_undetermined())
@@ -110,15 +101,7 @@ fn ib_multi_cp_covered_root_emerges() {
     // — the case that exercises the credit-constrained back-pressure
     // signal and the MTU-wobble trend slack.
     let r = run(short(Network::Ib, true, true, 6));
-    let prio = r.sim.config().data_prio;
-    let states: Vec<TernaryState> = r
-        .sim
-        .trace
-        .port_samples
-        .iter()
-        .filter(|s| s.node == r.fig.p2.0 && s.port == r.fig.p2.1 && s.prio == prio)
-        .map(|s| s.state)
-        .collect();
+    let states = p2_states(&r);
     let undet_at = states
         .iter()
         .position(|s| s.is_undetermined())
@@ -155,12 +138,8 @@ fn pauses_spread_upstream_through_the_chain() {
     // §3.1: congestion at P3 propagates pauses to P2 (and further).
     let r = run(short(Network::Cee, false, false, 3));
     let prio = r.sim.config().data_prio;
-    let paused_p2 = r
-        .sim
-        .trace
-        .port_samples
-        .iter()
-        .any(|s| s.node == r.fig.p2.0 && s.port == r.fig.p2.1 && s.prio == prio && s.paused);
+    let p2 = r.sim.trace.samples_of(r.fig.p2.0, r.fig.p2.1, prio);
+    let paused_p2 = p2.iter().any(|s| s.paused);
     assert!(paused_p2, "P2 must be paused by congestion spreading");
 }
 
@@ -179,12 +158,8 @@ fn pause_storm_dissolves_into_a_classified_tree() {
     assert_eq!(t.drops, 0, "lossless fabric dropped packets");
     assert!(t.pause_frames > 0, "the scenario must actually storm");
 
-    let samples_of = |(node, port): (tcd_repro::netsim::topology::NodeId, u16)| {
-        t.port_samples
-            .iter()
-            .filter(|s| s.node == node && s.port == port && s.prio == prio)
-            .collect::<Vec<_>>()
-    };
+    let samples_of =
+        |(node, port): (tcd_repro::netsim::topology::NodeId, u16)| t.samples_of(node, port, prio);
 
     // Victim chain ports: pause-affected during the storm, `/` while the
     // OFF periods make their state unknowable, back to `0` at the end.

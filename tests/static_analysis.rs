@@ -1,20 +1,22 @@
-//! Static topology analysis (`tcdsim lint --topo`) over the committed
-//! scenario registry: every committed spec must analyze clean, the seeded
-//! deliberately-broken specs must fail with the exact diagnostics the lint
-//! promises, and the static verdicts must agree with the runtime
-//! pause-deadlock regressions in `paper_phenomena.rs`.
+//! Static topology analysis (`tcdsim lint --topo`) over the scenario
+//! catalog: the lint spec of every row — derived from the simulator that
+//! row builds — must produce the verdict the row records, the lint-only
+//! fixtures must fail with the exact diagnostics the lint promises, and
+//! the static verdicts must agree with the runtime pause-deadlock
+//! regressions in `paper_phenomena.rs`.
 
 use simlint::{analyze, Severity};
 use tcd_repro::lintspec;
+use tcd_repro::scenarios::{self, Lint, CATALOG};
 
-/// Every committed scenario — the golden-trace set plus all other
-/// experiment topologies — must carry zero static errors. This is the same
-/// set the `tcdsim lint` CI gate runs.
+/// Every catalog row expected clean — the set the `tcdsim lint` CI gate
+/// runs — must carry zero static errors, and that set must include the
+/// fabrics the figures are actually produced on.
 #[test]
 fn all_committed_scenarios_analyze_clean() {
-    for name in lintspec::COMMITTED {
-        let spec = lintspec::build(name).expect("committed name builds");
-        let report = analyze(&spec);
+    for row in CATALOG.iter().filter(|row| row.lint == Lint::Clean) {
+        let name = row.name;
+        let report = analyze(&row.lint_spec());
         assert!(
             !report.has_errors(),
             "{name} must analyze clean:\n{}",
@@ -28,6 +30,23 @@ fn all_committed_scenarios_analyze_clean() {
         assert!(report.channels > 0, "{name} should have channels");
         assert!(report.dependencies > 0, "{name} should have dependencies");
     }
+    // Rows that no lint spec covered before the catalog: the InfiniBand
+    // testbed and victim run, both fault plans, and the k=10 / k=8 trees
+    // Figs. 16/19 and 17 run on.
+    for name in [
+        "ib-testbed",
+        "ib-victim",
+        "fault-flap-incast",
+        "fault-degrade",
+        "fat-tree-k10",
+        "hpc-fat-tree-k8",
+    ] {
+        let row = scenarios::by_name(name).unwrap_or_else(|| panic!("{name} must be a row"));
+        assert_eq!(row.lint, Lint::Clean, "{name}");
+    }
+    // The k=10 spec really is the k=10 tree: 250 hosts + 125 switches.
+    let k10 = scenarios::by_name("fat-tree-k10").unwrap().lint_spec();
+    assert_eq!(k10.topo.node_count(), 375);
 }
 
 /// The seeded triangle routes every host pair "the long way round" the
@@ -74,37 +93,43 @@ fn seeded_headroom_starved_dumbbell_fails() {
     );
 }
 
-/// The seeded fault-route-swap ring is the inverse of the triangle: its
+/// The `deadlock-triangle` row is the inverse of the seeded triangle: its
 /// *baseline* ECMP routes are clean, and only composing the fault plan's
 /// `route_sets[0]` onto the tables exposes the cycle. The analyzer must
 /// keep the baseline clean, flag exactly one fault-route-cycle error with
-/// structured hops, and name the route set that causes it.
+/// structured hops, and name the route set that causes it — and so must
+/// `deadlock-recovery`, whose plan carries the same set before reverting.
 #[test]
 fn seeded_fault_route_swap_is_caught_by_the_fault_plan_pass() {
-    let spec = lintspec::build("seeded-fault-route-swap").expect("seeded spec builds");
-    let report = analyze(&spec);
-    assert!(
-        report.diags.iter().all(|d| d.check != "deadlock-cycle"),
-        "the baseline routes must be acyclic: {:?}",
-        report.diags
-    );
-    let cycles: Vec<_> = report
-        .diags
+    let seeded: Vec<_> = CATALOG
         .iter()
-        .filter(|d| d.check == "fault-route-cycle")
+        .filter(|row| row.lint != Lint::Clean)
         .collect();
-    assert_eq!(cycles.len(), 1, "exactly one cycle: {:?}", report.diags);
-    let diag = cycles[0];
-    assert_eq!(diag.severity, Severity::Error);
-    assert!(
-        diag.message.contains("route set 0"),
-        "must name the offending set: {}",
-        diag.message
-    );
-    let nodes: Vec<&str> = diag.cycle.iter().map(|(n, _)| n.as_str()).collect();
-    let mut sorted = nodes.clone();
-    sorted.sort_unstable();
-    assert_eq!(sorted, ["s0", "s1", "s2"], "hops: {:?}", diag.cycle);
+    let names: Vec<&str> = seeded.iter().map(|row| row.name).collect();
+    assert_eq!(names, ["deadlock-triangle", "deadlock-recovery"]);
+    for row in seeded {
+        let Lint::Raises(check) = row.lint else {
+            unreachable!()
+        };
+        assert_eq!(check, "fault-route-cycle");
+        let report = analyze(&row.lint_spec());
+        let errors: Vec<_> = report
+            .diags
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .collect();
+        assert_eq!(errors.len(), 1, "exactly one error: {:?}", report.diags);
+        let diag = errors[0];
+        assert_eq!(diag.check, check, "baseline routes must be acyclic");
+        assert!(
+            diag.message.contains("route set 0"),
+            "must name the offending set: {}",
+            diag.message
+        );
+        let mut nodes: Vec<&str> = diag.cycle.iter().map(|(n, _)| n.as_str()).collect();
+        nodes.sort_unstable();
+        assert_eq!(nodes, ["s0", "s1", "s2"], "hops: {:?}", diag.cycle);
+    }
 }
 
 /// Cross-check against the runtime: `paper_phenomena.rs` asserts that the
@@ -114,8 +139,8 @@ fn seeded_fault_route_swap_is_caught_by_the_fault_plan_pass() {
 /// spreading, not a structural deadlock.
 #[test]
 fn static_verdict_matches_runtime_pause_deadlock_regression() {
-    let spec = lintspec::build("cee-single-cp").expect("spec builds");
-    let report = analyze(&spec);
+    let row = scenarios::by_name("cee-single-cp").expect("catalog row");
+    let report = analyze(&row.lint_spec());
     assert!(
         report.diags.iter().all(|d| d.check != "deadlock-cycle"),
         "runtime shows the pause storm dissolving, so the static graph \
