@@ -125,7 +125,6 @@ impl Hpcc {
             let u = q_term + rate_term;
             u_max = Some(u_max.map_or(u, |m: f64| m.max(u)));
         }
-        // simlint: allow(hot-path-alloc) -- per-ACK INT snapshot copy, bounded by path length; HPCC needs last-hop deltas
         self.last_int = int.to_vec();
         u_max
     }

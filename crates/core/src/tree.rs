@@ -164,6 +164,10 @@ pub fn relation(a: &CongestionTree, b: &CongestionTree) -> TreeRelation {
 /// Tree-shaped routing cannot produce them, but snapshots from arbitrary
 /// topologies (or buggy switch logic) can; returns one representative
 /// cycle per strongly-connected pause loop found.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "idx < outs.len() is checked on the line above, and pos comes from position() on the same path"
+)]
 pub fn pause_cycles(snap: &Snapshot) -> Vec<Vec<PortKey>> {
     let adj = adjacency(snap);
     let mut cycles = Vec::new();

@@ -52,6 +52,10 @@ impl Rate {
     /// in 128-bit arithmetic (round up, so a transmission never finishes
     /// early). Panics on a zero rate — callers must not serialize at 0 bps.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "a >2.3 MB frame at >=1 bps stays far below 2^64 ps; the expect documents the slow-path bound"
+    )]
     pub fn serialize_time(self, bytes: u64) -> SimDuration {
         assert!(self.0 > 0, "cannot serialize at 0 bps");
         // Fast path: every frame-sized count fits the numerator in u64
@@ -63,15 +67,17 @@ impl Rate {
         }
         let num = (bytes as u128) * 8 * 1_000_000_000_000u128;
         let ps = num.div_ceil(self.0 as u128);
-        // simlint: allow(hot-path-panic) -- a >2.3 MB frame at >=1 bps stays far below 2^64 ps; the expect documents the slow-path bound
         SimDuration(u64::try_from(ps).expect("serialization time overflows u64 ps"))
     }
 
     /// Number of whole bytes this rate delivers in `d`.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "bits/8e12 fits u64 for any (rate, delay) the wheel's 2^49 ps horizon admits"
+    )]
     pub fn bytes_in(self, d: SimDuration) -> u64 {
         let bits = (self.0 as u128) * (d.as_ps() as u128) / 1_000_000_000_000u128;
-        // simlint: allow(hot-path-panic) -- bits/8e12 fits u64 for any (rate, delay) the wheel's 2^49 ps horizon admits
         u64::try_from(bits / 8).expect("byte count overflows u64")
     }
 

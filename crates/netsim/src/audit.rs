@@ -227,11 +227,19 @@ impl Audit {
 
     /// How many checks of `family` have run so far (hook invocations plus
     /// checkpoint passes).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "family.index() enumerates the fixed-size checks array"
+    )]
     pub fn checks(&self, family: InvariantFamily) -> u64 {
         self.checks[family.index()]
     }
 
     /// How many times Fig. 6 transition `t` was observed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Transition has the six Fig. 6 variants and transitions is [u64; 6]"
+    )]
     pub fn transition_count(&self, t: Transition) -> u64 {
         self.transitions[t as usize]
     }
@@ -242,6 +250,10 @@ impl Audit {
     }
 
     /// Handle a detected violation per the configured mode.
+    #[expect(
+        clippy::panic,
+        reason = "AuditMode::Panic is the auditor's contract: stop at the first violated invariant"
+    )]
     pub fn report(&mut self, v: Violation) {
         self.total += 1;
         match self.cfg.mode {
@@ -255,7 +267,10 @@ impl Audit {
     }
 
     /// Count a completed check of `family`.
-    // simlint: allow(hot-path-panic) -- family.index() enumerates the fixed-size checks array
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "family.index() enumerates the fixed-size checks array"
+    )]
     pub fn note_check(&mut self, family: InvariantFamily) {
         self.checks[family.index()] += 1;
     }
@@ -266,6 +281,10 @@ impl Audit {
     /// entered on a port that has seen at least one OFF period
     /// (`off_epochs > 0`) — the paper's precondition for undeterminable
     /// ON-OFF arrivals.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Transition has the six Fig. 6 variants and transitions is [u64; 6]"
+    )]
     pub fn note_state(
         &mut self,
         t: SimTime,
@@ -310,7 +329,6 @@ impl Audit {
     /// A packet was marked `mark` by the egress `(node, port, prio)` whose
     /// detector is in `state` after marking. Verifies Table 1: UE is only
     /// produced by an undetermined port, CE only by a determined one.
-    // simlint: allow(hot-path-alloc) -- violation reporting path only, bounded by cfg.max_recorded
     pub fn note_mark(
         &mut self,
         t: SimTime,
@@ -346,7 +364,6 @@ impl Audit {
     /// A PAUSE frame is being emitted by the ingress accounting of
     /// `(node, port, prio)` whose counter reads `buffered`. Legal only
     /// strictly above `xoff`.
-    // simlint: allow(hot-path-alloc) -- violation reporting path only, bounded by cfg.max_recorded
     pub fn pfc_pause_sent(
         &mut self,
         t: SimTime,
@@ -372,7 +389,6 @@ impl Audit {
     /// A RESUME frame is being emitted by the ingress accounting of
     /// `(node, port, prio)` whose counter reads `buffered`. Legal only at
     /// or below `xon`.
-    // simlint: allow(hot-path-alloc) -- violation reporting path only, bounded by cfg.max_recorded
     pub fn pfc_resume_sent(
         &mut self,
         t: SimTime,
@@ -398,7 +414,6 @@ impl Audit {
     /// A scheduler selected `(node, port, prio)` for dequeue but its queue
     /// was empty: the byte/backlog accounting (reading `counter`) diverged
     /// from the queue contents.
-    // simlint: allow(hot-path-alloc) -- violation reporting path only, bounded by cfg.max_recorded
     pub fn empty_dequeue(&mut self, t: SimTime, node: NodeId, port: u16, prio: u8, counter: u64) {
         self.report(Violation {
             family: InvariantFamily::BufferAccounting,
@@ -412,7 +427,6 @@ impl Audit {
 
     /// A link-local control frame reached a node type that can never
     /// legally receive it (e.g. an FCCL frame at an Ethernet switch).
-    // simlint: allow(hot-path-alloc) -- violation reporting path only, bounded by cfg.max_recorded
     pub fn misrouted_control_frame(&mut self, t: SimTime, node: NodeId, port: u16, what: &str) {
         self.report(Violation {
             family: InvariantFamily::ProtocolLegality,

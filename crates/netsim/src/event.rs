@@ -230,9 +230,10 @@ impl Wheel {
         }
     }
 
-    // simlint: allow(hot-path-panic) -- level < LEVELS because x fits in
-    // WHEEL_BITS = 6*LEVELS bits on that branch, and slot is masked to
-    // SLOTS - 1, so every index is in bounds by construction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "level < LEVELS because x fits in WHEEL_BITS = 6*LEVELS bits on that branch, and slot is masked to SLOTS - 1, so every index is in bounds by construction"
+    )]
     fn insert(&mut self, s: Scheduled) {
         let tick = s.at.as_ps() >> GRAN_BITS;
         self.len += 1;
@@ -258,6 +259,10 @@ impl Wheel {
 
     /// Timestamp of the earliest stored event. Pure: never advances the
     /// wheel, so it is safe to call with a `limit` in hand and walk away.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "level < LEVELS from the range, slot < SLOTS from trailing_zeros of a non-zero u64"
+    )]
     fn peek_min(&self) -> Option<SimTime> {
         if let Some(s) = self.cur.last() {
             return Some(s.at);
@@ -291,13 +296,14 @@ impl Wheel {
     /// staged. Advancing `elapsed` eagerly — possibly past a caller's
     /// time limit — is safe because `insert` routes anything at or
     /// behind the new position into the sorted `cur` group.
-    // simlint: allow(hot-path-panic) -- indices are bounded exactly as in
-    // insert/peek_min: level < LEVELS from the range, slot < SLOTS from
-    // trailing_zeros of a u64.
     // Out of line: this is the once-per-tick-group slow path, and inlined
     // into `pop_next` it makes `pop_batched` too large to inline into the
     // drive loop (+9 % run wall on tcdbench fig2-storm).
     #[inline(never)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "indices are bounded exactly as in insert/peek_min: level < LEVELS from the range, slot < SLOTS from trailing_zeros of a u64"
+    )]
     fn advance(&mut self) -> bool {
         loop {
             if !self.cur.is_empty() {

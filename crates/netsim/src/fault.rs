@@ -136,6 +136,10 @@ impl FaultPlan {
     /// `n` flap/degrade windows inside `[0, horizon)`, every one paired
     /// with its recovery so the fabric is healthy again before the
     /// horizon. Deterministic in `seed` (splitmix64), for property tests.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the index is taken modulo candidates.len(), non-zero past the early return"
+    )]
     pub fn random(
         seed: u64,
         candidates: &[(NodeId, u16)],
@@ -236,26 +240,39 @@ impl LinkState {
         }
     }
 
-    // simlint: allow(hot-path-panic) -- the table is sized per node from the same topology the ids come from
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the table is sized per node from the same topology the ids come from"
+    )]
     fn index(&self, n: NodeId, port: u16) -> usize {
         self.first[n.index()] as usize + port as usize
     }
 
     /// The link record of `(node, port)`.
-    // simlint: allow(hot-path-panic) -- node/port pairs originate from the topology this table was sized from
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node/port pairs originate from the topology this table was sized from"
+    )]
     pub(crate) fn port_mut(&mut self, n: NodeId, port: u16) -> &mut PortLink {
         let i = self.index(n, port);
         &mut self.ports[i]
     }
 
     /// Is `(node, port)` currently able to transmit?
-    // simlint: allow(hot-path-panic) -- node/port pairs originate from the topology this table was sized from
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node/port pairs originate from the topology this table was sized from"
+    )]
     pub fn is_up(&self, n: NodeId, port: u16) -> bool {
         self.ports[self.index(n, port)].up
     }
 
     /// The current capacity of `(node, port)`: its degraded override, or
     /// the nominal rate when none is set.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node/port pairs originate from the topology this table was sized from"
+    )]
     pub fn rate(&self, n: NodeId, port: u16) -> Rate {
         self.ports[self.index(n, port)].rate
     }
@@ -271,7 +288,10 @@ impl LinkState {
 
     /// Install (`Some`) or lift (`None`) a degraded-rate override;
     /// `nominal` is the topology's capacity for this link.
-    // simlint: allow(hot-path-panic) -- node/port pairs originate from the topology this table was sized from
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node/port pairs originate from the topology this table was sized from"
+    )]
     pub(crate) fn set_rate(&mut self, n: NodeId, port: u16, rate: Option<Rate>, nominal: Rate) {
         let i = self.index(n, port);
         self.overrides[i] = rate;
@@ -281,6 +301,10 @@ impl LinkState {
     /// Checkpoint: every port's precomputed rate must equal its override,
     /// or the topology's nominal rate when none is set.
     #[cfg(feature = "audit")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node/port pairs are enumerated from the topology this table was sized from"
+    )]
     pub(crate) fn audit_check(&self, topo: &Topology, a: &mut crate::audit::Audit, now: SimTime) {
         for n in 0..topo.node_count() as u32 {
             let node = NodeId(n);

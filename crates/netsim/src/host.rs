@@ -44,6 +44,10 @@ struct FlowTimers {
 impl FlowTimers {
     /// Expect `id` at `at`; a later request for the same id supersedes
     /// the earlier one.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: a controller keeps at most two timer ids outstanding per flow, a third is a controller bug (ROADMAP item 2 makes it a structured error)"
+    )]
     fn set(&mut self, id: u32, at: SimTime) {
         let slots = &mut self.slots;
         let i = slots
@@ -282,7 +286,10 @@ impl Host {
     }
 
     /// Deliver a CC timer expiry.
-    // simlint: allow(hot-path-panic) -- flow index comes from position() on the same vec
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "flow index comes from position() on the same vec"
+    )]
     pub fn on_cc_timer(&mut self, ctx: &mut Ctx<'_>, flow_id: FlowId, timer: u32) {
         let Some(idx) = self.active.iter().position(|f| f.id == flow_id) else {
             return; // flow finished sending; stale timer
@@ -325,13 +332,19 @@ impl Host {
     }
 
     /// The lane record of `prio`.
-    // simlint: allow(hot-path-panic) -- prio < num_prios is validated at flow registration and config build; lanes is sized num_prios at construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "prio < num_prios is validated at flow registration and config build; lanes is sized num_prios at construction"
+    )]
     fn lane(&mut self, prio: u8) -> &mut HostLane {
         &mut self.lanes[prio as usize]
     }
 
     /// The NIC transmitter is (possibly) free: send the next frame.
-    // simlint: allow(hot-path-panic) -- the flow index comes from enumerate() over the same vec; flow prios index lanes, sized num_prios at construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the flow index comes from enumerate() over the same vec; flow prios index lanes, sized num_prios at construction"
+    )]
     pub fn port_tx(&mut self, ctx: &mut Ctx<'_>) {
         if !ctx.tx_ready(self.id, 0) {
             return;
@@ -512,7 +525,10 @@ impl Host {
     }
 
     /// Go-back-N reliability (lossy mode): process a cumulative ACK.
-    // simlint: allow(hot-path-panic) -- flow index comes from position() on the same vec
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "flow index comes from position() on the same vec"
+    )]
     fn on_reliable_ack(&mut self, ctx: &mut Ctx<'_>, flow_id: FlowId, cum: u64) {
         let Some(idx) = self.active.iter().position(|f| f.id == flow_id) else {
             return;
@@ -559,7 +575,10 @@ impl Host {
         }
     }
 
-    // simlint: allow(hot-path-panic) -- flow ids index the spec table they were minted from; the receiver map holds the flow's entry (created above) by then
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "flow ids index the spec table they were minted from; the receiver map holds the flow's entry (created above) by then"
+    )]
     fn on_data(&mut self, ctx: &mut Ctx<'_>, mut pkt: Box<Packet>) {
         let id = self.id;
         let lane = self.lane(pkt.prio);

@@ -83,7 +83,10 @@ pub struct IbPort<'a> {
 }
 
 impl IbPort<'_> {
-    // simlint: allow(hot-path-panic) -- vl < num_vls is validated at config build; a port's lane slice is num_vls long
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vl < num_vls is validated at config build; a port's lane slice is num_vls long"
+    )]
     fn lane(&self, vl: u8) -> &IbLane {
         &self.lanes[vl as usize]
     }
@@ -153,14 +156,20 @@ impl VlList {
         }
     }
 
-    // simlint: allow(hot-path-panic) -- an order lists each of at most 256 VLs once
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "an order lists each of at most 256 VLs once"
+    )]
     fn push(&mut self, vl: usize) {
         self.vls[self.len] = vl as u8;
         self.len += 1;
     }
 
     /// The `k`-th VL to offer the transmitter.
-    // simlint: allow(hot-path-panic) -- k < num_vls == len: wrr_order lists every VL exactly once
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "k < num_vls == len: wrr_order lists every VL exactly once"
+    )]
     fn get(&self, k: usize) -> usize {
         self.vls[k] as usize
     }
@@ -171,7 +180,10 @@ impl VlList {
 /// WRR pointer; then the exhausted ones, so the link never idles while
 /// work exists. Quanta are `weight x mtu` bytes and are refilled (in
 /// `deficits`) when no backlogged data VL has any left.
-// simlint: allow(hot-path-panic) -- every index is a VL in 0..weights.len(), and deficits has one entry per weight (both sized num_vls in new())
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every index is a VL in 0..weights.len(), and deficits has one entry per weight (both sized num_vls in new())"
+)]
 fn wrr_order(
     weights: &[u32],
     deficits: &mut [i64],
@@ -235,6 +247,10 @@ pub struct IbSwitch {
 impl IbSwitch {
     /// Build a switch with `n_ports` ports of `num_vls` lanes each.
     /// `mk_det` builds the detector for each `(port, vl)`.
+    #[expect(
+        clippy::panic,
+        reason = "construction contract: the simulator builds an IbSwitch only when the flow-control mode is CBFC"
+    )]
     pub fn new(
         id: NodeId,
         n_ports: usize,
@@ -296,7 +312,10 @@ impl IbSwitch {
 
     /// The WRR order in which `port` offers its VLs the transmitter, or
     /// `None` under strict priority (plain index order).
-    // simlint: allow(hot-path-panic) -- port echoes back from this switch's events, so it indexes the ports vec and (x num_vls) the lanes vec in bounds; the closure is only asked about VLs in 0..num_vls
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "port echoes back from this switch's events, so it indexes the ports vec and (x num_vls) the lanes vec in bounds; the closure is only asked about VLs in 0..num_vls"
+    )]
     fn wrr_order(&mut self, port: u16, mtu: u64) -> Option<VlList> {
         let weights = self.vl_weights.as_deref()?;
         let first = port as usize * self.nvl;
@@ -313,7 +332,10 @@ impl IbSwitch {
     }
 
     /// Charge a WRR transmission to `vl`'s quantum and advance the pointer.
-    // simlint: allow(hot-path-panic) -- port echoes back from this switch's events; vl comes from wrr_order, which only yields indices in 0..num_vls == wrr_deficit.len()
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "port echoes back from this switch's events; vl comes from wrr_order, which only yields indices in 0..num_vls == wrr_deficit.len()"
+    )]
     fn wrr_charge(&mut self, port: u16, vl: usize, bytes: u64) {
         if self.vl_weights.is_none() || vl == self.feedback_vl as usize {
             return;
@@ -328,7 +350,10 @@ impl IbSwitch {
     }
 
     /// Access a port (for traces and tests).
-    // simlint: allow(hot-path-panic) -- port indices come from the topology, which sized the ports vec and (x num_vls) the lanes vec
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "port indices come from the topology, which sized the ports vec and (x num_vls) the lanes vec"
+    )]
     pub fn port(&self, p: u16) -> IbPort<'_> {
         let first = p as usize * self.nvl;
         IbPort {
@@ -338,13 +363,19 @@ impl IbSwitch {
     }
 
     /// The lane record of `(port, vl)`.
-    // simlint: allow(hot-path-panic) -- ports come from the topology/routing tables that sized this switch or echo back from its own events; vl < num_vls is validated at config build
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ports come from the topology/routing tables that sized this switch or echo back from its own events; vl < num_vls is validated at config build"
+    )]
     fn lane(&mut self, port: u16, vl: usize) -> &mut IbLane {
         &mut self.lanes[port as usize * self.nvl + vl]
     }
 
     /// The occupancy words of egress lane `(port, vl)`.
-    // simlint: allow(hot-path-panic) -- occ holds occ_words words for each of the n_ports x num_vls egress lanes
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "occ holds occ_words words for each of the n_ports x num_vls egress lanes"
+    )]
     fn occ_of(&self, port: u16, vl: usize) -> &[u64] {
         let e = port as usize * self.nvl + vl;
         &self.occ[e * self.occ_words..(e + 1) * self.occ_words]
@@ -382,7 +413,10 @@ impl IbSwitch {
     }
 
     /// A detector trend timer fired.
-    // simlint: allow(hot-path-panic) -- occupied() yields inputs below n_ports, and vl < num_vls, so the lane index is in bounds
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "occupied() yields inputs below n_ports, and vl < num_vls, so the lane index is in bounds"
+    )]
     pub fn on_detector_timer(&mut self, ctx: &mut Ctx<'_>, port: u16, vl: u8) {
         // Back-pressure signal: some input holding traffic for this egress
         // is credit-constrained by us. Under CBFC an input in steady state
@@ -411,7 +445,10 @@ impl IbSwitch {
 
     /// Periodic credit update for `(port, vl)`: advertise the input
     /// buffer's FCCL upstream and reschedule.
-    // simlint: allow(hot-path-panic) -- port echoes back from FcclTick events this switch scheduled
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "port echoes back from FcclTick events this switch scheduled"
+    )]
     pub fn on_fccl_tick(&mut self, ctx: &mut Ctx<'_>, port: u16, vl: u8) {
         let rx = &self.lane(port, vl as usize).rx;
         let (period, fccl) = (rx.update_period(), rx.fccl());
@@ -439,7 +476,10 @@ impl IbSwitch {
     }
 
     /// A packet finished arriving through `in_port`.
-    // simlint: allow(hot-path-panic) -- in_port/out come from the topology and routing table, both below n_ports; vl validated at config build; voqs and occ are sized for every (egress lane, input) pair
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "in_port/out come from the topology and routing table, both below n_ports; vl validated at config build; voqs and occ are sized for every (egress lane, input) pair"
+    )]
     pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, in_port: u16, mut pkt: Box<Packet>) {
         let id = self.id;
         if let PacketKind::Fccl { vl, fccl } = pkt.kind {
@@ -492,7 +532,10 @@ impl IbSwitch {
     }
 
     /// The egress transmitter of `port` is (possibly) free.
-    // simlint: allow(hot-path-panic) -- port echoes back from this switch's events; VLs come from 0..num_vls or wrr_order, inputs from next_input (below n_ports); lanes, voqs and occ are sized for every such index
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "port echoes back from this switch's events; VLs come from 0..num_vls or wrr_order, inputs from next_input (below n_ports); lanes, voqs and occ are sized for every such index"
+    )]
     pub fn port_tx(&mut self, ctx: &mut Ctx<'_>, port: u16) {
         let id = self.id;
         if !ctx.tx_ready(id, port) {
@@ -625,6 +668,10 @@ impl IbSwitch {
     /// The VoQ holding what arrived through `ingress` for egress lane
     /// `(out, vl)`.
     #[cfg(feature = "audit")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass ingress/out below n_ports and vl below num_vls; voqs is sized for every such triple"
+    )]
     fn audit_voq(&self, ingress: usize, vl: usize, out: usize) -> &VecDeque<Box<Packet>> {
         &self.voqs[(out * self.nvl + vl) * self.n_ports + ingress]
     }
@@ -634,6 +681,10 @@ impl IbSwitch {
     /// drain, and the bytes occupying it sit in VoQs — indexed by
     /// ingress structurally — in front of credit-blocked egresses.
     #[cfg(feature = "audit")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out ranges over 0..n_ports and vl over 0..num_vls, the ranges lanes is sized from"
+    )]
     pub(crate) fn audit_wait_successors(&self, ingress: u16) -> Vec<u16> {
         (0..self.n_ports)
             .filter(|&out| {
@@ -649,6 +700,10 @@ impl IbSwitch {
     /// Record the detector's current belief for `(port, vl)` with the
     /// auditor, which validates the transition against Fig. 6.
     #[cfg(feature = "audit")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "called with the (port, vl) of the lane the caller just worked on"
+    )]
     fn audit_note_state(&self, ctx: &mut Ctx<'_>, port: u16, vl: u8) {
         let l = &self.lanes[port as usize * self.nvl + vl as usize];
         ctx.audit.note_state(
@@ -673,6 +728,10 @@ impl IbSwitch {
     /// egress backlog counters vs. the VoQs feeding them, and the
     /// occupancy bitset vs. VoQ emptiness.
     #[cfg(feature = "audit")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "pi and vl enumerate 0..n_ports and 0..num_vls, the ranges that sized lanes, voqs and occ"
+    )]
     pub(crate) fn audit_check(&self, a: &mut crate::audit::Audit, now: SimTime) {
         use crate::audit::{InvariantFamily, Violation};
 
@@ -752,6 +811,10 @@ impl IbSwitch {
 
     /// Sender-side credit state towards `port`'s peer: `(FCTBS, FCCL)`.
     #[cfg(feature = "audit")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the checkpoint enumerates (port, vl) from the topology that sized this switch"
+    )]
     pub(crate) fn audit_cbfc_tx(&self, port: u16, vl: u8) -> (u64, u64) {
         let tx = &self.lanes[port as usize * self.nvl + vl as usize].tx;
         (tx.fctbs(), tx.fccl_limit())
@@ -759,6 +822,10 @@ impl IbSwitch {
 
     /// Receiver-side credit state at `port`: `(ABR, occupied, capacity)`.
     #[cfg(feature = "audit")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the checkpoint enumerates (port, vl) from the topology that sized this switch"
+    )]
     pub(crate) fn audit_cbfc_rx(&self, port: u16, vl: u8) -> (u64, u64, u64) {
         let rx = &self.lanes[port as usize * self.nvl + vl as usize].rx;
         (rx.abr(), rx.occupied_blocks(), rx.capacity_blocks())

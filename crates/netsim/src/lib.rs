@@ -25,6 +25,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes_without_reason
+)]
 
 #[cfg(feature = "audit")]
 pub mod audit;

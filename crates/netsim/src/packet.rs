@@ -125,8 +125,10 @@ pub const CTRL_FLOW: FlowId = FlowId(u32::MAX);
 
 impl Packet {
     /// Build a data segment.
-    // simlint: allow(hot-path-alloc) -- Vec::new() is allocation-free; INT capacity arrives via PacketPool recycling
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per header field of a data segment; every caller sets them all"
+    )]
     pub fn data(
         flow: FlowId,
         src: NodeId,
@@ -156,7 +158,6 @@ impl Packet {
     }
 
     /// Build a link-local control frame (PAUSE or FCCL).
-    // simlint: allow(hot-path-alloc) -- Vec::new() is allocation-free; INT capacity arrives via PacketPool recycling
     pub fn link_local(kind: PacketKind, size: u64, prio: u8) -> Packet {
         debug_assert!(kind.is_link_local());
         Packet {
@@ -179,7 +180,6 @@ impl Packet {
 
     /// Build an end-to-end feedback packet (ACK or CNP) from `src` to
     /// `dst` for `flow`.
-    // simlint: allow(hot-path-alloc) -- Vec::new() is allocation-free; INT capacity arrives via PacketPool recycling
     pub fn feedback(
         flow: FlowId,
         src: NodeId,
@@ -231,9 +231,10 @@ const MAX_POOLED: usize = 4096;
 /// performs no per-event heap allocation.
 #[derive(Debug, Default)]
 pub struct PacketPool {
-    // The boxes themselves are the resource being pooled: events hold
-    // `Box<Packet>`, so recycling must keep each allocation intact.
-    #[allow(clippy::vec_box)]
+    #[expect(
+        clippy::vec_box,
+        reason = "the boxes themselves are the resource being pooled: events hold Box<Packet>, so recycling must keep each allocation intact"
+    )]
     free: Vec<Box<Packet>>,
     /// Live packets: boxed and not yet recycled. The auditor's packet
     /// conservation check compares this against what the event queue and
@@ -260,7 +261,6 @@ impl PacketPool {
     }
 
     /// Box `pkt`, reusing a recycled allocation when one is available.
-    // simlint: allow(hot-path-alloc) -- pool miss path: allocates only until the pool warms to the in-flight peak
     pub fn boxed(&mut self, pkt: Packet) -> Box<Packet> {
         #[cfg(feature = "audit")]
         {

@@ -47,6 +47,10 @@ pub struct Routing {
 
 impl Routing {
     /// Build next-hop tables for all destination hosts of `topo`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "set-up time; every index is a node id below topo.node_count() or a (node, dst) cell of the n x n_dsts table allocated above"
+    )]
     pub fn new(topo: &Topology, select: RouteSelect) -> Self {
         let n = topo.node_count();
         let hosts = topo.hosts();
@@ -105,7 +109,10 @@ impl Routing {
     }
 
     /// The candidate ports of cell `(node, dst_dense)`.
-    // simlint: allow(hot-path-panic) -- node/dst ids index tables built for this topology; every cell's (offset, length) lies inside `cands` by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node/dst ids index tables built for this topology; every cell's (offset, length) lies inside `cands` by construction"
+    )]
     fn cell(&self, node: usize, di: usize) -> &[u16] {
         let (off, len) = self.cells[node * self.n_dsts + di];
         &self.cands[off as usize..off as usize + len as usize]
@@ -114,8 +121,10 @@ impl Routing {
     /// The egress port `node` should use to forward `flow` towards `dst`.
     ///
     /// Panics if `dst` is unreachable from `node` (a topology bug).
-    // simlint: allow(hot-path-panic) -- dst ids index the table built for this topology; the
-    // explicit assert documents the unreachable-destination bug case, and idx is % cands.len()
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dst ids index the table built for this topology; the explicit assert documents the unreachable-destination bug case, and idx is % cands.len()"
+    )]
     pub fn out_port(&self, node: NodeId, dst: NodeId, flow: FlowId) -> u16 {
         let di = self.dst_index[dst.index()];
         debug_assert!(di != usize::MAX, "destination {dst:?} is not a host");
@@ -148,6 +157,10 @@ impl Routing {
 
     /// All equal-cost candidate ports from `node` towards `dst` (tests and
     /// diagnostics).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node/dst ids index tables built for this topology"
+    )]
     pub fn candidates(&self, node: NodeId, dst: NodeId) -> &[u16] {
         self.cell(node.index(), self.dst_index[dst.index()])
     }
@@ -187,8 +200,11 @@ impl Routing {
     ///
     /// Panics if consecutive path nodes are not directly linked or the
     /// path's last node is not a host.
-    // simlint: allow(hot-path-panic) -- validated statically by topolint's fault-route checks
-    // before any plan runs; the panics are the documented contract
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::panic,
+        reason = "validated statically by topolint's fault-route checks before any plan runs; the panics are the documented contract"
+    )]
     pub fn apply_path(&mut self, topo: &Topology, path: &[NodeId]) {
         let Some(&dst) = path.last() else { return };
         let di = self.dst_index[dst.index()];

@@ -140,9 +140,6 @@ fn wake(gate: &mut TxGate, q: &mut EventQueue, node: NodeId, port: u16, at: SimT
     }
 }
 
-// Hosts are by far the largest variant, but the node table is tiny (one
-// entry per network element), so boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
 enum Node {
     Host(Host),
     Eth(EthSwitch),
@@ -178,8 +175,11 @@ fn node_class(nodes: &[Node], ev: &Event) -> lossless_obs::prof::NodeClass {
 /// trace / fault / route events) against the node table. A free function
 /// so the handler can borrow its node and the rest of the simulator (the
 /// [`Ctx`]) mutably at once.
-// simlint: allow(hot-path-panic) -- event node/flow ids are created against this topology at
-// setup, so they index nodes/flows in bounds
+#[expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "event node/flow ids are created against this topology at setup, so they index nodes/flows in bounds"
+)]
 fn dispatch_node_event(
     nodes: &mut [Node],
     pending_cc: &mut [Option<Box<dyn RateController>>],
@@ -570,6 +570,10 @@ impl Simulator {
     }
 
     /// A host's current CC rate for a flow (None once it finished sending).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "flow ids are dense indices handed out by add_flow, which sized the flows table"
+    )]
     pub fn flow_rate(&self, flow: FlowId) -> Option<lossless_flowctl::Rate> {
         let spec = &self.flows[flow.0 as usize];
         match self.node(spec.src) {
@@ -579,6 +583,10 @@ impl Simulator {
     }
 
     /// The node table entry for `id`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids are minted by the topology the node table was built from"
+    )]
     fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
@@ -606,7 +614,6 @@ impl Simulator {
             // branches perform the identical `dispatch` call. The clock
             // reads in `span_open`/`span_close` surround dispatch without
             // feeding anything back into simulation state.
-            // simlint: allow(prof-leak) -- sanctioned drive() wiring: arm_span is a deterministic counter check and both branches dispatch identically
             if self.profiler.arm_span() {
                 let kind = ev.kind_index();
                 let class = node_class(&self.nodes, &ev);
@@ -843,6 +850,11 @@ impl Simulator {
     /// indexed by ingress structurally. A cycle means every channel on it
     /// waits, transitively, on itself: no event can ever drain them.
     #[cfg(feature = "audit")]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "adj holds an entry for every channel in chans, i < succs.len() is checked, and a grey channel is on the DFS stack by construction"
+    )]
     fn find_blocked_cycle(&self) -> Option<Vec<(NodeId, u16)>> {
         use std::collections::{BTreeMap, BTreeSet};
         let mut chans: BTreeSet<(NodeId, u16)> = BTreeSet::new();
@@ -1003,9 +1015,11 @@ impl Simulator {
         self.trace.completed_count == self.flows.len()
     }
 
-    // simlint: allow(hot-path-panic) -- event node/flow ids are created against this topology at
-    // setup, so they index nodes/flows in bounds; pending_cc and the RouteUpdate baseline are
-    // invariants the expect() messages document
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "event node/flow ids are created against this topology at setup, so they index nodes/flows in bounds; pending_cc and the RouteUpdate baseline are invariants the expect() messages document"
+    )]
     fn dispatch(&mut self, now: SimTime, ev: Event) {
         self.trace.events += 1;
         self.obs.dispatched(ev.kind_index());
@@ -1113,7 +1127,10 @@ impl Simulator {
         }
     }
 
-    // simlint: allow(hot-path-panic) -- sample_ports entries are validated node ids at config time
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sample_ports entries are validated node ids at config time"
+    )]
     fn sample_ports(&mut self, now: SimTime) {
         for &(node, port, prio) in &self.cfg.sample_ports {
             let s = match &self.nodes[node.index()] {

@@ -67,7 +67,10 @@ pub struct EthPort<'a> {
 }
 
 impl EthPort<'_> {
-    // simlint: allow(hot-path-panic) -- prio < num_prios is validated at config build; a port's lane slice is num_prios long
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "prio < num_prios is validated at config build; a port's lane slice is num_prios long"
+    )]
     fn lane(&self, prio: u8) -> &EthLane {
         &self.lanes[prio as usize]
     }
@@ -119,6 +122,10 @@ pub struct EthSwitch {
 impl EthSwitch {
     /// Build a switch for `node` with `n_ports` ports of `num_prios`
     /// lanes each. `mk_det` builds the detector for each `(port, prio)`.
+    #[expect(
+        clippy::panic,
+        reason = "construction contract: the simulator builds an EthSwitch only when the flow-control mode is PFC or lossy"
+    )]
     pub fn new(
         id: NodeId,
         n_ports: usize,
@@ -175,7 +182,10 @@ impl EthSwitch {
     }
 
     /// Access a port (for traces and tests).
-    // simlint: allow(hot-path-panic) -- port indices come from the topology, which sized the ports vec and (x num_prios) the lanes vec
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "port indices come from the topology, which sized the ports vec and (x num_prios) the lanes vec"
+    )]
     pub fn port(&self, p: u16) -> EthPort<'_> {
         let first = p as usize * self.np;
         EthPort {
@@ -185,14 +195,20 @@ impl EthSwitch {
     }
 
     /// The lane record of `(port, prio)`.
-    // simlint: allow(hot-path-panic) -- ports come from the topology/routing tables that sized this switch, prio < num_prios is validated at config build
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ports come from the topology/routing tables that sized this switch, prio < num_prios is validated at config build"
+    )]
     fn lane(&mut self, port: u16, prio: usize) -> &mut EthLane {
         &mut self.lanes[port as usize * self.np + prio]
     }
 
     /// Push a PAUSE/RESUME frame out through `port` (towards the upstream
     /// node that is over/under-filling us).
-    // simlint: allow(hot-path-panic) -- port indices come from the topology, which sized the ports vec
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "port indices come from the topology, which sized the ports vec"
+    )]
     fn send_pfc(&mut self, ctx: &mut Ctx<'_>, port: u16, prio: u8, pause: bool) {
         let frame = ctx.pool.boxed(Packet::link_local(
             PacketKind::Pause { prio, pause },
@@ -333,7 +349,10 @@ impl EthSwitch {
     }
 
     /// The egress transmitter of `port` is (possibly) free.
-    // simlint: allow(hot-path-panic) -- port echoes back from events this switch scheduled, so it indexes the ports vec and (x num_prios) the lanes vec in bounds
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "port echoes back from events this switch scheduled, so it indexes the ports vec and (x num_prios) the lanes vec in bounds"
+    )]
     pub fn port_tx(&mut self, ctx: &mut Ctx<'_>, port: u16) {
         let id = self.id;
         if !ctx.tx_ready(id, port) {
@@ -478,6 +497,10 @@ impl EthSwitch {
     /// through `ingress` — the buffer share the upstream is being paused
     /// for sits in front of exactly those egresses.
     #[cfg(feature = "audit")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ingress comes from the topology that sized this switch, prio ranges over 0..num_prios and chunks(np) yields np-long slices"
+    )]
     pub(crate) fn audit_wait_successors(&self, ingress: u16) -> Vec<u16> {
         let mut v = Vec::new();
         for prio in 0..self.np {
@@ -501,6 +524,10 @@ impl EthSwitch {
 
     /// Feed the auditor the detector's current state for `(port, prio)`.
     #[cfg(feature = "audit")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "called with the (port, prio) of the lane the caller just worked on"
+    )]
     fn audit_note_state(&self, ctx: &mut Ctx<'_>, port: u16, prio: u8) {
         let l = &self.lanes[port as usize * self.np + prio as usize];
         ctx.audit.note_state(

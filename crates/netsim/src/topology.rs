@@ -77,23 +77,37 @@ impl Topology {
     }
 
     /// Kind of a node.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids are minted by this topology's builder, which pushes one kind per node"
+    )]
     pub fn kind(&self, n: NodeId) -> NodeKind {
         self.kinds[n.index()]
     }
 
     /// Human-readable name of a node.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids are minted by this topology's builder, which pushes one name per node"
+    )]
     pub fn name(&self, n: NodeId) -> &str {
         &self.names[n.index()]
     }
 
     /// All ports of a node.
-    // simlint: allow(hot-path-panic) -- node ids are minted by this topology's builder; `first` has node_count + 1 monotone entries bounded by links.len()
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids are minted by this topology's builder; `first` has node_count + 1 monotone entries bounded by links.len()"
+    )]
     pub fn ports(&self, n: NodeId) -> &[LinkEnd] {
         &self.links[self.first[n.index()] as usize..self.first[n.index() + 1] as usize]
     }
 
     /// The link attached to `(node, port)`.
-    // simlint: allow(hot-path-panic) -- node/port pairs originate from this topology's own tables
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node/port pairs originate from this topology's own tables"
+    )]
     pub fn link(&self, n: NodeId, port: u16) -> &LinkEnd {
         &self.ports(n)[port as usize]
     }
@@ -162,8 +176,10 @@ impl TopologyBuilder {
 
     /// Connect two nodes with a symmetric full-duplex link; returns the
     /// port indices allocated at `(a, b)`.
-    // simlint: allow(hot-path-panic) -- builder-time only (hot by a name collision with the
-    // accessor); node ids were minted by this builder
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "builder-time only; node ids were minted by this builder"
+    )]
     pub fn link(&mut self, a: NodeId, b: NodeId, rate: Rate, delay: SimDuration) -> (u16, u16) {
         assert_ne!(a, b, "self-links are not allowed");
         let pa = self.ports[a.index()].len() as u16;
@@ -184,6 +200,10 @@ impl TopologyBuilder {
     }
 
     /// Finish building.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i enumerates kinds, and the builder pushes kinds, names and ports together"
+    )]
     pub fn build(self) -> Topology {
         for (i, k) in self.kinds.iter().enumerate() {
             if *k == NodeKind::Host {
@@ -429,6 +449,10 @@ pub struct FatTree {
 
 /// Build a k-ary fat-tree with uniform link rate and delay. `k` must be
 /// even and at least 2.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i and j range over 0..half and cores has half * half entries"
+)]
 pub fn fat_tree(k: usize, rate: Rate, delay: SimDuration) -> FatTree {
     assert!(
         k >= 2 && k.is_multiple_of(2),

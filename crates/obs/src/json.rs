@@ -126,7 +126,6 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    // simlint: allow(hot-path-alloc) -- parse-error path of the offline JSON reader; hot only by a name collision with Option::expect
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -149,6 +148,10 @@ impl Parser<'_> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "pos <= bytes.len() is the parser's invariant: it only steps past bytes peek() returned"
+    )]
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
@@ -158,6 +161,10 @@ impl Parser<'_> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "start <= pos <= bytes.len(): pos only steps past bytes peek() returned"
+    )]
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
         while let Some(b) = self.peek() {
@@ -174,6 +181,10 @@ impl Parser<'_> {
             .map_err(|_| format!("bad number '{s}' at byte {start}"))
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "this arm runs after peek() returned Some, so pos < bytes.len()"
+    )]
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();

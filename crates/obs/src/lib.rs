@@ -23,11 +23,19 @@
 //! `Simulator::enable_profiler` only, read by tcdbench), the one module
 //! allowed to read [`std::time::Instant`]. It keeps the non-perturbation
 //! guarantee by a different route — it only ever reads the clock and
-//! never feeds a wall-clock value back into simulation state (statically
-//! enforced by simlint's `prof-leak` rule).
+//! never feeds a wall-clock value back into simulation state (`Instant`
+//! is a clippy `disallowed-types` entry everywhere else in the engine, and
+//! `tests/prof_determinism.rs` pins profiled == unprofiled bit for bit).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod json;
 pub mod metrics;
@@ -143,8 +151,11 @@ impl Obs {
     }
 
     /// Count one event dispatch of the given kind index.
-    // simlint: allow(hot-path-panic) -- kind < MAX_EVENT_KINDS is checked on the line above the access
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "kind < MAX_EVENT_KINDS is checked on the line above the access"
+    )]
     pub fn dispatched(&mut self, kind: usize) {
         if self.on() && kind < MAX_EVENT_KINDS {
             self.dispatch[kind] += 1;

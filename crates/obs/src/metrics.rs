@@ -108,7 +108,10 @@ impl Histogram {
     }
 
     /// Record one value.
-    // simlint: allow(hot-path-panic) -- counts is resized to idx + 1 right above the access
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "counts is resized to idx + 1 right above the access"
+    )]
     pub fn observe(&mut self, v: u64) {
         let idx = bucket_index(v);
         if idx >= self.counts.len() {
@@ -170,6 +173,10 @@ impl Histogram {
     }
 
     /// Element-wise merge of another histogram into this one.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "counts is resized to at least other.counts.len() right above the loop"
+    )]
     pub fn merge_from(&mut self, other: &Histogram) {
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), 0);

@@ -15,9 +15,10 @@
 //!   check ([`Prof::arm_span`]), so control flow in the engine is a pure
 //!   function of the dispatch count — identical on every machine and
 //!   with the profiler on or off;
-//! * the simlint `prof-leak` rule statically checks that no profiler
-//!   value flows into simulation-state code outside the sanctioned
-//!   `drive()` wiring.
+//! * `clippy.toml` disallows `Instant` everywhere else in the engine, so
+//!   the three calls `drive()` makes here are its only path to the wall
+//!   clock, and `tests/prof_determinism.rs` pins a profiled run to an
+//!   unprofiled one bit for bit.
 //!
 //! The span model: every `sample_every`-th dispatch is wrapped in an
 //! open/close pair ([`Prof::span_open`] / [`Prof::span_close`]) and the
@@ -27,6 +28,11 @@
 //! engine itself).
 //!
 //! [`Registry`]: crate::Registry
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module is the engine's one window onto the wall clock: it only reads Instant and hands no wall-clock value back to the engine"
+)]
 
 use std::time::Instant;
 

@@ -107,6 +107,10 @@ impl Record {
     }
 
     /// Inverse of [`Record::encode`].
+    #[expect(
+        clippy::expect_used,
+        reason = "each range is a constant sub-slice of the [u8; RECORD_BYTES] array, exactly as wide as the integer it converts to"
+    )]
     pub fn decode(buf: &[u8; RECORD_BYTES]) -> Record {
         let u64le = |r: &[u8]| u64::from_le_bytes(r.try_into().expect("8 bytes"));
         Record {
@@ -133,7 +137,10 @@ struct Ring {
 }
 
 impl Ring {
-    // simlint: allow(hot-path-panic) -- next wraps modulo cap and buf.len() == cap once the else branch is reachable
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "next wraps modulo cap and buf.len() == cap once the else branch is reachable"
+    )]
     fn push(&mut self, cap: usize, r: Record) {
         if self.buf.len() < cap {
             self.buf.push(r);
@@ -145,6 +152,10 @@ impl Ring {
     }
 
     /// Records in chronological (push) order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "split is next % len (0 while the ring is empty), so split <= buf.len()"
+    )]
     fn ordered(&self) -> impl Iterator<Item = &Record> + '_ {
         // Until the first wraparound `total == len` and the buffer is
         // already chronological; afterwards the oldest record sits at

@@ -1,48 +1,27 @@
-//! `simlint` — static analysis for the TCD reproduction workspace.
+//! `simlint` — static topology and fault-plan analysis for lossless
+//! fabrics, before a single event is scheduled.
 //!
-//! Two levels, both pure (no I/O beyond reading source files, no
-//! dependencies outside the workspace):
-//!
-//! * [`codelint`] — a semantic Rust scanner enforcing the project's
-//!   determinism and robustness rules that clippy cannot express (BTree
-//!   collections in simulation state, no wall-clock or OS threads outside
-//!   the harness, `unsafe` forbidden in every crate root, and — on every
-//!   function the call graph proves reachable from the engine's `drive()`
-//!   dispatch loop — justified panics only, no heap allocation, no
-//!   unchecked picosecond arithmetic). It is built on a [`lexer`], a
-//!   [`symbols`] table and [`callgraph`] reachability, and includes a
-//!   [`spec`] pass diffing the implemented TCD state machine against the
-//!   committed machine-readable Fig. 6 table.
-//! * [`topolint`] — a static scenario analyzer that builds the directed
-//!   buffer-dependency graph from routing tables and reports potential
-//!   PFC/CBFC deadlock cycles (à la DCFIT), unreachable host pairs,
-//!   routing asymmetries and under-provisioned PFC headroom — before a
-//!   single event is scheduled. Fault plans are analyzed too: every
+//! * [`topolint`] builds the directed buffer-dependency graph from
+//!   routing tables and reports potential PFC/CBFC deadlock cycles (à la
+//!   DCFIT), unreachable host pairs, routing asymmetries and
+//!   under-provisioned PFC headroom. Fault plans are analyzed too: every
 //!   registered `RouteChange` set is composed onto the baseline tables and
 //!   run through the same cycle finder, so a route swap that wedges the
 //!   fabric is a *static* error, cross-checked against the runtime
 //!   PFC-deadlock watchdog.
+//! * [`output`] renders the reports as the one-line JSON of
+//!   `tcdsim lint --json`.
 //!
-//! The runtime audit layer (PR 2) catches these properties *while
-//! simulating*; `simlint` moves the same guarantees left, into a
-//! compile-adjacent pass wired into `scripts/ci.sh` via `tcdsim lint`
-//! (which also offers `--json` machine-readable [`output`]).
+//! The runtime audit layer catches these properties *while simulating*;
+//! `simlint` moves the same guarantees left, wired into `scripts/ci.sh`
+//! via `tcdsim lint`. Source-level policy (determinism, panic-freedom)
+//! is the toolchain's job — `clippy.toml` and the crate-root lint lines;
+//! see README "Static analysis".
 
 #![forbid(unsafe_code)]
 
-pub mod callgraph;
-pub mod codelint;
-pub mod lexer;
 pub mod output;
-pub mod spec;
-pub mod symbols;
 pub mod topolint;
 
-pub use codelint::{
-    find_workspace_root, lint_file, lint_sources, lint_workspace, lint_workspace_with_table,
-    workspace_hot_functions, Diagnostic, FileClass, Rule, ALL_RULES, HOT_ROOT,
-};
 pub use output::json_report;
-pub use spec::{SpecTable, SPEC_TABLE_PATH};
-pub use symbols::FnDef;
 pub use topolint::{analyze, Severity, TopoDiag, TopoReport, TopoSpec, DEFAULT_PFC_HEADROOM_BYTES};

@@ -6,9 +6,6 @@
 //! ```json
 //! {
 //!   "ok": false,
-//!   "files_scanned": 63,
-//!   "code_findings": [ {"rule": "...", "file": "...", "line": 7, "message": "..."} ],
-//!   "hot_functions": [ {"file": "...", "name": "drive", "line": 408} ],
 //!   "scenarios": [
 //!     { "name": "...", "channels": 12, "dependencies": 18, "errors": 1,
 //!       "findings": [ {"severity": "error", "check": "fault-route-cycle",
@@ -23,75 +20,23 @@
 
 use std::fmt::Write as _;
 
-use crate::codelint::Diagnostic;
+use lossless_obs::json::escape;
+
 use crate::topolint::{Severity, TopoReport};
 
-/// Escape a string for a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render the full lint run as a JSON object (one line, trailing newline).
-pub fn json_report(
-    code: &[Diagnostic],
-    files_scanned: usize,
-    hot: &[(String, String, u32)],
-    scenarios: &[TopoReport],
-) -> String {
-    let ok = code.is_empty() && scenarios.iter().all(|r| !r.has_errors());
+/// Render the lint run as a JSON object (one line, trailing newline).
+pub fn json_report(scenarios: &[TopoReport]) -> String {
+    let ok = scenarios.iter().all(|r| !r.has_errors());
     let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"ok\":{ok},\"files_scanned\":{files_scanned},\"code_findings\":["
-    );
-    for (i, d) in code.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-            d.rule.name(),
-            esc(&d.file),
-            d.line,
-            esc(&d.message)
-        );
-    }
-    s.push_str("],\"hot_functions\":[");
-    for (i, (file, name, line)) in hot.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"file\":\"{}\",\"name\":\"{}\",\"line\":{line}}}",
-            esc(file),
-            esc(name)
-        );
-    }
-    s.push_str("],\"scenarios\":[");
+    let _ = write!(s, "{{\"ok\":{ok},\"scenarios\":[");
     for (i, rep) in scenarios.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
         let _ = write!(
             s,
-            "{{\"name\":\"{}\",\"channels\":{},\"dependencies\":{},\"errors\":{},\"findings\":[",
-            esc(&rep.scenario),
+            "{{\"name\":{},\"channels\":{},\"dependencies\":{},\"errors\":{},\"findings\":[",
+            escape(&rep.scenario),
             rep.channels,
             rep.dependencies,
             rep.error_count()
@@ -106,15 +51,15 @@ pub fn json_report(
             };
             let _ = write!(
                 s,
-                "{{\"severity\":\"{sev}\",\"check\":\"{}\",\"message\":\"{}\",\"cycle\":[",
+                "{{\"severity\":\"{sev}\",\"check\":\"{}\",\"message\":{},\"cycle\":[",
                 d.check,
-                esc(&d.message)
+                escape(&d.message)
             );
             for (k, (node, port)) in d.cycle.iter().enumerate() {
                 if k > 0 {
                     s.push(',');
                 }
-                let _ = write!(s, "{{\"node\":\"{}\",\"port\":{port}}}", esc(node));
+                let _ = write!(s, "{{\"node\":{},\"port\":{port}}}", escape(node));
             }
             s.push_str("]}");
         }
@@ -127,18 +72,10 @@ pub fn json_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codelint::Rule;
     use crate::topolint::TopoDiag;
 
     #[test]
     fn escaping_and_shape() {
-        let code = vec![Diagnostic {
-            file: "a.rs".into(),
-            line: 3,
-            rule: Rule::HotPathPanic,
-            message: "uses `.unwrap()` with \"quotes\"\nand a newline".into(),
-        }];
-        let hot = vec![("a.rs".to_string(), "drive".to_string(), 1)];
         let scen = vec![TopoReport {
             scenario: "ring".into(),
             channels: 6,
@@ -146,23 +83,25 @@ mod tests {
             diags: vec![TopoDiag {
                 severity: Severity::Error,
                 check: "fault-route-cycle",
-                message: "cycle".into(),
+                message: "cycle with \"quotes\"\nand a newline".into(),
                 cycle: vec![("s0".into(), 1), ("s1".into(), 2)],
             }],
         }];
-        let j = json_report(&code, 2, &hot, &scen);
-        assert!(j.starts_with("{\"ok\":false,"), "{j}");
+        let j = json_report(&scen);
+        assert!(
+            j.starts_with("{\"ok\":false,\"scenarios\":[{\"name\":\"ring\","),
+            "{j}"
+        );
         assert!(j.contains("\\\"quotes\\\"\\nand a newline"), "{j}");
         assert!(
             j.contains("\"cycle\":[{\"node\":\"s0\",\"port\":1},{\"node\":\"s1\",\"port\":2}]"),
             "{j}"
         );
-        assert!(j.contains("\"hot_functions\":[{\"file\":\"a.rs\",\"name\":\"drive\",\"line\":1}]"));
+        assert!(lossless_obs::json::parse(&j).is_ok(), "{j}");
     }
 
     #[test]
     fn clean_run_is_ok() {
-        let j = json_report(&[], 10, &[], &[]);
-        assert!(j.starts_with("{\"ok\":true,"), "{j}");
+        assert_eq!(json_report(&[]), "{\"ok\":true,\"scenarios\":[]}\n");
     }
 }

@@ -31,7 +31,7 @@ commands:
   sweep      the victim grid (network x detector x seed) on a worker pool
   trace      run a named scenario and emit a Chrome/Perfetto trace.json
   metrics    run a named scenario and emit the metrics registry as JSON
-  lint       static analysis: workspace code lint + scenario topology checks
+  lint       static analysis: scenario topology and fault-plan checks
 
 common options:
   --network cee|ib     (default cee)
@@ -55,19 +55,14 @@ sweep options:     --seeds N                seeds per cell (default 3)
                                             or the machine's parallelism; results
                                             are identical at any value)
                    --out DIR                report directory (default results)
-lint options:      --code                   run only the workspace code lint
-                   --topo NAME              run only the topology analysis of
-                                            NAME (repeatable): a catalog
-                                            scenario or a lint-only fixture
-                                            (seeded-cyclic-triangle|-square,
-                                            seeded-headroom-starved); without
-                                            flags, lint runs the code lint plus
-                                            every catalog row expected clean
+lint options:      --topo NAME              analyze only NAME (repeatable): a
+                                            catalog scenario or a lint-only
+                                            fixture (seeded-cyclic-triangle|
+                                            -square, seeded-headroom-starved);
+                                            default: every catalog row expected
+                                            clean
                    --json                   emit one machine-readable JSON
-                                            report line instead of text
-                   --spec-table PATH        check the Fig. 6 conformance pass
-                                            against PATH instead of the
-                                            committed crates/simlint/fig6.spec"
+                                            report line instead of text"
     );
     exit(2)
 }
@@ -84,10 +79,8 @@ struct Args {
     seeds: u64,
     threads: usize,
     out: Option<String>,
-    lint_code: bool,
     lint_topos: Vec<String>,
     lint_json: bool,
-    lint_spec_table: Option<String>,
     scenario: Option<String>,
     end_ms: Option<f64>,
 }
@@ -109,10 +102,8 @@ fn parse() -> Args {
         seeds: 3,
         threads: harness::default_threads(),
         out: None,
-        lint_code: false,
         lint_topos: Vec::new(),
         lint_json: false,
-        lint_spec_table: None,
         scenario: None,
         end_ms: None,
     };
@@ -134,7 +125,6 @@ fn parse() -> Args {
         let switch = match flag {
             "--tcd" => Some(&mut a.tcd),
             "--multi-cp" => Some(&mut a.multi_cp),
-            "--code" => Some(&mut a.lint_code),
             "--json" => Some(&mut a.lint_json),
             _ => None,
         };
@@ -170,7 +160,6 @@ fn parse() -> Args {
                 a.end_ms = Some(checked(&argv, i, in_clock_range));
             }
             "--topo" => a.lint_topos.push(value(&argv, i)),
-            "--spec-table" => a.lint_spec_table = Some(value(&argv, i)),
             s if !s.starts_with('-') && a.scenario.is_none() => {
                 a.scenario = Some(s.to_string());
                 i += 1;
@@ -387,9 +376,7 @@ fn cmd_export(a: &Args, metrics: bool) {
 fn cmd_lint(a: &Args) {
     use tcd_repro::lintspec;
 
-    // Default (no flags): code lint + every catalog row expected clean.
-    let run_code = a.lint_code || a.lint_topos.is_empty();
-    let specs: Vec<simlint::TopoSpec> = if a.lint_topos.is_empty() && !a.lint_code {
+    let specs: Vec<simlint::TopoSpec> = if a.lint_topos.is_empty() {
         scenarios::CATALOG
             .iter()
             .filter(|row| row.lint == Lint::Clean)
@@ -405,76 +392,24 @@ fn cmd_lint(a: &Args) {
             })
             .collect()
     };
-    let mut failed = false;
 
-    let mut code_diags = Vec::new();
-    let mut code_files = 0usize;
-    let mut hot = Vec::new();
-    if run_code {
-        let cwd = std::env::current_dir().expect("current dir");
-        let Some(root) = simlint::find_workspace_root(&cwd) else {
-            eprintln!("lint: no workspace root (Cargo.toml with [workspace]) above {cwd:?}");
-            exit(2);
-        };
-        let table = a.lint_spec_table.as_ref().map(std::path::Path::new);
-        match simlint::lint_workspace_with_table(&root, table) {
-            Ok((diags, files)) => {
-                if !a.lint_json {
-                    for d in &diags {
-                        println!("{d}");
-                    }
-                    println!("code lint: {} finding(s) in {files} files", diags.len());
-                }
-                failed |= !diags.is_empty();
-                code_diags = diags;
-                code_files = files;
-            }
-            Err(e) => {
-                eprintln!("lint: cannot scan workspace: {e}");
-                exit(2);
-            }
-        }
-        if a.lint_json {
-            match simlint::workspace_hot_functions(&root) {
-                Ok(h) => hot = h,
-                Err(e) => {
-                    eprintln!("lint: cannot scan workspace: {e}");
-                    exit(2);
-                }
-            }
-        }
-    }
-
-    let mut clean = 0usize;
-    let mut reports = Vec::new();
-    for spec in &specs {
-        let name = &spec.name;
-        let rep = simlint::analyze(spec);
-        if !a.lint_json {
-            if rep.diags.is_empty() {
-                clean += 1;
-            } else {
-                println!(
-                    "{name}: {} channel(s), {} dependency edge(s)",
-                    rep.channels, rep.dependencies
-                );
-                for d in &rep.diags {
-                    println!("  {d}");
-                }
-            }
-        }
-        failed |= rep.has_errors();
-        reports.push(rep);
-    }
+    let reports: Vec<_> = specs.iter().map(simlint::analyze).collect();
     if a.lint_json {
-        print!(
-            "{}",
-            simlint::json_report(&code_diags, code_files, &hot, &reports)
-        );
-    } else if !specs.is_empty() {
-        println!("topology lint: {clean}/{} scenario(s) clean", specs.len());
+        print!("{}", simlint::json_report(&reports));
+    } else {
+        for rep in reports.iter().filter(|rep| !rep.diags.is_empty()) {
+            println!(
+                "{}: {} channel(s), {} dependency edge(s)",
+                rep.scenario, rep.channels, rep.dependencies
+            );
+            for d in &rep.diags {
+                println!("  {d}");
+            }
+        }
+        let clean = reports.iter().filter(|rep| rep.diags.is_empty()).count();
+        println!("topology lint: {clean}/{} scenario(s) clean", reports.len());
     }
-    if failed {
+    if reports.iter().any(|rep| rep.has_errors()) {
         exit(1);
     }
 }

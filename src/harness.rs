@@ -24,6 +24,10 @@ use lossless_obs::json::{escape, num_f64};
 use std::io::IsTerminal as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+#[expect(
+    clippy::disallowed_types,
+    reason = "named for Sweep::run, the one place outside obs::prof and crates/bench that reads the wall clock"
+)]
 use std::time::Instant;
 
 /// The deterministic product of one run: a fingerprint of everything the
@@ -83,7 +87,6 @@ impl Sweep {
     /// Queue a run. `job` must be a pure function of its captured
     /// configuration (it runs on a worker thread; build the simulator
     /// *inside* the closure so no state leaks across runs).
-    // simlint: allow(hot-path-alloc) -- sweep setup, one box per queued run; hot only by a name collision with Sweep::add
     pub fn add(
         &mut self,
         id: impl Into<String>,
@@ -113,6 +116,11 @@ impl Sweep {
     /// forces it on (e.g. under a log collector), `TCD_PROGRESS=0` off.
     /// Progress is presentation only: it never touches results, so
     /// reports stay bit-identical with it on or off.
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the sweep pool is the one place that spawns threads and reads the wall clock: results merge in submission order and wall time only feeds progress and the report's wall fields"
+    )]
     pub fn run(self, threads: usize) -> SweepReport {
         let n = self.jobs.len();
         let threads = threads.max(1).min(n.max(1));

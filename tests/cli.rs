@@ -30,9 +30,50 @@ fn out_of_range_and_removed_options_exit_2() {
         &["metrics", "fig03", "--end-ms", "inf"],
         &["metrics", "fig03", "--end-ms", "1e30"],
         &["metrics", "fig03", "--end-ms", "1e-12"],
+        &["lint", "--code"],
+        &["lint", "--spec-table", "x"],
     ] {
-        assert_eq!(exit_code(args), Some(2), "tcdsim {}", args.join(" "));
+        let out = tcdsim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "tcdsim {}", args.join(" "));
+        assert!(stderr.starts_with("usage: tcdsim"), "{stderr}");
     }
+}
+
+/// `lint` analyses the catalog compiled into the binary: it reads no
+/// source tree, so it runs from any directory.
+#[test]
+fn lint_runs_outside_the_repository_and_reports_topologies_only() {
+    let lint = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_tcdsim"))
+            .arg("lint")
+            .args(args)
+            .current_dir(std::env::temp_dir())
+            .output()
+            .expect("run tcdsim")
+    };
+    let text = lint(&[]);
+    let stdout = String::from_utf8_lossy(&text.stdout);
+    assert_eq!(text.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("topology lint: "), "{stdout}");
+
+    let json = lint(&["--json"]);
+    assert_eq!(json.status.code(), Some(0));
+    let doc = tcd_repro::obs::json::parse(&String::from_utf8_lossy(&json.stdout)).expect("JSON");
+    assert_eq!(
+        doc.get("ok"),
+        Some(&tcd_repro::obs::json::Value::Bool(true))
+    );
+    let scenarios = doc
+        .get("scenarios")
+        .and_then(|s| s.as_arr())
+        .expect("array");
+    assert!(!scenarios.is_empty());
+    assert_eq!(doc.get("hot_functions"), None);
+
+    let seeded = lint(&["--json", "--topo", "deadlock-triangle"]);
+    assert_eq!(seeded.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&seeded.stdout).starts_with("{\"ok\":false,"));
 }
 
 #[test]
