@@ -74,7 +74,7 @@ impl Rate {
     #[inline]
     #[expect(
         clippy::expect_used,
-        reason = "bits/8e12 fits u64 for any (rate, delay) the wheel's 2^49 ps horizon admits"
+        reason = "bits/8e12 fits u64 for any delay within the event queue's 2^58 ps far-wheel horizon at any rate up to 500 Tbps"
     )]
     pub fn bytes_in(self, d: SimDuration) -> u64 {
         let bits = (self.0 as u128) * (d.as_ps() as u128) / 1_000_000_000_000u128;

@@ -5,22 +5,29 @@
 //! function of its configuration. This property underpins every regression
 //! test in the workspace.
 //!
-//! The ordering core is a **timing wheel**: a hierarchical calendar queue.
-//! Time is quantized into ticks of `2^GRAN_BITS` ps; each of the
-//! [`LEVELS`] levels covers 64× the tick span of the level below, so the
-//! wheel spans `2^(GRAN_BITS + 6·LEVELS)` ps (~9 min of simulated time)
-//! and anything later waits in an overflow list. Inserts and pops are O(1)
-//! amortized — an event cascades down at most once per level as the clock
-//! approaches it.
+//! The ordering core is a calendar queue in two parts. Time is quantized
+//! into ticks of `2^GRAN_BITS` ps (~8 ns), and ticks into blocks of
+//! `2^BLOCK_BITS` = 512 ticks (~4.2 µs). A **near ring** with one slot
+//! per tick covers the block the clock is in and the next one: an event
+//! due in that window — a serialization or a link delay ahead, most of
+//! the traffic — is pushed into the slot of its exact tick once and stays
+//! there until its tick is staged. Anything later waits in a
+//! hierarchical **far wheel** keyed by block: [`LEVELS`] levels of 64
+//! slots, each covering 64× the blocks of the level below, so it spans
+//! `2^(GRAN_BITS + BLOCK_BITS + 6·LEVELS)` ps (~80 h of simulated time),
+//! and beyond that an overflow list. Each time the clock enters a new
+//! block, the far wheel hands the block after it to the ring (cascading
+//! at most once per level on the way down); when the ring runs empty
+//! the clock jumps straight to the far wheel's first block.
 //!
 //! Same-timestamp groups dispatch as a staged batch through
-//! [`EventQueue::pop_batched`]: the wheel's sorted current-tick buffer
-//! serves pops directly and absorbs zero-delay schedules by ordered
-//! insertion, so the engine touches the level structure once per group
-//! instead of once per event, and a group hands out events in exact
-//! `(at, seq)` order. That order is the one a
-//! `BinaryHeap<Reverse<(at, seq)>>` yields; `tests/event_order.rs` drives
-//! such a heap as the reference model in lock-step with the wheel.
+//! [`EventQueue::pop_batched`]: the sorted current-tick buffer serves
+//! pops directly and absorbs zero-delay schedules by ordered insertion,
+//! so the engine touches the ring once per group instead of once per
+//! event, and a group hands out events in exact `(at, seq)` order. That
+//! order is the one a `BinaryHeap<Reverse<(at, seq)>>` yields;
+//! `tests/event_order.rs` drives such a heap as the reference model in
+//! lock-step with the queue.
 
 use crate::packet::{FlowId, Packet};
 use crate::topology::NodeId;
@@ -163,57 +170,85 @@ struct Scheduled {
     ev: Event,
 }
 
-/// Wheel tick width: `2^GRAN_BITS` ps (8 192 ps ≈ 8 ns). Chosen so a
-/// packet serialization delay (200 ns at 40 Gbps) lands level 0: the
-/// hot-path churn of arrivals and port wake-ups inserts straight into the
-/// bottom level with no cascading, while a tick stays short enough that a
+/// Tick width: `2^GRAN_BITS` ps (8 192 ps ≈ 8 ns), short enough that a
 /// same-tick `cur` group is a few dozen events — one cheap sort each.
 /// Exactness does not depend on the tick width: a group is extracted by
 /// `(at, seq)` order within the tick, never by tick alone.
 const GRAN_BITS: u32 = 13;
-/// log2(slots per level).
+/// log2(ticks per block). A block is 512 ticks (~4.2 µs), so the near
+/// window — the rest of the current block plus all of the next — always
+/// reaches at least one block ahead: one link delay (4 µs) plus one
+/// serialization (128–256 ns) lands in the ring on first insert, and so
+/// do the 67–95 % of schedules (per tcdbench workload) that fall one
+/// serialization or one link ahead.
+const BLOCK_BITS: u32 = 9;
+/// Near-ring slots: one per tick of two blocks.
+const RING: usize = 2 << BLOCK_BITS;
+/// Words of the ring's occupancy bitmap.
+const RING_WORDS: usize = RING / 64;
+/// log2(slots per far level).
 const SLOT_BITS: u32 = 6;
-/// Slots per level.
+/// Slots per far level.
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Number of levels. Level `l` buckets ticks by bits `[6l, 6l+6)` of
-/// their distance-in-ticks from `elapsed`.
+/// Number of far levels. Level `l` buckets blocks by bits `[6l, 6l+6)`
+/// of their distance from the far wheel's position.
 const LEVELS: usize = 6;
-/// Total tick bits the wheel spans; events further out wait in overflow.
-const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// Block bits the far wheel spans; events further out wait in overflow.
+const FAR_BITS: u32 = SLOT_BITS * LEVELS as u32;
 /// Cap on the audited causality log (entries beyond it are counted, not
 /// stored).
 #[cfg(feature = "audit")]
 pub(crate) const PAST_LOG_CAP: usize = 64;
 
-/// Hierarchical timing wheel over `Scheduled` entries.
+/// The near ring and far wheel over `Scheduled` entries.
 ///
-/// Invariants:
+/// Invariants (`blk` = `elapsed >> BLOCK_BITS` is the current block, and
+/// an event's block is its tick `>> BLOCK_BITS`):
 /// - `cur` holds every stored event with `tick ≤ elapsed`, sorted
 ///   *descending* by `(at, seq)` — the queue head pops from the back
 ///   with no shifting, and a rare insert at-or-behind the current tick
 ///   binary-searches its position;
-/// - an occupied slot at level `l` holds events whose tick is greater
-///   than `elapsed` and differs from it first in bit range `[6l, 6l+6)`;
-///   `overflow` holds events at least `2^WHEEL_BITS` ticks out;
-/// - `elapsed` never exceeds the tick of any event stored in
-///   `slots`/`overflow`, and only ever advances (to the tick of a
-///   then-earliest slot), so slot indices at a level never wrap past the
-///   current position — the lowest set bit of the lowest occupied
-///   level's bitmap names the slot containing the earliest non-`cur`
+/// - `ring[t % RING]` holds exactly the events of tick `t`, for every
+///   tick `t` of the near window `(elapsed, last tick of block blk + 1]`,
+///   and every other ring slot is empty. The window is shorter than
+///   `RING`, so a ring slot is one exact tick;
+/// - every other event is in block `blk + 2` or later and waits in the
+///   far wheel or `overflow`. An occupied far slot at level `l` holds
+///   events whose block is greater than `far_pos` and differs from it
+///   first in bit range `[6l, 6l+6)`; `overflow` holds events whose
+///   block differs from `far_pos` above bit `FAR_BITS`, which makes them
+///   later than everything in the far levels;
+/// - `far_pos ≤ blk + 1` and only moves forward: to the start of the
+///   block range of the then-earliest far slot when that slot cascades,
+///   or anywhere while the far levels are empty (re-filing `overflow`
+///   when that changes the bits above `FAR_BITS`). So far slot indices
+///   never wrap past the position, and the lowest set bit of the lowest
+///   occupied level's bitmap names the slot holding the earliest far
 ///   event.
 #[derive(Debug)]
 struct Wheel {
     /// Current position, in ticks.
     elapsed: u64,
-    /// Per-level occupancy bitmaps: bit `s` set ⇔ `slots[l*SLOTS + s]`
-    /// is non-empty.
-    occupied: [u64; LEVELS],
-    /// `LEVELS × SLOTS` buckets, unordered within a bucket.
-    slots: Vec<Vec<Scheduled>>,
     /// The staged head group (`tick ≤ elapsed`), sorted descending by
     /// `(at, seq)`.
     cur: Vec<Scheduled>,
-    /// Events beyond the wheel horizon.
+    /// The near ring: `RING` one-tick buckets, unordered within a bucket.
+    ring: Vec<Vec<Scheduled>>,
+    /// Ring occupancy: bit `s % 64` of word `s / 64` set ⇔ `ring[s]` is
+    /// non-empty.
+    ring_occ: [u64; RING_WORDS],
+    /// Emptied buffers, handed to ring slots as they fill. Staging a slot
+    /// moves its buffer into `cur` and leaves the slot without one, so the
+    /// live buffers number the occupied slots, not all `RING` of them.
+    spare: Vec<Vec<Scheduled>>,
+    /// Far-wheel position, in blocks.
+    far_pos: u64,
+    /// Per-level occupancy bitmaps: bit `s` set ⇔ `far[l*SLOTS + s]` is
+    /// non-empty.
+    far_occ: [u64; LEVELS],
+    /// `LEVELS × SLOTS` far buckets, unordered within a bucket.
+    far: Vec<Vec<Scheduled>>,
+    /// Events beyond the far wheel's horizon.
     overflow: Vec<Scheduled>,
     len: usize,
 }
@@ -222,21 +257,30 @@ impl Wheel {
     fn new() -> Wheel {
         Wheel {
             elapsed: 0,
-            occupied: [0; LEVELS],
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             cur: Vec::new(),
+            ring: (0..RING).map(|_| Vec::new()).collect(),
+            ring_occ: [0; RING_WORDS],
+            spare: Vec::new(),
+            far_pos: 1,
+            far_occ: [0; LEVELS],
+            far: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             overflow: Vec::new(),
             len: 0,
         }
     }
 
+    fn insert(&mut self, s: Scheduled) {
+        self.len += 1;
+        self.place(s);
+    }
+
+    /// File `s` where its tick belongs (`len` is the caller's to keep).
     #[expect(
         clippy::indexing_slicing,
-        reason = "level < LEVELS because x fits in WHEEL_BITS = 6*LEVELS bits on that branch, and slot is masked to SLOTS - 1, so every index is in bounds by construction"
+        reason = "the ring slot is masked to RING - 1 and RING_WORDS = RING / 64; level < LEVELS because x fits in FAR_BITS = 6*LEVELS bits on that branch, and the far slot is masked to SLOTS - 1"
     )]
-    fn insert(&mut self, s: Scheduled) {
+    fn place(&mut self, s: Scheduled) {
         let tick = s.at.as_ps() >> GRAN_BITS;
-        self.len += 1;
         if tick <= self.elapsed {
             // Into the staged group: binary-insert to keep it sorted.
             // Descending order makes the common case (a zero-delay event
@@ -246,36 +290,87 @@ impl Wheel {
             self.cur.insert(pos, s);
             return;
         }
-        let x = tick ^ self.elapsed;
-        if x >> WHEEL_BITS != 0 {
+        let block = tick >> BLOCK_BITS;
+        if block <= (self.elapsed >> BLOCK_BITS) + 1 {
+            let slot = (tick % RING as u64) as usize;
+            let bit = 1u64 << (slot % 64);
+            let word = &mut self.ring_occ[slot / 64];
+            let bucket = &mut self.ring[slot];
+            if *word & bit == 0 {
+                *word |= bit;
+                if let Some(buf) = self.spare.pop() {
+                    *bucket = buf;
+                }
+            }
+            bucket.push(s);
+            return;
+        }
+        let x = block ^ self.far_pos;
+        if x >> FAR_BITS != 0 {
             self.overflow.push(s);
         } else {
             let level = ((63 - x.leading_zeros()) / SLOT_BITS) as usize;
-            let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-            self.slots[level * SLOTS + slot].push(s);
-            self.occupied[level] |= 1 << slot;
+            let slot = ((block >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+            self.far[level * SLOTS + slot].push(s);
+            self.far_occ[level] |= 1 << slot;
+        }
+    }
+
+    /// The earliest occupied tick of the near window, if any. Every slot
+    /// outside the window is empty, so this is the first occupied slot at
+    /// or after `elapsed + 1`'s, going round the ring; the window ends on
+    /// a block edge, a word edge of the bitmap, so it never wraps back
+    /// into the first word.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "word indices are reduced modulo RING_WORDS"
+    )]
+    fn ring_next(&self) -> Option<u64> {
+        let from = ((self.elapsed + 1) % RING as u64) as usize;
+        let w0 = from / 64;
+        for i in 0..RING_WORDS {
+            let w = (w0 + i) % RING_WORDS;
+            let mut bits = self.ring_occ[w];
+            if i == 0 {
+                bits &= !0 << (from % 64);
+            }
+            if bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                return Some(self.elapsed + 1 + ((slot + RING - from) % RING) as u64);
+            }
+        }
+        None
+    }
+
+    /// The bucket holding the earliest event beyond the ring: the lowest
+    /// occupied slot of the lowest occupied far level (slot block ranges
+    /// are disjoint and ordered), else `overflow`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "level < LEVELS from the range, slot < SLOTS from trailing_zeros of a non-zero u64"
+    )]
+    fn far_first(&self) -> &[Scheduled] {
+        match (0..LEVELS).find(|&l| self.far_occ[l] != 0) {
+            Some(l) => &self.far[l * SLOTS + self.far_occ[l].trailing_zeros() as usize],
+            None => &self.overflow,
         }
     }
 
     /// Timestamp of the earliest stored event. Pure: never advances the
-    /// wheel, so it is safe to call with a `limit` in hand and walk away.
+    /// queue, so it is safe to call with a `limit` in hand and walk away.
     #[expect(
         clippy::indexing_slicing,
-        reason = "level < LEVELS from the range, slot < SLOTS from trailing_zeros of a non-zero u64"
+        reason = "ring_next returns a tick, and its slot is masked to RING - 1"
     )]
     fn peek_min(&self) -> Option<SimTime> {
         if let Some(s) = self.cur.last() {
             return Some(s.at);
         }
-        for level in 0..LEVELS {
-            if self.occupied[level] != 0 {
-                let slot = self.occupied[level].trailing_zeros() as usize;
-                // Slot tick ranges are disjoint and ordered, so the
-                // earliest event wheel-wide lives in this bucket.
-                return self.slots[level * SLOTS + slot].iter().map(|s| s.at).min();
-            }
-        }
-        self.overflow.iter().map(|s| s.at).min()
+        let bucket = match self.ring_next() {
+            Some(tick) => &self.ring[(tick % RING as u64) as usize],
+            None => self.far_first(),
+        };
+        bucket.iter().map(|s| s.at).min()
     }
 
     /// Pop the earliest event if its timestamp is ≤ `limit`.
@@ -291,80 +386,101 @@ impl Wheel {
         Some(s)
     }
 
-    /// Stage the earliest pending tick group into `cur`, cascading upper
-    /// levels down as the position advances. Returns whether any event is
-    /// staged. Advancing `elapsed` eagerly — possibly past a caller's
-    /// time limit — is safe because `insert` routes anything at or
-    /// behind the new position into the sorted `cur` group.
+    /// Stage the earliest pending tick group into `cur`, handing far
+    /// blocks to the ring as the position enters new blocks. Returns
+    /// whether any event is staged. Advancing `elapsed` eagerly — possibly
+    /// past a caller's time limit — is safe because `insert` routes
+    /// anything at or behind the new position into the sorted `cur` group.
     // Out of line: this is the once-per-tick-group slow path, and inlined
     // into `pop_next` it makes `pop_batched` too large to inline into the
-    // drive loop (+9 % run wall on tcdbench fig2-storm).
+    // drive loop (tcdbench fig2-storm run_wall_s 0.36 s without the
+    // attribute against 0.30 s with it, median of 6 alternating pairs on a
+    // 2-core VM).
     #[inline(never)]
     #[expect(
         clippy::indexing_slicing,
-        reason = "indices are bounded exactly as in insert/peek_min: level < LEVELS from the range, slot < SLOTS from trailing_zeros of a u64"
+        reason = "ring_next returns a tick, its slot is masked to RING - 1, and RING_WORDS = RING / 64"
     )]
     fn advance(&mut self) -> bool {
         loop {
             if !self.cur.is_empty() {
                 return true;
             }
-            let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
-                if self.overflow.is_empty() {
+            let Some(tick) = self.ring_next() else {
+                // The ring is empty: jump to just before the first far
+                // block, and the hand-over moves that block in.
+                let Some(block) = self
+                    .far_first()
+                    .iter()
+                    .map(|s| s.at.as_ps() >> (GRAN_BITS + BLOCK_BITS))
+                    .min()
+                else {
                     return false;
-                }
-                self.rebase_overflow();
+                };
+                self.elapsed = (block << BLOCK_BITS) - 1;
+                self.far_take(block);
                 continue;
             };
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            let idx = level * SLOTS + slot;
-            if level == 0 {
-                // A level-0 bucket holds exactly one tick: it becomes the
-                // new staged group (swap recycles cur's old allocation).
-                self.elapsed = (self.elapsed & !(SLOTS as u64 - 1)) | slot as u64;
-                std::mem::swap(&mut self.cur, &mut self.slots[idx]);
-                self.occupied[0] &= !(1u64 << slot);
-                // Descending, so the earliest (at, seq) pops from the
-                // back without shifting. Keys are unique, so unstable is
-                // safe.
-                self.cur.sort_unstable_by_key(|s| Reverse((s.at, s.seq)));
-                return true;
+            let entered = tick >> BLOCK_BITS != self.elapsed >> BLOCK_BITS;
+            self.elapsed = tick;
+            // A ring slot holds exactly one tick: it becomes the new
+            // staged group, and cur's old (empty) buffer waits in `spare`
+            // for the next slot to fill.
+            let slot = (tick % RING as u64) as usize;
+            self.ring_occ[slot / 64] &= !(1u64 << (slot % 64));
+            let old = std::mem::replace(&mut self.cur, std::mem::take(&mut self.ring[slot]));
+            self.spare.push(old);
+            // Descending, so the earliest (at, seq) pops from the back
+            // without shifting. Keys are unique, so unstable is safe.
+            self.cur.sort_unstable_by_key(|s| Reverse((s.at, s.seq)));
+            if entered {
+                self.far_take((tick >> BLOCK_BITS) + 1);
             }
-            // Cascade: advance to the start of this bucket's tick range
-            // and re-insert its events, which now land at a strictly
-            // lower level (or in `cur`).
-            let shift = SLOT_BITS * level as u32;
-            self.elapsed =
-                (self.elapsed & !((1u64 << (shift + SLOT_BITS)) - 1)) | ((slot as u64) << shift);
-            let mut drained = std::mem::take(&mut self.slots[idx]);
-            self.occupied[level] &= !(1u64 << slot);
-            self.len -= drained.len();
-            for s in drained.drain(..) {
-                self.insert(s);
-            }
-            // Hand the emptied buffer back to the bucket.
-            self.slots[idx] = drained;
+            return true;
         }
     }
 
-    /// The wheel is empty but overflow is not: jump `elapsed` to the
-    /// earliest overflow tick and re-distribute.
-    fn rebase_overflow(&mut self) {
-        let min_tick = self
-            .overflow
-            .iter()
-            .map(|s| s.at.as_ps() >> GRAN_BITS)
-            .min()
-            .unwrap_or(self.elapsed);
-        debug_assert!(min_tick >= self.elapsed);
-        self.elapsed = min_tick;
-        let mut drained = std::mem::take(&mut self.overflow);
-        self.len -= drained.len();
-        for s in drained.drain(..) {
-            self.insert(s);
+    /// The position just entered block `b - 1`: hand the far wheel's
+    /// events of block `b` to the ring, cascading every bucket whose block
+    /// range starts at or before `b`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "level < LEVELS from the range, slot < SLOTS from trailing_zeros of a non-zero u64"
+    )]
+    fn far_take(&mut self, b: u64) {
+        while let Some(level) = (0..LEVELS).find(|&l| self.far_occ[l] != 0) {
+            let slot = self.far_occ[level].trailing_zeros() as usize;
+            let shift = SLOT_BITS * level as u32;
+            let start =
+                (self.far_pos & !((1u64 << (shift + SLOT_BITS)) - 1)) | ((slot as u64) << shift);
+            if start > b {
+                return;
+            }
+            // Cascade: move to the start of this bucket's block range and
+            // re-file its events, which now land at a strictly lower level
+            // or, for block `b`, in the ring.
+            self.far_pos = start;
+            let idx = level * SLOTS + slot;
+            let mut drained = std::mem::take(&mut self.far[idx]);
+            self.far_occ[level] &= !(1u64 << slot);
+            for s in drained.drain(..) {
+                self.place(s);
+            }
+            // Hand the emptied buffer back to the bucket.
+            self.far[idx] = drained;
         }
-        if self.overflow.is_empty() {
-            self.overflow = drained;
+        // The far levels are empty: re-centre them on `b` so later events
+        // land low. If that moves the horizon, re-file the overflow.
+        let moved = (self.far_pos ^ b) >> FAR_BITS != 0;
+        self.far_pos = b;
+        if moved && !self.overflow.is_empty() {
+            let mut drained = std::mem::take(&mut self.overflow);
+            for s in drained.drain(..) {
+                self.place(s);
+            }
+            if self.overflow.is_empty() {
+                self.overflow = drained;
+            }
         }
     }
 
@@ -374,7 +490,8 @@ impl Wheel {
     fn iter(&self) -> impl Iterator<Item = &Scheduled> {
         self.cur
             .iter()
-            .chain(self.slots.iter().flatten())
+            .chain(self.ring.iter().flatten())
+            .chain(self.far.iter().flatten())
             .chain(self.overflow.iter())
     }
 }
@@ -466,8 +583,8 @@ impl EventQueue {
 
     /// Pop the next event if its timestamp is ≤ `limit`, advancing the
     /// clock; `None` past the limit or when empty. The first pop at a new
-    /// head group stages the whole group into the wheel's sorted `cur`
-    /// buffer, so consecutive same-time pops bypass the level structure.
+    /// head group stages the whole group into the sorted `cur` buffer, so
+    /// consecutive same-time pops bypass the ring and the far wheel.
     pub fn pop_batched(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
         let s = self.wheel.pop_next(limit)?;
         debug_assert!(s.at >= self.now);
@@ -742,10 +859,12 @@ mod tests {
     #[test]
     fn far_future_events_cross_wheel_levels() {
         let mut q = EventQueue::new();
-        // One event per wheel level, plus one beyond the ~9 min horizon.
-        let mut expect = Vec::new();
-        for lvl in 0..7u32 {
-            let at = SimTime::from_ps(1u64 << (GRAN_BITS + SLOT_BITS * lvl));
+        // One event in the ring, one per far level, plus one beyond the
+        // ~80 h horizon.
+        let mut expect = vec![SimTime::from_ps(1 << GRAN_BITS)];
+        q.schedule(expect[0], tx(99, 0));
+        for lvl in 0..=LEVELS as u32 {
+            let at = SimTime::from_ps(1u64 << (GRAN_BITS + BLOCK_BITS + 1 + SLOT_BITS * lvl));
             q.schedule(at, tx(lvl, 0));
             expect.push(at);
         }

@@ -24,7 +24,6 @@ use lossless_flowctl::cbfc::{CbfcReceiver, CbfcSender};
 use lossless_flowctl::pfc::{PfcCommand, PfcEgress, PfcIngress};
 use lossless_flowctl::units::{CTRL_FRAME_BYTES, FCCL_FRAME_BYTES};
 use lossless_flowctl::{Rate, SimTime};
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use tcd_core::CodePoint;
 
@@ -168,10 +167,13 @@ pub struct Host {
     feedback_q: VecDeque<Box<Packet>>,
     /// Active sender flows (small; linear scans are fine).
     active: Vec<SenderFlow>,
-    /// Receiver-side per-flow state, keyed in flow-id order (a `BTreeMap`
-    /// so any iteration is in flow-id order — hash order must never leak
-    /// into event scheduling).
-    rx: BTreeMap<FlowId, RxFlow>,
+    /// Receiver-side per-flow state, indexed by the flow's
+    /// [`FlowSpec::rx_slot`](crate::sim::FlowSpec::rx_slot); an entry is
+    /// made on the flow's first packet.
+    rx: Vec<RxFlow>,
+    /// Receive slots handed out so far (flows registered towards this
+    /// host).
+    rx_slots: u32,
     /// Whether a `HostDrain` event is outstanding.
     rx_draining: bool,
     /// Cumulative data bytes transmitted (trace sampling).
@@ -209,7 +211,8 @@ impl Host {
             ctrl: VecDeque::new(),
             feedback_q: VecDeque::new(),
             active: Vec::new(),
-            rx: BTreeMap::new(),
+            rx: Vec::new(),
+            rx_slots: 0,
             rx_draining: false,
             tx_bytes: 0,
         }
@@ -218,6 +221,12 @@ impl Host {
     /// The NIC's line rate.
     pub fn line_rate(&self) -> Rate {
         self.line_rate
+    }
+
+    /// Hand out the receive slot of a flow registered towards this host.
+    pub(crate) fn add_rx_slot(&mut self) -> u32 {
+        self.rx_slots += 1;
+        self.rx_slots - 1
     }
 
     /// The current CC rate of an active flow, if still sending.
@@ -577,7 +586,7 @@ impl Host {
 
     #[expect(
         clippy::indexing_slicing,
-        reason = "flow ids index the spec table they were minted from; the receiver map holds the flow's entry (created above) by then"
+        reason = "flow ids index the spec table they were minted from; the receive table is grown to hold the flow's slot (below) before it is indexed"
     )]
     fn on_data(&mut self, ctx: &mut Ctx<'_>, mut pkt: Box<Packet>) {
         let id = self.id;
@@ -631,9 +640,20 @@ impl Host {
             rx.on_buffer_freed(pkt.size);
         }
 
-        let spec_size = ctx.flows[pkt.flow.0 as usize].size;
+        let spec = &ctx.flows[pkt.flow.0 as usize];
+        let (spec_size, slot) = (spec.size, spec.rx_slot as usize);
         let lossy = ctx.cfg.is_lossy();
-        let st = self.rx.entry(pkt.flow).or_default();
+        if slot >= self.rx.len() {
+            // One allocation for every flow registered so far: growing
+            // the table by doubling instead left the allocator returning
+            // and re-faulting memory, and measured +13–20 % tcdbench
+            // `setup_s` on the next repetition (ft6-*, seed 2).
+            if self.rx.is_empty() {
+                self.rx.reserve_exact(self.rx_slots as usize);
+            }
+            self.rx.resize_with(slot + 1, RxFlow::default);
+        }
+        let st = &mut self.rx[slot];
         // Lossy mode: accept only the next in-order segment (go-back-N);
         // duplicates and post-gap segments are discarded but still elicit
         // a (duplicate) cumulative ACK. Lossless modes are in-order by
@@ -681,11 +701,7 @@ impl Host {
                 // Lossy mode carries the *cumulative* in-order byte count
                 // (the go-back-N ACK); lossless modes carry the segment
                 // size (TIMELY only uses the RTT).
-                let acked_bytes = if lossy {
-                    self.rx[&pkt.flow].bytes
-                } else {
-                    pkt.size
-                };
+                let acked_bytes = if lossy { self.rx[slot].bytes } else { pkt.size };
                 let mut ack = Packet::feedback(
                     pkt.flow,
                     self.id,

@@ -206,6 +206,150 @@ proptest! {
             }
         }
     }
+
+    /// The near ring's edges, against the same [`Model`] in lock-step:
+    /// delays from the engine's measured mix ([`MIX_PS`]), absolute times
+    /// one tick either side of the next two block starts, schedules into
+    /// the past, and limits either side of a block crossing. Before every
+    /// pop, `peek_time` must name the time that pop hands out — including
+    /// when the ring is empty and the head waits in the far wheel or
+    /// beyond it.
+    #[test]
+    fn ring_edges_pop_like_the_heap(
+        ops in proptest::collection::vec(
+            prop_oneof![
+                (0..MIX_PS.len(), 0u64..3).prop_map(|(i, x)| Edge::Delay(MIX_PS[i] + x)),
+                (1u64..3, -1i64..=1).prop_map(|(k, d)| Edge::Block(k, d)),
+                (1u64..20_000_000).prop_map(Edge::Past),
+                Just(Edge::Pop),
+                (1u64..3, -1i64..=1).prop_map(|(k, d)| Edge::Limit(k, d)),
+            ],
+            1..300
+        )
+    ) {
+        let mut q = EventQueue::new();
+        let mut model = Model::default();
+        let mut next = 0u32;
+        for op in ops {
+            let now = q.now().as_ps();
+            let at = match op {
+                Edge::Delay(d) => Some(now.saturating_add(d)),
+                Edge::Block(k, d) => Some(block_edge(now, k, d).max(now)),
+                Edge::Past(back) => {
+                    Some(now.saturating_sub(if PAST_SCHEDULES_CLAMP { back } else { 0 }))
+                }
+                Edge::Pop | Edge::Limit(..) => None,
+            };
+            if let Some(at) = at {
+                q.schedule(SimTime::from_ps(at), tagged(next));
+                model.schedule(SimTime::from_ps(at), next);
+                next += 1;
+            } else {
+                let limit = match op {
+                    Edge::Limit(k, d) => SimTime::from_ps(block_edge(now, k, d)),
+                    _ => SimTime::MAX,
+                };
+                let head = q.peek_time();
+                prop_assert_eq!(head, model.peek_time());
+                let got = obs(q.pop_batched(limit));
+                prop_assert_eq!(got, model.pop_batched(limit));
+                prop_assert_eq!(got.map(|(t, _)| t), head.filter(|&t| t <= limit));
+            }
+            prop_assert_eq!(q.len(), model.heap.len());
+            prop_assert_eq!(q.now(), model.now);
+        }
+        loop {
+            let head = q.peek_time();
+            prop_assert_eq!(head, model.peek_time());
+            let got = obs(q.pop());
+            prop_assert_eq!(got, model.pop_batched(SimTime::MAX));
+            prop_assert_eq!(got.map(|(t, _)| t), head);
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+}
+
+/// One tick of the event queue's ring, in ps (`2^13`).
+const TICK_PS: u64 = 1 << 13;
+/// One block of the ring (512 ticks, ~4.2 µs): the ring covers the block
+/// the clock is in and the next one.
+const BLOCK_PS: u64 = TICK_PS << 9;
+
+/// Delays the engine schedules, from a recorded `fig2-storm` and victim
+/// stream: zero (self-posts), one tick, a 40 Gbps serialization (200 ns)
+/// and a 1 KB one at 32 Gbps (256 ns), one link (4 µs + 200 ns), a
+/// detector/CC timer (55 µs), a run length (10 ms), past the ~9 min
+/// horizon of the original single wheel (`2^49` ps) and past the far
+/// wheel's ~80 h one (`2^58` ps).
+const MIX_PS: [u64; 9] = [
+    0,
+    TICK_PS,
+    200_000,
+    256_000,
+    4_200_000,
+    55_000_000,
+    10_000_000_000,
+    (1 << 49) + 1,
+    (1 << 58) + 1,
+];
+
+/// `d` ticks (−1, 0 or +1) off the start of the `k`-th block after the
+/// one `now_ps` is in.
+fn block_edge(now_ps: u64, k: u64, d: i64) -> u64 {
+    let start = (now_ps / BLOCK_PS + k) * BLOCK_PS;
+    start.saturating_add_signed(d * TICK_PS as i64)
+}
+
+/// One step of [`ring_edges_pop_like_the_heap`].
+#[derive(Debug, Clone, Copy)]
+enum Edge {
+    /// Schedule at `now + delay_ps`.
+    Delay(u64),
+    /// Schedule at [`block_edge`]`(now, k, d)` (not before `now`).
+    Block(u64, i64),
+    /// Schedule at `now - back_ps`.
+    Past(u64),
+    /// Unbounded pop.
+    Pop,
+    /// `pop_batched` bounded at [`block_edge`]`(now, k, d)`.
+    Limit(u64, i64),
+}
+
+/// The jump path in isolation: with nothing in the ring, the head is in
+/// the far wheel (or beyond its horizon), and both `peek_time` and the
+/// pop must find it there. The jump also hands over the block after the
+/// head's, so an event filed into the ring there afterwards still runs
+/// after the far one before it.
+#[test]
+fn empty_ring_jumps_to_the_far_head() {
+    let mut q = EventQueue::new();
+    let (head, next) = (55_000_000, 55_000_000 + BLOCK_PS);
+    let beyond = [10_000_000_000, (1 << 58) + 1];
+    let all = [head, next, beyond[0], beyond[1]];
+    for (i, &t) in all.iter().enumerate().rev() {
+        q.schedule(SimTime::from_ps(t), tagged(i as u32));
+    }
+    let pop = |q: &mut EventQueue, t: u64, tag: u32| {
+        assert_eq!(q.peek_time(), Some(SimTime::from_ps(t)));
+        assert_eq!(obs(q.pop()), Some((SimTime::from_ps(t), tag)));
+    };
+    // A limit one tick short leaves the head in place.
+    assert!(q.pop_batched(SimTime::from_ps(head - TICK_PS)).is_none());
+    pop(&mut q, head, 0);
+    // A zero-delay follow-up at the head's instant runs next.
+    q.schedule(SimTime::from_ps(head), tagged(10));
+    pop(&mut q, head, 10);
+    q.schedule(SimTime::from_ps(next + TICK_PS), tagged(11));
+    pop(&mut q, next, 1);
+    pop(&mut q, next + TICK_PS, 11);
+    for (i, &t) in beyond.iter().enumerate() {
+        assert!(q.pop_batched(SimTime::from_ps(t - TICK_PS)).is_none());
+        pop(&mut q, t, 2 + i as u32);
+    }
+    assert_eq!(q.peek_time(), None);
+    assert!(q.pop().is_none());
 }
 
 /// Whether this build lets a schedule into the past through to the clamp:

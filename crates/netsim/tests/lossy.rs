@@ -113,6 +113,62 @@ fn lossless_beats_lossy_tail_under_incast() {
 }
 
 #[test]
+fn receive_slots_follow_registration_not_arrival() {
+    // Four flows into r1, registered latest start first, so their first
+    // packets reach r1 in the reverse of registration order, and one into
+    // r0 between them; heavy loss. Each flow gets its own receive slot at
+    // its destination, and go-back-N's cumulative ACKs, which the receiver
+    // reads from that slot, drive every flow to exactly the completion
+    // time it had when receive state was a map keyed by flow id (the
+    // pinned values).
+    let f2 = figure2(Figure2Options::default());
+    let cfg = SimConfig::lossy_baseline(SimTime::from_ms(200), 50 * 1024);
+    let mut sim = Simulator::new(f2.topo.clone(), cfg, RouteSelect::Ecmp);
+    let b = &f2.bursters;
+    let plan = [
+        (b[0], f2.r1, 40),
+        (b[3], f2.r0, 5),
+        (b[1], f2.r1, 20),
+        (b[2], f2.r1, 0),
+        (b[4], f2.r1, 10),
+    ];
+    let flows: Vec<_> = plan
+        .iter()
+        .map(|&(src, dst, start_us)| {
+            sim.add_flow(
+                src,
+                dst,
+                300_000,
+                SimTime::ZERO + SimDuration::from_us(start_us),
+                Box::new(FixedRate::line_rate()),
+            )
+        })
+        .collect();
+    let slots: Vec<u32> = sim.flows().iter().map(|f| f.rx_slot).collect();
+    assert_eq!(slots, [0, 0, 1, 2, 3]);
+    sim.run();
+    assert_eq!((sim.trace.drops, sim.trace.events), (4560, 229_797));
+    let ends: Vec<_> = flows
+        .iter()
+        .map(|f| {
+            let rec = &sim.trace.flows[f.0 as usize];
+            assert_eq!(rec.delivered.bytes, 300_000);
+            rec.end.map(SimTime::as_ps)
+        })
+        .collect();
+    assert_eq!(
+        ends,
+        [
+            Some(4_608_200_000),
+            Some(73_200_000),
+            Some(4_236_800_000),
+            Some(78_200_000),
+            Some(1_563_400_000),
+        ]
+    );
+}
+
+#[test]
 fn duplicate_deliveries_are_never_counted() {
     // Force heavy loss; the receiver must count each byte exactly once
     // even though the sender retransmits ranges repeatedly.

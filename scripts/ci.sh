@@ -60,37 +60,47 @@ echo "=== tcdsim sweep ==="
 
 # Deterministic work gate: BENCHMARK.json's exact command on every
 # workload, traced. Each run must build through the stand-alone manifest
-# and exit 0 (every ops check passed), and is read for two exact counters
-# that repeat bit-for-bit on any host — the event count (a change to it is
-# a change to scheduling, which must be deliberate) and heap allocations
-# per thousand events across run() (460.6 on ft6-ibcc before the per-event
+# and exit 0 (every ops check passed), and is read for values that repeat
+# bit-for-bit on any host: the event count, events per packet hop and
+# trace records (a change to any is a change to scheduling or recording,
+# which must be deliberate), the run fingerprint from result.json (a change
+# to it is a change to what was simulated), and heap allocations per
+# thousand events across run() (460.6 on ft6-ibcc before the per-event
 # path stopped allocating). Nothing else guards against per-event
-# allocation, so all five workloads are covered. A ceiling is the value at
-# the commit that added its row (trailing comment) times the headroom
-# ft6-ibcc has had since PR 14 (5.13 -> 12), rounded up. Perf itself is
-# judged by the benchmark driver, not here.
-echo "=== tcdbench (allocation + event-count gate) ==="
+# allocation, so all five workloads are covered. An allocation ceiling is
+# the value at the commit that added its row (first trailing number) times
+# the headroom ft6-ibcc has had since that path stopped allocating
+# (5.13 -> 12), rounded up; the second trailing number is the value since
+# the event queue's near ring. Perf itself is judged by the benchmark's
+# timed runs, not here.
+echo "=== tcdbench (work + fingerprint gate) ==="
 counter() { # file, metric: the metric's value in the file's closing JSON line
     tail -n 1 "$1" | grep -o "\"$2\": {\"value\": [0-9.]*" | awk '{print $NF}'
 }
-work_gate() { # workload, exact sim.events, sim.allocs_per_kevent ceiling
-    local out=target/ci/tcdbench_$1.txt allocs events
+# workload, exact sim.events / sim.events_per_hop / trace.records / run
+# fingerprint, sim.allocs_per_kevent ceiling
+work_gate() {
+    local out=target/ci/tcdbench_$1.txt got want allocs
     cargo run --release --quiet --offline \
         --manifest-path crates/bench/src/bin/tcdbench/Cargo.toml -- \
         --workload "$1" --seed 1 --seconds 1 --trace 1 > "$out"
+    got="$(counter "$out" sim.events) $(counter "$out" sim.events_per_hop)"
+    got="$got $(counter "$out" trace.records)"
+    got="$got $(grep -o '"fingerprint": "[0-9a-f]*"' target/tcdbench/result.json | cut -d'"' -f4)"
+    want="$2.0 $3 $4 $5"
     allocs=$(counter "$out" sim.allocs_per_kevent)
-    events=$(counter "$out" sim.events)
-    if ! awk -v a="$allocs" -v e="$events" -v want="$2" -v limit="$3" \
-        'BEGIN { exit !(a != "" && a <= limit && e == want) }'; then
-        echo "$1: sim.allocs_per_kevent=$allocs (limit $3), sim.events=$events (want $2)" >&2
+    if [ "$got" != "$want" ] || ! awk -v a="$allocs" -v limit="$6" \
+        'BEGIN { exit !(a != "" && a <= limit) }'; then
+        echo "$1: events, events/hop, records, fingerprint = $got (want $want);" \
+            "sim.allocs_per_kevent=$allocs (limit $6)" >&2
         exit 1
     fi
 }
-work_gate ft6-dcqcn      7443913  9 # 3.75
-work_gate ft6-ibcc       6824062 12 # 5.13
-work_gate fig2-storm     5235086  5 # 1.74
-work_gate ft6-dcqcn-obs  7444914 10 # 3.90
-work_gate victim-sweep  25595608 19 # 7.79
+work_gate ft6-dcqcn      7443913 2.72508199319893   0.0       60fe06a30a37acd7  9 # 3.75 3.84
+work_gate ft6-ibcc       6824062 3.199299948522869  0.0       08d88469fdeb0a87 12 # 5.13 5.44
+work_gate fig2-storm     5235086 3.758977058051008  0.0       d1de8c77438fafba  5 # 1.74 1.65
+work_gate ft6-dcqcn-obs  7444914 2.7254484412048634 1118806.0 5c9e83e622ce2050 10 # 3.90 3.99
+work_gate victim-sweep  25595608 4.518427402185741  0.0       4405bf5d62b6ae8c 19 # 7.79 7.71
 
 # Figure gate: every figure binary crates/bench/src/bin/<bin>.rs must
 # have a committed results/<bin>.txt (the tables EXPERIMENTS.md quotes)
