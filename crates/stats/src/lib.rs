@@ -5,7 +5,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod export;
 pub mod fct;
 pub mod percentile;
 pub mod timeseries;

@@ -102,25 +102,23 @@ work_gate fig2-storm     5235086 3.758977058051008  0.0       d1de8c77438fafba  
 work_gate ft6-dcqcn-obs  7444914 2.7254484412048634 1118806.0 5c9e83e622ce2050 10 # 3.90 3.99
 work_gate victim-sweep  25595608 4.518427402185741  0.0       4405bf5d62b6ae8c 19 # 7.79 7.71
 
-# Figure gate: every figure binary crates/bench/src/bin/<bin>.rs must
-# have a committed results/<bin>.txt (the tables EXPERIMENTS.md quotes)
-# and regenerate it byte-for-byte at its default arguments (~20 s in all).
-echo "=== figure binaries vs results/*.txt ==="
-cargo build --release -p tcd-bench
+# Figure gate: every committed results/<name>.txt (the tables
+# EXPERIMENTS.md quotes) must regenerate byte-for-byte from
+# `tcdsim fig <name>` at its default arguments (~35 s in all). fig15 runs
+# once more on one worker: its committed copy was printed at the default
+# thread count, so this certifies a sweep-shaped figure thread-invariant.
+echo "=== tcdsim fig vs results/*.txt ==="
 mkdir -p target/ci/figs
-for src in crates/bench/src/bin/*.rs; do
-    bin=$(basename "$src" .rs)
-    want=results/$bin.txt
-    if [ ! -f "$want" ]; then
-        echo "$src has no committed $want (scripts/run_all.sh writes it)" >&2
-        exit 1
-    fi
-    ./target/release/"$bin" > "target/ci/figs/$bin.txt"
-    if ! diff "$want" "target/ci/figs/$bin.txt"; then
-        echo "$want no longer regenerates from crates/bench/src/bin/$bin.rs" >&2
+for want in results/*.txt; do
+    fig=$(basename "$want" .txt)
+    ./target/release/tcdsim fig "$fig" > "target/ci/figs/$fig.txt"
+    if ! diff "$want" "target/ci/figs/$fig.txt"; then
+        echo "$want no longer regenerates from tcdsim fig $fig" >&2
         exit 1
     fi
 done
+./target/release/tcdsim fig fig15_dcqcn_victim --threads 1 > target/ci/figs/fig15_threads1.txt
+diff results/fig15_dcqcn_victim.txt target/ci/figs/fig15_threads1.txt
 
 echo "=== cargo clippy -- -D warnings ==="
 cargo clippy --workspace --all-targets -- -D warnings

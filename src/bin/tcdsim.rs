@@ -1,22 +1,23 @@
 //! `tcdsim` — command-line front end for the TCD reproduction.
 //!
 //! ```console
-//! $ tcdsim observe --network cee --multi-cp --tcd
-//! $ tcdsim victim --network ib --tcd --csv out/
-//! $ tcdsim fairness --cc timely
+//! $ tcdsim fig fig03_single_cp
+//! $ tcdsim fig fig16_dcqcn_workloads --full --seed 3
 //! $ tcdsim trees --at-ms 1.0
+//! $ tcdsim trace fig03
 //! ```
 //!
-//! Each subcommand drives one of the shared scenarios and prints a compact
-//! report; `--csv <dir>` additionally dumps the raw port samples and flow
-//! outcomes for external plotting.
+//! `fig` prints one table or figure of the paper (a row of
+//! `figures::FIGURES`); the other subcommands drive catalog scenarios and
+//! print a compact report or write a JSON document.
 
 use std::process::exit;
+use tcd_repro::figures;
 use tcd_repro::flowctl::SimTime;
 use tcd_repro::harness;
 use tcd_repro::obs_export;
 use tcd_repro::report;
-use tcd_repro::scenarios::{self, observation, victim, Cc, CcAlgo, Lint, Network, Scale};
+use tcd_repro::scenarios::{self, observation, victim, Lint, Network, Scale};
 use tcd_repro::tcd::tree;
 
 fn usage() -> ! {
@@ -24,24 +25,20 @@ fn usage() -> ! {
         "usage: tcdsim <command> [options]
 
 commands:
-  observe    the paper's single/multi congestion point scenario (Figs. 3/4/12/13)
-  victim     the head-of-line victim scenario (Table 3)
-  fairness   the fairness scenario (Fig. 20)
+  fig        print one table or figure of the paper (results/<figure>.txt)
   trees      reconstruct congestion trees mid-incast (Fig. 5)
   sweep      the victim grid (network x detector x seed) on a worker pool
   trace      run a named scenario and emit a Chrome/Perfetto trace.json
   metrics    run a named scenario and emit the metrics registry as JSON
   lint       static analysis: scenario topology and fault-plan checks
 
-common options:
-  --network cee|ib     (default cee)
-  --tcd                use the TCD detector (default: binary baseline)
-  --seed N             (default 1)
-  --csv DIR            dump port samples + flow outcomes as CSV
-
-observe options:   --multi-cp
-fairness options:  --cc dcqcn|timely|ibcc   (default dcqcn)
-trees options:     --at-ms F                (default 1.0)
+fig options:       <figure> [--seed N] [--threads N] [--full]
+                                            a figure-table name (README.md,
+                                            \"Reproducing the paper\" says what
+                                            each honours; an unknown name
+                                            prints the list)
+trees options:     --network cee|ib         (default cee)
+                   --at-ms F                (default 1.0)
 trace/metrics:     <scenario>               a scenario-catalog name (README.md,
                                             \"Scenario catalog\"; an unknown
                                             name prints the list)
@@ -69,19 +66,19 @@ lint options:      --topo NAME              analyze only NAME (repeatable): a
 
 struct Args {
     cmd: String,
+    /// Every flag given, without its value.
+    flags: Vec<String>,
     network: Network,
-    tcd: bool,
-    multi_cp: bool,
     seed: u64,
-    csv: Option<String>,
-    cc: CcAlgo,
+    full: bool,
     at_ms: f64,
     seeds: u64,
     threads: usize,
     out: Option<String>,
     lint_topos: Vec<String>,
     lint_json: bool,
-    scenario: Option<String>,
+    /// The positional argument: a scenario or figure name.
+    name: Option<String>,
     end_ms: Option<f64>,
 }
 
@@ -92,19 +89,17 @@ fn parse() -> Args {
     };
     let mut a = Args {
         cmd,
+        flags: Vec::new(),
         network: Network::Cee,
-        tcd: false,
-        multi_cp: false,
         seed: 1,
-        csv: None,
-        cc: CcAlgo::Dcqcn,
+        full: false,
         at_ms: 1.0,
         seeds: 3,
         threads: harness::default_threads(),
         out: None,
         lint_topos: Vec::new(),
         lint_json: false,
-        scenario: None,
+        name: None,
         end_ms: None,
     };
     // The value after flag `i`, parsed and range-checked; anything else is
@@ -121,10 +116,12 @@ fn parse() -> Args {
     let mut i = 2;
     while i < argv.len() {
         let flag = argv[i].as_str();
+        if flag.starts_with('-') {
+            a.flags.push(flag.to_string());
+        }
         // Flags that take no value.
         let switch = match flag {
-            "--tcd" => Some(&mut a.tcd),
-            "--multi-cp" => Some(&mut a.multi_cp),
+            "--full" => Some(&mut a.full),
             "--json" => Some(&mut a.lint_json),
             _ => None,
         };
@@ -141,16 +138,7 @@ fn parse() -> Args {
                     _ => usage(),
                 }
             }
-            "--cc" => {
-                a.cc = match value::<String>(&argv, i).as_str() {
-                    "dcqcn" => CcAlgo::Dcqcn,
-                    "timely" => CcAlgo::Timely,
-                    "ibcc" => CcAlgo::IbCc,
-                    _ => usage(),
-                }
-            }
             "--seed" => a.seed = value(&argv, i),
-            "--csv" => a.csv = Some(value(&argv, i)),
             "--at-ms" => a.at_ms = checked(&argv, i, |&v: &f64| v.is_finite() && v >= 0.0),
             "--seeds" => a.seeds = checked(&argv, i, |&n| n >= 1),
             "--threads" => a.threads = checked(&argv, i, |&n| n >= 1),
@@ -160,8 +148,8 @@ fn parse() -> Args {
                 a.end_ms = Some(checked(&argv, i, in_clock_range));
             }
             "--topo" => a.lint_topos.push(value(&argv, i)),
-            s if !s.starts_with('-') && a.scenario.is_none() => {
-                a.scenario = Some(s.to_string());
+            s if !s.starts_with('-') && a.name.is_none() => {
+                a.name = Some(s.to_string());
                 i += 1;
                 continue;
             }
@@ -195,71 +183,23 @@ fn write_output(path: &str, doc: &str) {
     std::fs::write(path, doc).unwrap_or_else(|e| fail(path, e));
 }
 
-/// With `--csv DIR`, dump the run's port samples and flow outcomes there.
-fn dump_csv(a: &Args, sim: &tcd_repro::netsim::Simulator, tag: &str) {
-    let Some(dir) = &a.csv else { return };
-    let ports = format!("{dir}/{tag}_ports.csv");
-    let flows = format!("{dir}/{tag}_flows.csv");
-    report::write_port_samples_csv(sim, &ports).unwrap_or_else(|e| fail(&ports, e));
-    report::write_flows_csv(sim, &flows).unwrap_or_else(|e| fail(&flows, e));
-    println!("wrote {ports} and {flows}");
-}
-
-fn cmd_observe(a: &Args) {
-    let r = observation::run(observation::Options {
-        network: a.network,
-        multi_cp: a.multi_cp,
-        use_tcd: a.tcd,
-        ..Default::default()
-    });
-    let mut t = report::Table::new(vec!["flow", "pkts", "CE", "UE"]);
-    for (name, f) in [("F0", r.f0), ("F1", r.f1), ("F2", r.f2)] {
-        let d = r.sim.trace.flows[f.0 as usize].delivered;
-        t.row(vec![
-            name.to_string(),
-            d.pkts.to_string(),
-            d.ce.to_string(),
-            d.ue.to_string(),
-        ]);
-    }
-    t.print();
-    println!("PAUSE frames: {}", r.sim.trace.pause_frames);
-    dump_csv(a, &r.sim, "observe");
-}
-
-fn cmd_victim(a: &Args) {
-    let r = victim::run(victim::Options {
-        network: a.network,
-        use_tcd: a.tcd,
-        seed: a.seed,
-        ..Default::default()
-    });
-    let flagged = r.victims_with(|d| d.ce > 0);
-    println!(
-        "victims: {} | CE-flagged: {flagged} ({:.1}%) | mean victim FCT: {:.1} us",
-        r.victims.len(),
-        100.0 * r.victim_ce_fraction(),
-        r.victim_mean_fct().unwrap_or(0.0) * 1e6
-    );
-    dump_csv(a, &r.sim, "victim");
-}
-
-fn cmd_fairness(a: &Args) {
-    let cc = Cc {
-        algo: a.cc,
-        tcd: true,
+/// `tcdsim fig <figure>`: print one row of the figure table, or exit 2
+/// with the table's listing. A flag the row does not use is accepted, so
+/// `run_all.sh` can hand every row the same arguments, and reported on
+/// stderr as having no effect.
+fn cmd_fig(a: &Args) {
+    let row = match a.name.as_deref() {
+        Some(name) => figures::by_name(name).ok_or_else(|| format!("unknown figure `{name}`")),
+        None => Err("missing <figure>".to_string()),
     };
-    let r = scenarios::fairness::run(cc, SimTime::from_ms(20));
-    let last: Vec<String> = r
-        .b_flows
-        .iter()
-        .map(|f| {
-            let d = r.sim.trace.flows[f.0 as usize].delivered.bytes;
-            format!("{:.2} MB", d as f64 / 1e6)
-        })
-        .collect();
-    println!("B-flow delivered volumes after 20 ms: {}", last.join(" / "));
-    dump_csv(a, &r.sim, "fairness");
+    let row = row.unwrap_or_else(|why| {
+        eprint!("fig: {why}\nknown figures:\n{}", figures::listing());
+        exit(2)
+    });
+    for flag in a.flags.iter().filter(|f| !row.honours(f)) {
+        eprintln!("note: {} does not use `{flag}`; it has no effect", row.name);
+    }
+    row.print(a.seed, a.threads, a.full);
 }
 
 fn cmd_trees(a: &Args) {
@@ -336,7 +276,7 @@ fn scenario_or_exit(cmd: &str, name: Option<&str>) -> &'static scenarios::Scenar
 /// scenario and write the requested JSON document. Output is structurally
 /// validated before anything touches the filesystem.
 fn cmd_export(a: &Args, metrics: bool) {
-    let row = scenario_or_exit(&a.cmd, a.scenario.as_deref());
+    let row = scenario_or_exit(&a.cmd, a.name.as_deref());
     let name = row.name;
     let end = a
         .end_ms
@@ -417,9 +357,7 @@ fn cmd_lint(a: &Args) {
 fn main() {
     let a = parse();
     match a.cmd.as_str() {
-        "observe" => cmd_observe(&a),
-        "victim" => cmd_victim(&a),
-        "fairness" => cmd_fairness(&a),
+        "fig" => cmd_fig(&a),
         "trees" => cmd_trees(&a),
         "sweep" => cmd_sweep(&a),
         "trace" => cmd_export(&a, false),

@@ -1,9 +1,10 @@
 //! Umbrella crate for the TCD reproduction.
 //!
 //! Re-exports the workspace's crates and provides the shared experiment
-//! scenario builders ([`scenarios`]) and plain-text reporting helpers
-//! ([`report`]) used by the examples, the integration tests and the
-//! per-figure experiment binaries in `crates/bench`.
+//! scenario builders ([`scenarios`]) used by the examples and the
+//! integration tests, the paper's figures as one table ([`figures`], run by
+//! `tcdsim fig`) and the plain-text reporting helpers ([`report`]) they
+//! print with.
 
 #![forbid(unsafe_code)]
 
@@ -15,6 +16,7 @@ pub use lossless_stats as stats;
 pub use lossless_workloads as workloads;
 pub use tcd_core as tcd;
 
+pub mod figures;
 pub mod harness;
 pub mod lintspec;
 pub mod obs_export;

@@ -32,6 +32,16 @@ fn out_of_range_and_removed_options_exit_2() {
         &["metrics", "fig03", "--end-ms", "1e-12"],
         &["lint", "--code"],
         &["lint", "--spec-table", "x"],
+        &["fig", "fig08_ton_surface", "--seed", "seven"],
+        &["fig", "fig08_ton_surface", "--seed"],
+        &["fig", "fig08_ton_surface", "--threads", "0"],
+        &["fig", "fig08_ton_surface", "--threads", "-1"],
+        &["fig", "fig08_ton_surface", "--fast"],
+        &["fig", "fig08_ton_surface", "--scale", "0.5"],
+        &["observe"],
+        &["victim"],
+        &["fairness"],
+        &["trees", "--csv", "d"],
     ] {
         let out = tcdsim(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
