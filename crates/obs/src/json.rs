@@ -39,6 +39,69 @@ pub fn num_f64(v: f64) -> String {
     }
 }
 
+/// Append `v` in decimal; the same bytes as `v.to_string()`.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut len = 0;
+    for d in digits.iter_mut() {
+        *d = b'0' + (v % 10) as u8;
+        len += 1;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits.iter().take(len).rev().map(|&d| char::from(d)));
+}
+
+/// Append `v` in decimal; the same bytes as `v.to_string()`.
+pub fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Picoseconds from which [`push_us`] writes digits directly: below
+/// 100 ps (`1e-4` µs) Debug switches to exponent notation.
+const US_EXACT_FROM_PS: u64 = 100;
+/// Picoseconds up to which [`push_us`] writes digits directly: below
+/// 2^30 µs an f64's half-ulp is under 10⁻⁷ µs, far inside the 10⁻⁶ µs
+/// spacing of picosecond-exact decimals, so the shortest decimal that
+/// round-trips is the exact quotient itself.
+const US_EXACT_TO_PS: u64 = (1 << 30) * 1_000_000;
+
+/// Append `ps` picoseconds as microseconds: the same bytes as
+/// `num_f64(ps as f64 / 1e6)`. From 100 ps to 2^30 µs the digits are
+/// written in integer arithmetic, since there the shortest decimal that
+/// round-trips is provably the exact quotient; elsewhere through
+/// [`num_f64`].
+pub fn push_us(out: &mut String, ps: u64) {
+    if !(US_EXACT_FROM_PS..US_EXACT_TO_PS).contains(&ps) {
+        out.push_str(&num_f64(ps as f64 / 1e6));
+        return;
+    }
+    push_u64(out, ps / 1_000_000);
+    out.push('.');
+    let mut frac = ps % 1_000_000;
+    if frac == 0 {
+        out.push('0');
+        return;
+    }
+    // Six fractional digits, most significant first, trailing zeros cut.
+    let mut width = 6;
+    while frac.is_multiple_of(10) {
+        frac /= 10;
+        width -= 1;
+    }
+    let mut digits = [b'0'; 6];
+    for d in digits.iter_mut().take(width).rev() {
+        *d += (frac % 10) as u8;
+        frac /= 10;
+    }
+    out.extend(digits.iter().take(width).map(|&d| char::from(d)));
+}
+
 /// A parsed JSON value. Object keys are kept in a `BTreeMap`, so parsing
 /// is deterministic; duplicate keys keep the last occurrence (as browsers
 /// do).
@@ -304,6 +367,79 @@ mod tests {
         assert_eq!(num_f64(1.5), "1.5");
         assert_eq!(num_f64(f64::NAN), "null");
         assert_eq!(num_f64(f64::INFINITY), "null");
+    }
+
+    /// `push_u64` / `push_us` into a fresh string.
+    fn u64_text(v: u64) -> String {
+        let mut s = String::new();
+        push_u64(&mut s, v);
+        s
+    }
+
+    fn us_text(ps: u64) -> String {
+        let mut s = String::new();
+        push_us(&mut s, ps);
+        s
+    }
+
+    /// The values either side of every boundary the writers know about.
+    fn edges() -> Vec<u64> {
+        let mut v = vec![0, 1, 9, 10, 99, 100, 101, 999_999, 1_000_000, 1_000_001];
+        for e in [US_EXACT_TO_PS, 1 << 53, u64::MAX] {
+            v.extend([e - 1, e, e.saturating_add(1)]);
+        }
+        v.extend((1..20).map(|k| 10u64.pow(k)));
+        v
+    }
+
+    #[test]
+    fn push_u64_matches_to_string() {
+        for v in edges() {
+            assert_eq!(u64_text(v), v.to_string(), "{v}");
+        }
+    }
+
+    #[test]
+    fn push_i64_matches_to_string() {
+        for v in [0, 1, -1, 42, -42, i64::MAX, i64::MIN, i64::MIN + 1] {
+            let mut s = String::new();
+            push_i64(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
+    }
+
+    #[test]
+    fn push_us_matches_num_f64() {
+        for ps in edges() {
+            assert_eq!(us_text(ps), num_f64(ps as f64 / 1e6), "{ps} ps");
+        }
+        assert_eq!(us_text(100), "0.0001");
+        assert_eq!(us_text(1_500_000), "1.5");
+        assert_eq!(us_text(2_000_000), "2.0");
+    }
+
+    // Values drawn as a random u64 shifted right by 0..64 bits, so every
+    // magnitude from single digits to u64::MAX is hit about equally.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn push_u64_matches_to_string_at_every_magnitude(
+            v in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let v = v >> shift;
+            proptest::prop_assert_eq!(u64_text(v), v.to_string());
+        }
+
+        #[test]
+        fn push_us_matches_num_f64_at_every_magnitude(
+            ps in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let ps = ps >> shift;
+            proptest::prop_assert_eq!(us_text(ps), num_f64(ps as f64 / 1e6));
+        }
     }
 
     #[test]

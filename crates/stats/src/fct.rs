@@ -15,12 +15,6 @@ pub fn ideal_fct(size: u64, rate: Rate, base_latency: SimDuration) -> SimDuratio
     rate.serialize_time(size) + base_latency
 }
 
-/// Slowdown of one flow.
-pub fn slowdown(fct: SimDuration, ideal: SimDuration) -> f64 {
-    assert!(ideal > SimDuration::ZERO);
-    fct.as_secs_f64() / ideal.as_secs_f64()
-}
-
 /// Summary statistics of a set of slowdowns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlowdownSummary {
@@ -136,13 +130,6 @@ mod tests {
         let f = ideal_fct(100_000, Rate::from_gbps(40), SimDuration::from_us(8));
         // 100 KB at 40G = 20 µs, + 8 µs base.
         assert_eq!(f, SimDuration::from_us(28));
-    }
-
-    #[test]
-    fn slowdown_of_ideal_flow_is_one() {
-        let ideal = ideal_fct(1000, Rate::from_gbps(40), SimDuration::from_us(4));
-        assert!((slowdown(ideal, ideal) - 1.0).abs() < 1e-12);
-        assert!((slowdown(ideal * 3, ideal) - 3.0).abs() < 1e-12);
     }
 
     #[test]

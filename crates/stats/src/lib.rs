@@ -10,5 +10,5 @@ pub mod percentile;
 pub mod timeseries;
 
 pub use fct::{ideal_fct, SizeBuckets, SlowdownSummary};
-pub use percentile::{mean, median, percentile};
+pub use percentile::{mean, percentile};
 pub use timeseries::RatePoint;

@@ -35,11 +35,6 @@ pub fn mean(values: &[f64]) -> Option<f64> {
     }
 }
 
-/// Median shorthand.
-pub fn median(values: &[f64]) -> Option<f64> {
-    percentile(values, 50.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,7 +59,7 @@ mod tests {
     #[test]
     fn unsorted_input_is_fine() {
         let v = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(median(&v), Some(3.0));
+        assert_eq!(percentile(&v, 50.0), Some(3.0));
     }
 
     #[test]
@@ -73,7 +68,6 @@ mod tests {
         assert_eq!(percentile(&[7.0], 99.0), Some(7.0));
         assert_eq!(percentile(&[7.0], 0.0), Some(7.0));
         assert_eq!(percentile(&[7.0], 100.0), Some(7.0));
-        assert_eq!(median(&[7.0]), Some(7.0));
     }
 
     #[test]

@@ -57,15 +57,6 @@ pub fn downsample<T: Copy>(series: &[T], n: usize) -> Vec<T> {
     out
 }
 
-/// The fraction of intervals during which the port was actively sending at
-/// more than `threshold_gbps` — a crude ON-fraction measure for rate plots.
-pub fn on_fraction(rates: &[RatePoint], threshold_gbps: f64) -> f64 {
-    if rates.is_empty() {
-        return 0.0;
-    }
-    rates.iter().filter(|r| r.gbps > threshold_gbps).count() as f64 / rates.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,29 +125,5 @@ mod tests {
         assert_eq!(*d.last().unwrap(), 999);
         let short = downsample(&series[..5], 11);
         assert_eq!(short.len(), 5);
-    }
-
-    #[test]
-    fn on_fraction_counts_active_intervals() {
-        let r = vec![
-            RatePoint {
-                t: SimTime::from_us(1),
-                gbps: 40.0,
-            },
-            RatePoint {
-                t: SimTime::from_us(2),
-                gbps: 0.0,
-            },
-            RatePoint {
-                t: SimTime::from_us(3),
-                gbps: 40.0,
-            },
-            RatePoint {
-                t: SimTime::from_us(4),
-                gbps: 0.0,
-            },
-        ];
-        assert!((on_fraction(&r, 1.0) - 0.5).abs() < 1e-12);
-        assert_eq!(on_fraction(&[], 1.0), 0.0);
     }
 }

@@ -30,12 +30,17 @@ if ./target/release/tcdsim lint --topo deadlock-triangle > /dev/null; then
 fi
 
 # Observability exporters, from the unaudited release binary. Both
-# commands self-validate their JSON before writing; the metrics
-# fingerprint must match the committed obs golden, which the audit-on
-# test builds also check — together that proves the audit feature does
-# not perturb observability.
+# commands self-validate their JSON before writing; the trace must equal
+# the committed example byte for byte, and the metrics fingerprint must
+# match the committed obs golden, which the audit-on test builds also
+# check — together that proves the audit feature does not perturb
+# observability.
 echo "=== tcdsim trace / metrics (exporter gate) ==="
 ./target/release/tcdsim trace fig03 --end-ms 0.6 --out target/ci/trace_fig03.json
+if ! cmp target/ci/trace_fig03.json results/trace_fig03.json; then
+    echo "tcdsim trace fig03 --end-ms 0.6 no longer reproduces results/trace_fig03.json" >&2
+    exit 1
+fi
 ./target/release/tcdsim metrics fig03 --end-ms 0.6 --out target/ci/metrics_fig03.json
 ci_fp=$(grep -o '"fingerprint": "[0-9a-f]*"' target/ci/metrics_fig03.json | grep -o '[0-9a-f]\{16\}')
 golden_fp=$(grep '^registry_fingerprint ' tests/golden/obs_fig03.txt | awk '{print $2}')

@@ -19,8 +19,9 @@
 //! `TCD_THREADS` environment variable, or the machine's parallelism, in
 //! that order (see [`default_threads`]).
 
+use lossless_netsim::trace::{FlowRecord, Trace};
 use lossless_netsim::Simulator;
-use lossless_obs::json::{escape, num_f64};
+use lossless_obs::json::{escape, num_f64, push_i64, push_u64};
 use std::io::IsTerminal as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -319,21 +320,41 @@ pub fn fingerprint_sim(sim: &Simulator) -> u64 {
     let t = &sim.trace;
     let mut f = Fnv::new();
     for r in &t.flows {
-        f.write_u64(r.flow.0 as u64);
-        f.write_u64(r.size);
-        f.write_u64(r.start.as_ps());
-        f.write_u64(r.end.map(|e| e.as_ps()).unwrap_or(u64::MAX));
-        f.write_u64(r.delivered.pkts);
-        f.write_u64(r.delivered.bytes);
-        f.write_u64(r.delivered.ce);
-        f.write_u64(r.delivered.ue);
+        for w in flow_words(r) {
+            f.write_u64(w);
+        }
     }
-    f.write_u64(t.forwarded_pkts);
-    f.write_u64(t.pause_frames);
-    f.write_u64(t.drops);
-    f.write_u64(t.port_samples.len() as u64);
-    f.write_u64(t.events);
+    for w in total_words(t) {
+        f.write_u64(w);
+    }
     f.finish()
+}
+
+/// What the fingerprint covers of one flow record, in hash order (the
+/// golden trace's flow-line order); `end` is `u64::MAX` for a flow that
+/// did not finish.
+fn flow_words(r: &FlowRecord) -> [u64; 8] {
+    [
+        r.flow.0 as u64,
+        r.size,
+        r.start.as_ps(),
+        r.end.map(|e| e.as_ps()).unwrap_or(u64::MAX),
+        r.delivered.pkts,
+        r.delivered.bytes,
+        r.delivered.ce,
+        r.delivered.ue,
+    ]
+}
+
+/// What the fingerprint covers after the flow records, in hash order.
+fn total_words(t: &Trace) -> [u64; 5] {
+    [
+        t.forwarded_pkts,
+        t.pause_frames,
+        t.drops,
+        t.port_samples.len() as u64,
+        t.events,
+    ]
 }
 
 /// Build a [`RunOutcome`] from a finished simulator and its metrics.
@@ -346,51 +367,97 @@ pub fn outcome_of(sim: &Simulator, metrics: Vec<(String, f64)>) -> RunOutcome {
     }
 }
 
+/// The golden flow line's field labels, one per [`flow_words`] entry.
+const FLOW_LABELS: [&str; 8] = [
+    "flow ", " size=", " start=", " end=", " pkts=", " bytes=", " ce=", " ue=",
+];
+/// The [`flow_words`] entry printed signed: an unfinished flow's
+/// `u64::MAX` reads `end=-1`.
+const FLOW_END: usize = 3;
+/// Bytes reserved per flow line and per port-sample line: a little over
+/// what the fat-tree workloads print, so the buffer is allocated once.
+const FLOW_LINE_BYTES: usize = 80;
+const SAMPLE_LINE_BYTES: usize = 64;
+
 /// Render a finished run as its canonical golden-trace text: the
 /// fingerprint and aggregate counters, every flow's lifecycle record, and
 /// the per-port state timeline (one line per port sample, in the paper's
 /// `0`/`1`/`/` notation). The format is line-oriented and fully
 /// deterministic so committed goldens can be diffed meaningfully — see
 /// [`golden_diff`]. Times are raw picoseconds.
+///
+/// The fingerprint is hashed in the same pass that prints the flow lines
+/// and patched into its fixed-width header slot afterwards; it equals
+/// [`fingerprint_sim`].
 pub fn golden_trace(sim: &Simulator, label: &str) -> String {
     let t = &sim.trace;
-    let mut s = String::new();
-    s.push_str(&format!("# golden trace: {label}\n"));
-    s.push_str(&format!("fingerprint {:016x}\n", fingerprint_sim(sim)));
-    s.push_str(&format!("events {}\n", t.events));
-    s.push_str(&format!("forwarded {}\n", t.forwarded_pkts));
-    s.push_str(&format!("pauses {}\n", t.pause_frames));
-    s.push_str(&format!("drops {}\n", t.drops));
-    s.push_str(&format!(
-        "completed {}/{}\n",
-        t.completed_count,
-        t.flows.len()
-    ));
-    for r in &t.flows {
-        s.push_str(&format!(
-            "flow {} size={} start={} end={} pkts={} bytes={} ce={} ue={}\n",
-            r.flow.0,
-            r.size,
-            r.start.as_ps(),
-            r.end.map(|e| e.as_ps() as i64).unwrap_or(-1),
-            r.delivered.pkts,
-            r.delivered.bytes,
-            r.delivered.ce,
-            r.delivered.ue,
-        ));
+    let mut s = String::with_capacity(
+        256 + label.len()
+            + t.flows.len() * FLOW_LINE_BYTES
+            + t.port_samples.len() * SAMPLE_LINE_BYTES,
+    );
+    s.push_str("# golden trace: ");
+    s.push_str(label);
+    s.push_str("\nfingerprint ");
+    let fingerprint_at = s.len();
+    s.push_str("0000000000000000\n");
+    for (name, v) in [
+        ("events ", t.events),
+        ("forwarded ", t.forwarded_pkts),
+        ("pauses ", t.pause_frames),
+        ("drops ", t.drops),
+    ] {
+        s.push_str(name);
+        push_u64(&mut s, v);
+        s.push('\n');
     }
+    s.push_str("completed ");
+    push_u64(&mut s, t.completed_count as u64);
+    s.push('/');
+    push_u64(&mut s, t.flows.len() as u64);
+    s.push('\n');
+
+    let mut f = Fnv::new();
+    for r in &t.flows {
+        for (i, (name, w)) in FLOW_LABELS.into_iter().zip(flow_words(r)).enumerate() {
+            f.write_u64(w);
+            s.push_str(name);
+            if i == FLOW_END {
+                push_i64(&mut s, w as i64);
+            } else {
+                push_u64(&mut s, w);
+            }
+        }
+        s.push('\n');
+    }
+    for w in total_words(t) {
+        f.write_u64(w);
+    }
+    s.replace_range(
+        fingerprint_at..fingerprint_at + 16,
+        &format!("{:016x}", f.finish()),
+    );
+
     for p in &t.port_samples {
-        s.push_str(&format!(
-            "port n{}p{}v{} t={} q={} tx={} state={} paused={}\n",
-            p.node.0,
-            p.port,
-            p.prio,
-            p.t.as_ps(),
-            p.queue_bytes,
-            p.tx_bytes,
-            p.state.symbol(),
-            u8::from(p.paused),
-        ));
+        s.push_str("port n");
+        push_u64(&mut s, u64::from(p.node.0));
+        s.push('p');
+        push_u64(&mut s, u64::from(p.port));
+        s.push('v');
+        push_u64(&mut s, u64::from(p.prio));
+        s.push_str(" t=");
+        push_u64(&mut s, p.t.as_ps());
+        s.push_str(" q=");
+        push_u64(&mut s, p.queue_bytes);
+        s.push_str(" tx=");
+        push_u64(&mut s, p.tx_bytes);
+        s.push_str(" state=");
+        s.push(p.state.symbol());
+        s.push_str(if p.paused {
+            " paused=1\n"
+        } else {
+            " paused=0\n"
+        });
     }
     s
 }

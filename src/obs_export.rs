@@ -14,9 +14,13 @@
 
 use lossless_netsim::trace::PortSample;
 use lossless_netsim::Simulator;
-use lossless_obs::perfetto::TraceBuilder;
+use lossless_obs::perfetto::{Name, TraceBuilder};
 use std::collections::BTreeMap;
-use tcd_core::TernaryState;
+use tcd_core::{CodePoint, TernaryState};
+
+/// Bytes the document reserves per port sample: its queue counter is
+/// ~70 bytes, plus a share of the state and paused slices.
+const SAMPLE_BYTES: usize = 80;
 
 /// Track ids within a node's process: per sampled `(port, prio)` the
 /// state track sits at `port*16 + (prio%8)*2 + 1`, the paused track one
@@ -34,33 +38,42 @@ fn mark_tid(port: u16) -> u32 {
     u32::from(port) * 16 + 15
 }
 
-fn state_name(s: TernaryState) -> &'static str {
-    match s.symbol() {
-        '1' => "congestion (1)",
-        '/' => "undetermined (/)",
-        _ => "non-congestion (0)",
-    }
-}
-
 /// Render a finished run as Chrome-trace JSON. Deterministic: track
 /// enumeration follows the sorted `(node, port, prio)` order and sample
 /// order follows the trace.
 pub fn perfetto_trace_json(sim: &Simulator) -> String {
-    let mut tb = TraceBuilder::new();
+    let trace = &sim.trace;
+    // Sized for the sample tracks. Only the marks on sampled ports are
+    // written, and how many those are is known only once they are.
+    let mut tb = TraceBuilder::with_capacity(trace.port_samples.len() * SAMPLE_BYTES);
 
     // Group port samples by track, preserving per-track time order.
     let mut tracks: BTreeMap<(u32, u16, u8), Vec<&PortSample>> = BTreeMap::new();
-    for s in &sim.trace.port_samples {
+    for s in &trace.port_samples {
         tracks
             .entry((s.node.0, s.port, s.prio))
             .or_default()
             .push(s);
     }
 
-    let mut named_nodes: Vec<u32> = Vec::new();
+    let [non_congestion, congestion, undetermined, paused] = [
+        "non-congestion (0)",
+        "congestion (1)",
+        "undetermined (/)",
+        "paused",
+    ]
+    .map(Name::new);
+    let state_name = |s: TernaryState| match s.symbol() {
+        '1' => &congestion,
+        '/' => &undetermined,
+        _ => &non_congestion,
+    };
+
+    let mut named_node = None;
     for (&(node, port, prio), samples) in &tracks {
-        if !named_nodes.contains(&node) {
-            named_nodes.push(node);
+        // Tracks iterate in node order, so each node is named at its first.
+        if named_node != Some(node) {
+            named_node = Some(node);
             tb.process_name(
                 node,
                 &format!(
@@ -76,7 +89,7 @@ pub fn perfetto_trace_json(sim: &Simulator) -> String {
         tb.thread_name(node, pt, &format!("p{port}/{prio} paused"));
         tb.thread_sort_index(node, pt, i64::from(pt));
 
-        let counter = format!("queue p{port}/{prio} (bytes)");
+        let counter = Name::new(&format!("queue p{port}/{prio} (bytes)"));
         for s in samples {
             tb.counter(node, &counter, s.t, s.queue_bytes);
         }
@@ -102,45 +115,49 @@ pub fn perfetto_trace_json(sim: &Simulator) -> String {
             match (s.paused, paused_since) {
                 (true, None) => paused_since = Some(i),
                 (false, Some(j)) => {
-                    tb.slice(node, pt, "paused", samples[j].t, s.t);
+                    tb.slice(node, pt, &paused, samples[j].t, s.t);
                     paused_since = None;
                 }
                 _ => {}
             }
         }
         if let (Some(j), Some(last)) = (paused_since, samples.last()) {
-            tb.slice(node, pt, "paused", samples[j].t, last.t);
+            tb.slice(node, pt, &paused, samples[j].t, last.t);
         }
     }
 
     // Mark instants on the sampled ports (marks carry no priority, so the
     // track is per port). Requires `record_marks(true)` during the run.
-    let sampled_ports: Vec<(u32, u16)> = {
-        let mut v: Vec<(u32, u16)> = tracks.keys().map(|&(n, p, _)| (n, p)).collect();
-        v.dedup();
-        v
-    };
-    let mut mark_tracks_named: Vec<(u32, u16)> = Vec::new();
-    for m in &sim.trace.marks {
-        let key = (m.node.0, m.port);
-        if !sampled_ports.contains(&key) {
+    // Each sampled port maps to whether its mark track is named yet.
+    let mut mark_tracks: BTreeMap<(u32, u16), bool> =
+        tracks.keys().map(|&(n, p, _)| ((n, p), false)).collect();
+    let [not_capable, capable, ue, ce] = [
+        CodePoint::NotCapable,
+        CodePoint::Capable,
+        CodePoint::UndeterminedEncountered,
+        CodePoint::CongestionEncountered,
+    ]
+    .map(|cp| Name::new(lossless_obs::mark_counter_name(cp)));
+    for m in &trace.marks {
+        let Some(named) = mark_tracks.get_mut(&(m.node.0, m.port)) else {
             continue;
-        }
-        if !mark_tracks_named.contains(&key) {
-            mark_tracks_named.push(key);
-            let tid = mark_tid(m.port);
+        };
+        let tid = mark_tid(m.port);
+        if !*named {
+            *named = true;
             tb.thread_name(m.node.0, tid, &format!("p{} marks", m.port));
             tb.thread_sort_index(m.node.0, tid, i64::from(tid));
         }
-        tb.instant(
-            m.node.0,
-            mark_tid(m.port),
-            lossless_obs::mark_counter_name(m.code),
-            m.t,
-        );
+        let name = match m.code {
+            CodePoint::NotCapable => &not_capable,
+            CodePoint::Capable => &capable,
+            CodePoint::UndeterminedEncountered => &ue,
+            CodePoint::CongestionEncountered => &ce,
+        };
+        tb.instant(m.node.0, tid, name, m.t);
     }
 
-    tb.to_json()
+    tb.into_json()
 }
 
 /// Render the run's metrics registry (engine counters folded in) as the

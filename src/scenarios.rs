@@ -1075,8 +1075,6 @@ pub mod fairness {
         pub sim: Simulator,
         /// Topology handles.
         pub fig: Figure2,
-        /// The four B-host flows (B0..B3 → R0).
-        pub b_flows: Vec<FlowId>,
         /// F1 (S1 → R1).
         pub f1: FlowId,
     }
@@ -1105,18 +1103,12 @@ pub mod fairness {
         let mut sim = Simulator::new(fig.topo.clone(), cfg, network.routing());
 
         let (f1, _bursts) = observation::add_incast(&mut sim, &fig, cc);
-        let b_flows: Vec<FlowId> = fig
-            .b_hosts
-            .iter()
-            .map(|&b| sim.add_flow(b, fig.r0, 60_000_000, SimTime::ZERO, cc.controller()))
-            .collect();
-
-        Run {
-            sim,
-            fig,
-            b_flows,
-            f1,
+        // The four B-host flows (B0..B3 → R0).
+        for &b in &fig.b_hosts {
+            sim.add_flow(b, fig.r0, 60_000_000, SimTime::ZERO, cc.controller());
         }
+
+        Run { sim, fig, f1 }
     }
 }
 

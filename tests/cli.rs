@@ -2,9 +2,12 @@
 //! usage and exits 2 — it never runs a degenerate experiment and reports
 //! success — and an unwritable output path is reported, not a panic.
 //! Scenario names resolve through the one catalog: `trace`, `metrics` and
-//! `lint --topo` accept every row and reject everything else alike.
+//! `lint --topo` accept every row and reject everything else alike; figure
+//! names resolve through the one figure table, which `results/` and
+//! README.md follow row for row.
 
 use std::process::{Command, Output};
+use tcd_repro::figures::{self, FIGURES};
 use tcd_repro::scenarios::{self, Lint, CATALOG};
 
 fn tcdsim(args: &[&str]) -> Output {
@@ -177,4 +180,61 @@ fn readme_scenario_table_lists_every_catalog_row() {
         let raises = cols[5].starts_with("raises");
         assert_eq!(raises, row.lint != Lint::Clean, "lint column: {line}");
     }
+}
+
+#[test]
+fn missing_or_unknown_figure_exits_2_with_the_figure_listing() {
+    let listing = figures::listing();
+    for args in [&["fig"][..], &["fig", "no-such-figure"]] {
+        let out = tcdsim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "tcdsim {}", args.join(" "));
+        assert!(
+            stderr.ends_with(&format!("known figures:\n{listing}")),
+            "tcdsim {}: {stderr}",
+            args.join(" ")
+        );
+    }
+}
+
+#[test]
+fn every_figure_row_has_a_result_file_and_every_result_file_a_row() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/results");
+    let files: std::collections::BTreeSet<String> = std::fs::read_dir(dir)
+        .expect("results/")
+        .map(|e| {
+            e.expect("results/ entry")
+                .file_name()
+                .into_string()
+                .unwrap()
+        })
+        .filter_map(|f| f.strip_suffix(".txt").map(str::to_string))
+        .collect();
+    let rows: std::collections::BTreeSet<String> =
+        FIGURES.iter().map(|f| f.name.to_string()).collect();
+    assert_eq!(rows.len(), FIGURES.len(), "one name per figure");
+    assert_eq!(files, rows, "results/*.txt vs the FIGURES rows");
+}
+
+#[test]
+fn readme_figure_table_names_every_figure_row() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md");
+    // | `name`[, `name`] | what it reproduces |
+    let table: Vec<&str> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| experiment | reproduces |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    let named: Vec<&str> = table
+        .iter()
+        .flat_map(|l| l.split('|').nth(1).unwrap_or_default().split(','))
+        .map(|cell| cell.trim().trim_matches('`'))
+        .collect();
+    let rows: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    assert_eq!(
+        named, rows,
+        "README figure table vs the FIGURES rows, in order"
+    );
 }
