@@ -550,7 +550,30 @@ impl EventQueue {
     /// check, plain debug builds assert, and release builds clamp to
     /// `now` to stay monotonic — counting every clamp in
     /// [`clamped_past`](EventQueue::clamped_past).
+    #[inline]
     pub fn schedule(&mut self, at: SimTime, ev: Event) {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, ev);
+    }
+
+    /// Take the next sequence number without scheduling anything. An
+    /// event later filed under it by
+    /// [`schedule_reserved`](EventQueue::schedule_reserved) pops exactly
+    /// where it would have popped had it been scheduled now.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Schedule `ev` at `at` under a sequence number taken earlier from
+    /// [`reserve_seq`](EventQueue::reserve_seq). The caller keeps the
+    /// contract that makes this exact: `(at, seq)` is above the key of
+    /// every event popped so far. Past times are handled as in
+    /// [`schedule`](EventQueue::schedule).
+    #[inline]
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, ev: Event) {
         #[cfg(feature = "audit")]
         if at < self.now {
             if self.past_schedules.len() < PAST_LOG_CAP {
@@ -571,8 +594,6 @@ impl EventQueue {
         } else {
             at
         };
-        let seq = self.seq;
-        self.seq += 1;
         self.wheel.insert(Scheduled { at, seq, ev });
     }
 
@@ -597,7 +618,9 @@ impl EventQueue {
         self.wheel.peek_min()
     }
 
-    /// Number of pending events.
+    /// Number of pending events. A registered flow's start is filed here
+    /// only shortly before it runs (see the simulator's start chain), so
+    /// flows that have not started are mostly not counted.
     pub fn len(&self) -> usize {
         self.wheel.len
     }

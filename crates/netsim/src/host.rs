@@ -168,12 +168,9 @@ pub struct Host {
     /// Active sender flows (small; linear scans are fine).
     active: Vec<SenderFlow>,
     /// Receiver-side per-flow state, indexed by the flow's
-    /// [`FlowSpec::rx_slot`](crate::sim::FlowSpec::rx_slot); an entry is
-    /// made on the flow's first packet.
+    /// [`FlowSpec::rx_slot`](crate::sim::FlowSpec::rx_slot): one entry per
+    /// started flow towards this host, made when the flow starts.
     rx: Vec<RxFlow>,
-    /// Receive slots handed out so far (flows registered towards this
-    /// host).
-    rx_slots: u32,
     /// Whether a `HostDrain` event is outstanding.
     rx_draining: bool,
     /// Cumulative data bytes transmitted (trace sampling).
@@ -212,7 +209,6 @@ impl Host {
             feedback_q: VecDeque::new(),
             active: Vec::new(),
             rx: Vec::new(),
-            rx_slots: 0,
             rx_draining: false,
             tx_bytes: 0,
         }
@@ -223,10 +219,11 @@ impl Host {
         self.line_rate
     }
 
-    /// Hand out the receive slot of a flow registered towards this host.
+    /// Hand out the receive slot of a flow starting towards this host.
     pub(crate) fn add_rx_slot(&mut self) -> u32 {
-        self.rx_slots += 1;
-        self.rx_slots - 1
+        let slot = self.rx.len() as u32;
+        self.rx.push(RxFlow::default());
+        slot
     }
 
     /// The current CC rate of an active flow, if still sending.
@@ -586,7 +583,7 @@ impl Host {
 
     #[expect(
         clippy::indexing_slicing,
-        reason = "flow ids index the spec table they were minted from; the receive table is grown to hold the flow's slot (below) before it is indexed"
+        reason = "flow ids index the spec and record tables they were minted from; a data packet's flow has started, so its slot is in the receive table"
     )]
     fn on_data(&mut self, ctx: &mut Ctx<'_>, mut pkt: Box<Packet>) {
         let id = self.id;
@@ -640,19 +637,9 @@ impl Host {
             rx.on_buffer_freed(pkt.size);
         }
 
-        let spec = &ctx.flows[pkt.flow.0 as usize];
-        let (spec_size, slot) = (spec.size, spec.rx_slot as usize);
+        let flow_size = ctx.trace.flows[pkt.flow.0 as usize].size;
+        let slot = ctx.flows[pkt.flow.0 as usize].rx_slot as usize;
         let lossy = ctx.cfg.is_lossy();
-        if slot >= self.rx.len() {
-            // One allocation for every flow registered so far: growing
-            // the table by doubling instead left the allocator returning
-            // and re-faulting memory, and measured +13–20 % tcdbench
-            // `setup_s` on the next repetition (ft6-*, seed 2).
-            if self.rx.is_empty() {
-                self.rx.reserve_exact(self.rx_slots as usize);
-            }
-            self.rx.resize_with(slot + 1, RxFlow::default);
-        }
         let st = &mut self.rx[slot];
         // Lossy mode: accept only the next in-order segment (go-back-N);
         // duplicates and post-gap segments are discarded but still elicit
@@ -663,7 +650,7 @@ impl Host {
             ctx.trace
                 .on_deliver_at(ctx.now, pkt.flow, pkt.size, pkt.code);
             st.bytes += pkt.size;
-            if st.bytes >= spec_size && !st.completed {
+            if st.bytes >= flow_size && !st.completed {
                 st.completed = true;
                 ctx.trace.on_complete(pkt.flow, ctx.now);
             }

@@ -13,28 +13,27 @@ use crate::topology::{NodeId, NodeKind, Topology};
 use crate::trace::{Delivered, FlowRecord, PortSample, Trace};
 use lossless_flowctl::{SimDuration, SimTime};
 
-/// Static description of a flow (message), registered before the run. The
-/// flow's id is its index in the spec table.
+/// Engine-side state of a registered flow. The flow's id is its index in
+/// the spec table; its source, destination, size and start time live in
+/// its [`FlowRecord`] (`trace.flows`, same index).
 #[derive(Debug, Clone, Copy)]
 pub struct FlowSpec {
-    /// Index of the flow's receive state at `dst`: flows towards one host
-    /// are numbered 0, 1, … in registration order.
+    /// The event sequence number reserved for the flow's start at
+    /// registration: the start pops at `(start, seq)`, wherever it waits
+    /// until then.
+    pub(crate) seq: u64,
+    /// Index of the flow's receive state at its destination: flows towards
+    /// one host are numbered 0, 1, … in the order they start. `u32::MAX`
+    /// until the flow starts.
     pub rx_slot: u32,
-    /// Source host.
-    pub src: NodeId,
-    /// Destination host.
-    pub dst: NodeId,
-    /// Size in bytes.
-    pub size: u64,
-    /// Start time.
-    pub start: SimTime,
     /// Priority / VL.
     pub prio: u8,
 }
 
-// A 40-byte spec (one more u32 field) measured +24 % `setup_s` on tcdbench
-// `ft6-ibcc`, whose 360 000 specs are pushed at set-up.
-const _: () = assert!(std::mem::size_of::<FlowSpec>() == 32);
+// Every registered flow carries one, started or not: tcdbench's fat-tree
+// workloads register 360 000 flows, of which 8 584 start within the run.
+// A 40-byte spec measured +24 % `setup_s` on `ft6-ibcc` against 32 bytes.
+const _: () = assert!(std::mem::size_of::<FlowSpec>() == 16);
 
 /// Shared context handed to node handlers. Splitting the simulator's fields
 /// this way lets a handler mutate its node and the context simultaneously.
@@ -177,21 +176,15 @@ fn node_class(nodes: &[Node], ev: &Event) -> lossless_obs::prof::NodeClass {
     }
 }
 
-/// Dispatch a node-targeted event (everything except the engine-global
-/// trace / fault / route events) against the node table. A free function
-/// so the handler can borrow its node and the rest of the simulator (the
-/// [`Ctx`]) mutably at once.
+/// Dispatch a node-targeted event (everything except flow starts and the
+/// engine-global trace / fault / route events) against the node table. A
+/// free function so the handler can borrow its node and the rest of the
+/// simulator (the [`Ctx`]) mutably at once.
 #[expect(
     clippy::indexing_slicing,
-    clippy::expect_used,
-    reason = "event node/flow ids are created against this topology at setup, so they index nodes/flows in bounds"
+    reason = "event node ids are created against this topology at setup, so they index nodes in bounds"
 )]
-fn dispatch_node_event(
-    nodes: &mut [Node],
-    pending_cc: &mut [Option<Box<dyn RateController>>],
-    ctx: &mut Ctx,
-    ev: Event,
-) {
+fn dispatch_node_event(nodes: &mut [Node], ctx: &mut Ctx, ev: Event) {
     match ev {
         Event::PacketArrival { node, in_port, pkt } => match &mut nodes[node.index()] {
             Node::Host(h) => h.on_packet(ctx, pkt),
@@ -213,16 +206,6 @@ fn dispatch_node_event(
             Node::Ib(s) => s.on_detector_timer(ctx, port, prio),
             Node::Host(_) => unreachable!("detector timer at a host"),
         },
-        Event::FlowStart { flow } => {
-            let spec = ctx.flows[flow.0 as usize];
-            let cc = pending_cc[flow.0 as usize]
-                .take()
-                .expect("flow started twice");
-            match &mut nodes[spec.src.index()] {
-                Node::Host(h) => h.start_flow(ctx, flow, spec.dst, spec.size, spec.prio, cc),
-                _ => unreachable!("flow source is not a host"),
-            }
-        }
         Event::CcTimer { node, flow, timer } => match &mut nodes[node.index()] {
             Node::Host(h) => h.on_cc_timer(ctx, flow, timer),
             _ => unreachable!("CC timer at a switch"),
@@ -233,6 +216,27 @@ fn dispatch_node_event(
         },
         _ => unreachable!("engine-global event routed to dispatch_node_event"),
     }
+}
+
+/// The handler context of simulator `$sim` at `$now`. A macro, not a
+/// method, so the borrows split: the nodes stay free for the handler.
+macro_rules! ctx {
+    ($sim:ident, $now:expr) => {
+        Ctx {
+            now: $now,
+            q: &mut $sim.queue,
+            topo: &$sim.topo,
+            routing: &$sim.routing,
+            cfg: &$sim.cfg,
+            trace: &mut $sim.trace,
+            flows: &$sim.flows,
+            pool: &mut $sim.pool,
+            obs: &mut $sim.obs,
+            links: &mut $sim.links,
+            #[cfg(feature = "audit")]
+            audit: &mut $sim.audit,
+        }
+    };
 }
 
 /// The simulator: topology + nodes + flows + event loop.
@@ -246,6 +250,18 @@ pub struct Simulator {
     flows: Vec<FlowSpec>,
     /// Controllers waiting for their flow's start event.
     pending_cc: Vec<Option<Box<dyn RateController>>>,
+    /// The start chain: registered flows whose start is not in the event
+    /// queue, sorted so that the smallest `(start, seq)` is last. Flows
+    /// registered since the last `drive` (ids `filed..`) join it when the
+    /// next one begins.
+    unqueued: Vec<FlowId>,
+    /// Flows already filed into the start chain or the queue.
+    filed: usize,
+    /// Starts in the event queue, and the largest `(start, seq)` among
+    /// them (meaningful while `queued > 0`). Every key in `unqueued` is
+    /// above it.
+    queued: u32,
+    queued_max: (SimTime, u64),
     /// Packet allocation pool shared by all nodes.
     pool: PacketPool,
     /// Runtime link health table, mutated by fault events.
@@ -422,6 +438,10 @@ impl Simulator {
             nodes,
             flows: Vec::new(),
             pending_cc: Vec::new(),
+            unqueued: Vec::new(),
+            filed: 0,
+            queued: 0,
+            queued_max: (SimTime::ZERO, 0),
             pool: PacketPool::new(),
             links,
             base_routing: None,
@@ -493,7 +513,10 @@ impl Simulator {
         self.trace.record_deliveries = on;
     }
 
-    /// Register a flow; it starts automatically at `start`.
+    /// Register a flow; it starts automatically at `start`. It pops at
+    /// `start` in the order of registration among ties, exactly as if its
+    /// start event were scheduled now, but it costs the event queue and
+    /// its receiver nothing until shortly before it starts.
     pub fn add_flow(
         &mut self,
         src: NodeId,
@@ -528,16 +551,9 @@ impl Simulator {
         assert!(size > 0, "flows must carry at least one byte");
         assert!(prio < self.cfg.num_prios);
         let id = FlowId(self.flows.len() as u32);
-        let Some(Node::Host(receiver)) = self.nodes.get_mut(dst.index()) else {
-            unreachable!("the destination was just checked to be a host");
-        };
-        let rx_slot = receiver.add_rx_slot();
         self.flows.push(FlowSpec {
-            rx_slot,
-            src,
-            dst,
-            size,
-            start,
+            seq: self.queue.reserve_seq(),
+            rx_slot: u32::MAX,
             prio,
         });
         self.pending_cc.push(Some(cc));
@@ -550,8 +566,82 @@ impl Simulator {
             end: None,
             delivered: Delivered::default(),
         });
-        self.queue.schedule(start, Event::FlowStart { flow: id });
         id
+    }
+
+    /// The pop key of a registered flow's start.
+    fn start_key(flows: &[FlowSpec], recs: &[FlowRecord], id: FlowId) -> (SimTime, u64) {
+        let i = id.0 as usize;
+        match (recs.get(i), flows.get(i)) {
+            (Some(r), Some(f)) => (r.start, f.seq),
+            _ => unreachable!("flow ids index the tables that minted them"),
+        }
+    }
+
+    /// File the flows registered since the last call into the start chain,
+    /// then queue starts until the queue holds the chain's earliest.
+    ///
+    /// Flows that a workload registers in start order arrive here already
+    /// sorted, which the sort detects in one pass.
+    fn file_new_flows(&mut self) {
+        if self.filed < self.flows.len() {
+            let (flows, recs) = (&self.flows, &self.trace.flows);
+            self.unqueued
+                .extend((self.filed..flows.len()).rev().map(|i| FlowId(i as u32)));
+            self.unqueued
+                .sort_unstable_by_key(|&id| std::cmp::Reverse(Self::start_key(flows, recs, id)));
+            self.filed = flows.len();
+        }
+        self.queue_starts();
+    }
+
+    /// Move starts from the chain into the event queue: the earliest if
+    /// none is queued, plus every one whose key is below a queued start
+    /// (only flows registered after that start was queued can be). Then
+    /// everything the queue pops before a queued start has a smaller key
+    /// than every start left in the chain, so the pop order is the one a
+    /// queue holding every start since registration would give.
+    fn queue_starts(&mut self) {
+        while let Some(&id) = self.unqueued.last() {
+            let key = Self::start_key(&self.flows, &self.trace.flows, id);
+            if self.queued == 0 {
+                self.queued_max = key;
+            } else if key > self.queued_max {
+                break;
+            }
+            self.unqueued.pop();
+            self.queued += 1;
+            self.queue
+                .schedule_reserved(key.0, key.1, Event::FlowStart { flow: id });
+        }
+    }
+
+    /// A queued start popped: hand the flow its receive slot at the
+    /// destination, start it at its source, and queue the next start if it
+    /// was the last one queued.
+    fn start_flow(&mut self, now: SimTime, flow: FlowId) {
+        let i = flow.0 as usize;
+        let (Some(rec), Some(spec), Some(cc)) = (
+            self.trace.flows.get(i),
+            self.flows.get_mut(i),
+            self.pending_cc.get_mut(i).and_then(Option::take),
+        ) else {
+            unreachable!("flow {i} started twice or was never registered");
+        };
+        let (src, dst, size, prio) = (rec.src, rec.dst, rec.size, spec.prio);
+        let Some(Node::Host(receiver)) = self.nodes.get_mut(dst.index()) else {
+            unreachable!("flow destinations are checked to be hosts at registration");
+        };
+        spec.rx_slot = receiver.add_rx_slot();
+        let mut ctx = ctx!(self, now);
+        let Some(Node::Host(sender)) = self.nodes.get_mut(src.index()) else {
+            unreachable!("flow sources are checked to be hosts at registration");
+        };
+        sender.start_flow(&mut ctx, flow, dst, size, prio, cc);
+        self.queued -= 1;
+        if self.queued == 0 {
+            self.queue_starts();
+        }
     }
 
     /// The topology.
@@ -569,7 +659,8 @@ impl Simulator {
         &self.cfg
     }
 
-    /// Flow specs registered so far.
+    /// Flow specs registered so far (a flow's source, destination, size
+    /// and start are in its [`FlowRecord`] in `trace.flows`).
     pub fn flows(&self) -> &[FlowSpec] {
         &self.flows
     }
@@ -582,11 +673,11 @@ impl Simulator {
     /// A host's current CC rate for a flow (None once it finished sending).
     #[expect(
         clippy::indexing_slicing,
-        reason = "flow ids are dense indices handed out by add_flow, which sized the flows table"
+        reason = "flow ids are dense indices handed out by add_flow, which sized the flow records"
     )]
     pub fn flow_rate(&self, flow: FlowId) -> Option<lossless_flowctl::Rate> {
-        let spec = &self.flows[flow.0 as usize];
-        match self.node(spec.src) {
+        let rec = &self.trace.flows[flow.0 as usize];
+        match self.node(rec.src) {
             Node::Host(h) => h.flow_rate(flow),
             _ => None,
         }
@@ -608,6 +699,7 @@ impl Simulator {
     fn drive(&mut self, until: SimTime, stop_when_complete: bool) {
         let end = until.min(self.cfg.end_time);
         let total = self.flows.len();
+        self.file_new_flows();
         #[cfg(feature = "audit")]
         let checkpoint_every = self.audit.config().checkpoint_every.max(1);
         while !(stop_when_complete && self.trace.completed_count >= total) {
@@ -1028,30 +1120,11 @@ impl Simulator {
     #[expect(
         clippy::indexing_slicing,
         clippy::expect_used,
-        reason = "event node/flow ids are created against this topology at setup, so they index nodes/flows in bounds; pending_cc and the RouteUpdate baseline are invariants the expect() messages document"
+        reason = "event node ids are created against this topology at setup, so they index nodes in bounds; the RouteUpdate baseline is an invariant the expect() message documents"
     )]
     fn dispatch(&mut self, now: SimTime, ev: Event) {
         self.trace.events += 1;
         self.obs.dispatched(ev.kind_index());
-        // Split borrows: nodes vs the rest of the context.
-        macro_rules! ctx {
-            () => {
-                Ctx {
-                    now,
-                    q: &mut self.queue,
-                    topo: &self.topo,
-                    routing: &self.routing,
-                    cfg: &self.cfg,
-                    trace: &mut self.trace,
-                    flows: &self.flows,
-                    pool: &mut self.pool,
-                    obs: &mut self.obs,
-                    links: &mut self.links,
-                    #[cfg(feature = "audit")]
-                    audit: &mut self.audit,
-                }
-            };
-        }
         match ev {
             Event::TraceTick => {
                 self.sample_ports(now);
@@ -1080,7 +1153,7 @@ impl Simulator {
                         "fault.link_down"
                     },
                 );
-                let mut ctx = ctx!();
+                let mut ctx = ctx!(self, now);
                 for (n, p) in [(node, port), (l.peer, l.peer_port)] {
                     match &mut self.nodes[n.index()] {
                         Node::Host(h) => h.on_link_state(&mut ctx, up),
@@ -1130,9 +1203,12 @@ impl Simulator {
                 self.obs
                     .fault(now, u32::MAX, u16::MAX, "fault.route_update");
             }
+            // Its own arm, so the start chain's bookkeeping stays out of
+            // the generic node dispatch that every packet event takes.
+            Event::FlowStart { flow } => self.start_flow(now, flow),
             ev => {
-                let mut ctx = ctx!();
-                dispatch_node_event(&mut self.nodes, &mut self.pending_cc, &mut ctx, ev);
+                let mut ctx = ctx!(self, now);
+                dispatch_node_event(&mut self.nodes, &mut ctx, ev);
             }
         }
     }

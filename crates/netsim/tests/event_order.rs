@@ -269,6 +269,85 @@ proptest! {
             }
         }
     }
+
+    /// Reserved sequence numbers (the simulator's flow starts): an event
+    /// filed later under a seq reserved earlier pops exactly where the
+    /// [`Model`] puts it, which is where it would have popped had it been
+    /// scheduled at reservation time. Reservations interleave with plain
+    /// schedules and pops; filings land in the staged group (at `now`,
+    /// among later-seq events already staged there), the ring and the far
+    /// wheel, always above the last popped key as the contract requires.
+    #[test]
+    fn reserved_seqs_pop_like_the_heap(
+        ops in proptest::collection::vec(
+            prop_oneof![
+                Just(Resv::Reserve),
+                (any::<usize>(), 0..MIX_PS.len()).prop_map(|(k, i)| Resv::File(k, MIX_PS[i])),
+                (0..MIX_PS.len()).prop_map(|i| Resv::Schedule(MIX_PS[i])),
+                Just(Resv::Pop),
+            ],
+            1..300
+        )
+    ) {
+        let mut q = EventQueue::new();
+        let mut model = Model::default();
+        // Reserved seqs not filed yet, with the tag their event will carry.
+        let mut reserved: Vec<(u64, u32)> = Vec::new();
+        let mut next = 0u32;
+        for op in ops {
+            let now = q.now();
+            match op {
+                Resv::Reserve => {
+                    let seq = q.reserve_seq();
+                    prop_assert_eq!(seq, model.reserve());
+                    reserved.push((seq, next));
+                    next += 1;
+                }
+                Resv::File(k, d) if !reserved.is_empty() => {
+                    let (seq, tag) = reserved.swap_remove(k % reserved.len());
+                    let mut at = now + SimDuration::from_ps(d);
+                    if model.last.is_some_and(|last| (at, seq) < last) {
+                        at = now + SimDuration::from_ps(1);
+                    }
+                    q.schedule_reserved(at, seq, tagged(tag));
+                    model.schedule_reserved(at, seq, tag);
+                }
+                Resv::File(..) => {}
+                Resv::Schedule(d) => {
+                    let at = now + SimDuration::from_ps(d);
+                    q.schedule(at, tagged(next));
+                    model.schedule(at, next);
+                    next += 1;
+                }
+                Resv::Pop => {
+                    prop_assert_eq!(q.peek_time(), model.peek_time());
+                    prop_assert_eq!(obs(q.pop()), model.pop_batched(SimTime::MAX));
+                }
+            }
+            prop_assert_eq!(q.len(), model.heap.len());
+            prop_assert_eq!(q.now(), model.now);
+        }
+        loop {
+            let got = obs(q.pop());
+            prop_assert_eq!(got, model.pop_batched(SimTime::MAX));
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+}
+
+/// One step of [`reserved_seqs_pop_like_the_heap`].
+#[derive(Debug, Clone, Copy)]
+enum Resv {
+    /// Reserve the next seq.
+    Reserve,
+    /// File the `k`-th (mod count) unfiled reservation at `now + delay_ps`.
+    File(usize, u64),
+    /// Schedule a plain event at `now + delay_ps`.
+    Schedule(u64),
+    /// Unbounded pop.
+    Pop,
 }
 
 /// One tick of the event queue's ring, in ps (`2^13`).
@@ -366,12 +445,23 @@ struct Model {
     heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     seq: u64,
     now: SimTime,
+    /// The key of the last pop.
+    last: Option<(SimTime, u64)>,
 }
 
 impl Model {
     fn schedule(&mut self, at: SimTime, tag: u32) {
-        self.heap.push(Reverse((at.max(self.now), self.seq, tag)));
+        let seq = self.reserve();
+        self.schedule_reserved(at, seq, tag);
+    }
+
+    fn reserve(&mut self) -> u64 {
         self.seq += 1;
+        self.seq - 1
+    }
+
+    fn schedule_reserved(&mut self, at: SimTime, seq: u64, tag: u32) {
+        self.heap.push(Reverse((at.max(self.now), seq, tag)));
     }
 
     fn peek_time(&self) -> Option<SimTime> {
@@ -382,8 +472,9 @@ impl Model {
         if self.peek_time()? > limit {
             return None;
         }
-        let Reverse((at, _, tag)) = self.heap.pop()?;
+        let Reverse((at, seq, tag)) = self.heap.pop()?;
         self.now = at;
+        self.last = Some((at, seq));
         Some((at, tag))
     }
 }

@@ -113,11 +113,11 @@ fn lossless_beats_lossy_tail_under_incast() {
 }
 
 #[test]
-fn receive_slots_follow_registration_not_arrival() {
-    // Four flows into r1, registered latest start first, so their first
-    // packets reach r1 in the reverse of registration order, and one into
-    // r0 between them; heavy loss. Each flow gets its own receive slot at
-    // its destination, and go-back-N's cumulative ACKs, which the receiver
+fn receive_slots_follow_start_order() {
+    // Four flows into r1, registered latest start first, so they start in
+    // the reverse of registration order, and one into r0 between them;
+    // heavy loss. Each flow gets its own receive slot at its destination
+    // when it starts, and go-back-N's cumulative ACKs, which the receiver
     // reads from that slot, drive every flow to exactly the completion
     // time it had when receive state was a map keyed by flow id (the
     // pinned values).
@@ -144,9 +144,9 @@ fn receive_slots_follow_registration_not_arrival() {
             )
         })
         .collect();
-    let slots: Vec<u32> = sim.flows().iter().map(|f| f.rx_slot).collect();
-    assert_eq!(slots, [0, 0, 1, 2, 3]);
     sim.run();
+    let slots: Vec<u32> = sim.flows().iter().map(|f| f.rx_slot).collect();
+    assert_eq!(slots, [3, 0, 2, 0, 1]);
     assert_eq!((sim.trace.drops, sim.trace.events), (4560, 229_797));
     let ends: Vec<_> = flows
         .iter()

@@ -76,16 +76,20 @@ echo "=== tcdsim sweep ==="
 # the value at the commit that added its row (first trailing number) times
 # the headroom ft6-ibcc has had since that path stopped allocating
 # (5.13 -> 12), rounded up; the second trailing number is the value since
-# the event queue's near ring. Perf itself is judged by the benchmark's
-# timed runs, not here.
+# the event queue's near ring. peak_heap_mb from result.json is
+# deterministic too (it counts requested bytes): its ceiling is the value
+# since unstarted flows stopped holding a queue entry and a receive slot,
+# plus 2 %, rounded up to 0.1 MB, and the trailing "heap" number is the
+# value before that change. Perf itself is judged by the benchmark's timed
+# runs, not here.
 echo "=== tcdbench (work + fingerprint gate) ==="
 counter() { # file, metric: the metric's value in the file's closing JSON line
     tail -n 1 "$1" | grep -o "\"$2\": {\"value\": [0-9.]*" | awk '{print $NF}'
 }
 # workload, exact sim.events / sim.events_per_hop / trace.records / run
-# fingerprint, sim.allocs_per_kevent ceiling
+# fingerprint, sim.allocs_per_kevent ceiling, peak_heap_mb ceiling
 work_gate() {
-    local out=target/ci/tcdbench_$1.txt got want allocs
+    local out=target/ci/tcdbench_$1.txt got want allocs heap
     cargo run --release --quiet --offline \
         --manifest-path crates/bench/src/bin/tcdbench/Cargo.toml -- \
         --workload "$1" --seed 1 --seconds 1 --trace 1 > "$out"
@@ -94,18 +98,19 @@ work_gate() {
     got="$got $(grep -o '"fingerprint": "[0-9a-f]*"' target/tcdbench/result.json | cut -d'"' -f4)"
     want="$2.0 $3 $4 $5"
     allocs=$(counter "$out" sim.allocs_per_kevent)
-    if [ "$got" != "$want" ] || ! awk -v a="$allocs" -v limit="$6" \
-        'BEGIN { exit !(a != "" && a <= limit) }'; then
+    heap=$(grep -o '"peak_heap_mb": {"value": [0-9.]*' target/tcdbench/result.json | awk '{print $NF}')
+    if [ "$got" != "$want" ] || ! awk -v a="$allocs" -v limit="$6" -v h="$heap" -v hlimit="$7" \
+        'BEGIN { exit !(a != "" && a <= limit && h != "" && h <= hlimit) }'; then
         echo "$1: events, events/hop, records, fingerprint = $got (want $want);" \
-            "sim.allocs_per_kevent=$allocs (limit $6)" >&2
+            "sim.allocs_per_kevent=$allocs (limit $6); peak_heap_mb=$heap (limit $7)" >&2
         exit 1
     fi
 }
-work_gate ft6-dcqcn      7443913 2.72508199319893   0.0       60fe06a30a37acd7  9 # 3.75 3.84
-work_gate ft6-ibcc       6824062 3.199299948522869  0.0       08d88469fdeb0a87 12 # 5.13 5.44
-work_gate fig2-storm     5235086 3.758977058051008  0.0       d1de8c77438fafba  5 # 1.74 1.65
-work_gate ft6-dcqcn-obs  7444914 2.7254484412048634 1118806.0 5c9e83e622ce2050 10 # 3.90 3.99
-work_gate victim-sweep  25595608 4.518427402185741  0.0       4405bf5d62b6ae8c 19 # 7.79 7.71
+work_gate ft6-dcqcn      7443913 2.72508199319893   0.0       60fe06a30a37acd7  9 122.0 # 3.75 3.84; heap 146.25
+work_gate ft6-ibcc       6824062 3.199299948522869  0.0       08d88469fdeb0a87 12  94.2 # 5.13 5.44; heap 122.66
+work_gate fig2-storm     5235086 3.758977058051008  0.0       d1de8c77438fafba  5   1.2 # 1.74 1.65; heap 1.128
+work_gate ft6-dcqcn-obs  7444914 2.7254484412048634 1118806.0 5c9e83e622ce2050 10 200.8 # 3.90 3.99; heap 229.40
+work_gate victim-sweep  25595608 4.518427402185741  0.0       4405bf5d62b6ae8c 19   8.3 # 7.79 7.71; heap 8.23
 
 # Figure gate: every committed results/<name>.txt (the tables
 # EXPERIMENTS.md quotes) must regenerate byte-for-byte from

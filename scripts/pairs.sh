@@ -1,0 +1,134 @@
+#!/usr/bin/env bash
+# Paired benchmark runs: a committed revision against the working tree.
+#
+#   scripts/pairs.sh <rev> <workload> <seed> <n>
+#
+# Builds the stand-alone tcdbench of <rev> (exported with `git archive`
+# into target/pairs/src-<sha>) and of the working tree, each with its own
+# CARGO_TARGET_DIR, offline. Then runs BENCHMARK.json's command with
+# `--workload <workload> --seed <seed> --seconds <run_seconds> --trace 0`
+# <n> times per side, alternating which side goes first, and appends every
+# run (its closing JSON line) to target/pairs/log.jsonl. Prints, for every
+# end-to-end metric of BENCHMARK.json: median [q1, q3] per side, the change
+# of the median in %, how many of the n pairs the working tree won, and
+# |Δmedian| against the parent's interquartile range. A claim holds where
+# the wins are at least 9 of 10 and |Δmedian| exceeds the parent IQR.
+#
+# Needs git, cargo and python3. Touches neither BENCHMARK.json nor the
+# tcdbench sources.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+root=$(pwd)
+
+if [ $# -ne 4 ]; then
+    echo "usage: scripts/pairs.sh <rev> <workload> <seed> <n>" >&2
+    exit 2
+fi
+rev=$1 workload=$2 seed=$3 n=$4
+sha=$(git rev-parse --short=12 "$rev^{commit}")
+out=$root/target/pairs
+mkdir -p "$out"
+
+# BENCHMARK.json's command and run length.
+mapfile -t cmd < <(python3 -c 'import json; [print(a) for a in json.load(open("BENCHMARK.json"))["command"]]')
+seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+manifest=crates/bench/src/bin/tcdbench/Cargo.toml
+
+src_parent=$out/src-$sha
+if [ ! -d "$src_parent" ]; then
+    mkdir -p "$src_parent.tmp"
+    git archive "$sha" | tar -x -C "$src_parent.tmp"
+    mv "$src_parent.tmp" "$src_parent"
+fi
+
+# side name -> source root and target dir
+declare -A src=([parent]=$src_parent [change]=$root)
+declare -A tgt=([parent]=$out/build-$sha [change]=$out/build-work)
+for side in parent change; do
+    echo "building $side ($([ "$side" = parent ] && echo "$sha" || echo "working tree"))" >&2
+    (cd "${src[$side]}" && CARGO_TARGET_DIR=${tgt[$side]} \
+        cargo build --release --quiet --offline --manifest-path "$manifest")
+done
+
+run_id=$(date -u +%Y%m%dT%H%M%SZ)-$$
+run_one() { # side, pair, position
+    local side=$1 line rc=0
+    line=$(cd "${src[$side]}" && CARGO_TARGET_DIR=${tgt[$side]} \
+        "${cmd[@]}" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+        | tail -n 1) || rc=$?
+    python3 - "$out/log.jsonl" "$run_id" "$sha" "$side" "$workload" "$seed" "$2" "$3" "$rc" "$line" <<'EOF'
+import json, sys
+log, run_id, sha, side, workload, seed, pair, pos, rc, line = sys.argv[1:]
+try:
+    closing = json.loads(line)
+except ValueError:
+    closing = None
+rec = {"run": run_id, "parent": sha, "side": side, "workload": workload,
+       "seed": int(seed), "pair": int(pair), "position": int(pos),
+       "exit": int(rc), "closing": closing}
+with open(log, "a") as f:
+    f.write(json.dumps(rec) + "\n")
+EOF
+}
+
+for ((i = 1; i <= n; i++)); do
+    if ((i % 2)); then order=(parent change); else order=(change parent); fi
+    echo "pair $i/$n: ${order[0]} first" >&2
+    run_one "${order[0]}" "$i" 1
+    run_one "${order[1]}" "$i" 2
+done
+
+python3 - "$out/log.jsonl" "$run_id" <<'EOF'
+import json, sys
+
+log, run_id = sys.argv[1:]
+bench = json.load(open("BENCHMARK.json"))
+runs = [json.loads(l) for l in open(log) if l.strip()]
+runs = [r for r in runs if r["run"] == run_id]
+
+
+def quartiles(xs):
+    xs = sorted(xs)
+
+    def q(p):
+        k = (len(xs) - 1) * p
+        lo = int(k)
+        hi = min(lo + 1, len(xs) - 1)
+        return xs[lo] + (xs[hi] - xs[lo]) * (k - lo)
+
+    return q(0.25), q(0.5), q(0.75)
+
+
+def metric(r, name):
+    m = ((r["closing"] or {}).get("metrics") or {}).get(name)
+    return m and m.get("value")
+
+
+first = runs[0]
+print(f"pairs {first['workload']} seed {first['seed']}: parent {first['parent']} vs working tree, "
+      f"{len(runs) // 2} pairs, log {log} run {run_id}")
+failed = [r for r in runs if r["exit"] != 0 or r["closing"] is None]
+for side in ("parent", "change"):
+    ops = [(r["closing"] or {}).get("failed") for r in runs if r["side"] == side]
+    print(f"  {side}: ops failed per run {ops}, nonzero exits {sum(r['side'] == side for r in failed)}")
+for m in bench["end_to_end"]:
+    name, lower = m["name"], m["better"] == "lower"
+    pairs = {}
+    for r in runs:
+        v = metric(r, name)
+        if v is not None:
+            pairs.setdefault(r["pair"], {})[r["side"]] = v
+    both = [p for p in pairs.values() if len(p) == 2]
+    if not both:
+        continue
+    pa = [p["parent"] for p in both]
+    ch = [p["change"] for p in both]
+    q1p, mp, q3p = quartiles(pa)
+    q1c, mc, q3c = quartiles(ch)
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(pa, ch))
+    delta = (mc - mp) / mp * 100 if mp else float("nan")
+    gap, iqr = abs(mc - mp), q3p - q1p
+    verdict = ">" if gap > iqr else "<="
+    print(f"  {name:13} parent {mp:.5g} [{q1p:.5g}, {q3p:.5g}]  change {mc:.5g} [{q1c:.5g}, {q3c:.5g}]"
+          f"  {delta:+.1f} %  wins {wins}/{len(both)}  |dmedian| {gap:.3g} {verdict} parent IQR {iqr:.3g}")
+EOF

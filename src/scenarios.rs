@@ -877,7 +877,8 @@ pub mod workload {
     }
 
     /// Build a fat-tree workload experiment: every flow is registered up
-    /// front (pending `FlowStart`s in the event queue).
+    /// front (an unstarted flow holds its record, spec and controller; the
+    /// event queue holds only the next start).
     pub fn build(opt: Options) -> Built {
         let (rate, delay) = LINK;
         let ft = fat_tree(opt.k, rate, delay);
