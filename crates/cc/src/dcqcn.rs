@@ -31,7 +31,7 @@ const TIMER_INCREASE: u32 = 1;
 
 /// DCQCN parameters. Defaults follow the DCQCN paper's recommended values
 /// for 40 Gbps fabrics (also used by the TCD paper's simulations).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DcqcnConfig {
     /// EWMA gain `g` for α (default 1/256).
     pub g: f64,
@@ -42,7 +42,7 @@ pub struct DcqcnConfig {
     /// deployed reaction points recover much more slowly, which is what
     /// sustains the congestion the TCD paper observes).
     pub increase_timer: SimDuration,
-    /// Rate-increase byte counter (default 10 MB).
+    /// Rate-increase byte counter (default 10 MiB).
     pub byte_counter: u64,
     /// Fast-recovery rounds `F` before additive increase (default 5).
     pub fr_stages: u32,
@@ -53,30 +53,29 @@ pub struct DcqcnConfig {
     /// Floor for the sending rate (default 10 Mbps).
     pub min_rate: Rate,
     /// Rate reduction factor `F` in `Rc ← Rc·(1 − clamp(F·α, 0, 0.9))`.
-    /// 0.5 reproduces the standard `Rc(1 − α/2)`; the TCD variant uses 1.2.
+    /// 0.5 reproduces the standard `Rc(1 − α/2)`; the TCD variant uses 0.6,
+    /// the paper's 1.2 applied to `α/2` (see [`DcqcnConfig::TCD`]).
     pub reduction_factor: f64,
-    /// TCD awareness: hold the rate when a CNP carries UE.
+    /// TCD awareness: hold the rate when a CNP carries UE (default false;
+    /// true in the TCD variant).
     pub hold_on_ue: bool,
 }
 
-impl Default for DcqcnConfig {
-    fn default() -> Self {
-        DcqcnConfig {
-            g: 1.0 / 256.0,
-            alpha_timer: SimDuration::from_us(55),
-            increase_timer: SimDuration::from_us(300),
-            byte_counter: 10 * 1024 * 1024,
-            fr_stages: 5,
-            rai: Rate::from_mbps(40),
-            rhai: Rate::from_mbps(200),
-            min_rate: Rate::from_mbps(10),
-            reduction_factor: 0.5,
-            hold_on_ue: false,
-        }
-    }
-}
-
 impl DcqcnConfig {
+    /// Standard DCQCN, with the defaults stated on each field.
+    pub const STANDARD: DcqcnConfig = DcqcnConfig {
+        g: 1.0 / 256.0,
+        alpha_timer: SimDuration::from_us(55),
+        increase_timer: SimDuration::from_us(300),
+        byte_counter: 10 * 1024 * 1024,
+        fr_stages: 5,
+        rai: Rate::from_mbps(40),
+        rhai: Rate::from_mbps(200),
+        min_rate: Rate::from_mbps(10),
+        reduction_factor: 0.5,
+        hold_on_ue: false,
+    };
+
     /// The TCD-aware variant of §5.2.1: hold on UE, cut aggressively on
     /// CE. The paper says "change the rate reduction factor α from default
     /// 0.5 to 1.2"; we read this as scaling DCQCN's reduction term
@@ -85,19 +84,24 @@ impl DcqcnConfig {
     /// flows at the minimum rate for tens of milliseconds under DCQCN's
     /// slow recovery, which contradicts the paper's "comparable
     /// performance for large flows"; see DESIGN.md.
-    pub fn tcd() -> Self {
-        DcqcnConfig {
-            reduction_factor: 0.6,
-            hold_on_ue: true,
-            ..Default::default()
-        }
+    pub const TCD: DcqcnConfig = DcqcnConfig {
+        reduction_factor: 0.6,
+        hold_on_ue: true,
+        ..DcqcnConfig::STANDARD
+    };
+}
+
+impl Default for DcqcnConfig {
+    fn default() -> Self {
+        DcqcnConfig::STANDARD
     }
 }
 
-/// A DCQCN reaction point for one flow.
+/// A DCQCN reaction point for one flow. It borrows its parameters: a
+/// simulator's controllers share one preset instead of each holding a copy.
 #[derive(Debug, Clone)]
-pub struct Dcqcn {
-    cfg: DcqcnConfig,
+pub struct Dcqcn<'c> {
+    cfg: &'c DcqcnConfig,
     line_rate: Rate,
     /// Current rate `Rc`.
     rc: Rate,
@@ -111,14 +115,17 @@ pub struct Dcqcn {
     /// Increase stages driven by the byte counter / timer.
     byte_stage: u32,
     time_stage: u32,
-    /// Counts CNPs processed (diagnostics).
-    cuts: u64,
-    holds: u64,
+    /// Counts CNPs processed (diagnostics; saturating).
+    cuts: u32,
+    holds: u32,
 }
 
-impl Dcqcn {
-    /// New controller with `cfg`.
-    pub fn new(cfg: DcqcnConfig) -> Dcqcn {
+// One per registered flow, boxed: keep it at its borrowed-preset size.
+const _: () = assert!(std::mem::size_of::<Dcqcn<'static>>() == 72);
+
+impl<'c> Dcqcn<'c> {
+    /// New controller with parameters `cfg`.
+    pub fn new(cfg: &'c DcqcnConfig) -> Dcqcn<'c> {
         assert!(cfg.g > 0.0 && cfg.g < 1.0);
         assert!(cfg.reduction_factor > 0.0);
         Dcqcn {
@@ -136,28 +143,18 @@ impl Dcqcn {
         }
     }
 
-    /// Standard DCQCN.
-    pub fn standard() -> Dcqcn {
-        Dcqcn::new(DcqcnConfig::default())
-    }
-
-    /// TCD-aware DCQCN.
-    pub fn with_tcd() -> Dcqcn {
-        Dcqcn::new(DcqcnConfig::tcd())
-    }
-
     /// Current α estimate.
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
 
     /// Number of multiplicative cuts taken.
-    pub fn cuts(&self) -> u64 {
+    pub fn cuts(&self) -> u32 {
         self.cuts
     }
 
     /// Number of UE notifications held (TCD variant only).
-    pub fn holds(&self) -> u64 {
+    pub fn holds(&self) -> u32 {
         self.holds
     }
 
@@ -174,7 +171,7 @@ impl Dcqcn {
         self.byte_stage = 0;
         self.time_stage = 0;
         self.bytes = 0;
-        self.cuts += 1;
+        self.cuts = self.cuts.saturating_add(1);
     }
 
     /// (Re)arm both timers — at flow start and after every rate cut.
@@ -199,7 +196,19 @@ impl Dcqcn {
     }
 }
 
-impl RateController for Dcqcn {
+impl Dcqcn<'static> {
+    /// Standard DCQCN ([`DcqcnConfig::STANDARD`]).
+    pub fn standard() -> Self {
+        Dcqcn::new(&DcqcnConfig::STANDARD)
+    }
+
+    /// TCD-aware DCQCN ([`DcqcnConfig::TCD`]).
+    pub fn with_tcd() -> Self {
+        Dcqcn::new(&DcqcnConfig::TCD)
+    }
+}
+
+impl RateController for Dcqcn<'_> {
     fn start(&mut self, _now: SimTime, line_rate: Rate) -> CcAction {
         self.line_rate = line_rate;
         self.rc = line_rate;
@@ -218,7 +227,7 @@ impl RateController for Dcqcn {
                     }
                     CodePoint::UndeterminedEncountered if self.cfg.hold_on_ue => {
                         // TCD: an undetermined flow keeps its rate.
-                        self.holds += 1;
+                        self.holds = self.holds.saturating_add(1);
                         CcAction::none()
                     }
                     CodePoint::UndeterminedEncountered => {
@@ -273,13 +282,13 @@ impl RateController for Dcqcn {
 mod tests {
     use super::*;
 
-    fn started(cfg: DcqcnConfig) -> Dcqcn {
+    fn started(cfg: &DcqcnConfig) -> Dcqcn<'_> {
         let mut d = Dcqcn::new(cfg);
         let _ = d.start(SimTime::ZERO, Rate::from_gbps(40));
         d
     }
 
-    fn cnp(d: &mut Dcqcn, code: CodePoint) {
+    fn cnp(d: &mut Dcqcn<'_>, code: CodePoint) {
         let _ = d.on_event(SimTime::ZERO, CcEvent::Feedback { code });
     }
 
@@ -294,7 +303,7 @@ mod tests {
     #[test]
     fn first_cnp_halves_rate() {
         // α starts at 1, so the first cut is Rc(1 − 0.5) = Rc/2.
-        let mut d = started(DcqcnConfig::default());
+        let mut d = started(&DcqcnConfig::STANDARD);
         cnp(&mut d, CodePoint::CE);
         assert_eq!(d.rate(), Rate::from_gbps(20));
         assert_eq!(d.cuts(), 1);
@@ -302,19 +311,19 @@ mod tests {
 
     #[test]
     fn repeated_cnps_decrease_geometrically() {
-        let mut d = started(DcqcnConfig::default());
+        let mut d = started(&DcqcnConfig::STANDARD);
         let mut last = d.rate();
         for _ in 0..10 {
             cnp(&mut d, CodePoint::CE);
             assert!(d.rate() < last);
             last = d.rate();
         }
-        assert!(d.rate() >= DcqcnConfig::default().min_rate);
+        assert!(d.rate() >= DcqcnConfig::STANDARD.min_rate);
     }
 
     #[test]
     fn alpha_decays_without_cnps() {
-        let mut d = started(DcqcnConfig::default());
+        let mut d = started(&DcqcnConfig::STANDARD);
         cnp(&mut d, CodePoint::CE);
         let a0 = d.alpha();
         // First alpha-timer expiry after the CNP: flag set, no decay.
@@ -327,7 +336,7 @@ mod tests {
 
     #[test]
     fn fast_recovery_moves_halfway_to_target() {
-        let mut d = started(DcqcnConfig::default());
+        let mut d = started(&DcqcnConfig::STANDARD);
         cnp(&mut d, CodePoint::CE); // Rt = 40G, Rc = 20G
         let _ = d.on_event(SimTime::ZERO, CcEvent::Timer { id: TIMER_INCREASE });
         assert_eq!(d.rate(), Rate::from_gbps(30));
@@ -337,8 +346,8 @@ mod tests {
 
     #[test]
     fn additive_then_hyper_increase_raise_target() {
-        let cfg = DcqcnConfig::default();
-        let mut d = started(cfg);
+        let cfg = DcqcnConfig::STANDARD;
+        let mut d = started(&cfg);
         cnp(&mut d, CodePoint::CE);
         // Exhaust fast recovery via the timer.
         for _ in 0..cfg.fr_stages {
@@ -364,7 +373,7 @@ mod tests {
 
     #[test]
     fn rate_never_exceeds_line_rate() {
-        let mut d = started(DcqcnConfig::default());
+        let mut d = started(&DcqcnConfig::STANDARD);
         for _ in 0..10_000 {
             let _ = d.on_event(SimTime::ZERO, CcEvent::Timer { id: TIMER_INCREASE });
         }
@@ -374,7 +383,7 @@ mod tests {
 
     #[test]
     fn tcd_variant_holds_on_ue() {
-        let mut d = started(DcqcnConfig::tcd());
+        let mut d = started(&DcqcnConfig::TCD);
         cnp(&mut d, CodePoint::UE);
         assert_eq!(d.rate(), Rate::from_gbps(40), "UE must not cut");
         assert_eq!(d.holds(), 1);
@@ -383,8 +392,8 @@ mod tests {
 
     #[test]
     fn tcd_variant_cuts_harder_on_ce() {
-        let mut std = started(DcqcnConfig::default());
-        let mut tcd = started(DcqcnConfig::tcd());
+        let mut std = started(&DcqcnConfig::STANDARD);
+        let mut tcd = started(&DcqcnConfig::TCD);
         cnp(&mut std, CodePoint::CE);
         cnp(&mut tcd, CodePoint::CE);
         assert!(tcd.rate() < std.rate(), "factor 0.6 cuts deeper than 0.5");
@@ -396,18 +405,18 @@ mod tests {
     #[test]
     fn non_tcd_rp_treats_ue_as_ce() {
         // A legacy RP cannot distinguish: any CNP cuts.
-        let mut d = started(DcqcnConfig::default());
+        let mut d = started(&DcqcnConfig::STANDARD);
         cnp(&mut d, CodePoint::UE);
         assert_eq!(d.cuts(), 1);
     }
 
     #[test]
     fn rate_floor_is_respected() {
-        let mut d = started(DcqcnConfig::default());
+        let mut d = started(&DcqcnConfig::STANDARD);
         for _ in 0..200 {
             cnp(&mut d, CodePoint::CE);
         }
-        assert_eq!(d.rate(), DcqcnConfig::default().min_rate);
+        assert_eq!(d.rate(), DcqcnConfig::STANDARD.min_rate);
     }
 
     #[test]

@@ -29,39 +29,48 @@ use lossless_netsim::packet::IntHop;
 use lossless_netsim::{Rate, SimDuration, SimTime};
 
 /// HPCC parameters (defaults follow the HPCC paper).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HpccConfig {
     /// Target link utilization η (default 0.95).
     pub eta: f64,
     /// Additive-increase stages before a forced MD (default 5).
     pub max_stage: u32,
-    /// Additive increase per update, bytes of window (default: one MTU).
+    /// Additive increase per update, bytes of window (default 1000, one
+    /// MTU).
     pub wai_bytes: f64,
-    /// Base RTT `T` used to normalize queues and convert window → rate.
+    /// Base RTT `T` used to normalize queues and convert window → rate
+    /// (default 50 µs).
     pub base_rtt: SimDuration,
-    /// Minimum spacing between window updates (per-RTT granularity).
+    /// Minimum spacing between window updates (per-RTT granularity;
+    /// default 25 µs).
     pub update_interval: SimDuration,
-    /// Rate floor.
+    /// Rate floor (default 10 Mbps).
     pub min_rate: Rate,
+}
+
+impl HpccConfig {
+    /// HPCC with the defaults stated on each field.
+    pub const STANDARD: HpccConfig = HpccConfig {
+        eta: 0.95,
+        max_stage: 5,
+        wai_bytes: 1000.0,
+        base_rtt: SimDuration::from_us(50),
+        update_interval: SimDuration::from_us(25),
+        min_rate: Rate::from_mbps(10),
+    };
 }
 
 impl Default for HpccConfig {
     fn default() -> Self {
-        HpccConfig {
-            eta: 0.95,
-            max_stage: 5,
-            wai_bytes: 1000.0,
-            base_rtt: SimDuration::from_us(50),
-            update_interval: SimDuration::from_us(25),
-            min_rate: Rate::from_mbps(10),
-        }
+        HpccConfig::STANDARD
     }
 }
 
-/// An HPCC sender for one flow.
+/// An HPCC sender for one flow. It borrows its parameters, as
+/// [`Dcqcn`](crate::Dcqcn) does.
 #[derive(Debug, Clone)]
-pub struct Hpcc {
-    cfg: HpccConfig,
+pub struct Hpcc<'c> {
+    cfg: &'c HpccConfig,
     line_rate: Rate,
     /// Current window, bytes.
     w: f64,
@@ -71,12 +80,16 @@ pub struct Hpcc {
     /// Last telemetry per hop index (for txRate differentiation).
     last_int: Vec<IntHop>,
     last_update: Option<SimTime>,
-    updates: u64,
+    /// Diagnostics; saturating.
+    updates: u32,
 }
 
-impl Hpcc {
-    /// New controller with `cfg`.
-    pub fn new(cfg: HpccConfig) -> Hpcc {
+// One per registered flow, boxed: keep it at its borrowed-preset size.
+const _: () = assert!(std::mem::size_of::<Hpcc<'static>>() == 80);
+
+impl<'c> Hpcc<'c> {
+    /// New controller with parameters `cfg`.
+    pub fn new(cfg: &'c HpccConfig) -> Hpcc<'c> {
         assert!(cfg.eta > 0.0 && cfg.eta <= 1.0);
         assert!(cfg.base_rtt > SimDuration::ZERO);
         Hpcc {
@@ -91,13 +104,8 @@ impl Hpcc {
         }
     }
 
-    /// HPCC with the default parameters.
-    pub fn standard() -> Hpcc {
-        Hpcc::new(HpccConfig::default())
-    }
-
     /// Window updates performed.
-    pub fn updates(&self) -> u64 {
+    pub fn updates(&self) -> u32 {
         self.updates
     }
 
@@ -137,7 +145,14 @@ impl Hpcc {
     }
 }
 
-impl RateController for Hpcc {
+impl Hpcc<'static> {
+    /// HPCC with [`HpccConfig::STANDARD`].
+    pub fn standard() -> Self {
+        Hpcc::new(&HpccConfig::STANDARD)
+    }
+}
+
+impl RateController for Hpcc<'_> {
     fn start(&mut self, _now: SimTime, line_rate: Rate) -> CcAction {
         self.line_rate = line_rate;
         // Start at one BDP: W = line_rate * T.
@@ -161,7 +176,7 @@ impl RateController for Hpcc {
             return CcAction::none();
         }
         self.last_update = Some(now);
-        self.updates += 1;
+        self.updates = self.updates.saturating_add(1);
         if u >= self.cfg.eta || self.inc_stage >= self.cfg.max_stage {
             // Multiplicative adjustment around the target utilization.
             self.w = self.wc / (u / self.cfg.eta).max(0.2) + self.cfg.wai_bytes;
@@ -201,7 +216,7 @@ mod tests {
         }
     }
 
-    fn ack_at(h: &mut Hpcc, now_us: u64, int: Vec<IntHop>) {
+    fn ack_at(h: &mut Hpcc<'_>, now_us: u64, int: Vec<IntHop>) {
         let _ = h.on_event(
             SimTime::from_us(now_us),
             CcEvent::Ack {
@@ -213,7 +228,7 @@ mod tests {
         );
     }
 
-    fn started() -> Hpcc {
+    fn started() -> Hpcc<'static> {
         let mut h = Hpcc::standard();
         let _ = h.start(SimTime::ZERO, Rate::from_gbps(40));
         h

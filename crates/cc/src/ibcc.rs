@@ -24,7 +24,7 @@ use tcd_core::CodePoint;
 const TIMER_CCTI: u32 = 0;
 
 /// IB CC parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IbCcConfig {
     /// CCTI increase per BECN (spec default 1; TCD variant 2).
     pub ccti_increase: u16,
@@ -37,47 +37,54 @@ pub struct IbCcConfig {
     pub ird_unit: f64,
     /// Rate floor (default 10 Mbps).
     pub min_rate: Rate,
-    /// TCD awareness: hold on UE BECNs.
+    /// TCD awareness: hold on UE BECNs (default false; true in the TCD
+    /// variant).
     pub hold_on_ue: bool,
+}
+
+impl IbCcConfig {
+    /// Standard IB CC, with the defaults stated on each field.
+    pub const STANDARD: IbCcConfig = IbCcConfig {
+        ccti_increase: 1,
+        ccti_max: 127,
+        ccti_timer: SimDuration::from_us(150),
+        ird_unit: 1.0 / 8.0,
+        min_rate: Rate::from_mbps(10),
+        hold_on_ue: false,
+    };
+
+    /// The TCD-aware variant of §5.2.2: hold on UE, step 2 on CE.
+    pub const TCD: IbCcConfig = IbCcConfig {
+        ccti_increase: 2,
+        hold_on_ue: true,
+        ..IbCcConfig::STANDARD
+    };
 }
 
 impl Default for IbCcConfig {
     fn default() -> Self {
-        IbCcConfig {
-            ccti_increase: 1,
-            ccti_max: 127,
-            ccti_timer: SimDuration::from_us(150),
-            ird_unit: 1.0 / 8.0,
-            min_rate: Rate::from_mbps(10),
-            hold_on_ue: false,
-        }
+        IbCcConfig::STANDARD
     }
 }
 
-impl IbCcConfig {
-    /// The TCD-aware variant of §5.2.2: hold on UE, step 2 on CE.
-    pub fn tcd() -> Self {
-        IbCcConfig {
-            ccti_increase: 2,
-            hold_on_ue: true,
-            ..Default::default()
-        }
-    }
-}
-
-/// An IB CC source channel adapter for one flow (queue pair).
+/// An IB CC source channel adapter for one flow (queue pair). It borrows
+/// its parameters, as [`Dcqcn`](crate::Dcqcn) does.
 #[derive(Debug, Clone)]
-pub struct IbCc {
-    cfg: IbCcConfig,
+pub struct IbCc<'c> {
+    cfg: &'c IbCcConfig,
     line_rate: Rate,
     ccti: u16,
-    becns: u64,
-    holds: u64,
+    /// Diagnostics; saturating.
+    becns: u32,
+    holds: u32,
 }
 
-impl IbCc {
-    /// New controller with `cfg`.
-    pub fn new(cfg: IbCcConfig) -> IbCc {
+// One per registered flow, boxed: keep it at its borrowed-preset size.
+const _: () = assert!(std::mem::size_of::<IbCc<'static>>() == 32);
+
+impl<'c> IbCc<'c> {
+    /// New controller with parameters `cfg`.
+    pub fn new(cfg: &'c IbCcConfig) -> IbCc<'c> {
         assert!(cfg.ccti_increase >= 1);
         assert!(cfg.ird_unit > 0.0);
         IbCc {
@@ -89,28 +96,18 @@ impl IbCc {
         }
     }
 
-    /// Standard IB CC.
-    pub fn standard() -> IbCc {
-        IbCc::new(IbCcConfig::default())
-    }
-
-    /// TCD-aware IB CC.
-    pub fn with_tcd() -> IbCc {
-        IbCc::new(IbCcConfig::tcd())
-    }
-
     /// The current table index.
     pub fn ccti(&self) -> u16 {
         self.ccti
     }
 
     /// BECNs acted on.
-    pub fn becns(&self) -> u64 {
+    pub fn becns(&self) -> u32 {
         self.becns
     }
 
     /// UE holds taken (TCD variant).
-    pub fn holds(&self) -> u64 {
+    pub fn holds(&self) -> u32 {
         self.holds
     }
 
@@ -120,7 +117,19 @@ impl IbCc {
     }
 }
 
-impl RateController for IbCc {
+impl IbCc<'static> {
+    /// Standard IB CC ([`IbCcConfig::STANDARD`]).
+    pub fn standard() -> Self {
+        IbCc::new(&IbCcConfig::STANDARD)
+    }
+
+    /// TCD-aware IB CC ([`IbCcConfig::TCD`]).
+    pub fn with_tcd() -> Self {
+        IbCc::new(&IbCcConfig::TCD)
+    }
+}
+
+impl RateController for IbCc<'_> {
     fn start(&mut self, _now: SimTime, line_rate: Rate) -> CcAction {
         self.line_rate = line_rate;
         self.ccti = 0;
@@ -133,15 +142,15 @@ impl RateController for IbCc {
                 match code {
                     CodePoint::CongestionEncountered => {
                         self.ccti = (self.ccti + self.cfg.ccti_increase).min(self.cfg.ccti_max);
-                        self.becns += 1;
+                        self.becns = self.becns.saturating_add(1);
                     }
                     CodePoint::UndeterminedEncountered if self.cfg.hold_on_ue => {
-                        self.holds += 1;
+                        self.holds = self.holds.saturating_add(1);
                     }
                     CodePoint::UndeterminedEncountered => {
                         // A legacy CA treats any BECN as congestion.
                         self.ccti = (self.ccti + self.cfg.ccti_increase).min(self.cfg.ccti_max);
-                        self.becns += 1;
+                        self.becns = self.becns.saturating_add(1);
                     }
                     _ => {}
                 }
@@ -172,26 +181,26 @@ impl RateController for IbCc {
 mod tests {
     use super::*;
 
-    fn started(cfg: IbCcConfig) -> IbCc {
+    fn started(cfg: &IbCcConfig) -> IbCc<'_> {
         let mut c = IbCc::new(cfg);
         let _ = c.start(SimTime::ZERO, Rate::from_gbps(40));
         c
     }
 
-    fn becn(c: &mut IbCc, code: CodePoint) {
+    fn becn(c: &mut IbCc<'_>, code: CodePoint) {
         let _ = c.on_event(SimTime::ZERO, CcEvent::Feedback { code });
     }
 
     #[test]
     fn starts_uncongested_at_line_rate() {
-        let c = started(IbCcConfig::default());
+        let c = started(&IbCcConfig::STANDARD);
         assert_eq!(c.ccti(), 0);
         assert_eq!(c.rate(), Rate::from_gbps(40));
     }
 
     #[test]
     fn becn_throttles_injection() {
-        let mut c = started(IbCcConfig::default());
+        let mut c = started(&IbCcConfig::STANDARD);
         becn(&mut c, CodePoint::CE);
         assert_eq!(c.ccti(), 1);
         assert!(c.rate() < Rate::from_gbps(40));
@@ -205,7 +214,7 @@ mod tests {
 
     #[test]
     fn ccti_timer_recovers() {
-        let mut c = started(IbCcConfig::default());
+        let mut c = started(&IbCcConfig::STANDARD);
         for _ in 0..4 {
             becn(&mut c, CodePoint::CE);
         }
@@ -223,20 +232,21 @@ mod tests {
 
     #[test]
     fn ccti_saturates_at_max() {
-        let mut c = started(IbCcConfig {
+        let cfg = IbCcConfig {
             ccti_max: 10,
-            ..Default::default()
-        });
+            ..IbCcConfig::STANDARD
+        };
+        let mut c = started(&cfg);
         for _ in 0..100 {
             becn(&mut c, CodePoint::CE);
         }
         assert_eq!(c.ccti(), 10);
-        assert!(c.rate() >= IbCcConfig::default().min_rate);
+        assert!(c.rate() >= IbCcConfig::STANDARD.min_rate);
     }
 
     #[test]
     fn tcd_variant_holds_on_ue_and_steps_double_on_ce() {
-        let mut c = started(IbCcConfig::tcd());
+        let mut c = started(&IbCcConfig::TCD);
         becn(&mut c, CodePoint::UE);
         assert_eq!(c.ccti(), 0, "UE must not throttle");
         assert_eq!(c.holds(), 1);
@@ -246,18 +256,18 @@ mod tests {
 
     #[test]
     fn legacy_ca_throttles_on_any_becn() {
-        let mut c = started(IbCcConfig::default());
+        let mut c = started(&IbCcConfig::STANDARD);
         becn(&mut c, CodePoint::UE);
         assert_eq!(c.ccti(), 1, "legacy CA cannot distinguish UE");
     }
 
     #[test]
     fn timer_reschedules_itself() {
-        let mut c = started(IbCcConfig::default());
+        let mut c = started(&IbCcConfig::STANDARD);
         let a = c.on_event(SimTime::ZERO, CcEvent::Timer { id: TIMER_CCTI });
         assert_eq!(
             a.timers().collect::<Vec<_>>(),
-            [(TIMER_CCTI, IbCcConfig::default().ccti_timer)]
+            [(TIMER_CCTI, IbCcConfig::STANDARD.ccti_timer)]
         );
     }
 

@@ -13,10 +13,15 @@
 //! it is that utilization telemetry alone cannot separate paused victims
 //! from congested culprits.
 //!
-//! All three implement
+//! All four implement
 //! [`RateController`](lossless_netsim::cchooks::RateController), so an
 //! experiment switches algorithm (or TCD-awareness) by constructing a
 //! different controller per flow — nothing else in the simulator changes.
+//!
+//! A controller borrows its parameters. Each preset is an associated
+//! const ([`DcqcnConfig::STANDARD`], [`DcqcnConfig::TCD`], and likewise for
+//! the other three), so `Dcqcn::with_tcd()` holds a `&'static` reference
+//! and every flow of a simulation shares one copy of its preset.
 //!
 //! The rate-adjustment principles for the TCD variants follow the paper:
 //! *congested* flows (CE) decrease aggressively because they are the real

@@ -24,7 +24,7 @@ use tcd_core::CodePoint;
 
 /// TIMELY parameters; defaults follow the TIMELY paper, with the additive
 /// step scaled for 40 Gbps fabrics.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelyConfig {
     /// EWMA weight for the RTT-difference filter (paper: α = 0.875 applied
     /// as `d ← (1 − α)·d + α·new` — i.e. heavily weighting the new sample).
@@ -41,7 +41,8 @@ pub struct TimelyConfig {
     pub t_low: SimDuration,
     /// Above this RTT, always decrease (default 500 µs).
     pub t_high: SimDuration,
-    /// The propagation-level minimum RTT used to normalize gradients.
+    /// The propagation-level minimum RTT used to normalize gradients
+    /// (default 20 µs).
     pub min_rtt: SimDuration,
     /// Consecutive non-positive-gradient completions before hyper-active
     /// increase (default 5).
@@ -54,46 +55,49 @@ pub struct TimelyConfig {
     /// decrease within microseconds.
     pub update_interval: SimDuration,
     /// TCD awareness: hold when the ACK echoes UE and the gradient is
-    /// positive within the (T_low, T_high) band.
+    /// positive within the (T_low, T_high) band (default false; true in
+    /// the TCD variant).
     pub hold_on_ue: bool,
 }
 
-impl Default for TimelyConfig {
-    fn default() -> Self {
-        TimelyConfig {
-            ewma_alpha: 0.875,
-            delta: Rate::from_mbps(40),
-            beta: 0.8,
-            beta_ce: 0.8,
-            t_low: SimDuration::from_us(50),
-            t_high: SimDuration::from_us(500),
-            min_rtt: SimDuration::from_us(20),
-            hai_threshold: 5,
-            min_rate: Rate::from_mbps(10),
-            update_interval: SimDuration::from_us(25),
-            hold_on_ue: false,
-        }
-    }
-}
-
 impl TimelyConfig {
+    /// Standard TIMELY, with the defaults stated on each field.
+    pub const STANDARD: TimelyConfig = TimelyConfig {
+        ewma_alpha: 0.875,
+        delta: Rate::from_mbps(40),
+        beta: 0.8,
+        beta_ce: 0.8,
+        t_low: SimDuration::from_us(50),
+        t_high: SimDuration::from_us(500),
+        min_rtt: SimDuration::from_us(20),
+        hai_threshold: 5,
+        min_rate: Rate::from_mbps(10),
+        update_interval: SimDuration::from_us(25),
+        hold_on_ue: false,
+    };
+
     /// The TCD-aware variant of §5.2.3: hold when UE with a positive
     /// gradient; cut with the aggressive β only on CE (the real
     /// contributors), keeping the standard β for unmarked/pause-inflated
     /// RTT samples.
-    pub fn tcd() -> Self {
-        TimelyConfig {
-            beta_ce: 1.6,
-            hold_on_ue: true,
-            ..Default::default()
-        }
+    pub const TCD: TimelyConfig = TimelyConfig {
+        beta_ce: 1.6,
+        hold_on_ue: true,
+        ..TimelyConfig::STANDARD
+    };
+}
+
+impl Default for TimelyConfig {
+    fn default() -> Self {
+        TimelyConfig::STANDARD
     }
 }
 
-/// A TIMELY controller for one flow.
+/// A TIMELY controller for one flow. It borrows its parameters, as
+/// [`Dcqcn`](crate::Dcqcn) does.
 #[derive(Debug, Clone)]
-pub struct Timely {
-    cfg: TimelyConfig,
+pub struct Timely<'c> {
+    cfg: &'c TimelyConfig,
     line_rate: Rate,
     rate: Rate,
     prev_rtt: Option<SimDuration>,
@@ -103,13 +107,17 @@ pub struct Timely {
     neg_gradient_streak: u32,
     /// Last time the rate was updated (per-RTT gating).
     last_update: Option<SimTime>,
-    decreases: u64,
-    holds: u64,
+    /// Diagnostics; saturating.
+    decreases: u32,
+    holds: u32,
 }
 
-impl Timely {
-    /// New controller with `cfg`.
-    pub fn new(cfg: TimelyConfig) -> Timely {
+// One per registered flow, boxed: keep it at its borrowed-preset size.
+const _: () = assert!(std::mem::size_of::<Timely<'static>>() == 80);
+
+impl<'c> Timely<'c> {
+    /// New controller with parameters `cfg`.
+    pub fn new(cfg: &'c TimelyConfig) -> Timely<'c> {
         assert!(cfg.ewma_alpha > 0.0 && cfg.ewma_alpha <= 1.0);
         assert!(cfg.t_low < cfg.t_high);
         assert!(cfg.min_rtt > SimDuration::ZERO);
@@ -126,23 +134,13 @@ impl Timely {
         }
     }
 
-    /// Standard TIMELY.
-    pub fn standard() -> Timely {
-        Timely::new(TimelyConfig::default())
-    }
-
-    /// TCD-aware TIMELY.
-    pub fn with_tcd() -> Timely {
-        Timely::new(TimelyConfig::tcd())
-    }
-
     /// Multiplicative decreases taken.
-    pub fn decreases(&self) -> u64 {
+    pub fn decreases(&self) -> u32 {
         self.decreases
     }
 
     /// UE holds taken (TCD variant).
-    pub fn holds(&self) -> u64 {
+    pub fn holds(&self) -> u32 {
         self.holds
     }
 
@@ -189,7 +187,7 @@ impl Timely {
             // Positive gradient inside the band: this is where PAUSEs and
             // congestion are indistinguishable by delay alone.
             if self.cfg.hold_on_ue && code.is_ue() {
-                self.holds += 1;
+                self.holds = self.holds.saturating_add(1);
                 self.neg_gradient_streak = 0;
                 return;
             }
@@ -209,11 +207,23 @@ impl Timely {
         let f = factor.clamp(0.0, 0.9);
         self.rate = self.clamp(self.rate.scale(1.0 - f));
         self.neg_gradient_streak = 0;
-        self.decreases += 1;
+        self.decreases = self.decreases.saturating_add(1);
     }
 }
 
-impl RateController for Timely {
+impl Timely<'static> {
+    /// Standard TIMELY ([`TimelyConfig::STANDARD`]).
+    pub fn standard() -> Self {
+        Timely::new(&TimelyConfig::STANDARD)
+    }
+
+    /// TCD-aware TIMELY ([`TimelyConfig::TCD`]).
+    pub fn with_tcd() -> Self {
+        Timely::new(&TimelyConfig::TCD)
+    }
+}
+
+impl RateController for Timely<'_> {
     fn start(&mut self, _now: SimTime, line_rate: Rate) -> CcAction {
         self.line_rate = line_rate;
         self.rate = line_rate;
@@ -251,7 +261,7 @@ impl RateController for Timely {
 mod tests {
     use super::*;
 
-    fn started(cfg: TimelyConfig) -> Timely {
+    fn started(cfg: &TimelyConfig) -> Timely<'_> {
         let mut t = Timely::new(cfg);
         let _ = t.start(SimTime::ZERO, Rate::from_gbps(40));
         t
@@ -259,7 +269,7 @@ mod tests {
 
     /// Deliver an ACK, advancing a private clock far enough that the
     /// per-RTT update gate never suppresses it.
-    fn ack(t: &mut Timely, rtt_us: u64, code: CodePoint) {
+    fn ack(t: &mut Timely<'_>, rtt_us: u64, code: CodePoint) {
         let now = SimTime::from_us(
             t.last_update
                 .map(|u| u.as_ps() / 1_000_000 + 30)
@@ -278,7 +288,7 @@ mod tests {
 
     #[test]
     fn updates_are_gated_per_rtt() {
-        let mut t = started(TimelyConfig::default());
+        let mut t = started(&TimelyConfig::STANDARD);
         // Two high-RTT acks within the update interval: only one decrease.
         let _ = t.on_event(
             SimTime::from_us(1),
@@ -314,13 +324,13 @@ mod tests {
 
     #[test]
     fn starts_at_line_rate() {
-        let t = started(TimelyConfig::default());
+        let t = started(&TimelyConfig::STANDARD);
         assert_eq!(t.rate(), Rate::from_gbps(40));
     }
 
     #[test]
     fn low_rtt_increases_rate() {
-        let mut t = started(TimelyConfig::default());
+        let mut t = started(&TimelyConfig::STANDARD);
         // First bring the rate down so increases are visible.
         ack(&mut t, 1000, CodePoint::Capable);
         let r0 = t.rate();
@@ -330,7 +340,7 @@ mod tests {
 
     #[test]
     fn rtt_above_thigh_decreases() {
-        let mut t = started(TimelyConfig::default());
+        let mut t = started(&TimelyConfig::STANDARD);
         ack(&mut t, 1000, CodePoint::Capable);
         assert!(t.rate() < Rate::from_gbps(40));
         assert_eq!(t.decreases(), 1);
@@ -338,7 +348,7 @@ mod tests {
 
     #[test]
     fn rising_rtt_in_band_decreases() {
-        let mut t = started(TimelyConfig::default());
+        let mut t = started(&TimelyConfig::STANDARD);
         // RTTs rising within (T_low, T_high): positive gradient.
         ack(&mut t, 60, CodePoint::Capable);
         ack(&mut t, 120, CodePoint::Capable);
@@ -349,7 +359,7 @@ mod tests {
 
     #[test]
     fn falling_rtt_in_band_increases() {
-        let mut t = started(TimelyConfig::default());
+        let mut t = started(&TimelyConfig::STANDARD);
         ack(&mut t, 1000, CodePoint::Capable); // come off the ceiling
         let r0 = t.rate();
         ack(&mut t, 300, CodePoint::Capable);
@@ -360,8 +370,7 @@ mod tests {
 
     #[test]
     fn hai_kicks_in_after_streak() {
-        let cfg = TimelyConfig::default();
-        let mut t = started(cfg);
+        let mut t = started(&TimelyConfig::STANDARD);
         ack(&mut t, 1000, CodePoint::Capable);
         let base = t.rate();
         // Feed a long falling-RTT streak; the later steps must be larger
@@ -378,7 +387,7 @@ mod tests {
 
     #[test]
     fn tcd_holds_on_ue_with_positive_gradient() {
-        let mut t = started(TimelyConfig::tcd());
+        let mut t = started(&TimelyConfig::TCD);
         ack(&mut t, 60, CodePoint::UE);
         let r = t.rate();
         ack(&mut t, 150, CodePoint::UE); // rising RTT but only UE
@@ -389,7 +398,7 @@ mod tests {
 
     #[test]
     fn tcd_still_decreases_on_ce() {
-        let mut t = started(TimelyConfig::tcd());
+        let mut t = started(&TimelyConfig::TCD);
         ack(&mut t, 60, CodePoint::CE);
         ack(&mut t, 150, CodePoint::CE);
         ack(&mut t, 250, CodePoint::CE);
@@ -398,8 +407,8 @@ mod tests {
 
     #[test]
     fn tcd_beta_cuts_harder() {
-        let mut std = started(TimelyConfig::default());
-        let mut tcd = started(TimelyConfig::tcd());
+        let mut std = started(&TimelyConfig::STANDARD);
+        let mut tcd = started(&TimelyConfig::TCD);
         for t in [&mut std, &mut tcd] {
             ack(t, 60, CodePoint::CE);
             ack(t, 150, CodePoint::CE);
@@ -412,7 +421,7 @@ mod tests {
     fn plain_timely_throttles_victims_on_pause_inflation() {
         // The §5.2.3 flaw: UE-marked (pause-inflated) RTTs still reduce a
         // non-TCD TIMELY.
-        let mut t = started(TimelyConfig::default());
+        let mut t = started(&TimelyConfig::STANDARD);
         ack(&mut t, 60, CodePoint::UE);
         ack(&mut t, 200, CodePoint::UE);
         ack(&mut t, 400, CodePoint::UE);
@@ -421,11 +430,11 @@ mod tests {
 
     #[test]
     fn rate_floor_respected() {
-        let mut t = started(TimelyConfig::default());
+        let mut t = started(&TimelyConfig::STANDARD);
         for _ in 0..500 {
             ack(&mut t, 5000, CodePoint::Capable);
         }
-        assert_eq!(t.rate(), TimelyConfig::default().min_rate);
+        assert_eq!(t.rate(), TimelyConfig::STANDARD.min_rate);
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl FlowTimers {
     /// the earlier one.
     #[expect(
         clippy::panic,
-        reason = "documented contract: a controller keeps at most two timer ids outstanding per flow, a third is a controller bug (ROADMAP item 2 makes it a structured error)"
+        reason = "documented contract: a controller keeps at most two timer ids outstanding per flow, a third is a controller bug (ROADMAP item 8 makes it a structured error)"
     )]
     fn set(&mut self, id: u32, at: SimTime) {
         let slots = &mut self.slots;

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Paired benchmark runs: a committed revision against the working tree.
+# Paired runs: a committed revision against the working tree.
 #
 #   scripts/pairs.sh <rev> <workload> <seed> <n>
+#   scripts/pairs.sh <rev> tier1 - <n>
 #
-# Builds the stand-alone tcdbench of <rev> (exported with `git archive`
-# into target/pairs/src-<sha>) and of the working tree, each with its own
-# CARGO_TARGET_DIR, offline. Then runs BENCHMARK.json's command with
-# `--workload <workload> --seed <seed> --seconds <run_seconds> --trace 0`
+# Benchmark mode builds the stand-alone tcdbench of <rev> (exported with
+# `git archive` into target/pairs/src-<sha>) and of the working tree, each
+# with its own CARGO_TARGET_DIR, offline. Then runs BENCHMARK.json's command
+# with `--workload <workload> --seed <seed> --seconds <run_seconds> --trace 0`
 # <n> times per side, alternating which side goes first, and appends every
 # run (its closing JSON line) to target/pairs/log.jsonl. Prints, for every
 # end-to-end metric of BENCHMARK.json: median [q1, q3] per side, the change
@@ -14,14 +15,24 @@
 # |Δmedian| against the parent's interquartile range. A claim holds where
 # the wins are at least 9 of 10 and |Δmedian| exceeds the parent IQR.
 #
-# Needs git, cargo and python3. Touches neither BENCHMARK.json nor the
-# tcdbench sources.
+# tier1 mode times the developer loop instead: `cargo build --release
+# --offline && cargo test -q --offline` in each side's exported tree (the
+# working tree's tracked and unignored files are copied to
+# target/pairs/src-work), each side with its own target dir. One untimed
+# run per side first builds everything, so the timed runs are warm. Each
+# timed run's wall time goes to target/pairs/log.jsonl as `wall_s` (its
+# output to target/pairs/tier1-<side>-<pair>.log) and is summarized in the
+# same format.
+#
+# Needs git, cargo, tar and python3. Touches neither BENCHMARK.json nor
+# the tcdbench sources.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$(pwd)
 
 if [ $# -ne 4 ]; then
     echo "usage: scripts/pairs.sh <rev> <workload> <seed> <n>" >&2
+    echo "       scripts/pairs.sh <rev> tier1 - <n>" >&2
     exit 2
 fi
 rev=$1 workload=$2 seed=$3 n=$4
@@ -41,35 +52,67 @@ if [ ! -d "$src_parent" ]; then
     mv "$src_parent.tmp" "$src_parent"
 fi
 
-# side name -> source root and target dir
-declare -A src=([parent]=$src_parent [change]=$root)
-declare -A tgt=([parent]=$out/build-$sha [change]=$out/build-work)
-for side in parent change; do
-    echo "building $side ($([ "$side" = parent ] && echo "$sha" || echo "working tree"))" >&2
-    (cd "${src[$side]}" && CARGO_TARGET_DIR=${tgt[$side]} \
-        cargo build --release --quiet --offline --manifest-path "$manifest")
-done
-
 run_id=$(date -u +%Y%m%dT%H%M%SZ)-$$
-run_one() { # side, pair, position
-    local side=$1 line rc=0
-    line=$(cd "${src[$side]}" && CARGO_TARGET_DIR=${tgt[$side]} \
-        "${cmd[@]}" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
-        | tail -n 1) || rc=$?
-    python3 - "$out/log.jsonl" "$run_id" "$sha" "$side" "$workload" "$seed" "$2" "$3" "$rc" "$line" <<'EOF'
+log_run() { # side, pair, position, exit status, closing JSON line, wall s
+    python3 - "$out/log.jsonl" "$run_id" "$sha" "$1" "$workload" "$seed" "$2" "$3" "$4" "$5" "$6" <<'EOF'
 import json, sys
-log, run_id, sha, side, workload, seed, pair, pos, rc, line = sys.argv[1:]
+log, run_id, sha, side, workload, seed, pair, pos, rc, line, wall = sys.argv[1:]
 try:
     closing = json.loads(line)
 except ValueError:
     closing = None
 rec = {"run": run_id, "parent": sha, "side": side, "workload": workload,
-       "seed": int(seed), "pair": int(pair), "position": int(pos),
+       "seed": None if seed == "-" else int(seed), "pair": int(pair), "position": int(pos),
        "exit": int(rc), "closing": closing}
+if wall:
+    rec["wall_s"] = float(wall)
 with open(log, "a") as f:
     f.write(json.dumps(rec) + "\n")
 EOF
 }
+
+if [ "$workload" = tier1 ]; then
+    # The working tree as `git add -A` would stage it.
+    src_work=$out/src-work
+    rm -rf "$src_work"
+    mkdir -p "$src_work"
+    git ls-files -z --cached --others --exclude-standard \
+        | while IFS= read -r -d '' f; do if [ -e "$f" ]; then printf '%s\0' "$f"; fi; done \
+        | tar --null -T - -cf - | tar -xf - -C "$src_work"
+    declare -A src=([parent]=$src_parent [change]=$src_work)
+    declare -A tgt=([parent]=$out/tier1-build-$sha [change]=$out/tier1-build-work)
+    tier1() { # side, output file
+        (cd "${src[$1]}" && export CARGO_TARGET_DIR=${tgt[$1]} &&
+            cargo build --release --offline && cargo test -q --offline) > "$2" 2>&1
+    }
+    for side in parent change; do
+        echo "warming $side ($([ "$side" = parent ] && echo "$sha" || echo "working tree"))" >&2
+        tier1 "$side" "$out/tier1-$side-0.log"
+    done
+    run_one() { # side, pair, position
+        local rc=0 t0 t1
+        t0=$(date +%s.%N)
+        tier1 "$1" "$out/tier1-$1-$2.log" || rc=$?
+        t1=$(date +%s.%N)
+        log_run "$1" "$2" "$3" "$rc" "" "$(python3 -c "print($t1 - $t0)")"
+    }
+else
+    # side name -> source root and target dir
+    declare -A src=([parent]=$src_parent [change]=$root)
+    declare -A tgt=([parent]=$out/build-$sha [change]=$out/build-work)
+    for side in parent change; do
+        echo "building $side ($([ "$side" = parent ] && echo "$sha" || echo "working tree"))" >&2
+        (cd "${src[$side]}" && CARGO_TARGET_DIR=${tgt[$side]} \
+            cargo build --release --quiet --offline --manifest-path "$manifest")
+    done
+    run_one() { # side, pair, position
+        local side=$1 line rc=0
+        line=$(cd "${src[$side]}" && CARGO_TARGET_DIR=${tgt[$side]} \
+            "${cmd[@]}" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+            | tail -n 1) || rc=$?
+        log_run "$side" "$2" "$3" "$rc" "$line" ""
+    }
+fi
 
 for ((i = 1; i <= n; i++)); do
     if ((i % 2)); then order=(parent change); else order=(change parent); fi
@@ -100,18 +143,22 @@ def quartiles(xs):
 
 
 def metric(r, name):
+    if name in r:
+        return r[name]
     m = ((r["closing"] or {}).get("metrics") or {}).get(name)
     return m and m.get("value")
 
 
 first = runs[0]
+tier1 = first["workload"] == "tier1"
 print(f"pairs {first['workload']} seed {first['seed']}: parent {first['parent']} vs working tree, "
       f"{len(runs) // 2} pairs, log {log} run {run_id}")
-failed = [r for r in runs if r["exit"] != 0 or r["closing"] is None]
+failed = [r for r in runs if r["exit"] != 0 or (r["closing"] is None and not tier1)]
 for side in ("parent", "change"):
-    ops = [(r["closing"] or {}).get("failed") for r in runs if r["side"] == side]
-    print(f"  {side}: ops failed per run {ops}, nonzero exits {sum(r['side'] == side for r in failed)}")
-for m in bench["end_to_end"]:
+    ops = "" if tier1 else f"ops failed per run {[(r['closing'] or {}).get('failed') for r in runs if r['side'] == side]}, "
+    print(f"  {side}: {ops}nonzero exits {sum(r['side'] == side for r in failed)}")
+metrics = [{"name": "wall_s", "better": "lower"}] if tier1 else bench["end_to_end"]
+for m in metrics:
     name, lower = m["name"], m["better"] == "lower"
     pairs = {}
     for r in runs:

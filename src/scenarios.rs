@@ -17,7 +17,7 @@
 //! named scenarios exist, and how each is built, is decided here and
 //! nowhere else.
 
-use lossless_cc::{Dcqcn, DcqcnConfig, Hpcc, IbCc, IbCcConfig, Timely, TimelyConfig};
+use lossless_cc::{Dcqcn, Hpcc, IbCc, Timely};
 use lossless_flowctl::cbfc::CbfcConfig;
 use lossless_flowctl::pfc::PfcConfig;
 use lossless_flowctl::{Rate, SimDuration, SimTime};
@@ -92,12 +92,12 @@ impl Cc {
     /// Instantiate a controller for one flow.
     pub fn controller(&self) -> Box<dyn RateController> {
         match (self.algo, self.tcd) {
-            (CcAlgo::Dcqcn, false) => Box::new(Dcqcn::new(DcqcnConfig::default())),
-            (CcAlgo::Dcqcn, true) => Box::new(Dcqcn::new(DcqcnConfig::tcd())),
-            (CcAlgo::Timely, false) => Box::new(Timely::new(TimelyConfig::default())),
-            (CcAlgo::Timely, true) => Box::new(Timely::new(TimelyConfig::tcd())),
-            (CcAlgo::IbCc, false) => Box::new(IbCc::new(IbCcConfig::default())),
-            (CcAlgo::IbCc, true) => Box::new(IbCc::new(IbCcConfig::tcd())),
+            (CcAlgo::Dcqcn, false) => Box::new(Dcqcn::standard()),
+            (CcAlgo::Dcqcn, true) => Box::new(Dcqcn::with_tcd()),
+            (CcAlgo::Timely, false) => Box::new(Timely::standard()),
+            (CcAlgo::Timely, true) => Box::new(Timely::with_tcd()),
+            (CcAlgo::IbCc, false) => Box::new(IbCc::standard()),
+            (CcAlgo::IbCc, true) => Box::new(IbCc::with_tcd()),
             (CcAlgo::Hpcc, _) => Box::new(Hpcc::standard()),
         }
     }
