@@ -10,6 +10,8 @@
 use crate::packet::FlowId;
 use crate::topology::NodeId;
 use lossless_flowctl::SimTime;
+use lossless_obs::fnv::Block;
+use lossless_obs::Fnv;
 use tcd_core::{CodePoint, TernaryState};
 
 /// One periodic sample of an egress (port, priority).
@@ -87,6 +89,47 @@ impl FlowRecord {
     pub fn fct(&self) -> Option<lossless_flowctl::SimDuration> {
         self.end.map(|e| e.saturating_since(self.start))
     }
+
+    /// What the run fingerprint covers of this record, in hash order (the
+    /// golden trace's flow-line order); `end` is `u64::MAX` for a flow
+    /// that did not finish.
+    pub fn words(&self) -> [u64; 8] {
+        [
+            self.flow.0 as u64,
+            self.size,
+            self.start.as_ps(),
+            self.end.map_or(u64::MAX, |e| e.as_ps()),
+            self.delivered.pkts,
+            self.delivered.bytes,
+            self.delivered.ce,
+            self.delivered.ue,
+        ]
+    }
+}
+
+/// The last five of [`FlowRecord::words`] for a flow that has not
+/// finished and has delivered nothing — every flow that never started,
+/// which in a large registered workload is most of them.
+pub const IDLE_TAIL: [u64; 5] = [u64::MAX, 0, 0, 0, 0];
+
+/// [`IDLE_TAIL`]'s 40 bytes as one FNV-1a step.
+static IDLE_TAIL_BLOCK: Block = Block::of_words(&IDLE_TAIL);
+
+/// Fold one flow's words into `f`; true when its tail was [`IDLE_TAIL`].
+#[inline]
+fn hash_flow(f: &mut Fnv, words: &[u64; 8]) -> bool {
+    let [id, size, start, tail @ ..] = words;
+    for &w in [id, size, start] {
+        f.write_u64(w);
+    }
+    if *tail == IDLE_TAIL {
+        f.block(&IDLE_TAIL_BLOCK);
+        return true;
+    }
+    for &w in tail {
+        f.write_u64(w);
+    }
+    false
 }
 
 /// One logged data-packet delivery (only when `record_deliveries` is on).
@@ -260,6 +303,37 @@ impl Trace {
         } else {
             d.ue as f64 / d.pkts as f64
         }
+    }
+
+    /// FNV-1a digest of everything a run observably computed: every
+    /// flow's [`words`](FlowRecord::words), then the forwarded, PAUSE,
+    /// drop, port-sample and event counts. Two runs with equal
+    /// fingerprints delivered the same bytes with the same markings at
+    /// the same (picosecond) times.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint_visit(|_, _| {})
+    }
+
+    /// [`fingerprint`](Trace::fingerprint), handing `visit` each flow's
+    /// words as they are hashed, with whether the tail was [`IDLE_TAIL`]
+    /// — so an exporter can print what it hashes in one pass.
+    pub fn fingerprint_visit(&self, mut visit: impl FnMut(&[u64; 8], bool)) -> u64 {
+        let mut f = Fnv::new();
+        for r in &self.flows {
+            let words = r.words();
+            let idle = hash_flow(&mut f, &words);
+            visit(&words, idle);
+        }
+        for w in [
+            self.forwarded_pkts,
+            self.pause_frames,
+            self.drops,
+            self.port_samples.len() as u64,
+            self.events,
+        ] {
+            f.write_u64(w);
+        }
+        f.finish()
     }
 
     /// Samples of one `(node, port, prio)` egress, in time order.

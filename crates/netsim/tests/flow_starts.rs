@@ -13,9 +13,6 @@ use lossless_netsim::routing::RouteSelect;
 use lossless_netsim::topology::{figure2, Figure2, Figure2Options};
 use lossless_netsim::{NodeId, Simulator};
 
-mod common;
-use common::run_fingerprint;
-
 /// Every flow's completion time (ps), in registration order.
 fn ends(sim: &Simulator) -> Vec<Option<u64>> {
     sim.trace
@@ -81,7 +78,7 @@ fn starts_registered_out_of_order_run_in_start_order() {
         ],
     );
     sim.run();
-    let got = (ends(&sim), sim.trace.events, run_fingerprint(&sim));
+    let got = (ends(&sim), sim.trace.events, sim.trace.fingerprint());
     assert_eq!(
         got,
         (
@@ -132,7 +129,7 @@ fn tied_starts_at_zero_against_credit_and_trace_ticks() {
         ],
     );
     sim.run();
-    let got = (ends(&sim), sim.trace.events, run_fingerprint(&sim));
+    let got = (ends(&sim), sim.trace.events, sim.trace.fingerprint());
     assert_eq!(
         got,
         (
@@ -191,7 +188,7 @@ fn flows_added_between_run_until_calls_merge_into_the_start_order() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    let got = (ends(&sim), sim.trace.events, run_fingerprint(&sim));
+    let got = (ends(&sim), sim.trace.events, sim.trace.fingerprint());
     assert_eq!(
         got,
         (

@@ -12,9 +12,6 @@ use lossless_netsim::{NodeId, Simulator};
 use tcd_core::model::ib_max_ton;
 use tcd_core::TcdConfig;
 
-mod common;
-use common::run_fingerprint;
-
 /// Two senders converging on one sink through a single switch, so the
 /// switch egress (not the host NICs) is the arbitration point.
 struct Fanin {
@@ -90,7 +87,7 @@ fn wrr_splits_a_saturated_link_by_weight() {
     // The exact service order, not only the shares: the fingerprint the
     // `Vec`-building arbiter produced before the lane-major re-layout.
     assert_eq!(
-        format!("{:016x}", run_fingerprint(&sim)),
+        format!("{:016x}", sim.trace.fingerprint()),
         "9517c9bd23f2fa38",
         "WRR service order moved"
     );

@@ -37,6 +37,7 @@
     clippy::allow_attributes_without_reason
 )]
 
+pub mod fnv;
 pub mod json;
 pub mod metrics;
 pub mod perfetto;
@@ -49,6 +50,7 @@ use lossless_flowctl::{SimDuration, SimTime};
 use tcd_core::state::Transition;
 use tcd_core::{CodePoint, TernaryState};
 
+pub use fnv::Fnv;
 pub use metrics::{Key, Registry, NODE_GLOBAL};
 pub use recorder::{FlightRecorder, Record, RecordKind};
 

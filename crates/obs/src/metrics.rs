@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json;
+use crate::Fnv;
 
 /// The `node` value used for engine-global instruments (event dispatch
 /// counts, packet-pool statistics, trace drop counters) that are not tied
@@ -289,22 +290,22 @@ impl Registry {
     pub fn fingerprint(&self) -> u64 {
         let mut f = Fnv::new();
         for (k, &v) in &self.counters {
-            f.key(k);
-            f.u64(v);
+            hash_key(&mut f, k);
+            f.write_u64(v);
         }
-        f.u64(0xC0);
+        f.write_u64(0xC0);
         for (k, &v) in &self.gauges {
-            f.key(k);
-            f.u64(v as u64);
+            hash_key(&mut f, k);
+            f.write_u64(v as u64);
         }
-        f.u64(0xC1);
+        f.write_u64(0xC1);
         for (k, h) in &self.histos {
-            f.key(k);
-            f.u64(h.count);
-            f.u64(h.sum);
+            hash_key(&mut f, k);
+            f.write_u64(h.count);
+            f.write_u64(h.sum);
             for (lo, c) in h.buckets() {
-                f.u64(lo);
-                f.u64(c);
+                f.write_u64(lo);
+                f.write_u64(c);
             }
         }
         f.finish()
@@ -386,36 +387,14 @@ fn key_json(k: &Key) -> String {
     )
 }
 
-/// 64-bit FNV-1a, shared with the harness's run fingerprints.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf29ce484222325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-    fn key(&mut self, k: &Key) {
-        self.u64(k.node as u64);
-        self.u64(k.port as u64);
-        self.u64(k.prio as u64);
-        self.bytes(k.name.as_bytes());
-        self.0 ^= 0xff;
-        self.0 = self.0.wrapping_mul(0x100000001b3);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// The registry's hashing of a key: its coordinates, its name, and a
+/// terminator byte so that adjacent names cannot run together.
+fn hash_key(f: &mut Fnv, k: &Key) {
+    f.write_u64(k.node as u64);
+    f.write_u64(k.port as u64);
+    f.write_u64(k.prio as u64);
+    f.bytes(k.name.as_bytes());
+    f.bytes(&[0xff]);
 }
 
 #[cfg(test)]

@@ -12,6 +12,8 @@ use std::collections::BTreeMap;
 
 use lossless_flowctl::{SimDuration, SimTime};
 
+use crate::Fnv;
+
 /// What a record describes. Stored as a raw `u8` in the binary encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -248,14 +250,11 @@ impl FlightRecorder {
             .copied()
             .collect();
         records.sort_by_key(|r| (r.t, r.seq));
-        let mut h: u64 = 0xcbf29ce484222325;
+        let mut f = Fnv::new();
         for r in &records {
-            for b in r.encode() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
+            f.bytes(&r.encode());
         }
-        h
+        f.finish()
     }
 }
 

@@ -5,7 +5,7 @@
 //! alone on an idle network: serialization at the line rate plus the base
 //! (propagation + per-hop store-and-forward) latency.
 
-use crate::percentile::{mean, percentile};
+use crate::percentile::{mean, nearest_rank, sorted};
 use lossless_flowctl::{Rate, SimDuration};
 
 /// The idle-network FCT of a `size`-byte flow on a path with line rate
@@ -31,14 +31,17 @@ pub struct SlowdownSummary {
 }
 
 impl SlowdownSummary {
-    /// Summarize a set of slowdowns; `None` if empty.
+    /// Summarize a set of slowdowns; `None` if empty. The percentiles
+    /// are [`percentile`](crate::percentile)'s, read from one sorted copy.
     pub fn of(slowdowns: &[f64]) -> Option<SlowdownSummary> {
+        let mean = mean(slowdowns)?;
+        let v = sorted(slowdowns);
         Some(SlowdownSummary {
             count: slowdowns.len(),
-            mean: mean(slowdowns)?,
-            p50: percentile(slowdowns, 50.0)?,
-            p95: percentile(slowdowns, 95.0)?,
-            p99: percentile(slowdowns, 99.0)?,
+            mean,
+            p50: nearest_rank(&v, 50.0),
+            p95: nearest_rank(&v, 95.0),
+            p99: nearest_rank(&v, 99.0),
         })
     }
 }
@@ -140,6 +143,29 @@ mod tests {
         assert_eq!(sum.p50, 50.0);
         assert_eq!(sum.p99, 99.0);
         assert!(SlowdownSummary::of(&[]).is_none());
+    }
+
+    #[test]
+    fn summary_percentiles_are_the_percentile_calls() {
+        let inputs: [&[f64]; 5] = [
+            &[7.0],
+            &[5.0, 1.0, 3.0, 2.0, 4.0, 2.0],
+            &[3.0, f64::NAN, 1.0, 2.0],
+            &[f64::NAN, f64::NAN, 0.5],
+            &[f64::INFINITY, -0.0, 0.0, 1e300, f64::NAN, 2.5, 1.0, 1.0],
+        ];
+        let many: Vec<f64> = (0..1000)
+            .map(|i| ((i * 7919) % 1013) as f64 / 10.0)
+            .collect();
+        for v in inputs.into_iter().chain([many.as_slice()]) {
+            let s = SlowdownSummary::of(v).unwrap();
+            for (got, p) in [(s.p50, 50.0), (s.p95, 95.0), (s.p99, 99.0)] {
+                let want = crate::percentile(v, p).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "p{p} of {v:?}");
+            }
+            assert_eq!(s.mean.to_bits(), mean(v).unwrap().to_bits());
+            assert_eq!(s.count, v.len());
+        }
     }
 
     #[test]

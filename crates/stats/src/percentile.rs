@@ -14,16 +14,26 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
-    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
+    Some(nearest_rank(&sorted(values), p))
+}
+
+/// A sorted copy of `values`. `total_cmp`: NaN sorts last instead of
+/// panicking, so exporter inputs with a stray NaN degrade gracefully.
+pub(crate) fn sorted(values: &[f64]) -> Vec<f64> {
     let mut v: Vec<f64> = values.to_vec();
-    // total_cmp: NaN sorts last instead of panicking, so exporter inputs
-    // with a stray NaN degrade gracefully.
     v.sort_by(|a, b| a.total_cmp(b));
+    v
+}
+
+/// The `p`-th percentile (0–100) of the non-empty, [`sorted`] `v` by
+/// the nearest-rank method.
+pub(crate) fn nearest_rank(v: &[f64], p: f64) -> f64 {
+    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
     if p == 0.0 {
-        return Some(v[0]);
+        return v[0];
     }
     let rank = (p / 100.0 * v.len() as f64).ceil() as usize;
-    Some(v[rank.clamp(1, v.len()) - 1])
+    v[rank.clamp(1, v.len()) - 1]
 }
 
 /// Arithmetic mean; `None` on an empty slice.

@@ -3,6 +3,7 @@
 #
 #   scripts/pairs.sh <rev> <workload> <seed> <n>
 #   scripts/pairs.sh <rev> tier1 - <n>
+#   scripts/pairs.sh <rev> ci - <n>
 #
 # Benchmark mode builds the stand-alone tcdbench of <rev> (exported with
 # `git archive` into target/pairs/src-<sha>) and of the working tree, each
@@ -24,6 +25,12 @@
 # output to target/pairs/tier1-<side>-<pair>.log) and is summarized in the
 # same format.
 #
+# ci mode does the same for `scripts/ci.sh`, which reads its own build at
+# ./target, so it runs with no CARGO_TARGET_DIR: the parent's tree keeps
+# its build in place, and the working tree's copy (re-made on every call)
+# links its target/ and the stand-alone tcdbench's target/ to
+# target/pairs/ci-build-work. Logs go to target/pairs/ci-<side>-<pair>.log.
+#
 # Needs git, cargo, tar and python3. Touches neither BENCHMARK.json nor
 # the tcdbench sources.
 set -euo pipefail
@@ -33,6 +40,7 @@ root=$(pwd)
 if [ $# -ne 4 ]; then
     echo "usage: scripts/pairs.sh <rev> <workload> <seed> <n>" >&2
     echo "       scripts/pairs.sh <rev> tier1 - <n>" >&2
+    echo "       scripts/pairs.sh <rev> ci - <n>" >&2
     exit 2
 fi
 rev=$1 workload=$2 seed=$3 n=$4
@@ -71,7 +79,7 @@ with open(log, "a") as f:
 EOF
 }
 
-if [ "$workload" = tier1 ]; then
+if [ "$workload" = tier1 ] || [ "$workload" = ci ]; then
     # The working tree as `git add -A` would stage it.
     src_work=$out/src-work
     rm -rf "$src_work"
@@ -80,19 +88,28 @@ if [ "$workload" = tier1 ]; then
         | while IFS= read -r -d '' f; do if [ -e "$f" ]; then printf '%s\0' "$f"; fi; done \
         | tar --null -T - -cf - | tar -xf - -C "$src_work"
     declare -A src=([parent]=$src_parent [change]=$src_work)
+    if [ "$workload" = ci ]; then
+        mkdir -p "$out/ci-build-work/root" "$out/ci-build-work/tcdbench"
+        ln -s "$out/ci-build-work/root" "$src_work/target"
+        ln -s "$out/ci-build-work/tcdbench" "$src_work/crates/bench/src/bin/tcdbench/target"
+    fi
     declare -A tgt=([parent]=$out/tier1-build-$sha [change]=$out/tier1-build-work)
-    tier1() { # side, output file
-        (cd "${src[$1]}" && export CARGO_TARGET_DIR=${tgt[$1]} &&
-            cargo build --release --offline && cargo test -q --offline) > "$2" 2>&1
+    timed() { # side, output file
+        if [ "$workload" = ci ]; then
+            (cd "${src[$1]}" && unset CARGO_TARGET_DIR && bash scripts/ci.sh) > "$2" 2>&1
+        else
+            (cd "${src[$1]}" && export CARGO_TARGET_DIR=${tgt[$1]} &&
+                cargo build --release --offline && cargo test -q --offline) > "$2" 2>&1
+        fi
     }
     for side in parent change; do
         echo "warming $side ($([ "$side" = parent ] && echo "$sha" || echo "working tree"))" >&2
-        tier1 "$side" "$out/tier1-$side-0.log"
+        timed "$side" "$out/$workload-$side-0.log"
     done
     run_one() { # side, pair, position
         local rc=0 t0 t1
         t0=$(date +%s.%N)
-        tier1 "$1" "$out/tier1-$1-$2.log" || rc=$?
+        timed "$1" "$out/$workload-$1-$2.log" || rc=$?
         t1=$(date +%s.%N)
         log_run "$1" "$2" "$3" "$rc" "" "$(python3 -c "print($t1 - $t0)")"
     }
@@ -150,14 +167,14 @@ def metric(r, name):
 
 
 first = runs[0]
-tier1 = first["workload"] == "tier1"
+wall = first["workload"] in ("tier1", "ci")
 print(f"pairs {first['workload']} seed {first['seed']}: parent {first['parent']} vs working tree, "
       f"{len(runs) // 2} pairs, log {log} run {run_id}")
-failed = [r for r in runs if r["exit"] != 0 or (r["closing"] is None and not tier1)]
+failed = [r for r in runs if r["exit"] != 0 or (r["closing"] is None and not wall)]
 for side in ("parent", "change"):
-    ops = "" if tier1 else f"ops failed per run {[(r['closing'] or {}).get('failed') for r in runs if r['side'] == side]}, "
+    ops = "" if wall else f"ops failed per run {[(r['closing'] or {}).get('failed') for r in runs if r['side'] == side]}, "
     print(f"  {side}: {ops}nonzero exits {sum(r['side'] == side for r in failed)}")
-metrics = [{"name": "wall_s", "better": "lower"}] if tier1 else bench["end_to_end"]
+metrics = [{"name": "wall_s", "better": "lower"}] if wall else bench["end_to_end"]
 for m in metrics:
     name, lower = m["name"], m["better"] == "lower"
     pairs = {}

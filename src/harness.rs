@@ -19,9 +19,9 @@
 //! `TCD_THREADS` environment variable, or the machine's parallelism, in
 //! that order (see [`default_threads`]).
 
-use lossless_netsim::trace::{FlowRecord, Trace};
 use lossless_netsim::Simulator;
 use lossless_obs::json::{escape, num_f64, push_i64, push_u64};
+use lossless_obs::Fnv;
 use std::io::IsTerminal as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -312,49 +312,9 @@ fn progress_enabled() -> bool {
     }
 }
 
-/// FNV-1a digest of everything a run observably computed: every flow's
-/// lifecycle record plus the trace's aggregate counters. Two runs with
-/// equal fingerprints delivered the same bytes with the same markings at
-/// the same (picosecond) times.
+/// The run fingerprint, [`Trace::fingerprint`](lossless_netsim::trace::Trace::fingerprint).
 pub fn fingerprint_sim(sim: &Simulator) -> u64 {
-    let t = &sim.trace;
-    let mut f = Fnv::new();
-    for r in &t.flows {
-        for w in flow_words(r) {
-            f.write_u64(w);
-        }
-    }
-    for w in total_words(t) {
-        f.write_u64(w);
-    }
-    f.finish()
-}
-
-/// What the fingerprint covers of one flow record, in hash order (the
-/// golden trace's flow-line order); `end` is `u64::MAX` for a flow that
-/// did not finish.
-fn flow_words(r: &FlowRecord) -> [u64; 8] {
-    [
-        r.flow.0 as u64,
-        r.size,
-        r.start.as_ps(),
-        r.end.map(|e| e.as_ps()).unwrap_or(u64::MAX),
-        r.delivered.pkts,
-        r.delivered.bytes,
-        r.delivered.ce,
-        r.delivered.ue,
-    ]
-}
-
-/// What the fingerprint covers after the flow records, in hash order.
-fn total_words(t: &Trace) -> [u64; 5] {
-    [
-        t.forwarded_pkts,
-        t.pause_frames,
-        t.drops,
-        t.port_samples.len() as u64,
-        t.events,
-    ]
+    sim.trace.fingerprint()
 }
 
 /// Build a [`RunOutcome`] from a finished simulator and its metrics.
@@ -367,13 +327,16 @@ pub fn outcome_of(sim: &Simulator, metrics: Vec<(String, f64)>) -> RunOutcome {
     }
 }
 
-/// The golden flow line's field labels, one per [`flow_words`] entry.
+/// The golden flow line's field labels, one per
+/// [`FlowRecord::words`](lossless_netsim::trace::FlowRecord::words) entry.
 const FLOW_LABELS: [&str; 8] = [
     "flow ", " size=", " start=", " end=", " pkts=", " bytes=", " ce=", " ue=",
 ];
-/// The [`flow_words`] entry printed signed: an unfinished flow's
-/// `u64::MAX` reads `end=-1`.
+/// The word printed signed: an unfinished flow's `u64::MAX` reads `end=-1`.
 const FLOW_END: usize = 3;
+/// How a flow line ends when its last five words are
+/// [`IDLE_TAIL`](lossless_netsim::trace::IDLE_TAIL).
+const IDLE_TAIL_TEXT: &str = " end=-1 pkts=0 bytes=0 ce=0 ue=0\n";
 /// Bytes reserved per flow line and per port-sample line: a little over
 /// what the fat-tree workloads print, so the buffer is allocated once.
 const FLOW_LINE_BYTES: usize = 80;
@@ -387,8 +350,8 @@ const SAMPLE_LINE_BYTES: usize = 64;
 /// [`golden_diff`]. Times are raw picoseconds.
 ///
 /// The fingerprint is hashed in the same pass that prints the flow lines
-/// and patched into its fixed-width header slot afterwards; it equals
-/// [`fingerprint_sim`].
+/// ([`Trace::fingerprint_visit`](lossless_netsim::trace::Trace::fingerprint_visit))
+/// and patched into its fixed-width header slot afterwards.
 pub fn golden_trace(sim: &Simulator, label: &str) -> String {
     let t = &sim.trace;
     let mut s = String::with_capacity(
@@ -417,10 +380,9 @@ pub fn golden_trace(sim: &Simulator, label: &str) -> String {
     push_u64(&mut s, t.flows.len() as u64);
     s.push('\n');
 
-    let mut f = Fnv::new();
-    for r in &t.flows {
-        for (i, (name, w)) in FLOW_LABELS.into_iter().zip(flow_words(r)).enumerate() {
-            f.write_u64(w);
+    let fingerprint = t.fingerprint_visit(|words, idle| {
+        let shown = if idle { FLOW_END } else { words.len() };
+        for (i, (name, &w)) in FLOW_LABELS.into_iter().zip(words).take(shown).enumerate() {
             s.push_str(name);
             if i == FLOW_END {
                 push_i64(&mut s, w as i64);
@@ -428,14 +390,11 @@ pub fn golden_trace(sim: &Simulator, label: &str) -> String {
                 push_u64(&mut s, w);
             }
         }
-        s.push('\n');
-    }
-    for w in total_words(t) {
-        f.write_u64(w);
-    }
+        s.push_str(if idle { IDLE_TAIL_TEXT } else { "\n" });
+    });
     s.replace_range(
         fingerprint_at..fingerprint_at + 16,
-        &format!("{:016x}", f.finish()),
+        &format!("{fingerprint:016x}"),
     );
 
     for p in &t.port_samples {
@@ -495,30 +454,6 @@ pub fn golden_diff(expected: &str, actual: &str) -> Option<String> {
         (None, None) => {}
     }
     Some(out)
-}
-
-/// Incremental FNV-1a (64-bit).
-struct Fnv {
-    h: u64,
-}
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv {
-            h: 0xcbf29ce484222325,
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.h ^= b as u64;
-            self.h = self.h.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.h
-    }
 }
 
 #[cfg(test)]

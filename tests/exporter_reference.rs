@@ -4,7 +4,10 @@
 //! renderers as a reference model and asserts that the exporters print the
 //! same bytes on catalog rows that between them exercise every track kind
 //! (queue counters, state and paused slices, mark instants) and both flow
-//! endings (`end=<ps>` and `end=-1`).
+//! endings (`end=<ps>` and `end=-1`, including never-started flows). The
+//! reference's `fingerprint` line comes from its own byte-at-a-time FNV-1a
+//! over the fields it prints, so a fault in the shared hash kernel shows
+//! here too.
 
 use std::collections::BTreeMap;
 
@@ -31,12 +34,49 @@ fn run(name: &str, end: SimTime) -> Simulator {
     row.run(Scale::new(end))
 }
 
+/// The run fingerprint by its definition, independent of the crate's
+/// hashing code: FNV-1a-64, one byte at a time, over the little-endian
+/// bytes of every flow line's fields (`end=-1` as `u64::MAX`) and then
+/// the forwarded, pause, drop, port-sample and event counts.
+fn reference_fingerprint(sim: &Simulator) -> u64 {
+    let t = &sim.trace;
+    let mut words: Vec<u64> = Vec::new();
+    for r in &t.flows {
+        words.extend([
+            u64::from(r.flow.0),
+            r.size,
+            r.start.as_ps(),
+            r.end.map_or(u64::MAX, |e| e.as_ps()),
+            r.delivered.pkts,
+            r.delivered.bytes,
+            r.delivered.ce,
+            r.delivered.ue,
+        ]);
+    }
+    words.extend([
+        t.forwarded_pkts,
+        t.pause_frames,
+        t.drops,
+        t.port_samples.len() as u64,
+        t.events,
+    ]);
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf29ce484222325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+        })
+}
+
 /// The golden trace, one `format!` per line.
 fn reference_golden(sim: &Simulator, label: &str) -> String {
     let t = &sim.trace;
     let mut s = String::new();
     s.push_str(&format!("# golden trace: {label}\n"));
-    s.push_str(&format!("fingerprint {:016x}\n", fingerprint_sim(sim)));
+    s.push_str(&format!(
+        "fingerprint {:016x}\n",
+        reference_fingerprint(sim)
+    ));
     s.push_str(&format!("events {}\n", t.events));
     s.push_str(&format!("forwarded {}\n", t.forwarded_pkts));
     s.push_str(&format!("pauses {}\n", t.pause_frames));
@@ -193,7 +233,7 @@ fn reference_perfetto(sim: &Simulator) -> String {
 
 #[test]
 fn exporters_match_the_format_reference() {
-    let (mut unfinished, mut marks, mut paused) = (false, false, false);
+    let (mut unfinished, mut never_started, mut marks, mut paused) = (false, false, false, false);
     for &(name, end) in ROWS {
         let sim = run(name, end);
 
@@ -202,9 +242,9 @@ fn exporters_match_the_format_reference() {
             golden == reference_golden(&sim, name),
             "{name}: golden trace differs from the format! reference"
         );
-        let fingerprint = format!("fingerprint {:016x}", fingerprint_sim(&sim));
-        assert_eq!(golden.lines().nth(1), Some(fingerprint.as_str()), "{name}");
+        assert_eq!(fingerprint_sim(&sim), reference_fingerprint(&sim), "{name}");
         unfinished |= golden.contains(" end=-1 ");
+        never_started |= golden.contains(" end=-1 pkts=0 bytes=0 ce=0 ue=0\n");
 
         let trace = perfetto_trace_json(&sim);
         assert!(
@@ -216,6 +256,10 @@ fn exporters_match_the_format_reference() {
     }
     // The rows must reach every branch the writers have.
     assert!(unfinished, "no row left a flow unfinished (end=-1)");
+    assert!(
+        never_started,
+        "no row printed a never-started flow (its tail is hashed from a table)"
+    );
     assert!(marks, "no row exported a mark instant");
     assert!(paused, "no row exported a paused slice");
 }
