@@ -42,6 +42,7 @@
 )]
 
 pub mod baseline;
+pub mod cycles;
 pub mod detector;
 pub mod marking;
 pub mod model;

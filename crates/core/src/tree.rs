@@ -159,57 +159,6 @@ pub fn relation(a: &CongestionTree, b: &CongestionTree) -> TreeRelation {
     TreeRelation::Isolated
 }
 
-/// Detect cyclic buffer dependencies in the pause graph — the precursor
-/// of PFC/CBFC deadlock (Hu et al., HotNets'16; cited by the paper §1).
-/// Tree-shaped routing cannot produce them, but snapshots from arbitrary
-/// topologies (or buggy switch logic) can; returns one representative
-/// cycle per strongly-connected pause loop found.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "idx < outs.len() is checked on the line above, and pos comes from position() on the same path"
-)]
-pub fn pause_cycles(snap: &Snapshot) -> Vec<Vec<PortKey>> {
-    let adj = adjacency(snap);
-    let mut cycles = Vec::new();
-    let mut color: BTreeMap<PortKey, u8> = BTreeMap::new(); // 0 white 1 grey 2 black
-
-    // Iterative DFS with an explicit path stack.
-    let nodes: Vec<PortKey> = adj.keys().copied().collect();
-    for &start in &nodes {
-        if color.get(&start).copied().unwrap_or(0) != 0 {
-            continue;
-        }
-        let mut path: Vec<PortKey> = Vec::new();
-        let mut stack: Vec<(PortKey, usize)> = vec![(start, 0)];
-        while let Some(&mut (u, ref mut idx)) = stack.last_mut() {
-            if *idx == 0 {
-                color.insert(u, 1);
-                path.push(u);
-            }
-            let outs = adj.get(&u).map(Vec::as_slice).unwrap_or(&[]);
-            if *idx < outs.len() {
-                let v = outs[*idx];
-                *idx += 1;
-                match color.get(&v).copied().unwrap_or(0) {
-                    0 => stack.push((v, 0)),
-                    1 => {
-                        // Back edge: extract the cycle from the path.
-                        if let Some(pos) = path.iter().position(|&p| p == v) {
-                            cycles.push(path[pos..].to_vec());
-                        }
-                    }
-                    _ => {}
-                }
-            } else {
-                color.insert(u, 2);
-                path.pop();
-                stack.pop();
-            }
-        }
-    }
-    cycles
-}
-
 /// Sanity check on a snapshot per the paper's semantics: every leaf of a
 /// congestion tree should be in the undetermined state (it is being
 /// paused), unless it is itself a covered root (congestion). Returns the
@@ -305,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn pause_cycles_terminate() {
+    fn cyclic_pauses_do_not_hang_reconstruction() {
         // Defensive: a cyclic pause pattern (possible with CBD loops in
         // non-tree topologies) must not hang the reconstruction.
         let mut s = Snapshot::new();
@@ -326,43 +275,6 @@ mod tests {
         s.state(1, Congestion).state(2, NonCongestion);
         s.pause(1, 2);
         assert_eq!(inconsistent_leaves(&s), vec![2]);
-    }
-
-    #[test]
-    fn cycle_detector_finds_the_loop() {
-        let mut s = Snapshot::new();
-        s.state(1, Congestion)
-            .state(2, Undetermined)
-            .state(3, Undetermined);
-        s.pause(1, 2).pause(2, 3).pause(3, 1);
-        let cycles = pause_cycles(&s);
-        assert_eq!(cycles.len(), 1);
-        let mut c = cycles[0].clone();
-        c.sort_unstable();
-        assert_eq!(c, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn trees_have_no_cycles() {
-        let s = isolated_snapshot();
-        assert!(pause_cycles(&s).is_empty());
-        // A diamond (DAG) is also cycle-free.
-        let mut d = Snapshot::new();
-        d.state(1, Congestion);
-        for p in 2..=4 {
-            d.state(p, Undetermined);
-        }
-        d.pause(1, 2).pause(1, 3).pause(2, 4).pause(3, 4);
-        assert!(pause_cycles(&d).is_empty());
-    }
-
-    #[test]
-    fn self_loop_is_a_cycle() {
-        let mut s = Snapshot::new();
-        s.state(7, Undetermined);
-        s.pause(7, 7);
-        let cycles = pause_cycles(&s);
-        assert_eq!(cycles, vec![vec![7]]);
     }
 
     #[test]

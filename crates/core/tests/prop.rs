@@ -1,9 +1,10 @@
-//! Property-based tests of the TCD state machine, the marking scheme and
-//! the analytic ON-OFF model.
+//! Property-based tests of the TCD state machine, the marking scheme, the
+//! analytic ON-OFF model and the cycle finder.
 
 use lossless_flowctl::{Rate, SimDuration, SimTime};
 use proptest::prelude::*;
 use tcd_core::baseline::{EcnRed, RedConfig};
+use tcd_core::cycles;
 use tcd_core::detector::{CongestionDetector, DequeueContext};
 use tcd_core::model::{cee_max_ton, ib_ton_secs, OnOffModel};
 use tcd_core::state::Transition;
@@ -241,5 +242,73 @@ proptest! {
         );
         prop_assert!(ton < tc.as_secs_f64());
         prop_assert!(ton > 0.0);
+    }
+}
+
+/// Nodes of the random digraphs the cycle finder is checked on.
+const N: usize = 8;
+const NONE: usize = usize::MAX;
+
+/// Brute-force reference: `d[a][b]` is the length of the shortest path
+/// of at least one edge from `a` to `b` (Floyd-Warshall), so `d[a][a]` is
+/// the shortest cycle through `a` and `NONE` means none.
+fn shortest_paths(edges: &[(u8, u8)]) -> [[usize; N]; N] {
+    let mut d = [[NONE; N]; N];
+    for &(a, b) in edges {
+        d[a as usize][b as usize] = 1;
+    }
+    for k in 0..N {
+        for i in 0..N {
+            for j in 0..N {
+                if d[i][k] != NONE && d[k][j] != NONE {
+                    d[i][j] = d[i][j].min(d[i][k] + d[k][j]);
+                }
+            }
+        }
+    }
+    d
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `cycles::find` against the transitive closure: one simple cycle
+    /// over real edges per cyclic strongly connected component, starting
+    /// at the component's smallest node and as short as any cycle through
+    /// it, in key order, whatever the order of the edge list.
+    #[test]
+    fn cycle_finder_matches_the_transitive_closure(
+        edges in proptest::collection::vec((0u8..N as u8, 0u8..N as u8), 0..20),
+        shuffle in proptest::collection::vec(any::<u64>(), 20)
+    ) {
+        let d = shortest_paths(&edges);
+        let reach = |a: usize, b: usize| d[a][b] != NONE;
+        let cyclic = |v: usize| reach(v, v);
+        // The smallest node of v's component (v itself unless v is on a
+        // cycle with smaller nodes).
+        let root = |v: usize| (0..N).find(|&u| u == v || (reach(u, v) && reach(v, u))).unwrap();
+
+        let got = cycles::find(edges.iter().copied());
+        let want_roots: Vec<usize> = (0..N).filter(|&v| cyclic(v) && root(v) == v).collect();
+        prop_assert_eq!(got.is_empty(), !(0..N).any(cyclic));
+        let roots: Vec<usize> = got.iter().map(|c| c[0] as usize).collect();
+        prop_assert_eq!(&roots, &want_roots, "edges {:?}: {:?}", edges, got);
+        for c in &got {
+            let first = c[0] as usize;
+            prop_assert_eq!(c.len(), d[first][first], "not shortest: {:?} in {:?}", c, edges);
+            for (i, &v) in c.iter().enumerate() {
+                let next = c[(i + 1) % c.len()];
+                prop_assert!(edges.contains(&(v, next)), "{:?} is no edge: {:?}", (v, next), c);
+                prop_assert!(!c[..i].contains(&v), "{:?} is not simple", c);
+                prop_assert_eq!(root(v as usize), first, "{:?} leaves its component", c);
+            }
+        }
+
+        // Same edge set, shuffled, with every edge listed twice.
+        let mut shuffled: Vec<(u8, u8)> = edges.iter().chain(&edges).copied().collect();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, (shuffle[i % shuffle.len()] % (i as u64 + 1)) as usize);
+        }
+        prop_assert_eq!(cycles::find(shuffled), got);
     }
 }

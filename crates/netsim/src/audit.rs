@@ -19,11 +19,11 @@
 //!   transitions, and 2-bit CE/UE marks (Table 1) are consistent with the
 //!   marking port's ternary state;
 //! * **Causality** — no event is ever scheduled in the past;
-//! * **Liveness** — when forward progress stalls between checkpoints, no
-//!   cycle of mutually blocked channels (PFC-paused or CBFC-starved
-//!   egress queues each waiting on the next) exists — a runtime PFC
-//!   deadlock detector in the DCFIT tradition, cross-validating the
-//!   static CDC analysis in `simlint`.
+//! * **Liveness** — the engine's deadlock watchdog
+//!   ([`Simulator::deadlock`](crate::sim::Simulator::deadlock), compiled
+//!   into every build) has found no cycle of mutually blocked channels
+//!   (PFC-paused or CBFC-starved egress queues each waiting on the next);
+//!   a checkpoint reports the first one it finds as one violation.
 //!
 //! Violations carry the simulation time, node, port, and a counter
 //! snapshot. In the default [`AuditMode::Panic`] any violation aborts the
@@ -56,9 +56,9 @@ pub enum InvariantFamily {
     StateMachine,
     /// Event-queue causality.
     Causality,
-    /// Forward progress: when delivery stalls, no cyclic hop-by-hop wait
-    /// (PFC pause / CBFC credit starvation) may exist among non-empty
-    /// blocked channels — the runtime PFC-deadlock watchdog.
+    /// Forward progress: the engine's deadlock watchdog found no cyclic
+    /// hop-by-hop wait (PFC pause / CBFC credit starvation) among
+    /// non-empty blocked channels.
     Liveness,
 }
 
@@ -182,11 +182,6 @@ pub struct Audit {
     states: BTreeMap<(u32, u16, u8), TernaryState>,
     /// Transitions observed, indexed by Fig. 6 number minus one.
     transitions: [u64; 6],
-    /// Forward-progress counter at the previous liveness checkpoint.
-    last_progress: Option<u64>,
-    /// The blocked-channel cycle of the first detected deadlock (the
-    /// watchdog reports once; the wedge persists across checkpoints).
-    deadlock: Option<Vec<(NodeId, u16)>>,
 }
 
 impl Audit {
@@ -436,60 +431,6 @@ impl Audit {
             prio: u8::MAX,
             message: format!("misrouted link-local control frame: {what}"),
         });
-    }
-
-    /// Record the forward-progress counter at a liveness checkpoint.
-    /// Returns `true` when it has not advanced since the previous
-    /// checkpoint — the trigger for the deadlock wait-for-graph walk.
-    pub fn note_progress(&mut self, progress: u64) -> bool {
-        let stalled = self.last_progress == Some(progress);
-        self.last_progress = Some(progress);
-        stalled
-    }
-
-    /// The watchdog found a cycle of mutually blocked channels. Reports a
-    /// [`InvariantFamily::Liveness`] violation once per run (the wedge
-    /// persists, so later checkpoints would re-find the same cycle) and
-    /// stores the cycle for [`Audit::deadlock_cycle`]. `describe` renders
-    /// each hop (e.g. `s0[2]`) for the violation message.
-    pub fn report_deadlock(
-        &mut self,
-        t: SimTime,
-        cycle: Vec<(NodeId, u16)>,
-        describe: impl Fn(NodeId, u16) -> String,
-    ) {
-        if self.deadlock.is_some() {
-            return;
-        }
-        let hops: Vec<String> = cycle
-            .iter()
-            .chain(cycle.first())
-            .map(|&(n, p)| describe(n, p))
-            .collect();
-        let (node, port) = cycle
-            .first()
-            .copied()
-            .unwrap_or((NodeId(u32::MAX), u16::MAX));
-        self.deadlock = Some(cycle);
-        self.report(Violation {
-            family: InvariantFamily::Liveness,
-            t,
-            node,
-            port,
-            prio: u8::MAX,
-            message: format!(
-                "PFC deadlock: progress stalled with a cyclic hop-by-hop wait ({} channels): {}",
-                hops.len().saturating_sub(1),
-                hops.join(" -> ")
-            ),
-        });
-    }
-
-    /// The blocked-channel cycle of the detected deadlock, if any: the
-    /// `(node, egress port)` channels, each waiting on the next (and the
-    /// last on the first).
-    pub fn deadlock_cycle(&self) -> Option<&[(NodeId, u16)]> {
-        self.deadlock.as_deref()
     }
 }
 

@@ -20,6 +20,7 @@
 //! scenario can never reach.
 
 use crate::event::TxGate;
+use crate::sim::{splitmix, GOLDEN};
 use crate::topology::{NodeId, Topology};
 use lossless_flowctl::{Rate, SimDuration, SimTime};
 
@@ -151,14 +152,11 @@ impl FaultPlan {
             return plan;
         }
         let mut s = seed;
+        // The SplitMix64 stream the engine seeds detectors with.
         let mut next = move || {
-            // splitmix64, same generator family the engine seeds
-            // detectors with.
-            s = s.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
+            let out = splitmix(s);
+            s = s.wrapping_add(GOLDEN);
+            out
         };
         let span = horizon.as_ps();
         for _ in 0..n {

@@ -655,14 +655,12 @@ impl IbSwitch {
     /// with backlog they are not allowed to transmit (credit-blocked on
     /// a VL with queued bytes). Downed links are excluded — they resolve
     /// on recovery and are not a wait-for dependency.
-    #[cfg(feature = "audit")]
-    pub(crate) fn audit_blocked_channels(&self) -> Vec<u16> {
+    pub(crate) fn blocked_channels(&self) -> impl Iterator<Item = u16> + '_ {
         self.lanes
             .chunks(self.nvl)
             .enumerate()
             .filter(|(_, port)| port.iter().any(|l| l.blocked && l.out_backlog > 0))
             .map(|(pi, _)| pi as u16)
-            .collect()
     }
 
     /// The VoQ holding what arrived through `ingress` for egress lane
@@ -680,17 +678,16 @@ impl IbSwitch {
     /// the upstream is out of credits because this ingress buffer cannot
     /// drain, and the bytes occupying it sit in VoQs — indexed by
     /// ingress structurally — in front of credit-blocked egresses.
-    #[cfg(feature = "audit")]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "out ranges over 0..n_ports and vl over 0..num_vls, the ranges lanes is sized from"
-    )]
-    pub(crate) fn audit_wait_successors(&self, ingress: u16) -> Vec<u16> {
+    pub(crate) fn wait_successors(&self, ingress: u16) -> Vec<u16> {
         (0..self.n_ports)
             .filter(|&out| {
                 (0..self.nvl).any(|vl| {
-                    !self.audit_voq(ingress as usize, vl, out).is_empty()
-                        && self.lanes[out * self.nvl + vl].blocked
+                    let lane = out * self.nvl + vl;
+                    self.lanes.get(lane).is_some_and(|l| l.blocked)
+                        && self
+                            .voqs
+                            .get(lane * self.n_ports + ingress as usize)
+                            .is_some_and(|q| !q.is_empty())
                 })
             })
             .map(|out| out as u16)

@@ -54,7 +54,7 @@ pub use cchooks::{CcAction, CcEvent, RateController};
 pub use config::{DetectorKind, FeedbackMode, SimConfig};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkState};
 pub use packet::{FlowId, Packet, PacketKind};
-pub use sim::Simulator;
+pub use sim::{Deadlock, Simulator};
 pub use topology::{NodeId, NodeKind, Topology};
 
 // Re-export base quantities for downstream convenience.

@@ -141,7 +141,10 @@ impl Routing {
         let idx = match self.select {
             RouteSelect::Ecmp => {
                 // SplitMix64 over (flow, node) — deterministic and
-                // well-mixed so parallel flows spread across paths.
+                // well-mixed so parallel flows spread across paths. It
+                // XORs the increment in where `sim::splitmix` adds it;
+                // calling that one instead would move ECMP paths and
+                // every fingerprint.
                 let mut x = ((flow.0 as u64) << 32) ^ node.0 as u64 ^ 0x9E37_79B9_7F4A_7C15;
                 x ^= x >> 30;
                 x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -7,7 +7,7 @@ use crate::event::{Event, EventQueue, TxGate};
 use crate::host::Host;
 use crate::ibswitch::IbSwitch;
 use crate::packet::{FlowId, Packet, PacketPool};
-use crate::routing::{RouteSelect, Routing};
+use crate::routing::{Channel, RouteSelect, Routing};
 use crate::switch::EthSwitch;
 use crate::topology::{NodeId, NodeKind, Topology};
 use crate::trace::{Delivered, FlowRecord, PortSample, Trace};
@@ -28,6 +28,41 @@ pub struct FlowSpec {
     pub rx_slot: u32,
     /// Priority / VL.
     pub prio: u8,
+}
+
+/// Dispatches between two checks of the deadlock watchdog (a power of
+/// two, so the per-event cost is one mask test). A check reads the
+/// forwarded-packet counter; only a check that finds it unchanged since
+/// the previous one walks the wait-for graph. Small enough that the 2 µs
+/// trace tick a wedged ring keeps running (~2 500 events over the rest of
+/// a 5 ms run) spans several checks.
+const LIVENESS_EVERY: u64 = 512;
+
+/// A PFC/CBFC deadlock found by the engine's watchdog
+/// ([`Simulator::deadlock`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Deadlock {
+    /// Simulation time of the check that found it.
+    pub t: SimTime,
+    /// The blocked `(switch, egress port)` channels, each waiting on the
+    /// next and the last on the first, in the canonical form of
+    /// [`tcd_core::cycles::find`]: from the smallest channel, which is not
+    /// repeated at the end.
+    pub cycle: Vec<Channel>,
+}
+
+impl Deadlock {
+    /// The cycle as hops named after `topo`'s nodes, closed back on the
+    /// first: `s0[1] -> s1[2] -> s2[2] -> s0[1]`.
+    pub fn hops(&self, topo: &Topology) -> String {
+        let hops: Vec<String> = self
+            .cycle
+            .iter()
+            .chain(self.cycle.first())
+            .map(|&(n, p)| format!("{}[{p}]", topo.name(n)))
+            .collect();
+        hops.join(" -> ")
+    }
 }
 
 // Every registered flow carries one, started or not: tcdbench's fat-tree
@@ -270,6 +305,10 @@ pub struct Simulator {
     /// `RouteUpdate` so route sets always compose from (and revert to)
     /// the pristine tables.
     base_routing: Option<Routing>,
+    /// `trace.forwarded_pkts` at the previous deadlock-watchdog check.
+    last_forwarded: u64,
+    /// The first deadlock the watchdog found, if any.
+    deadlock: Option<Deadlock>,
     /// The invariant auditor (audit builds only).
     #[cfg(feature = "audit")]
     audit: crate::audit::Audit,
@@ -277,6 +316,10 @@ pub struct Simulator {
     /// violation triggers exactly one history dump (audit builds only).
     #[cfg(feature = "audit")]
     audit_obs_seen: u64,
+    /// Whether a checkpoint already reported [`Simulator::deadlock`] as a
+    /// Liveness violation (audit builds only; the wedge persists).
+    #[cfg(feature = "audit")]
+    audit_deadlock_reported: bool,
     /// Collected measurements.
     pub trace: Trace,
     /// The observability layer: metrics registry + flight recorder.
@@ -445,10 +488,14 @@ impl Simulator {
             pool: PacketPool::new(),
             links,
             base_routing: None,
+            last_forwarded: 0,
+            deadlock: None,
             #[cfg(feature = "audit")]
             audit: crate::audit::Audit::default(),
             #[cfg(feature = "audit")]
             audit_obs_seen: 0,
+            #[cfg(feature = "audit")]
+            audit_deadlock_reported: false,
             trace,
             obs,
             profiler: lossless_obs::prof::Prof::disabled(),
@@ -467,6 +514,16 @@ impl Simulator {
     #[cfg(feature = "audit")]
     pub fn audit_mut(&mut self) -> &mut crate::audit::Audit {
         &mut self.audit
+    }
+
+    /// The first PFC/CBFC deadlock the engine's watchdog found, if any.
+    /// Every `run*` call checks every `LIVENESS_EVERY` (512) dispatches
+    /// and once when it returns; a check that sees no packet forwarded since
+    /// the previous one searches the wait-for graph of blocked channels
+    /// for a cycle. The watchdog never schedules an event, so event counts
+    /// and fingerprints do not depend on it.
+    pub fn deadlock(&self) -> Option<&Deadlock> {
+        self.deadlock.as_ref()
     }
 
     /// Runtime link health (fault injection): which ports are up and
@@ -729,6 +786,9 @@ impl Simulator {
             // dispatch count (always compiled), so recorder contents are
             // identical with or without the auditor.
             self.obs.maybe_checkpoint(now, self.trace.events);
+            if self.trace.events & (LIVENESS_EVERY - 1) == 0 {
+                self.check_liveness();
+            }
             // Checkpoints run between dispatches, never as scheduled
             // events, so event counts and fingerprints are identical with
             // the auditor on or off.
@@ -737,8 +797,60 @@ impl Simulator {
                 self.checked_audit_checkpoint();
             }
         }
+        self.check_liveness();
         #[cfg(feature = "audit")]
         self.checked_audit_checkpoint();
+    }
+
+    /// One deadlock-watchdog check: if no packet was forwarded since the
+    /// previous check, the network may be wedged, so search the wait-for
+    /// graph for a cycle. The first one found is kept.
+    fn check_liveness(&mut self) {
+        let forwarded = self.trace.forwarded_pkts;
+        let stalled = forwarded == self.last_forwarded;
+        self.last_forwarded = forwarded;
+        if stalled && self.deadlock.is_none() {
+            let t = self.queue.now();
+            self.deadlock = self.blocked_cycle().map(|cycle| Deadlock { t, cycle });
+        }
+    }
+
+    /// A cycle in the wait-for graph of *blocked channels*, if any.
+    ///
+    /// A blocked channel `(u, p)` is a switch egress holding data it is
+    /// not allowed to transmit (PFC-paused, or out of CBFC credits). It
+    /// waits on a downstream channel `(v, q)` — where `v` is the peer of
+    /// `(u, p)` — iff the buffer `v` is accounting against that ingress
+    /// sits in front of `v`'s blocked egress `q`. For CEE the packets
+    /// remember their ingress (`Packet::in_port`); for IB the VoQ is
+    /// indexed by ingress structurally. A cycle means every channel on it
+    /// waits, transitively, on itself: no event can ever drain them.
+    fn blocked_cycle(&self) -> Option<Vec<Channel>> {
+        let mut blocked = std::collections::BTreeSet::new();
+        for (n, node) in self.nodes.iter().enumerate() {
+            let id = NodeId(n as u32);
+            match node {
+                Node::Eth(s) => blocked.extend(s.blocked_channels().map(|p| (id, p))),
+                Node::Ib(s) => blocked.extend(s.blocked_channels().map(|p| (id, p))),
+                Node::Host(_) => {}
+            }
+        }
+        let mut edges = Vec::new();
+        for &(u, p) in &blocked {
+            let l = self.topo.link(u, p);
+            let succ = match self.node(l.peer) {
+                Node::Eth(s) => s.wait_successors(l.peer_port),
+                Node::Ib(s) => s.wait_successors(l.peer_port),
+                Node::Host(_) => Vec::new(),
+            };
+            edges.extend(
+                succ.into_iter()
+                    .map(|q| (l.peer, q))
+                    .filter(|c| blocked.contains(c))
+                    .map(|c| ((u, p), c)),
+            );
+        }
+        tcd_core::cycles::find(edges).into_iter().next()
     }
 
     /// Run an audit checkpoint and, if it surfaced new violations (Record
@@ -920,117 +1032,31 @@ impl Simulator {
         }
         self.audit.note_check(InvariantFamily::ProtocolLegality);
 
-        // (f) Liveness: if no packet was forwarded or delivered since the
-        // previous checkpoint, the network may be wedged. Walk the
-        // hop-by-hop wait-for graph over blocked channels; a cycle is a
-        // genuine PFC/CBFC deadlock (DCFIT-style runtime detection).
-        let progress = self.trace.forwarded_pkts
-            + self
-                .trace
-                .flows
-                .iter()
-                .map(|f| f.delivered.pkts)
-                .sum::<u64>();
-        if self.audit.note_progress(progress) {
-            if let Some(cycle) = self.find_blocked_cycle() {
-                let topo = &self.topo;
-                self.audit
-                    .report_deadlock(now, cycle, |n, p| format!("{}[{p}]", topo.name(n)));
-            }
+        // (f) Liveness: the engine's watchdog, which runs in every build,
+        // found a cycle of blocked channels — a genuine PFC/CBFC deadlock
+        // (DCFIT-style runtime detection). Reported once: the wedge
+        // persists across checkpoints.
+        let unreported = self
+            .deadlock
+            .as_ref()
+            .filter(|_| !self.audit_deadlock_reported);
+        if let Some(d) = unreported {
+            let (node, port) = d.cycle.first().copied().unwrap_or((engine, u16::MAX));
+            self.audit.report(Violation {
+                family: InvariantFamily::Liveness,
+                t: d.t,
+                node,
+                port,
+                prio: u8::MAX,
+                message: format!(
+                    "deadlock: progress stalled with a cyclic hop-by-hop wait ({} channels): {}",
+                    d.cycle.len(),
+                    d.hops(&self.topo)
+                ),
+            });
+            self.audit_deadlock_reported = true;
         }
         self.audit.note_check(InvariantFamily::Liveness);
-    }
-
-    /// Search the wait-for graph of *blocked channels* for a cycle.
-    ///
-    /// A blocked channel `(u, p)` is a switch egress holding data it is
-    /// not allowed to transmit (PFC-paused, or out of CBFC credits). It
-    /// waits on a downstream channel `(v, q)` — where `v` is the peer of
-    /// `(u, p)` — iff the buffer `v` is accounting against that ingress
-    /// sits in front of `v`'s blocked egress `q`. For CEE the packets
-    /// remember their ingress (`Packet::in_port`); for IB the VoQ is
-    /// indexed by ingress structurally. A cycle means every channel on it
-    /// waits, transitively, on itself: no event can ever drain them.
-    #[cfg(feature = "audit")]
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::expect_used,
-        reason = "adj holds an entry for every channel in chans, i < succs.len() is checked, and a grey channel is on the DFS stack by construction"
-    )]
-    fn find_blocked_cycle(&self) -> Option<Vec<(NodeId, u16)>> {
-        use std::collections::{BTreeMap, BTreeSet};
-        let mut chans: BTreeSet<(NodeId, u16)> = BTreeSet::new();
-        for n in 0..self.topo.node_count() as u32 {
-            let id = NodeId(n);
-            let ports = match self.node(id) {
-                Node::Eth(s) => s.audit_blocked_channels(),
-                Node::Ib(s) => s.audit_blocked_channels(),
-                Node::Host(_) => Vec::new(),
-            };
-            chans.extend(ports.into_iter().map(|p| (id, p)));
-        }
-        if chans.is_empty() {
-            return None;
-        }
-        let mut adj: BTreeMap<(NodeId, u16), Vec<(NodeId, u16)>> = BTreeMap::new();
-        for &(u, p) in &chans {
-            let l = self.topo.link(u, p);
-            let succ = match self.node(l.peer) {
-                Node::Eth(s) => s.audit_wait_successors(l.peer_port),
-                Node::Ib(s) => s.audit_wait_successors(l.peer_port),
-                Node::Host(_) => Vec::new(),
-            };
-            adj.insert(
-                (u, p),
-                succ.into_iter()
-                    .map(|q| (l.peer, q))
-                    .filter(|c| chans.contains(c))
-                    .collect(),
-            );
-        }
-        // Deterministic iterative DFS (white/grey/black) over the sorted
-        // channel set; the first back edge found yields the cycle.
-        const WHITE: u8 = 0;
-        const GREY: u8 = 1;
-        const BLACK: u8 = 2;
-        let mut color: BTreeMap<(NodeId, u16), u8> = BTreeMap::new();
-        for &start in &chans {
-            if color.get(&start).copied().unwrap_or(WHITE) != WHITE {
-                continue;
-            }
-            // Stack of (channel, index of next successor to try).
-            let mut stack: Vec<((NodeId, u16), usize)> = vec![(start, 0)];
-            color.insert(start, GREY);
-            while let Some(&(c, i)) = stack.last() {
-                let succs = &adj[&c];
-                if i < succs.len() {
-                    let nxt = succs[i];
-                    if let Some(top) = stack.last_mut() {
-                        top.1 += 1;
-                    }
-                    match color.get(&nxt).copied().unwrap_or(WHITE) {
-                        WHITE => {
-                            color.insert(nxt, GREY);
-                            stack.push((nxt, 0));
-                        }
-                        GREY => {
-                            // Back edge: the cycle is the stack suffix
-                            // from `nxt` to the top.
-                            let from = stack
-                                .iter()
-                                .position(|&(ch, _)| ch == nxt)
-                                .expect("grey channel must be on the DFS stack");
-                            return Some(stack[from..].iter().map(|&(ch, _)| ch).collect());
-                        }
-                        _ => {}
-                    }
-                } else {
-                    color.insert(c, BLACK);
-                    stack.pop();
-                }
-            }
-        }
-        None
     }
 
     /// Run until the configured end time (or the event queue drains).
@@ -1289,10 +1315,13 @@ impl Simulator {
     }
 }
 
+/// SplitMix64's increment, the 64-bit golden ratio.
+pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 — derives decorrelated per-detector seeds from the master
-/// seed.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// seed, and draws fault plans (`state += GOLDEN` between draws).
+pub(crate) fn splitmix(mut x: u64) -> u64 {
+    x = x.wrapping_add(GOLDEN);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)

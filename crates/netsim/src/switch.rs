@@ -481,14 +481,12 @@ impl EthSwitch {
     /// holding data they are not allowed to transmit (PFC-paused on a
     /// non-empty priority). Downed links are excluded — they resolve on
     /// recovery and are not a wait-for dependency.
-    #[cfg(feature = "audit")]
-    pub(crate) fn audit_blocked_channels(&self) -> Vec<u16> {
+    pub(crate) fn blocked_channels(&self) -> impl Iterator<Item = u16> + '_ {
         self.lanes
             .chunks(self.np)
             .enumerate()
             .filter(|(_, port)| port.iter().any(|l| l.paused.is_paused() && !l.q.is_empty()))
             .map(|(pi, _)| pi as u16)
-            .collect()
     }
 
     /// Wait-for successors of the upstream channel feeding `ingress`:
@@ -496,23 +494,17 @@ impl EthSwitch {
     /// on, the paused egresses holding at least one packet that entered
     /// through `ingress` — the buffer share the upstream is being paused
     /// for sits in front of exactly those egresses.
-    #[cfg(feature = "audit")]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "ingress comes from the topology that sized this switch, prio ranges over 0..num_prios and chunks(np) yields np-long slices"
-    )]
-    pub(crate) fn audit_wait_successors(&self, ingress: u16) -> Vec<u16> {
+    pub(crate) fn wait_successors(&self, ingress: u16) -> Vec<u16> {
+        let upstream = self.lanes.chunks(self.np).nth(ingress as usize);
         let mut v = Vec::new();
-        for prio in 0..self.np {
-            if !self.lanes[ingress as usize * self.np + prio]
-                .pfc_in
-                .is_pausing_upstream()
-            {
+        for (prio, fed) in upstream.into_iter().flatten().enumerate() {
+            if !fed.pfc_in.is_pausing_upstream() {
                 continue;
             }
             for (pi, port) in self.lanes.chunks(self.np).enumerate() {
-                let l = &port[prio];
-                if l.paused.is_paused() && l.q.iter().any(|k| k.in_port == ingress) {
+                if port.get(prio).is_some_and(|l| {
+                    l.paused.is_paused() && l.q.iter().any(|k| k.in_port == ingress)
+                }) {
                     v.push(pi as u16);
                 }
             }

@@ -23,6 +23,7 @@ const FAMILIES: [InvariantFamily; 6] = [
 ];
 
 fn assert_clean_and_thorough(sim: &Simulator) {
+    assert_eq!(sim.deadlock(), None, "the deadlock watchdog tripped");
     let audit = sim.audit();
     assert!(
         audit.is_clean(),

@@ -123,6 +123,8 @@ fn run_one(shape: u8, seed: u64, n: usize) -> Observed {
         sim.links().all_healthy(),
         "paired plan must leave the fabric healthy"
     );
+    // Dark links hold their queues without deadlocking anything.
+    assert_eq!(sim.deadlock(), None, "faulted run deadlocked");
     #[cfg(feature = "audit")]
     {
         use lossless_netsim::InvariantFamily;

@@ -8,7 +8,8 @@
 //!   registered `RouteChange` set is composed onto the baseline tables and
 //!   run through the same cycle finder, so a route swap that wedges the
 //!   fabric is a *static* error, cross-checked against the runtime
-//!   PFC-deadlock watchdog.
+//!   PFC-deadlock watchdog. Both sides search with
+//!   `tcd_core::cycles::find`.
 //! * [`output`] renders the reports as the one-line JSON of
 //!   `tcdsim lint --json`.
 //!

@@ -27,6 +27,7 @@ use lossless_netsim::config::FlowControlMode;
 use lossless_netsim::routing::{Channel, RouteSelect, Routing};
 use lossless_netsim::topology::NodeKind;
 use lossless_netsim::{FlowId, NodeId, SimConfig, Topology};
+use tcd_core::cycles;
 
 /// Default provisioned PFC headroom above `X_off` per ingress counter —
 /// kept equal to the runtime audit layer's default so the static check and
@@ -228,7 +229,7 @@ pub fn analyze(spec: &TopoSpec) -> TopoReport {
     // feedback classes traverse the same pair set (all ordered host
     // pairs), so one graph covers every lossless VL.
     if !spec.config.is_lossy() {
-        for cycle in find_cycles(&deps) {
+        for cycle in cycles::find(deps.iter().copied()) {
             let mut hops: Vec<String> = cycle.iter().map(|&c| chan_name(topo, c)).collect();
             hops.push(chan_name(topo, cycle[0]));
             diags.push(TopoDiag {
@@ -308,7 +309,7 @@ pub fn analyze(spec: &TopoSpec) -> TopoReport {
         for path in paths {
             swapped.apply_path(topo, path);
         }
-        for cycle in find_cycles(&swapped.channel_dependencies(topo)) {
+        for cycle in cycles::find(swapped.channel_dependencies(topo)) {
             let mut hops: Vec<String> = cycle.iter().map(|&c| chan_name(topo, c)).collect();
             hops.push(chan_name(topo, cycle[0]));
             diags.push(TopoDiag {
@@ -456,124 +457,6 @@ pub fn analyze(spec: &TopoSpec) -> TopoReport {
     }
 }
 
-/// Find cyclic buffer dependencies: one representative cycle per
-/// non-trivial strongly connected component, deterministically (smallest
-/// channel first, shortest cycle via BFS).
-fn find_cycles(deps: &BTreeSet<(Channel, Channel)>) -> Vec<Vec<Channel>> {
-    let mut adj: BTreeMap<Channel, Vec<Channel>> = BTreeMap::new();
-    for &(a, b) in deps {
-        adj.entry(a).or_default().push(b);
-        adj.entry(b).or_default();
-    }
-    let sccs = tarjan_sccs(&adj);
-    let mut cycles = Vec::new();
-    for scc in sccs {
-        if scc.len() < 2 {
-            continue;
-        }
-        let members: BTreeSet<Channel> = scc.iter().copied().collect();
-        let start = *members.iter().next().expect("non-empty SCC");
-        // BFS from `start` back to `start`, restricted to the SCC.
-        let mut prev: BTreeMap<Channel, Channel> = BTreeMap::new();
-        let mut queue = std::collections::VecDeque::from([start]);
-        let mut found = None;
-        'bfs: while let Some(u) = queue.pop_front() {
-            for &v in adj.get(&u).map(Vec::as_slice).unwrap_or(&[]) {
-                if v == start {
-                    prev.insert(start, u);
-                    found = Some(());
-                    break 'bfs;
-                }
-                if members.contains(&v) && !prev.contains_key(&v) {
-                    prev.insert(v, u);
-                    queue.push_back(v);
-                }
-            }
-        }
-        if found.is_some() {
-            let mut cycle = vec![start];
-            let mut cur = prev[&start];
-            while cur != start {
-                cycle.push(cur);
-                cur = prev[&cur];
-            }
-            cycle.reverse();
-            // `reverse` leaves `start` at the end; rotate it to the front.
-            let pos = cycle
-                .iter()
-                .position(|&c| c == start)
-                .expect("start in cycle");
-            cycle.rotate_left(pos);
-            cycles.push(cycle);
-        }
-    }
-    cycles
-}
-
-/// Iterative Tarjan strongly-connected components over a deterministic
-/// adjacency map. Returns SCCs in a deterministic order.
-fn tarjan_sccs(adj: &BTreeMap<Channel, Vec<Channel>>) -> Vec<Vec<Channel>> {
-    #[derive(Default, Clone)]
-    struct NodeState {
-        index: Option<u32>,
-        lowlink: u32,
-        on_stack: bool,
-    }
-    let keys: Vec<Channel> = adj.keys().copied().collect();
-    let idx_of: BTreeMap<Channel, usize> = keys.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    let mut state = vec![NodeState::default(); keys.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0u32;
-    let mut sccs = Vec::new();
-
-    // Explicit DFS stack: (node, next child position).
-    for root in 0..keys.len() {
-        if state[root].index.is_some() {
-            continue;
-        }
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&(v, child)) = call.last() {
-            if child == 0 {
-                state[v].index = Some(next_index);
-                state[v].lowlink = next_index;
-                next_index += 1;
-                stack.push(v);
-                state[v].on_stack = true;
-            }
-            let succs = &adj[&keys[v]];
-            if child < succs.len() {
-                call.last_mut().expect("non-empty call stack").1 += 1;
-                let w = idx_of[&succs[child]];
-                if state[w].index.is_none() {
-                    call.push((w, 0));
-                } else if state[w].on_stack {
-                    state[v].lowlink = state[v].lowlink.min(state[w].index.expect("indexed"));
-                }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    let low = state[v].lowlink;
-                    state[parent].lowlink = state[parent].lowlink.min(low);
-                }
-                if Some(state[v].lowlink) == state[v].index {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("SCC stack underflow");
-                        state[w].on_stack = false;
-                        scc.push(keys[w]);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc.sort();
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,15 +560,14 @@ mod tests {
             .filter(|d| d.check == "fault-route-cycle")
             .collect();
         assert_eq!(cyc.len(), 1, "{:?}", rep.diags);
-        assert_eq!(cyc[0].cycle.len(), 3);
-        let want: BTreeSet<(String, u16)> = (0..3)
+        // In ring order from the smallest channel, s0's.
+        let want: Vec<(String, u16)> = (0..3)
             .map(|i| {
                 let p = topo.port_towards(s[i], s[(i + 1) % 3]).expect("ring link");
                 (format!("s{i}"), p)
             })
             .collect();
-        let got: BTreeSet<(String, u16)> = cyc[0].cycle.iter().cloned().collect();
-        assert_eq!(got, want);
+        assert_eq!(cyc[0].cycle, want);
         assert!(rep.has_errors());
     }
 

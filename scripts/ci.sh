@@ -24,7 +24,7 @@ grep -q '^{"ok":true,"scenarios":\[{' target/ci/lint.json
 # fault plan must be *caught* (exit 1). A gate that cannot fail gates
 # nothing.
 echo "=== tcdsim lint (seeded negative) ==="
-if ./target/release/tcdsim lint --topo deadlock-triangle > /dev/null; then
+if ./target/release/tcdsim lint --topo deadlock-triangle > target/ci/lint_deadlock.txt; then
     echo "deadlock-triangle's route-swap cycle was not caught" >&2
     exit 1
 fi
@@ -46,6 +46,30 @@ ci_fp=$(grep -o '"fingerprint": "[0-9a-f]*"' target/ci/metrics_fig03.json | grep
 golden_fp=$(grep '^registry_fingerprint ' tests/golden/obs_fig03.txt | awk '{print $2}')
 if [ "$ci_fp" != "$golden_fp" ]; then
     echo "metrics fingerprint $ci_fp != committed golden $golden_fp" >&2
+    exit 1
+fi
+
+# The deadlock watchdog is compiled into the release binary: running the
+# deadlock-triangle row must name on stderr, hop for hop, the cycle the
+# lint above reports for its fault plan, and exit 0 (the row is meant to
+# wedge). deadlock-recovery reverts its routes before the ring wedges and
+# must report nothing.
+echo "=== tcdsim metrics (release deadlock watchdog) ==="
+hop='[A-Za-z0-9_-]*\[[0-9]*\]'
+hops=$(grep 'fault-route-cycle' target/ci/lint_deadlock.txt | grep -o "$hop\( -> $hop\)*") || true
+./target/release/tcdsim metrics deadlock-triangle --out target/ci/metrics_deadlock.json \
+    2> target/ci/metrics_deadlock.err
+if [ -z "$hops" ] || ! grep -F 'deadlock-triangle: deadlock at ' target/ci/metrics_deadlock.err \
+    | grep -qF -- ": $hops"; then
+    echo "release tcdsim metrics deadlock-triangle did not report the cycle '$hops':" >&2
+    cat target/ci/metrics_deadlock.err >&2
+    exit 1
+fi
+./target/release/tcdsim metrics deadlock-recovery --out target/ci/metrics_recovery.json \
+    2> target/ci/metrics_recovery.err
+if grep -q 'deadlock at' target/ci/metrics_recovery.err; then
+    echo "deadlock-recovery reported a deadlock:" >&2
+    cat target/ci/metrics_recovery.err >&2
     exit 1
 fi
 

@@ -282,6 +282,11 @@ fn cmd_export(a: &Args, metrics: bool) {
         .end_ms
         .map_or(row.end, |ms| SimTime::from_ps(ms_to_ps(ms)));
     let sim = row.run(Scale::new(end));
+    // A deadlock is an outcome of the run, not a failure of the command
+    // (the `deadlock-triangle` row exists to wedge): reported, exit 0.
+    if let Some(d) = sim.deadlock() {
+        eprintln!("{name}: deadlock at {}: {}", d.t, d.hops(sim.topology()));
+    }
     let (doc, kind) = if metrics {
         let doc = obs_export::metrics_json(&sim);
         if let Err(e) = tcd_repro::obs::json::parse(&doc) {

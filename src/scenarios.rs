@@ -1118,8 +1118,8 @@ pub mod fault {
     //! flaps and degradations under lossless incast, plus a constructed
     //! family of CDC-cyclic rings that drive PFC into genuine runtime
     //! deadlock — the dynamic counterpart of `tcdsim lint`'s static
-    //! cycle analysis, detected at runtime by the auditor's
-    //! stalled-progress watchdog.
+    //! cycle analysis, detected at runtime by the engine's deadlock
+    //! watchdog ([`Simulator::deadlock`]), in every build.
 
     use super::*;
     use lossless_netsim::topology::{dumbbell, fat_tree, NodeId, Topology};
@@ -1201,8 +1201,8 @@ pub mod fault {
 
     /// A constructed runtime-deadlock scenario, ready to run.
     pub struct DeadlockRing {
-        /// The simulator, *before* `run()` (so callers can tighten the
-        /// auditor's checkpoint cadence first).
+        /// The simulator, *before* `run()` (so callers can configure the
+        /// auditor first).
         pub sim: Simulator,
         /// The ring switches `s0..sn`, in ring order.
         pub switches: Vec<NodeId>,
@@ -1226,9 +1226,11 @@ pub mod fault {
     /// instead of wedging.
     ///
     /// A 2 µs trace tick over every ring egress keeps the event stream
-    /// alive after a wedge (so the auditor's watchdog still runs) and
-    /// records the TCD ternary-state timeline during formation and
-    /// recovery.
+    /// alive after a wedge, so the engine's deadlock watchdog, which
+    /// checks between dispatches, still runs; it also records the TCD
+    /// ternary-state timeline during formation and recovery. The ring
+    /// wedges about 290 µs in, so only a `revert_at` before that drains
+    /// it.
     pub fn deadlock_ring(n: usize, end: SimTime, revert_at: Option<SimTime>) -> DeadlockRing {
         assert!(
             n >= 3,
@@ -1289,8 +1291,8 @@ pub struct Scale {
     pub end: SimTime,
     /// Port-sampling period of the observation rows. The fairness and
     /// fault rows fix their own (their period is part of the scenario:
-    /// the deadlock rings' 2 µs tick keeps the watchdog running after the
-    /// wedge) and the other rows sample no port.
+    /// the deadlock rings' 2 µs tick keeps the engine's deadlock watchdog
+    /// running after the wedge) and the other rows sample no port.
     pub sample_every: SimDuration,
 }
 
@@ -1375,8 +1377,9 @@ impl Scenario {
     }
 
     /// It is a seeded negative: its lint spec must raise exactly one
-    /// `check` error, and its run *provokes* a Liveness violation by
-    /// design, which audit builds must record, not abort on.
+    /// `check` error, and its run may *provoke* a deadlock by design,
+    /// which audit builds report as a Liveness violation and must record,
+    /// not abort on.
     const fn raises(self, check: &'static str) -> Scenario {
         Scenario {
             lint: Lint::Raises(check),
@@ -1618,9 +1621,9 @@ pub static CATALOG: [Scenario; 21] = [
     .raises("fault-route-cycle"),
     Scenario::new(
         "deadlock-recovery",
-        "the same ring, routes reverted at end/8 so the fabric drains",
+        "the same ring, routes reverted at 40 µs, before it wedges, so the fabric drains",
         5,
-        |s| fault::deadlock_ring(3, s.end, Some(SimTime::from_ps(s.end.as_ps() / 8))).sim,
+        |s| fault::deadlock_ring(3, s.end, Some(SimTime::from_us(40))).sim,
     )
     .raises("fault-route-cycle"),
 ];

@@ -1,11 +1,11 @@
 //! Static-vs-runtime deadlock cross-check, DCFIT-style: every topology
 //! the static analyzer flags as CDC-cyclic must *actually* deadlock at
-//! runtime under the constructed ring workload — with the auditor's
-//! stalled-progress watchdog reporting exactly the statically predicted
-//! channel cycle — and every catalog row expected clean must never trip
-//! the watchdog, no matter how hard it is driven.
-
-use std::collections::BTreeSet;
+//! runtime under the constructed ring workload — with the engine's
+//! deadlock watchdog, which runs in every build, reporting exactly the
+//! statically predicted channel cycle — and every catalog row expected
+//! clean must never trip the watchdog, no matter how hard it is driven.
+//! Both sides come from `tcd_core::cycles::find`, so their cycles compare
+//! as the same ordered vector.
 
 use lossless_flowctl::SimTime;
 use lossless_netsim::cchooks::FixedRate;
@@ -21,18 +21,21 @@ use tcd_repro::scenarios::{self, fault, Lint, Scale, CATALOG};
 const CYCLIC_RINGS: [(&str, usize); 2] =
     [("seeded-cyclic-triangle", 3), ("seeded-cyclic-square", 4)];
 
-/// Run `sim` with the watchdog recording at dense checkpoints.
-fn run_audited(sim: &mut Simulator, checkpoint_every: u64) {
+/// Run `sim` with the auditor recording violations instead of aborting,
+/// at its default checkpoint cadence: the deadlock verdict is the
+/// engine's, whatever the auditor's cadence.
+fn run_recording(sim: &mut Simulator) {
     sim.audit_mut().config_mut().mode = AuditMode::Record;
-    sim.audit_mut().config_mut().checkpoint_every = checkpoint_every;
     sim.run();
 }
 
-/// Drive one ring to (attempted) deadlock and return the simulator.
-fn run_ring(n: usize, revert_at: Option<SimTime>) -> fault::DeadlockRing {
-    let mut run = fault::deadlock_ring(n, SimTime::from_ms(5), revert_at);
-    run_audited(&mut run.sim, 256);
-    run
+/// A cycle's hops as `(node name, egress port)`, the form of
+/// `TopoDiag::cycle`.
+fn named(sim: &Simulator, cycle: &[(NodeId, u16)]) -> Vec<(String, u16)> {
+    cycle
+        .iter()
+        .map(|&(node, port)| (sim.topology().name(node).to_string(), port))
+        .collect()
 }
 
 #[test]
@@ -49,11 +52,13 @@ fn statically_flagged_cycles_deadlock_at_runtime() {
 
         // Runtime verdict: the same ring, actually driven, wedges — and
         // the watchdog names the cycle.
-        let run = run_ring(n, None);
-        let audit = run.sim.audit();
-        let cycle = audit
-            .deadlock_cycle()
+        let mut run = fault::deadlock_ring(n, SimTime::from_ms(5), None);
+        run_recording(&mut run.sim);
+        let deadlock = run
+            .sim
+            .deadlock()
             .unwrap_or_else(|| panic!("{name}: the watchdog must trip"));
+        let audit = run.sim.audit();
         assert!(
             audit
                 .violations()
@@ -61,30 +66,23 @@ fn statically_flagged_cycles_deadlock_at_runtime() {
                 .any(|v| v.family == InvariantFamily::Liveness),
             "{name}: the deadlock must surface as a Liveness violation"
         );
-
-        // The runtime cycle is exactly the ring's channel set...
-        let got: BTreeSet<(NodeId, u16)> = cycle.iter().copied().collect();
-        let want: BTreeSet<(NodeId, u16)> = (0..n)
-            .map(|i| (run.switches[i], run.ring_ports[i]))
-            .collect();
-        assert_eq!(got, want, "{name}: watchdog cycle != ring channels");
-
-        // ...and every hop the watchdog names appears verbatim in the
-        // static diagnostic (same construction order → same names/ports).
-        for i in 0..n {
-            let hop = format!("s{i}[{}]", run.ring_ports[i]);
-            assert!(
-                diag.message.contains(&hop),
-                "{name}: static diag must name runtime hop {hop}: {}",
-                diag.message
-            );
-        }
-
-        // A deadlock means progress genuinely stopped: no deliveries past
-        // the wedge, queues still holding bytes.
         assert!(
             audit.checks(InvariantFamily::Liveness) > 0,
             "{name}: liveness must have been checked"
+        );
+
+        // The runtime cycle is the ring, in ring order from s0...
+        let want: Vec<(NodeId, u16)> = (0..n)
+            .map(|i| (run.switches[i], run.ring_ports[i]))
+            .collect();
+        assert_eq!(deadlock.cycle, want, "{name}: watchdog cycle != ring");
+
+        // ...and hop for hop the static one (same construction order →
+        // same names and ports).
+        assert_eq!(
+            named(&run.sim, &deadlock.cycle),
+            diag.cycle,
+            "{name}: static cycle != runtime watchdog cycle"
         );
     }
 }
@@ -95,15 +93,9 @@ fn fault_plan_static_cycle_matches_the_runtime_watchdog_hop_for_hop() {
     // actually driven, wedges and the watchdog names the cycle.
     let triangle = scenarios::by_name("deadlock-triangle").expect("catalog row");
     let mut sim = triangle.build(Scale::new(triangle.end));
-    run_audited(&mut sim, 256);
-    let cycle = sim
-        .audit()
-        .deadlock_cycle()
-        .expect("the watchdog must trip");
-    let got: BTreeSet<(String, u16)> = cycle
-        .iter()
-        .map(|&(node, port)| (sim.topology().name(node).to_string(), port))
-        .collect();
+    run_recording(&mut sim);
+    let deadlock = sim.deadlock().expect("the watchdog must trip");
+    let got = named(&sim, &deadlock.cycle);
     assert_eq!(
         got.len(),
         3,
@@ -128,9 +120,8 @@ fn fault_plan_static_cycle_matches_the_runtime_watchdog_hop_for_hop() {
             .iter()
             .find(|d| d.check == "fault-route-cycle")
             .expect("the fault plan pass must flag the swap");
-        let want: BTreeSet<(String, u16)> = diag.cycle.iter().cloned().collect();
         assert_eq!(
-            got, want,
+            got, diag.cycle,
             "{}: static fault-plan cycle != runtime watchdog cycle",
             row.name
         );
@@ -139,16 +130,17 @@ fn fault_plan_static_cycle_matches_the_runtime_watchdog_hop_for_hop() {
 
 #[test]
 fn reverting_routes_before_the_wedge_recovers() {
-    // Same triangle, but the cyclic routes swap back to shortest paths
-    // early: congestion forms, TCD reacts, and the fabric drains instead
-    // of deadlocking. The watchdog must stay silent.
-    let run = run_ring(3, Some(SimTime::from_us(40)));
-    let audit = run.sim.audit();
-    assert!(
-        audit.deadlock_cycle().is_none(),
-        "recovered run must not deadlock: {:?}",
-        audit.violations()
-    );
+    // The catalog's `deadlock-recovery` row at its default length: the
+    // same triangle, but the cyclic routes swap back to shortest paths
+    // early. Congestion forms, TCD reacts, and the fabric drains instead
+    // of deadlocking. The watchdog must stay silent. Dense checkpoints
+    // audit the drain itself.
+    let recovery = scenarios::by_name("deadlock-recovery").expect("catalog row");
+    let mut sim = recovery.build(Scale::new(recovery.end));
+    sim.audit_mut().config_mut().checkpoint_every = 256;
+    run_recording(&mut sim);
+    assert_eq!(sim.deadlock(), None, "recovered run must not deadlock");
+    let audit = sim.audit();
     assert!(
         audit.is_clean(),
         "recovered run must stay invariant-clean: {:?}",
@@ -157,17 +149,18 @@ fn reverting_routes_before_the_wedge_recovers() {
     assert!(audit.checks(InvariantFamily::Liveness) > 0);
     // Forward progress resumed after the revert: the run keeps
     // delivering until the end of the horizon.
-    let delivered: u64 = run.sim.trace.flows.iter().map(|f| f.delivered.pkts).sum();
+    let delivered: u64 = sim.trace.flows.iter().map(|f| f.delivered.pkts).sum();
     assert!(delivered > 0, "recovered run must deliver");
-    assert_eq!(run.sim.trace.drops, 0, "lossless recovery must not drop");
+    assert_eq!(sim.trace.drops, 0, "lossless recovery must not drop");
 }
 
 #[test]
 fn committed_topologies_never_trip_the_watchdog() {
     // The topology, configuration (fault plan included) and routing of
     // every catalog row expected clean, driven with a saturating incast
-    // for 1 ms at dense checkpoints: the watchdog must run and must never
-    // report a deadlock.
+    // for 1 ms at dense audit checkpoints: the watchdog must never report
+    // a deadlock.
+
     for row in CATALOG.iter().filter(|row| row.lint == Lint::Clean) {
         let name = row.name;
         assert!(
@@ -192,12 +185,13 @@ fn committed_topologies_never_trip_the_watchdog() {
                 Box::new(FixedRate::line_rate()),
             );
         }
-        run_audited(&mut sim, 1024);
+        sim.audit_mut().config_mut().checkpoint_every = 1024;
+        run_recording(&mut sim);
 
         let audit = sim.audit();
         assert!(
             audit.checks(InvariantFamily::Liveness) > 0,
-            "{name}: the watchdog must have run"
+            "{name}: liveness must have been audited"
         );
         assert!(
             !audit
@@ -207,8 +201,9 @@ fn committed_topologies_never_trip_the_watchdog() {
             "{name}: clean topology tripped the watchdog: {:?}",
             audit.violations()
         );
-        assert!(
-            audit.deadlock_cycle().is_none(),
+        assert_eq!(
+            sim.deadlock(),
+            None,
             "{name}: clean topology reported a deadlock cycle"
         );
     }
