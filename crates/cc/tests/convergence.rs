@@ -87,8 +87,8 @@ fn shares_bottleneck(mk: impl Fn() -> Box<dyn RateController>, feedback: Feedbac
         ra + rb > 25.0,
         "bottleneck underutilized at end: {ra:.1} + {rb:.1} Gbps"
     );
-    let da = sim.trace.flows[a.0 as usize].delivered.bytes as f64;
-    let db = sim.trace.flows[b.0 as usize].delivered.bytes as f64;
+    let da = sim.trace.flow(a).delivered.bytes as f64;
+    let db = sim.trace.flow(b).delivered.bytes as f64;
     let ratio = da.max(db) / da.min(db).max(1.0);
     assert!(ratio < 3.0, "grossly unfair split: {da} vs {db}");
 }
@@ -208,8 +208,8 @@ fn hpcc_throttles_and_shares_with_int() {
         ra + rb < 48.0,
         "HPCC must not exceed the bottleneck by much"
     );
-    let da = sim.trace.flows[a.0 as usize].delivered.bytes as f64;
-    let db = sim.trace.flows[b.0 as usize].delivered.bytes as f64;
+    let da = sim.trace.flow(a).delivered.bytes as f64;
+    let db = sim.trace.flow(b).delivered.bytes as f64;
     assert!(
         da.max(db) / da.min(db).max(1.0) < 3.0,
         "unfair: {da} vs {db}"

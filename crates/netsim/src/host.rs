@@ -20,6 +20,7 @@ use crate::event::Event;
 use crate::packet::{FlowId, Packet, PacketKind};
 use crate::sim::Ctx;
 use crate::topology::NodeId;
+use crate::trace::FlowSpec;
 use lossless_flowctl::cbfc::{CbfcReceiver, CbfcSender};
 use lossless_flowctl::pfc::{PfcCommand, PfcEgress, PfcIngress};
 use lossless_flowctl::units::{CTRL_FRAME_BYTES, FCCL_FRAME_BYTES};
@@ -97,14 +98,6 @@ struct SenderFlow {
     timers: FlowTimers,
 }
 
-/// Receiver-side state of one flow.
-#[derive(Debug, Default)]
-struct RxFlow {
-    bytes: u64,
-    last_cnp: Option<SimTime>,
-    completed: bool,
-}
-
 /// Hop-by-hop flow-control state of one priority/VL at the NIC.
 enum LaneFc {
     /// CEE, lossless or lossy.
@@ -167,10 +160,6 @@ pub struct Host {
     feedback_q: VecDeque<Box<Packet>>,
     /// Active sender flows (small; linear scans are fine).
     active: Vec<SenderFlow>,
-    /// Receiver-side per-flow state, indexed by the flow's
-    /// [`FlowSpec::rx_slot`](crate::sim::FlowSpec::rx_slot): one entry per
-    /// started flow towards this host, made when the flow starts.
-    rx: Vec<RxFlow>,
     /// Whether a `HostDrain` event is outstanding.
     rx_draining: bool,
     /// Cumulative data bytes transmitted (trace sampling).
@@ -208,7 +197,6 @@ impl Host {
             ctrl: VecDeque::new(),
             feedback_q: VecDeque::new(),
             active: Vec::new(),
-            rx: Vec::new(),
             rx_draining: false,
             tx_bytes: 0,
         }
@@ -217,13 +205,6 @@ impl Host {
     /// The NIC's line rate.
     pub fn line_rate(&self) -> Rate {
         self.line_rate
-    }
-
-    /// Hand out the receive slot of a flow starting towards this host.
-    pub(crate) fn add_rx_slot(&mut self) -> u32 {
-        let slot = self.rx.len() as u32;
-        self.rx.push(RxFlow::default());
-        slot
     }
 
     /// The current CC rate of an active flow, if still sending.
@@ -236,20 +217,18 @@ impl Host {
         &mut self,
         ctx: &mut Ctx<'_>,
         id: FlowId,
-        dst: NodeId,
-        size: u64,
-        prio: u8,
+        spec: &FlowSpec,
         mut cc: Box<dyn RateController>,
     ) {
         let action = cc.start(ctx.now, self.line_rate);
         let mut flow = SenderFlow {
             id,
-            dst,
-            size,
+            dst: spec.dst,
+            size: spec.size,
             sent: 0,
             acked: 0,
             dup_acks: 0,
-            prio,
+            prio: spec.prio,
             next_tx: ctx.now,
             cc,
             rate: Rate::ZERO,
@@ -581,10 +560,6 @@ impl Host {
         }
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "flow ids index the spec and record tables they were minted from; a data packet's flow has started, so its slot is in the receive table"
-    )]
     fn on_data(&mut self, ctx: &mut Ctx<'_>, mut pkt: Box<Packet>) {
         let id = self.id;
         let lane = self.lane(pkt.prio);
@@ -637,24 +612,10 @@ impl Host {
             rx.on_buffer_freed(pkt.size);
         }
 
-        let flow_size = ctx.trace.flows[pkt.flow.0 as usize].size;
-        let slot = ctx.flows[pkt.flow.0 as usize].rx_slot as usize;
+        // A segment that lossy mode's go-back-N discards (a duplicate, or
+        // one past a gap) still elicits a (duplicate) cumulative ACK.
         let lossy = ctx.cfg.is_lossy();
-        let st = &mut self.rx[slot];
-        // Lossy mode: accept only the next in-order segment (go-back-N);
-        // duplicates and post-gap segments are discarded but still elicit
-        // a (duplicate) cumulative ACK. Lossless modes are in-order by
-        // construction, so every packet is new.
-        let accept = !lossy || pkt.seq == st.bytes;
-        if accept {
-            ctx.trace
-                .on_deliver_at(ctx.now, pkt.flow, pkt.size, pkt.code);
-            st.bytes += pkt.size;
-            if st.bytes >= flow_size && !st.completed {
-                st.completed = true;
-                ctx.trace.on_complete(pkt.flow, ctx.now);
-            }
-        }
+        let in_order = ctx.trace.receive(ctx.now, &pkt, lossy);
 
         match ctx.cfg.feedback {
             FeedbackMode::None => ctx.pool.recycle(pkt),
@@ -663,24 +624,17 @@ impl Host {
                 notify_ue,
             } => {
                 let notify = pkt.code.is_ce() || (notify_ue && pkt.code.is_ue());
-                if notify {
-                    let due = match st.last_cnp {
-                        None => true,
-                        Some(t) => ctx.now.saturating_since(t) >= min_interval,
-                    };
-                    if due {
-                        st.last_cnp = Some(ctx.now);
-                        let cnp = ctx.pool.boxed(Packet::feedback(
-                            pkt.flow,
-                            self.id,
-                            pkt.src,
-                            ctx.cfg.feedback_bytes,
-                            ctx.cfg.feedback_prio,
-                            PacketKind::Cnp { code: pkt.code },
-                        ));
-                        self.feedback_q.push_back(cnp);
-                        self.kick(ctx);
-                    }
+                if notify && ctx.trace.cnp_due(pkt.flow, ctx.now, min_interval) {
+                    let cnp = ctx.pool.boxed(Packet::feedback(
+                        pkt.flow,
+                        self.id,
+                        pkt.src,
+                        ctx.cfg.feedback_bytes,
+                        ctx.cfg.feedback_prio,
+                        PacketKind::Cnp { code: pkt.code },
+                    ));
+                    self.feedback_q.push_back(cnp);
+                    self.kick(ctx);
                 }
                 ctx.pool.recycle(pkt);
             }
@@ -688,7 +642,7 @@ impl Host {
                 // Lossy mode carries the *cumulative* in-order byte count
                 // (the go-back-N ACK); lossless modes carry the segment
                 // size (TIMELY only uses the RTT).
-                let acked_bytes = if lossy { self.rx[slot].bytes } else { pkt.size };
+                let acked_bytes = if lossy { in_order } else { pkt.size };
                 let mut ack = Packet::feedback(
                     pkt.flow,
                     self.id,

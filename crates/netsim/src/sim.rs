@@ -10,25 +10,8 @@ use crate::packet::{FlowId, Packet, PacketPool};
 use crate::routing::{Channel, RouteSelect, Routing};
 use crate::switch::EthSwitch;
 use crate::topology::{NodeId, NodeKind, Topology};
-use crate::trace::{Delivered, FlowRecord, PortSample, Trace};
+use crate::trace::{FlowSpec, PortSample, Trace};
 use lossless_flowctl::{SimDuration, SimTime};
-
-/// Engine-side state of a registered flow. The flow's id is its index in
-/// the spec table; its source, destination, size and start time live in
-/// its [`FlowRecord`] (`trace.flows`, same index).
-#[derive(Debug, Clone, Copy)]
-pub struct FlowSpec {
-    /// The event sequence number reserved for the flow's start at
-    /// registration: the start pops at `(start, seq)`, wherever it waits
-    /// until then.
-    pub(crate) seq: u64,
-    /// Index of the flow's receive state at its destination: flows towards
-    /// one host are numbered 0, 1, … in the order they start. `u32::MAX`
-    /// until the flow starts.
-    pub rx_slot: u32,
-    /// Priority / VL.
-    pub prio: u8,
-}
 
 /// Dispatches between two checks of the deadlock watchdog (a power of
 /// two, so the per-event cost is one mask test). A check reads the
@@ -65,11 +48,6 @@ impl Deadlock {
     }
 }
 
-// Every registered flow carries one, started or not: tcdbench's fat-tree
-// workloads register 360 000 flows, of which 8 584 start within the run.
-// A 40-byte spec measured +24 % `setup_s` on `ft6-ibcc` against 32 bytes.
-const _: () = assert!(std::mem::size_of::<FlowSpec>() == 16);
-
 /// Shared context handed to node handlers. Splitting the simulator's fields
 /// this way lets a handler mutate its node and the context simultaneously.
 pub struct Ctx<'a> {
@@ -85,8 +63,6 @@ pub struct Ctx<'a> {
     pub cfg: &'a SimConfig,
     /// Measurement sink.
     pub trace: &'a mut Trace,
-    /// Flow specs (indexed by `FlowId.0`).
-    pub flows: &'a [FlowSpec],
     /// Recycling allocator for packets; handlers box new packets through
     /// it and return consumed ones to it.
     pub pool: &'a mut PacketPool,
@@ -264,7 +240,6 @@ macro_rules! ctx {
             routing: &$sim.routing,
             cfg: &$sim.cfg,
             trace: &mut $sim.trace,
-            flows: &$sim.flows,
             pool: &mut $sim.pool,
             obs: &mut $sim.obs,
             links: &mut $sim.links,
@@ -282,7 +257,6 @@ pub struct Simulator {
     queue: EventQueue,
     /// The node table, indexed by `NodeId`.
     nodes: Vec<Node>,
-    flows: Vec<FlowSpec>,
     /// Controllers waiting for their flow's start event.
     pending_cc: Vec<Option<Box<dyn RateController>>>,
     /// The start chain: registered flows whose start is not in the event
@@ -479,7 +453,6 @@ impl Simulator {
             cfg,
             queue,
             nodes,
-            flows: Vec::new(),
             pending_cc: Vec::new(),
             unqueued: Vec::new(),
             filed: 0,
@@ -607,47 +580,47 @@ impl Simulator {
         );
         assert!(size > 0, "flows must carry at least one byte");
         assert!(prio < self.cfg.num_prios);
-        let id = FlowId(self.flows.len() as u32);
-        self.flows.push(FlowSpec {
-            seq: self.queue.reserve_seq(),
-            rx_slot: u32::MAX,
-            prio,
-        });
-        self.pending_cc.push(Some(cc));
-        self.trace.flows.push(FlowRecord {
-            flow: id,
+        let id = FlowId(self.trace.flows.len() as u32);
+        self.trace.flows.push(FlowSpec {
             src,
             dst,
             size,
             start,
-            end: None,
-            delivered: Delivered::default(),
+            seq: self.queue.reserve_seq(),
+            slot: u32::MAX,
+            prio,
         });
+        self.pending_cc.push(Some(cc));
         id
     }
 
     /// The pop key of a registered flow's start.
-    fn start_key(flows: &[FlowSpec], recs: &[FlowRecord], id: FlowId) -> (SimTime, u64) {
-        let i = id.0 as usize;
-        match (recs.get(i), flows.get(i)) {
-            (Some(r), Some(f)) => (r.start, f.seq),
-            _ => unreachable!("flow ids index the tables that minted them"),
+    fn start_key(flows: &[FlowSpec], id: FlowId) -> (SimTime, u64) {
+        match flows.get(id.0 as usize) {
+            Some(f) => (f.start, f.seq),
+            None => unreachable!("flow ids index the table that minted them"),
         }
     }
 
     /// File the flows registered since the last call into the start chain,
-    /// then queue starts until the queue holds the chain's earliest.
+    /// make room for the record of each that starts by the configured end
+    /// (so the started table never grows mid-run), then queue starts until
+    /// the queue holds the chain's earliest.
     ///
     /// Flows that a workload registers in start order arrive here already
     /// sorted, which the sort detects in one pass.
     fn file_new_flows(&mut self) {
-        if self.filed < self.flows.len() {
-            let (flows, recs) = (&self.flows, &self.trace.flows);
+        let flows = &self.trace.flows;
+        if self.filed < flows.len() {
+            let end = self.cfg.end_time;
+            let new = flows.iter().skip(self.filed);
+            let starting = new.filter(|f| f.start <= end).count();
             self.unqueued
                 .extend((self.filed..flows.len()).rev().map(|i| FlowId(i as u32)));
             self.unqueued
-                .sort_unstable_by_key(|&id| std::cmp::Reverse(Self::start_key(flows, recs, id)));
+                .sort_unstable_by_key(|&id| std::cmp::Reverse(Self::start_key(flows, id)));
             self.filed = flows.len();
+            self.trace.reserve_starts(starting);
         }
         self.queue_starts();
     }
@@ -660,7 +633,7 @@ impl Simulator {
     /// queue holding every start since registration would give.
     fn queue_starts(&mut self) {
         while let Some(&id) = self.unqueued.last() {
-            let key = Self::start_key(&self.flows, &self.trace.flows, id);
+            let key = Self::start_key(&self.trace.flows, id);
             if self.queued == 0 {
                 self.queued_max = key;
             } else if key > self.queued_max {
@@ -673,28 +646,22 @@ impl Simulator {
         }
     }
 
-    /// A queued start popped: hand the flow its receive slot at the
-    /// destination, start it at its source, and queue the next start if it
-    /// was the last one queued.
+    /// A queued start popped: give the flow its record, start it at its
+    /// source, and queue the next start if it was the last one queued.
     fn start_flow(&mut self, now: SimTime, flow: FlowId) {
-        let i = flow.0 as usize;
-        let (Some(rec), Some(spec), Some(cc)) = (
-            self.trace.flows.get(i),
-            self.flows.get_mut(i),
-            self.pending_cc.get_mut(i).and_then(Option::take),
-        ) else {
-            unreachable!("flow {i} started twice or was never registered");
+        let Some(cc) = self
+            .pending_cc
+            .get_mut(flow.0 as usize)
+            .and_then(Option::take)
+        else {
+            unreachable!("flow {flow:?} started twice or was never registered");
         };
-        let (src, dst, size, prio) = (rec.src, rec.dst, rec.size, spec.prio);
-        let Some(Node::Host(receiver)) = self.nodes.get_mut(dst.index()) else {
-            unreachable!("flow destinations are checked to be hosts at registration");
-        };
-        spec.rx_slot = receiver.add_rx_slot();
+        let spec = self.trace.start(flow);
         let mut ctx = ctx!(self, now);
-        let Some(Node::Host(sender)) = self.nodes.get_mut(src.index()) else {
+        let Some(Node::Host(sender)) = self.nodes.get_mut(spec.src.index()) else {
             unreachable!("flow sources are checked to be hosts at registration");
         };
-        sender.start_flow(&mut ctx, flow, dst, size, prio, cc);
+        sender.start_flow(&mut ctx, flow, &spec, cc);
         self.queued -= 1;
         if self.queued == 0 {
             self.queue_starts();
@@ -716,25 +683,16 @@ impl Simulator {
         &self.cfg
     }
 
-    /// Flow specs registered so far (a flow's source, destination, size
-    /// and start are in its [`FlowRecord`] in `trace.flows`).
-    pub fn flows(&self) -> &[FlowSpec] {
-        &self.flows
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.queue.now()
     }
 
-    /// A host's current CC rate for a flow (None once it finished sending).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "flow ids are dense indices handed out by add_flow, which sized the flow records"
-    )]
+    /// A host's current CC rate for a flow (None once it finished sending,
+    /// or if it was never registered).
     pub fn flow_rate(&self, flow: FlowId) -> Option<lossless_flowctl::Rate> {
-        let rec = &self.trace.flows[flow.0 as usize];
-        match self.node(rec.src) {
+        let spec = self.trace.flows.get(flow.0 as usize)?;
+        match self.node(spec.src) {
             Node::Host(h) => h.flow_rate(flow),
             _ => None,
         }
@@ -755,7 +713,7 @@ impl Simulator {
     /// have completed.
     fn drive(&mut self, until: SimTime, stop_when_complete: bool) {
         let end = until.min(self.cfg.end_time);
-        let total = self.flows.len();
+        let total = self.trace.flows.len();
         self.file_new_flows();
         #[cfg(feature = "audit")]
         let checkpoint_every = self.audit.config().checkpoint_every.max(1);
@@ -1140,7 +1098,7 @@ impl Simulator {
     /// flows completed.
     pub fn run_until_all_complete(&mut self) -> bool {
         self.drive(SimTime::MAX, true);
-        self.trace.completed_count == self.flows.len()
+        self.trace.completed_count == self.trace.flows.len()
     }
 
     #[expect(
@@ -1387,13 +1345,13 @@ mod tests {
         );
         sim.run_until(SimTime::from_ms(1));
         assert!(sim.now() <= SimTime::from_ms(1));
-        let partial = sim.trace.flows[0].delivered.bytes;
+        let partial = sim.trace.flow(FlowId(0)).delivered.bytes;
         assert!(
             partial > 0 && partial < 10_000_000,
             "mid-flight at 1 ms: {partial}"
         );
         sim.run();
-        assert_eq!(sim.trace.flows[0].delivered.bytes, 10_000_000);
+        assert_eq!(sim.trace.flow(FlowId(0)).delivered.bytes, 10_000_000);
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn cee_pause_storm_runs_invariant_clean() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    assert_eq!(sim.trace.flows[f.0 as usize].delivered.bytes, 4_000_000);
+    assert_eq!(sim.trace.flow(f).delivered.bytes, 4_000_000);
     assert!(sim.trace.pause_frames > 0, "the scenario must pause");
     assert_clean_and_thorough(&sim);
     assert!(
@@ -83,7 +83,7 @@ fn ib_credit_loop_conserves_cbfc_credits() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    assert_eq!(sim.trace.flows[f.0 as usize].delivered.bytes, 4_000_000);
+    assert_eq!(sim.trace.flow(f).delivered.bytes, 4_000_000);
     assert_clean_and_thorough(&sim);
 }
 

@@ -32,7 +32,7 @@ fn pfc_pauses_a_two_to_one_incast_and_nothing_is_lost() {
     sim.run();
     assert!(sim.trace.pause_frames >= 2, "PAUSE + RESUME expected");
     for f in [a, b] {
-        assert_eq!(sim.trace.flows[f.0 as usize].delivered.bytes, 1_000_000);
+        assert_eq!(sim.trace.flow(f).delivered.bytes, 1_000_000);
     }
     // Aggregate throughput equals the bottleneck: last completion at
     // >= 2 MB / 40 Gbps.
@@ -59,7 +59,7 @@ fn cbfc_credit_loop_throttles_exactly_to_line_rate() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    let fct = sim.trace.flows[f.0 as usize].fct().expect("completed");
+    let fct = sim.trace.flow(f).fct().expect("completed");
     let ideal = Rate::from_gbps(40).serialize_time(size);
     // Within 5% of pure serialization (plus fixed latency).
     assert!(
@@ -91,8 +91,8 @@ fn nic_paces_flows_independently() {
         Box::new(FixedRate::new(Rate::from_gbps(5))),
     );
     sim.run();
-    let t_fast = sim.trace.flows[fast.0 as usize].fct().unwrap();
-    let t_slow = sim.trace.flows[slow.0 as usize].fct().unwrap();
+    let t_fast = sim.trace.flow(fast).fct().unwrap();
+    let t_slow = sim.trace.flow(slow).fct().unwrap();
     let i_fast = Rate::from_gbps(20).serialize_time(2_000_000);
     let i_slow = Rate::from_gbps(5).serialize_time(2_000_000);
     assert!(t_fast.as_ps() >= i_fast.as_ps());
@@ -322,7 +322,7 @@ fn multi_priority_pfc_isolation() {
         Box::new(FixedRate::new(Rate::from_gbps(10))),
     );
     sim.run();
-    let rec = &sim.trace.flows[p2_flow.0 as usize];
+    let rec = sim.trace.flow(p2_flow);
     let fct = rec.fct().expect("priority-2 flow must complete");
     let ideal = Rate::from_gbps(10).serialize_time(5_000_000);
     // Head-of-line-free: the priority-2 flow runs at its paced rate even

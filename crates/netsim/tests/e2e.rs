@@ -29,7 +29,7 @@ fn single_flow_completes_with_expected_fct() {
     );
     sim.run();
 
-    let rec = &sim.trace.flows[f.0 as usize];
+    let rec = sim.trace.flow(f);
     assert_eq!(rec.delivered.bytes, size, "all bytes delivered");
     let fct = rec.fct().expect("flow completed");
     // Line-rate pipeline: 100 packets back-to-back at 40G (200ns each)
@@ -53,7 +53,7 @@ fn paced_flow_matches_configured_rate() {
         Box::new(FixedRate::new(Rate::from_gbps(10))),
     );
     sim.run();
-    let fct = sim.trace.flows[f.0 as usize].fct().unwrap();
+    let fct = sim.trace.flow(f).fct().unwrap();
     // 1 MB at 10 Gbps = 800 µs; allow the fixed pipeline offset.
     let ideal = Rate::from_gbps(10).serialize_time(size);
     assert!(fct >= ideal, "cannot beat the paced rate");
@@ -86,7 +86,7 @@ fn two_flows_share_bottleneck_without_loss() {
     );
     sim.run();
     for f in [a, b] {
-        let rec = &sim.trace.flows[f.0 as usize];
+        let rec = sim.trace.flow(f);
         assert_eq!(rec.delivered.bytes, size, "lossless delivery");
         assert!(rec.end.is_some(), "completed");
     }
@@ -119,7 +119,7 @@ fn incast_is_lossless_and_fair_ish() {
         .collect();
     sim.run();
     for f in &ids {
-        let rec = &sim.trace.flows[f.0 as usize];
+        let rec = sim.trace.flow(*f);
         assert_eq!(rec.delivered.bytes, size, "flow {f:?} lost bytes");
         assert!(rec.end.is_some(), "flow {f:?} unfinished");
     }
@@ -128,7 +128,7 @@ fn incast_is_lossless_and_fair_ish() {
     // completion times should be modest (within 30% of the mean).
     let ends: Vec<f64> = ids
         .iter()
-        .map(|f| sim.trace.flows[f.0 as usize].end.unwrap().as_ms_f64())
+        .map(|f| sim.trace.flow(*f).end.unwrap().as_ms_f64())
         .collect();
     let mean = ends.iter().sum::<f64>() / ends.len() as f64;
     for e in &ends {
@@ -152,7 +152,7 @@ fn ib_single_flow_completes() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    let rec = &sim.trace.flows[f.0 as usize];
+    let rec = sim.trace.flow(f);
     assert_eq!(rec.delivered.bytes, size);
     assert!(rec.end.is_some());
 }
@@ -178,7 +178,7 @@ fn ib_incast_is_lossless() {
         .collect();
     sim.run();
     for f in &ids {
-        let rec = &sim.trace.flows[f.0 as usize];
+        let rec = sim.trace.flow(*f);
         assert_eq!(
             rec.delivered.bytes, size,
             "flow {f:?} lost bytes under CBFC"
@@ -208,8 +208,8 @@ fn cross_traffic_does_not_starve() {
         Box::new(FixedRate::new(Rate::from_gbps(5))),
     );
     sim.run();
-    assert!(sim.trace.flows[f1.0 as usize].end.is_some());
-    assert!(sim.trace.flows[f0.0 as usize].end.is_some());
+    assert!(sim.trace.flow(f1).end.is_some());
+    assert!(sim.trace.flow(f0).end.is_some());
 }
 
 #[test]
@@ -238,14 +238,12 @@ fn runs_are_deterministic() {
         sim.run();
         let ends: Vec<_> = sim
             .trace
-            .flows
-            .iter()
+            .records()
             .map(|r| r.end.map(|t| t.as_ps()))
             .collect();
         let marks: Vec<_> = sim
             .trace
-            .flows
-            .iter()
+            .records()
             .map(|r| (r.delivered.ce, r.delivered.ue))
             .collect();
         (ends, marks, sim.trace.pause_frames)
@@ -286,7 +284,7 @@ fn pfc_keeps_switch_buffers_bounded() {
     // 17 ports max at T3 (15 bursters + 2 hosts + chain).
     // We only assert the global sanity bound here.
     // Access via trace: not exposed per switch; assert losslessness instead.
-    for r in sim.trace.flows.iter() {
+    for r in sim.trace.records() {
         assert_eq!(r.delivered.bytes, r.size);
     }
 }

@@ -142,7 +142,7 @@ fn run_one(shape: u8, seed: u64, n: usize) -> Observed {
     Observed {
         events: sim.trace.events,
         forwarded: sim.trace.forwarded_pkts,
-        delivered: sim.trace.flows.iter().map(|f| f.delivered.bytes).collect(),
+        delivered: sim.trace.records().map(|f| f.delivered.bytes).collect(),
         drops: sim.trace.drops,
         registry_fp: sim.obs_registry().fingerprint(),
     }

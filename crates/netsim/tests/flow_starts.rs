@@ -11,13 +11,12 @@ use lossless_netsim::cchooks::FixedRate;
 use lossless_netsim::config::SimConfig;
 use lossless_netsim::routing::RouteSelect;
 use lossless_netsim::topology::{figure2, Figure2, Figure2Options};
-use lossless_netsim::{NodeId, Simulator};
+use lossless_netsim::{FlowId, NodeId, Simulator};
 
 /// Every flow's completion time (ps), in registration order.
 fn ends(sim: &Simulator) -> Vec<Option<u64>> {
     sim.trace
-        .flows
-        .iter()
+        .records()
         .map(|r| r.end.map(SimTime::as_ps))
         .collect()
 }
@@ -206,5 +205,127 @@ fn flows_added_between_run_until_calls_merge_into_the_start_order() {
             2980,
             13_707_557_613_213_866_556,
         )
+    );
+}
+
+/// Where a registered flow stands once the run has dispatched every event
+/// up to some instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    NeverStarted,
+    Unfinished,
+    Completed,
+}
+
+/// Check every registered flow against `want`, the `(src, dst, size,
+/// start)` the test registered, after a run that dispatched every event up
+/// to `until`: `trace.flow(id)` carries the registered fields, a flow
+/// starting after `until` is idle, slots number the started flows in
+/// `(start, registration)` order, `records()` is `flow(id)` in id order,
+/// and `completed()` lists the finished flows in id order. Returns each
+/// flow's stage.
+fn check_flow_table(
+    sim: &Simulator,
+    want: &[(NodeId, NodeId, u64, SimTime)],
+    until: SimTime,
+) -> Vec<Stage> {
+    let t = &sim.trace;
+    assert_eq!(t.flows.len(), want.len());
+    let mut stages = Vec::new();
+    for (i, &(src, dst, size, start)) in want.iter().enumerate() {
+        let id = FlowId(i as u32);
+        let r = t.flow(id);
+        assert_eq!(
+            (r.flow, r.src, r.dst, r.size, r.start),
+            (id, src, dst, size, start)
+        );
+        let d = r.delivered;
+        stages.push(if start > until {
+            assert_eq!(t.flows[i].slot, u32::MAX, "flow {i} has not started");
+            assert_eq!(r.end, None);
+            assert_eq!((d.pkts, d.bytes, d.ce, d.ue), (0, 0, 0, 0), "flow {i}");
+            Stage::NeverStarted
+        } else if let Some(end) = r.end {
+            assert_eq!(d.bytes, size, "flow {i}");
+            assert!(start < end && end <= until, "flow {i}");
+            Stage::Completed
+        } else {
+            assert!(d.bytes < size, "flow {i}");
+            Stage::Unfinished
+        });
+    }
+    let mut by_start: Vec<usize> = (0..want.len()).filter(|&i| want[i].3 <= until).collect();
+    by_start.sort_by_key(|&i| (want[i].3, i));
+    for (k, &i) in by_start.iter().enumerate() {
+        assert_eq!(t.flows[i].slot, k as u32, "flow {i} is start number {k}");
+    }
+    let records: Vec<[u64; 8]> = t.records().map(|r| r.words()).collect();
+    let assembled: Vec<[u64; 8]> = (0..want.len() as u32)
+        .map(|i| t.flow(FlowId(i)).words())
+        .collect();
+    assert_eq!(records, assembled);
+    let done: Vec<usize> = t.completed().map(|r| r.flow.0 as usize).collect();
+    let want_done: Vec<usize> = (0..want.len())
+        .filter(|&i| stages[i] == Stage::Completed)
+        .collect();
+    assert_eq!(done, want_done, "completed() in FlowId order");
+    assert_eq!(t.completed_count, done.len());
+    stages
+}
+
+#[test]
+fn the_flow_table_assembles_every_record_at_every_stage() {
+    use Stage::{Completed as C, NeverStarted as N, Unfinished as U};
+    let f2 = fig2();
+    let b = &f2.bursters;
+    let end = SimTime::from_ms(1);
+    let mut sim = Simulator::new(
+        f2.topo.clone(),
+        SimConfig::cee_baseline(end),
+        RouteSelect::Ecmp,
+    );
+    let mut want = Vec::new();
+    // Latest start first. Flow 1 carries more than a 40 Gb/s link moves
+    // in the run; flow 2 starts after the run ends.
+    register(
+        &mut sim,
+        &mut want,
+        &[
+            (b[0], f2.r1, 50_000, 30, 0),
+            (b[1], f2.r1, 20_000_000, 20, 0),
+            (b[2], f2.r0, 5_000, 2_000, 0),
+            (b[3], f2.r0, 40_000, 0, 0),
+        ],
+    );
+    sim.run_until(us(25));
+    assert_eq!(check_flow_table(&sim, &want, us(25)), [N, U, N, C]);
+    // Registered between two run_until calls: one starting before every
+    // pending start, one after the run ends.
+    register(
+        &mut sim,
+        &mut want,
+        &[
+            (b[4], f2.r1, 30_000, 40, 0),
+            (b[5], f2.r0, 10_000, 26, 0),
+            (b[6], f2.r1, 8_000, 5_000, 0),
+        ],
+    );
+    sim.run_until(us(28));
+    assert_eq!(check_flow_table(&sim, &want, us(28)), [N, U, N, C, N, U, N]);
+    sim.run();
+    assert_eq!(check_flow_table(&sim, &want, end), [C, U, N, C, C, C, N]);
+}
+
+/// [`add`] `flows`, and keep what was registered in `want`.
+fn register(
+    sim: &mut Simulator,
+    want: &mut Vec<(NodeId, NodeId, u64, SimTime)>,
+    flows: &[(NodeId, NodeId, u64, u64, u64)],
+) {
+    add(sim, flows);
+    want.extend(
+        flows
+            .iter()
+            .map(|&(s, d, size, st, _)| (s, d, size, us(st))),
     );
 }

@@ -77,15 +77,9 @@ fn voq_keeps_a_cold_output_usable_beside_a_hot_one() {
         Box::new(FixedRate::new(Rate::from_gbps(20))),
     );
     sim.run();
-    let t_cold = sim.trace.flows[cold.0 as usize]
-        .fct()
-        .expect("cold flow completes");
-    let t_hot1 = sim.trace.flows[hot1.0 as usize]
-        .fct()
-        .expect("hot1 completes");
-    let t_hot2 = sim.trace.flows[hot2.0 as usize]
-        .fct()
-        .expect("hot2 completes");
+    let t_cold = sim.trace.flow(cold).fct().expect("cold flow completes");
+    let t_hot1 = sim.trace.flow(hot1).fct().expect("hot1 completes");
+    let t_hot2 = sim.trace.flow(hot2).fct().expect("hot2 completes");
     // Hot flows: 8 MB through a ~20G fair share is >= 3.2 ms.
     // Cold flow: 2 MB at its ~20G NIC share is ~0.8 ms; head-of-line
     // blocking behind the hot backlog would push it toward the hot
@@ -123,16 +117,14 @@ fn undersized_credit_period_starves_line_rate() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    let fct = sim.trace.flows[f.0 as usize]
-        .fct()
-        .expect("still completes (lossless)");
+    let fct = sim.trace.flow(f).fct().expect("still completes (lossless)");
     let ideal = Rate::from_gbps(40).serialize_time(size);
     assert!(
         fct.as_ps() > ideal.as_ps() * 110 / 100,
         "expected credit starvation to cost >10% throughput: {fct} vs {ideal}"
     );
     // Losslessness survives the misconfiguration.
-    assert_eq!(sim.trace.flows[f.0 as usize].delivered.bytes, size);
+    assert_eq!(sim.trace.flow(f).delivered.bytes, size);
 }
 
 #[test]
@@ -202,8 +194,8 @@ fn fccl_updates_bound_idle_credit_lag() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    let t_early = sim.trace.flows[early.0 as usize].fct().unwrap();
-    let t_late = sim.trace.flows[late.0 as usize].fct().unwrap();
+    let t_early = sim.trace.flow(early).fct().unwrap();
+    let t_late = sim.trace.flow(late).fct().unwrap();
     let diff = t_early.as_ps().abs_diff(t_late.as_ps());
     assert!(
         diff < t_early.as_ps() / 100 + 25_000_000,
@@ -236,7 +228,7 @@ fn ib_feedback_vl_is_not_blocked_by_data_vl_congestion() {
     }
     sim.run();
     for f in flows {
-        assert_eq!(sim.trace.flows[f.0 as usize].delivered.bytes, 1_000_000);
-        assert!(sim.trace.flows[f.0 as usize].end.is_some());
+        assert_eq!(sim.trace.flow(f).delivered.bytes, 1_000_000);
+        assert!(sim.trace.flow(f).end.is_some());
     }
 }

@@ -25,7 +25,7 @@ fn uncontended_lossy_flow_behaves_like_lossless() {
     );
     sim.run();
     assert_eq!(sim.trace.drops, 0);
-    let rec = &sim.trace.flows[f.0 as usize];
+    let rec = sim.trace.flow(f);
     assert_eq!(rec.delivered.bytes, size);
     let fct = rec.fct().unwrap();
     let ideal = Rate::from_gbps(40).serialize_time(size);
@@ -57,7 +57,7 @@ fn overload_drops_but_reliability_recovers_everything() {
     sim.run();
     assert!(sim.trace.drops > 0, "a 4:1 incast into 100KB must drop");
     for f in &flows {
-        let rec = &sim.trace.flows[f.0 as usize];
+        let rec = sim.trace.flow(*f);
         assert!(rec.end.is_some(), "flow {f:?} never completed");
         assert_eq!(rec.delivered.bytes, size, "exactly-once delivery violated");
     }
@@ -96,12 +96,7 @@ fn lossless_beats_lossy_tail_under_incast() {
         sim.run();
         flows
             .iter()
-            .map(|f| {
-                sim.trace.flows[f.0 as usize]
-                    .fct()
-                    .expect("completes")
-                    .as_secs_f64()
-            })
+            .map(|f| sim.trace.flow(*f).fct().expect("completes").as_secs_f64())
             .fold(0.0, f64::max)
     };
     let lossless_tail = run(true);
@@ -116,11 +111,11 @@ fn lossless_beats_lossy_tail_under_incast() {
 fn receive_slots_follow_start_order() {
     // Four flows into r1, registered latest start first, so they start in
     // the reverse of registration order, and one into r0 between them;
-    // heavy loss. Each flow gets its own receive slot at its destination
-    // when it starts, and go-back-N's cumulative ACKs, which the receiver
-    // reads from that slot, drive every flow to exactly the completion
-    // time it had when receive state was a map keyed by flow id (the
-    // pinned values).
+    // heavy loss. Each flow gets its slot among the started flows when it
+    // starts, and go-back-N's cumulative ACKs, which the receiver reads
+    // from the record in that slot, drive every flow to exactly the
+    // completion time it had when receive state was a map keyed by flow id
+    // (the pinned values).
     let f2 = figure2(Figure2Options::default());
     let cfg = SimConfig::lossy_baseline(SimTime::from_ms(200), 50 * 1024);
     let mut sim = Simulator::new(f2.topo.clone(), cfg, RouteSelect::Ecmp);
@@ -145,13 +140,19 @@ fn receive_slots_follow_start_order() {
         })
         .collect();
     sim.run();
-    let slots: Vec<u32> = sim.flows().iter().map(|f| f.rx_slot).collect();
-    assert_eq!(slots, [3, 0, 2, 0, 1]);
+    // Slot k is the k-th flow to start, by (start, registration).
+    let slots: Vec<u32> = sim.trace.flows.iter().map(|f| f.slot).collect();
+    let mut by_start: Vec<usize> = (0..plan.len()).collect();
+    by_start.sort_by_key(|&i| (plan[i].2, i));
+    for (k, &i) in by_start.iter().enumerate() {
+        assert_eq!(slots[i], k as u32, "flow {i}");
+    }
+    assert_eq!(slots, [4, 1, 3, 0, 2]);
     assert_eq!((sim.trace.drops, sim.trace.events), (4560, 229_797));
     let ends: Vec<_> = flows
         .iter()
         .map(|f| {
-            let rec = &sim.trace.flows[f.0 as usize];
+            let rec = sim.trace.flow(*f);
             assert_eq!(rec.delivered.bytes, 300_000);
             rec.end.map(SimTime::as_ps)
         })
@@ -193,7 +194,7 @@ fn duplicate_deliveries_are_never_counted() {
     sim.run();
     assert!(sim.trace.drops > 0);
     for f in &flows {
-        let rec = &sim.trace.flows[f.0 as usize];
+        let rec = sim.trace.flow(*f);
         assert_eq!(rec.delivered.bytes, size, "byte counted twice or lost");
         assert!(rec.end.is_some());
     }

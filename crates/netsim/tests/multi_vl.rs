@@ -74,8 +74,8 @@ fn wrr_splits_a_saturated_link_by_weight() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    let d1 = sim.trace.flows[f1.0 as usize].delivered.bytes as f64;
-    let d2 = sim.trace.flows[f2.0 as usize].delivered.bytes as f64;
+    let d1 = sim.trace.flow(f1).delivered.bytes as f64;
+    let d2 = sim.trace.flow(f2).delivered.bytes as f64;
     let ratio = d1 / d2;
     assert!(
         (1.6..=2.4).contains(&ratio),
@@ -119,8 +119,8 @@ fn equal_weights_split_evenly() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    let d1 = sim.trace.flows[f1.0 as usize].delivered.bytes as f64;
-    let d2 = sim.trace.flows[f2.0 as usize].delivered.bytes as f64;
+    let d1 = sim.trace.flow(f1).delivered.bytes as f64;
+    let d2 = sim.trace.flow(f2).delivered.bytes as f64;
     let ratio = d1 / d2;
     assert!(
         (0.85..=1.18).contains(&ratio),
@@ -148,7 +148,7 @@ fn an_idle_vl_does_not_strand_bandwidth() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    let fct = sim.trace.flows[f.0 as usize].fct().expect("completes");
+    let fct = sim.trace.flow(f).fct().expect("completes");
     let ideal = Rate::from_gbps(40).serialize_time(size);
     assert!(
         fct.as_ps() < ideal.as_ps() * 11 / 10 + 20_000_000,
@@ -202,7 +202,7 @@ fn per_vl_tcd_uses_share_scaled_max_ton() {
     );
     sim.run();
     for f in [a, b] {
-        assert_eq!(sim.trace.flows[f.0 as usize].delivered.bytes, 3_000_000);
+        assert_eq!(sim.trace.flow(f).delivered.bytes, 3_000_000);
     }
 }
 
@@ -231,8 +231,8 @@ fn strict_priority_remains_the_default() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    let d_hi = sim.trace.flows[hi.0 as usize].delivered.bytes as f64;
-    let d_lo = sim.trace.flows[lo.0 as usize].delivered.bytes as f64;
+    let d_hi = sim.trace.flow(hi).delivered.bytes as f64;
+    let d_lo = sim.trace.flow(lo).delivered.bytes as f64;
     assert!(
         d_hi > 5.0 * d_lo.max(1.0),
         "strict priority should starve the lower VL: {d_hi} vs {d_lo}"
@@ -291,7 +291,7 @@ fn cee_priority_preemption_does_not_break_tcd() {
         Box::new(FixedRate::new(Rate::from_gbps(8))),
     );
     sim.run();
-    let d = sim.trace.flows[victim.0 as usize].delivered;
+    let d = sim.trace.flow(victim).delivered;
     assert!(d.pkts > 0, "victim must make progress");
     assert_eq!(
         d.ce, 0,

@@ -33,7 +33,7 @@ fn cee_slow_receiver_paces_the_sender_without_loss() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    let rec = &sim.trace.flows[f.0 as usize];
+    let rec = sim.trace.flow(f);
     assert_eq!(rec.delivered.bytes, size, "lossless under edge pauses");
     let fct = rec.fct().expect("completes");
     let at_rx_rate = Rate::from_gbps(10).serialize_time(size);
@@ -65,7 +65,7 @@ fn ib_slow_receiver_throttles_via_credits() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    let rec = &sim.trace.flows[f.0 as usize];
+    let rec = sim.trace.flow(f);
     assert_eq!(rec.delivered.bytes, size);
     let fct = rec.fct().expect("completes");
     let at_rx_rate = Rate::from_gbps(10).serialize_time(size);
@@ -91,7 +91,7 @@ fn fast_receiver_default_is_unchanged() {
         Box::new(FixedRate::line_rate()),
     );
     sim.run();
-    let fct = sim.trace.flows[f.0 as usize].fct().unwrap();
+    let fct = sim.trace.flow(f).fct().unwrap();
     let ideal = Rate::from_gbps(40).serialize_time(size);
     assert!(fct.as_ps() < ideal.as_ps() * 105 / 100 + 20_000_000);
 }
@@ -129,8 +129,8 @@ fn slow_receiver_spreading_keeps_victims_clean_under_tcd() {
         Box::new(FixedRate::new(Rate::from_gbps(5))),
     );
     sim.run();
-    let d0 = sim.trace.flows[f0.0 as usize].delivered;
-    let d1 = sim.trace.flows[f1.0 as usize].delivered;
+    let d0 = sim.trace.flow(f0).delivered;
+    let d1 = sim.trace.flow(f1).delivered;
     assert!(
         sim.trace.pause_frames > 0,
         "edge-originated pauses expected"

@@ -51,8 +51,8 @@ fn main() {
     // 4. Run and inspect.
     sim.run();
 
-    let d0 = sim.trace.flows[f0.0 as usize].delivered;
-    let d1 = sim.trace.flows[f1.0 as usize].delivered;
+    let d0 = sim.trace.flow(f0).delivered;
+    let d1 = sim.trace.flow(f1).delivered;
     println!(
         "F0 (victim):    {} pkts, {} CE, {} UE",
         d0.pkts, d0.ce, d0.ue

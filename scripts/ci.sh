@@ -104,10 +104,11 @@ echo "=== tcdsim sweep ==="
 # deterministic too (it counts requested bytes): its ceiling is the value
 # since the last change that moved it, plus 2 %, rounded up to 0.1 MB, and
 # the trailing "heap" number is the value before that change. For the three
-# fat-tree rows that change is congestion controllers borrowing their
-# preset instead of copying it; for fig2-storm and victim-sweep it is
-# unstarted flows no longer holding a queue entry and a receive slot. Perf
-# itself is judged by the benchmark's timed runs, not here.
+# fat-tree rows that change is a never-started flow shrinking to its
+# 40-byte spec (no record, no receive state); for fig2-storm and
+# victim-sweep it is unstarted flows no longer holding a queue entry and a
+# receive slot. Perf itself is judged by the benchmark's timed runs, not
+# here.
 echo "=== tcdbench (work + fingerprint gate) ==="
 counter() { # file, metric: the metric's value in the file's closing JSON line
     tail -n 1 "$1" | grep -o "\"$2\": {\"value\": [0-9.]*" | awk '{print $NF}'
@@ -132,10 +133,10 @@ work_gate() {
         exit 1
     fi
 }
-work_gate ft6-dcqcn      7443913 2.72508199319893   0.0       60fe06a30a37acd7  9  96.8 # 3.75 3.84; heap 119.58
-work_gate ft6-ibcc       6824062 3.199299948522869  0.0       08d88469fdeb0a87 12  83.0 # 5.13 5.44; heap 92.31
+work_gate ft6-dcqcn      7443913 2.72508199319893   0.0       60fe06a30a37acd7  9  68.2 # 3.75 3.84; heap 94.86
+work_gate ft6-ibcc       6824062 3.199299948522869  0.0       08d88469fdeb0a87 12  54.4 # 5.13 5.44; heap 81.32
 work_gate fig2-storm     5235086 3.758977058051008  0.0       d1de8c77438fafba  5   1.2 # 1.74 1.65; heap 1.128
-work_gate ft6-dcqcn-obs  7444914 2.7254484412048634 1118806.0 5c9e83e622ce2050 10 176.2 # 3.90 3.99; heap 196.82
+work_gate ft6-dcqcn-obs  7444914 2.7254484412048634 1118806.0 5c9e83e622ce2050 10 148.0 # 3.90 3.99; heap 172.68
 work_gate victim-sweep  25595608 4.518427402185741  0.0       4405bf5d62b6ae8c 19   8.3 # 7.79 7.71; heap 8.23
 
 # Figure gate: every committed results/<name>.txt (the tables

@@ -52,7 +52,8 @@ fn incast(lossless: bool, fanin: usize, size: u64, seed: u64) -> Outcome {
     let fcts: Vec<f64> = flows
         .iter()
         .map(|f| {
-            sim.trace.flows[f.0 as usize]
+            sim.trace
+                .flow(*f)
                 .fct()
                 .expect("all flows must complete in both modes")
                 .as_secs_f64()

@@ -74,7 +74,7 @@ fn print_flow_marks(sim: &Simulator, flows: &[(&str, FlowId)], with_ue: bool) {
         vec!["flow", "pkts", "CE-marked", "CE frac"]
     });
     for &(name, f) in flows {
-        let d = sim.trace.flows[f.0 as usize].delivered;
+        let d = sim.trace.flow(f).delivered;
         let mut row = vec![name.to_string(), d.pkts.to_string(), d.ce.to_string()];
         if with_ue {
             row.push(d.ue.to_string());
@@ -222,7 +222,7 @@ pub(super) fn fig11_testbed(_: &Args) {
         // A0 injects at line rate but only gets its contended share of the
         // R1 link, so the congestion episode ends when its backlog drains —
         // at its flow completion, not at its nominal send window.
-        let b1 = r.sim.trace.flows[r.a0.0 as usize].end.unwrap_or(end);
+        let b1 = r.sim.trace.flow(r.a0).end.unwrap_or(end);
         println!(
             "A0 bursting from {:.1} ms; backlog drained at {:.1} ms",
             b0.as_ms_f64(),
@@ -249,7 +249,7 @@ pub(super) fn fig11_testbed(_: &Args) {
         t.print();
 
         // F1 for contrast: CE during the burst window.
-        let d1 = r.sim.trace.flows[r.f1.0 as usize].delivered;
+        let d1 = r.sim.trace.flow(r.f1).delivered;
         println!(
             "F1 totals: pkts {} CE {} UE {} (CE expected during burst)\n",
             d1.pkts, d1.ce, d1.ue
@@ -340,7 +340,7 @@ pub(super) fn fig13_tcd_multi_cp(_: &Args) {
             // combined input exceeds the line rate), so once P2 emerges as a
             // congestion port their packets must carry CE.
             for (name, f) in [("F0", r.f0), ("F1", r.f1), ("F2", r.f2)] {
-                let del = r.sim.trace.flows[f.0 as usize].delivered;
+                let del = r.sim.trace.flow(f).delivered;
                 println!("{name}: pkts={} CE={} UE={}", del.pkts, del.ce, del.ue);
             }
             println!();

@@ -222,8 +222,7 @@ fn victim_fct_figure(fig: u32, algo: CcAlgo, a: &Args) {
                     ..Default::default()
                 });
                 let groups = SizeBuckets::hadoop_buckets().group(&r.victim_slowdowns(base));
-                let ended =
-                    |f: &&lossless_netsim::FlowId| r.sim.trace.flows[f.0 as usize].end.is_some();
+                let ended = |f: &&lossless_netsim::FlowId| r.sim.trace.flow(**f).end.is_some();
                 let mut metrics = vec![
                     (
                         "mean_fct_us".into(),

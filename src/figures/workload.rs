@@ -218,7 +218,7 @@ pub(super) fn fig17_ibcc_mct(a: &Args) {
             ..Default::default()
         });
         for f in &r.victims {
-            let rec = &r.sim.trace.flows[f.0 as usize];
+            let rec = r.sim.trace.flow(*f);
             if let Some(fct) = rec.fct() {
                 per_class[i][class(rec.size)].push(fct.as_secs_f64() * 1e6);
             }

@@ -419,7 +419,7 @@ pub mod victim {
         pub fn victim_deliveries(&self) -> impl Iterator<Item = Delivered> + '_ {
             self.victims
                 .iter()
-                .map(|f| self.sim.trace.flows[f.0 as usize].delivered)
+                .map(|f| self.sim.trace.flow(*f).delivered)
         }
 
         /// `(size, slowdown)` of completed victim flows, for FCT breakdowns.
@@ -428,7 +428,7 @@ pub mod victim {
             self.victims
                 .iter()
                 .filter_map(|f| {
-                    let rec = &self.sim.trace.flows[f.0 as usize];
+                    let rec = self.sim.trace.flow(*f);
                     let fct = rec.fct()?;
                     let ideal = lossless_stats::ideal_fct(rec.size, line, base_latency);
                     Some((rec.size, fct.as_secs_f64() / ideal.as_secs_f64()))
@@ -441,7 +441,7 @@ pub mod victim {
             let fcts: Vec<f64> = self
                 .victims
                 .iter()
-                .filter_map(|f| self.sim.trace.flows[f.0 as usize].fct())
+                .filter_map(|f| self.sim.trace.flow(*f).fct())
                 .map(|d| d.as_secs_f64())
                 .collect();
             lossless_stats::mean(&fcts)
@@ -1039,7 +1039,7 @@ pub mod workload {
             let mut slowdowns = Vec::new();
             let mut completed = 0usize;
             for &f in &flows {
-                let rec = &sim.trace.flows[f.0 as usize];
+                let rec = sim.trace.flow(f);
                 let Some(fct) = rec.fct() else { continue };
                 completed += 1;
                 // Idle-network baseline: serialization at line rate plus the

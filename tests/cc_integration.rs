@@ -39,7 +39,7 @@ fn all_six_controllers_complete_their_flows() {
                 algo
             );
             // Lossless invariant holds under every controller.
-            for rec in r.sim.trace.flows.iter() {
+            for rec in r.sim.trace.records() {
                 assert!(rec.delivered.bytes <= rec.size);
             }
         }

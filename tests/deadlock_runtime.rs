@@ -7,9 +7,11 @@
 //! Both sides come from `tcd_core::cycles::find`, so their cycles compare
 //! as the same ordered vector.
 
-use lossless_flowctl::SimTime;
+use lossless_flowctl::{Rate, SimDuration, SimTime};
 use lossless_netsim::cchooks::FixedRate;
-use lossless_netsim::topology::NodeId;
+use lossless_netsim::config::FeedbackMode;
+use lossless_netsim::routing::RouteSelect;
+use lossless_netsim::topology::{NodeId, Topology};
 use lossless_netsim::{AuditMode, InvariantFamily, Simulator};
 use simlint::analyze;
 use tcd_repro::lintspec;
@@ -149,7 +151,7 @@ fn reverting_routes_before_the_wedge_recovers() {
     assert!(audit.checks(InvariantFamily::Liveness) > 0);
     // Forward progress resumed after the revert: the run keeps
     // delivering until the end of the horizon.
-    let delivered: u64 = sim.trace.flows.iter().map(|f| f.delivered.pkts).sum();
+    let delivered: u64 = sim.trace.records().map(|f| f.delivered.pkts).sum();
     assert!(delivered > 0, "recovered run must deliver");
     assert_eq!(sim.trace.drops, 0, "lossless recovery must not drop");
 }
@@ -207,4 +209,58 @@ fn committed_topologies_never_trip_the_watchdog() {
             "{name}: clean topology reported a deadlock cycle"
         );
     }
+}
+
+#[test]
+fn a_wait_is_attributed_to_the_ingress_its_packets_entered_through() {
+    // A four-switch ring with a host at each switch and clockwise routes
+    // forced at t = 0: two line-rate flows h0 -> h3 and one each h2 -> h0
+    // and h3 -> h1, so that every ring channel waits on the next. No flow
+    // enters at s1: everything queued at its egress towards s2 entered
+    // from s0. The blocked s0->s1 channel waits on that egress only if a
+    // wait is attributed to the ingress its packets entered through;
+    // blaming packets from any other ingress leaves the ring open and the
+    // deadlock unreported.
+    let (r, d) = (Rate::from_gbps(40), SimDuration::from_us(4));
+    let mut b = Topology::builder();
+    let s: Vec<NodeId> = (0..4).map(|i| b.switch(format!("s{i}"))).collect();
+    let h: Vec<NodeId> = (0..4).map(|i| b.host(format!("h{i}"))).collect();
+    for i in 0..4 {
+        b.link(h[i], s[i], r, d);
+        b.link(s[i], s[(i + 1) % 4], r, d);
+    }
+    let topo = b.build();
+    let end = SimTime::from_ms(5);
+    let mut cfg = scenarios::default_config(scenarios::Network::Cee, true, end);
+    cfg.feedback = FeedbackMode::None;
+    // (source switch, hops clockwise); each flow runs host to host.
+    let flows = [(0, 3), (0, 3), (2, 2), (3, 2)];
+    let path = |(i, hops): (usize, usize)| {
+        let mut p = vec![h[i]];
+        p.extend((0..=hops).map(|k| s[(i + k) % 4]));
+        p.push(h[(i + hops) % 4]);
+        p
+    };
+    cfg.fault_plan.route_sets.push(flows.map(path).to_vec());
+    cfg.fault_plan.route_change(SimTime::ZERO, Some(0));
+    let ring: Vec<(NodeId, u16)> = (0..4)
+        .map(|i| {
+            (
+                s[i],
+                topo.port_towards(s[i], s[(i + 1) % 4]).expect("ring link"),
+            )
+        })
+        .collect();
+    // The tick keeps events flowing after the wedge, so the watchdog runs.
+    cfg.trace_interval = Some(SimDuration::from_us(2));
+    cfg.sample_ports = ring.iter().map(|&(n, p)| (n, p, cfg.data_prio)).collect();
+    let mut sim = Simulator::new(topo, cfg, RouteSelect::Ecmp);
+    for (i, hops) in flows {
+        let size = r.bytes_in(end.saturating_since(SimTime::ZERO));
+        let cc = Box::new(FixedRate::line_rate());
+        sim.add_flow(h[i], h[(i + hops) % 4], size, SimTime::ZERO, cc);
+    }
+    run_recording(&mut sim);
+    let deadlock = sim.deadlock().expect("the ring wedges");
+    assert_eq!(deadlock.cycle, ring);
 }

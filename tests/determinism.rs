@@ -9,8 +9,7 @@ use tcd_repro::scenarios::{Cc, CcAlgo, Network};
 fn fingerprint(r: &victim::Run) -> Vec<(u64, u64, u64, Option<u64>)> {
     r.sim
         .trace
-        .flows
-        .iter()
+        .records()
         .map(|f| {
             (
                 f.delivered.bytes,

@@ -7,12 +7,17 @@
 //! endings (`end=<ps>` and `end=-1`, including never-started flows). The
 //! reference's `fingerprint` line comes from its own byte-at-a-time FNV-1a
 //! over the fields it prints, so a fault in the shared hash kernel shows
-//! here too.
+//! here too. A run that registers flows between `run_until` calls, so
+//! that slot order differs from id order, is held to the same reference.
 
 use std::collections::BTreeMap;
 
-use tcd_repro::flowctl::SimTime;
+use tcd_repro::flowctl::{SimDuration, SimTime};
 use tcd_repro::harness::{fingerprint_sim, golden_trace};
+use tcd_repro::netsim::cchooks::FixedRate;
+use tcd_repro::netsim::config::SimConfig;
+use tcd_repro::netsim::routing::RouteSelect;
+use tcd_repro::netsim::topology::{figure2, Figure2Options};
 use tcd_repro::netsim::trace::PortSample;
 use tcd_repro::netsim::{NodeId, Simulator};
 use tcd_repro::obs::json;
@@ -41,7 +46,7 @@ fn run(name: &str, end: SimTime) -> Simulator {
 fn reference_fingerprint(sim: &Simulator) -> u64 {
     let t = &sim.trace;
     let mut words: Vec<u64> = Vec::new();
-    for r in &t.flows {
+    for r in t.records() {
         words.extend([
             u64::from(r.flow.0),
             r.size,
@@ -86,7 +91,7 @@ fn reference_golden(sim: &Simulator, label: &str) -> String {
         t.completed_count,
         t.flows.len()
     ));
-    for r in &t.flows {
+    for r in t.records() {
         s.push_str(&format!(
             "flow {} size={} start={} end={} pkts={} bytes={} ce={} ue={}\n",
             r.flow.0,
@@ -262,4 +267,50 @@ fn exporters_match_the_format_reference() {
     );
     assert!(marks, "no row exported a mark instant");
     assert!(paused, "no row exported a paused slice");
+}
+
+#[test]
+fn fingerprint_reference_covers_mid_run_registration() {
+    // Flows registered latest start first, then more between two
+    // `run_until` calls, so the started flows' slots run in another order
+    // than their ids. Some finish, one is too large to, and two start after
+    // the run ends.
+    let f2 = figure2(Figure2Options::default());
+    let b = &f2.bursters;
+    let mut sim = Simulator::new(
+        f2.topo.clone(),
+        SimConfig::cee_baseline(SimTime::from_us(600)),
+        RouteSelect::Ecmp,
+    );
+    let us = |t: u64| SimTime::ZERO + SimDuration::from_us(t);
+    let add = |sim: &mut Simulator, flows: &[(NodeId, NodeId, u64, u64)]| {
+        for &(src, dst, size, start) in flows {
+            sim.add_flow(src, dst, size, us(start), Box::new(FixedRate::line_rate()));
+        }
+    };
+    add(
+        &mut sim,
+        &[
+            (b[0], f2.r1, 60_000, 40),
+            (b[1], f2.r1, 10_000_000, 10),
+            (b[2], f2.r0, 9_000, 900),
+            (b[3], f2.r1, 50_000, 0),
+        ],
+    );
+    sim.run_until(us(20));
+    add(
+        &mut sim,
+        &[(b[4], f2.r1, 30_000, 25), (b[5], f2.r0, 20_000, 700)],
+    );
+    sim.run_until(us(30));
+    add(&mut sim, &[(b[6], f2.r0, 40_000, 35)]);
+    sim.run();
+
+    let t = &sim.trace;
+    let slots: Vec<u32> = t.flows.iter().map(|f| f.slot).collect();
+    assert_eq!(slots, [4, 1, u32::MAX, 0, 2, u32::MAX, 3]);
+    assert!(t.completed_count > 0 && t.completed_count < t.flows.len() - 2);
+    let label = "mid-run registration";
+    assert!(golden_trace(&sim, label) == reference_golden(&sim, label));
+    assert_eq!(fingerprint_sim(&sim), reference_fingerprint(&sim));
 }

@@ -10,7 +10,7 @@
 //!   bit-identical sweep fingerprints across 1/2/8 harness threads.
 
 use lossless_flowctl::SimTime;
-use lossless_netsim::Simulator;
+use lossless_netsim::{FlowId, Simulator};
 use tcd_repro::harness::{self, Sweep};
 use tcd_repro::scenarios::{self, fault, Scale};
 
@@ -34,7 +34,7 @@ fn core_link_flap_mid_incast_is_loss_free() {
 
     // Lossless end to end: the dark window holds queues, it never drops.
     assert_eq!(sim.trace.drops, 0, "flap must not cost packets");
-    for f in &sim.trace.flows {
+    for f in sim.trace.records() {
         assert_eq!(
             f.delivered.bytes, 500_000,
             "every sender must recover to steady state and finish"
@@ -45,8 +45,7 @@ fn core_link_flap_mid_incast_is_loss_free() {
     // recovery — mid-incast flap, not a no-op before or after it.
     let last_end = sim
         .trace
-        .flows
-        .iter()
+        .records()
         .map(|f| f.end.expect("finished"))
         .max()
         .unwrap();
@@ -81,7 +80,7 @@ fn degradation_recovers_loss_free() {
         "the transfer must outlast the degradation window"
     );
     assert_eq!(sim.trace.drops, 0, "degradation must not cost packets");
-    assert_eq!(sim.trace.flows[0].delivered.bytes, 4_000_000);
+    assert_eq!(sim.trace.flow(FlowId(0)).delivered.bytes, 4_000_000);
     assert!(
         sim.audit().is_clean(),
         "degraded run must stay invariant-clean: {:?}",

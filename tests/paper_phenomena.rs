@@ -30,8 +30,8 @@ fn cee_ecn_improperly_marks_victims() {
     // §3.1.2: with plain ECN, the victim flows F0/F2 are marked CE at the
     // pause-affected chain ports.
     let r = run(short(Network::Cee, false, false, 4));
-    let d0 = r.sim.trace.flows[r.f0.0 as usize].delivered;
-    let d2 = r.sim.trace.flows[r.f2.0 as usize].delivered;
+    let d0 = r.sim.trace.flow(r.f0).delivered;
+    let d2 = r.sim.trace.flow(r.f2).delivered;
     assert!(d0.pkts > 50 && d2.pkts > 50, "cross flows must run");
     assert!(d0.ce > 0, "ECN blames victim F0 (got {} CE)", d0.ce);
     assert!(d2.ce > 0, "ECN blames victim F2");
@@ -46,9 +46,9 @@ fn cee_tcd_protects_victims_and_marks_culprits() {
     // §5.1.2 / Fig. 12: with TCD, the victims get UE only; the congested
     // flow still gets CE.
     let r = run(short(Network::Cee, false, true, 3));
-    let d0 = r.sim.trace.flows[r.f0.0 as usize].delivered;
-    let d1 = r.sim.trace.flows[r.f1.0 as usize].delivered;
-    let d2 = r.sim.trace.flows[r.f2.0 as usize].delivered;
+    let d0 = r.sim.trace.flow(r.f0).delivered;
+    let d1 = r.sim.trace.flow(r.f1).delivered;
+    let d2 = r.sim.trace.flow(r.f2).delivered;
     assert_eq!(d0.ce, 0, "TCD must not CE-mark victim F0");
     assert_eq!(d2.ce, 0, "TCD must not CE-mark victim F2");
     assert!(
@@ -90,7 +90,7 @@ fn cee_multi_cp_covered_root_emerges() {
         "the covered root must transition undetermined -> congestion"
     );
     // F0/F2 genuinely congest P2 in this scenario: CE expected eventually.
-    let d0 = r.sim.trace.flows[r.f0.0 as usize].delivered;
+    let d0 = r.sim.trace.flow(r.f0).delivered;
     assert!(d0.ce > 0, "F0 is a culprit at P2 here and must see CE");
 }
 
@@ -110,7 +110,7 @@ fn ib_multi_cp_covered_root_emerges() {
         states[undet_at..].contains(&TernaryState::Congestion),
         "the IB covered root must transition undetermined -> congestion"
     );
-    let d0 = r.sim.trace.flows[r.f0.0 as usize].delivered;
+    let d0 = r.sim.trace.flow(r.f0).delivered;
     assert!(d0.ce > 0, "F0 is a culprit at P2 here and must see CE");
 }
 
@@ -118,16 +118,16 @@ fn ib_multi_cp_covered_root_emerges() {
 fn ib_fecn_improperly_marks_victims() {
     // §3.1.2 (InfiniBand): the periodicity of credits confuses FECN.
     let r = run(short(Network::Ib, false, false, 3));
-    let d0 = r.sim.trace.flows[r.f0.0 as usize].delivered;
-    let d2 = r.sim.trace.flows[r.f2.0 as usize].delivered;
+    let d0 = r.sim.trace.flow(r.f0).delivered;
+    let d2 = r.sim.trace.flow(r.f2).delivered;
     assert!(d0.ce + d2.ce > 0, "FECN should blame some victim packets");
 }
 
 #[test]
 fn ib_tcd_protects_victims() {
     let r = run(short(Network::Ib, false, true, 4));
-    let d0 = r.sim.trace.flows[r.f0.0 as usize].delivered;
-    let d2 = r.sim.trace.flows[r.f2.0 as usize].delivered;
+    let d0 = r.sim.trace.flow(r.f0).delivered;
+    let d2 = r.sim.trace.flow(r.f2).delivered;
     assert_eq!(d0.ce, 0, "TCD-IB must not CE-mark victim F0");
     assert_eq!(d2.ce, 0, "TCD-IB must not CE-mark victim F2");
     assert!(d0.ue > 0, "victim must carry UE");
@@ -206,7 +206,7 @@ fn lossless_delivery_in_all_observation_scenarios() {
     for network in [Network::Cee, Network::Ib] {
         for multi in [false, true] {
             let r = run(short(network, multi, true, 3));
-            for rec in r.sim.trace.flows.iter() {
+            for rec in r.sim.trace.records() {
                 assert!(
                     rec.delivered.bytes <= rec.size,
                     "delivered more than sent for {:?}",

@@ -68,7 +68,7 @@ proptest! {
         plans in proptest::collection::vec(flow_plan(12), 1..14)
     ) {
         let sim = run_plan(Network::Cee, false, &plans);
-        for rec in sim.trace.flows.iter() {
+        for rec in sim.trace.records() {
             prop_assert!(rec.end.is_some(), "flow {:?} did not complete", rec.flow);
             prop_assert_eq!(rec.delivered.bytes, rec.size, "byte conservation");
             // Completion cannot beat physics: serialization at 40G plus
@@ -83,7 +83,7 @@ proptest! {
         plans in proptest::collection::vec(flow_plan(12), 1..10)
     ) {
         let sim = run_plan(Network::Ib, false, &plans);
-        for rec in sim.trace.flows.iter() {
+        for rec in sim.trace.records() {
             prop_assert!(rec.end.is_some(), "flow {:?} did not complete", rec.flow);
             prop_assert_eq!(rec.delivered.bytes, rec.size);
         }
@@ -94,7 +94,7 @@ proptest! {
         plans in proptest::collection::vec(flow_plan(12), 1..10)
     ) {
         let sim = run_plan(Network::Cee, true, &plans);
-        for rec in sim.trace.flows.iter() {
+        for rec in sim.trace.records() {
             prop_assert!(rec.delivered.ce + rec.delivered.ue <= rec.delivered.pkts,
                 "a packet carries at most one final code point");
         }
@@ -126,7 +126,7 @@ proptest! {
             );
         }
         sim.run_until_all_complete();
-        for rec in sim.trace.flows.iter() {
+        for rec in sim.trace.records() {
             prop_assert!(rec.end.is_some());
             prop_assert_eq!(rec.delivered.bytes, rec.size);
         }
@@ -161,7 +161,7 @@ proptest! {
             );
         }
         sim.run_until_all_complete();
-        for rec in sim.trace.flows.iter() {
+        for rec in sim.trace.records() {
             prop_assert!(rec.end.is_some(), "flow {:?} never completed", rec.flow);
             prop_assert_eq!(rec.delivered.bytes, rec.size, "exactly-once delivery");
         }
