@@ -161,25 +161,11 @@ pub struct SimConfig {
     /// timestamp, rate) records to data packets and receivers echo them in
     /// ACKs — the substrate HPCC needs (§7 related work).
     pub int_telemetry: bool,
-    /// Receive-processing rate of hosts. `None` (default) models an
-    /// infinitely fast receiver; `Some(rate)` models a slow receiver whose
-    /// backlog exerts hop-by-hop back-pressure on its ToR — the classic
-    /// edge-originated pause-storm pathology of production RoCE fabrics.
-    pub host_rx_rate: Option<lossless_flowctl::Rate>,
     /// Observability: metrics registry + flight recorder knobs. The
     /// default level records everything; `ObsLevel::Off` compiles every
     /// instrumentation call down to an early return. Neither setting
     /// affects simulation behaviour or fingerprints.
     pub obs: lossless_obs::ObsConfig,
-    /// Upper bound on retained [`MarkEvent`](crate::trace::MarkEvent)s.
-    /// `None` (default) keeps every record; with a cap, excess records are
-    /// dropped *and counted* (`Trace::dropped_marks`, surfaced in the
-    /// metrics dump as `trace.dropped_marks`).
-    pub max_marks: Option<usize>,
-    /// Upper bound on retained port samples, with the same counted-drop
-    /// semantics (`Trace::dropped_port_samples`). `None` by default: the
-    /// run fingerprint includes the sample count, so capping is opt-in.
-    pub max_port_samples: Option<usize>,
     /// Scheduled fault injection (link flaps, degradation, route
     /// changes). Empty by default — an empty plan schedules no events,
     /// so fault-free runs are bit-identical to builds without the
@@ -208,10 +194,7 @@ impl SimConfig {
             detector_overrides: Vec::new(),
             rto: SimDuration::from_us(500),
             int_telemetry: false,
-            host_rx_rate: None,
             obs: lossless_obs::ObsConfig::default(),
-            max_marks: None,
-            max_port_samples: None,
             fault_plan: crate::fault::FaultPlan::default(),
         }
     }
@@ -238,10 +221,7 @@ impl SimConfig {
             detector_overrides: Vec::new(),
             rto: SimDuration::from_us(500),
             int_telemetry: false,
-            host_rx_rate: None,
             obs: lossless_obs::ObsConfig::default(),
-            max_marks: None,
-            max_port_samples: None,
             fault_plan: crate::fault::FaultPlan::default(),
         }
     }

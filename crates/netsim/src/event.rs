@@ -89,12 +89,6 @@ pub enum Event {
         /// Controller-defined timer id.
         timer: u32,
     },
-    /// A slow receiver finished processing the packet at the head of its
-    /// receive queue.
-    HostDrain {
-        /// The host.
-        node: NodeId,
-    },
     /// Periodic trace sampling tick.
     TraceTick,
     /// A scheduled fault takes the link at `(node, port)` down or brings
@@ -138,30 +132,31 @@ impl Event {
             Event::DetectorTimer { .. } => 3,
             Event::FlowStart { .. } => 4,
             Event::CcTimer { .. } => 5,
-            Event::HostDrain { .. } => 6,
-            Event::TraceTick => 7,
-            Event::LinkState { .. } => 8,
-            Event::LinkRate { .. } => 9,
-            Event::RouteUpdate { .. } => 10,
+            Event::TraceTick => 6,
+            Event::LinkState { .. } => 7,
+            Event::LinkRate { .. } => 8,
+            Event::RouteUpdate { .. } => 9,
         }
     }
 
     /// Metric names of the event kinds, indexed by
     /// [`Event::kind_index`].
-    pub const KIND_NAMES: [&'static str; 11] = [
+    pub const KIND_NAMES: [&'static str; 10] = [
         "engine.dispatch.packet_arrival",
         "engine.dispatch.port_tx",
         "engine.dispatch.fccl_tick",
         "engine.dispatch.detector_timer",
         "engine.dispatch.flow_start",
         "engine.dispatch.cc_timer",
-        "engine.dispatch.host_drain",
         "engine.dispatch.trace_tick",
         "engine.dispatch.link_state",
         "engine.dispatch.link_rate",
         "engine.dispatch.route_update",
     ];
 }
+
+// `Obs::dispatched` counts only kinds below this bound and skips the rest.
+const _: () = assert!(Event::KIND_NAMES.len() <= lossless_obs::MAX_EVENT_KINDS);
 
 #[derive(Debug)]
 struct Scheduled {
@@ -745,6 +740,64 @@ mod tests {
             node: NodeId(node),
             port,
         }
+    }
+
+    #[test]
+    fn kind_indices_cover_the_name_table_once() {
+        let (node, flow) = (NodeId(0), FlowId(0));
+        let every = [
+            Event::PacketArrival {
+                node,
+                in_port: 0,
+                pkt: Box::new(Packet::data(
+                    flow,
+                    node,
+                    node,
+                    1000,
+                    1,
+                    0,
+                    true,
+                    tcd_core::CodePoint::Capable,
+                )),
+            },
+            tx(0, 0),
+            Event::FcclTick {
+                node,
+                port: 0,
+                vl: 0,
+            },
+            Event::DetectorTimer {
+                node,
+                port: 0,
+                prio: 0,
+            },
+            Event::FlowStart { flow },
+            Event::CcTimer {
+                node,
+                flow,
+                timer: 0,
+            },
+            Event::TraceTick,
+            Event::LinkState {
+                node,
+                port: 0,
+                up: true,
+            },
+            Event::LinkRate {
+                node,
+                port: 0,
+                rate: None,
+            },
+            Event::RouteUpdate { set: 0 },
+        ];
+        let mut hits = [0u32; Event::KIND_NAMES.len()];
+        for ev in &every {
+            let Some(h) = hits.get_mut(ev.kind_index()) else {
+                panic!("{ev:?} indexes past KIND_NAMES");
+            };
+            *h += 1;
+        }
+        assert_eq!(hits, [1; Event::KIND_NAMES.len()]);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! unbounded NIC queue.
 //!
 //! On the receive side the host sinks data at line rate (granting CBFC
-//! credits back immediately in IB mode), accounts flow completion, and
-//! generates feedback per the configured [`FeedbackMode`]: DCQCN-style CNPs
-//! for marked packets, per-packet ACKs for TIMELY, or nothing.
+//! credits back immediately in IB mode), so it never back-pressures its
+//! ToR: congestion trees are rooted at switch egress ports. It accounts
+//! flow completion and generates feedback per the configured
+//! [`FeedbackMode`]: DCQCN-style CNPs for marked packets, per-packet ACKs
+//! for TIMELY, or nothing.
 
 use crate::cchooks::{CcAction, CcEvent, RateController};
 use crate::config::{FeedbackMode, FlowControlMode};
@@ -22,8 +24,8 @@ use crate::sim::Ctx;
 use crate::topology::NodeId;
 use crate::trace::FlowSpec;
 use lossless_flowctl::cbfc::{CbfcReceiver, CbfcSender};
-use lossless_flowctl::pfc::{PfcCommand, PfcEgress, PfcIngress};
-use lossless_flowctl::units::{CTRL_FRAME_BYTES, FCCL_FRAME_BYTES};
+use lossless_flowctl::pfc::PfcEgress;
+use lossless_flowctl::units::FCCL_FRAME_BYTES;
 use lossless_flowctl::{Rate, SimTime};
 use std::collections::VecDeque;
 use tcd_core::CodePoint;
@@ -104,10 +106,6 @@ enum LaneFc {
     Eth {
         /// Pause state (set by PAUSE frames from the ToR).
         paused: PfcEgress,
-        /// Slow receiver: PFC accounting for the host's own receive
-        /// buffer, so an overwhelmed host pauses its ToR (`None` in lossy
-        /// mode, which has no slow receivers).
-        rx_pfc: Option<PfcIngress>,
     },
     /// InfiniBand.
     Ib {
@@ -116,25 +114,16 @@ enum LaneFc {
         /// "Wanted to send but had no credits."
         blocked: bool,
         /// Credit receiver (the host's own ingress buffer; drained
-        /// instantly unless the receiver is slow, so it mainly advertises
-        /// credits back upstream).
+        /// instantly, so it only advertises credits back upstream).
         rx: CbfcReceiver,
     },
 }
 
-/// One priority/VL of the NIC.
-struct HostLane {
-    fc: LaneFc,
-    /// Slow-receiver processing queue (packet sizes awaiting host
-    /// processing); empty and unused when `host_rx_rate` is `None`.
-    rx_q: VecDeque<u64>,
-}
-
-impl HostLane {
+impl LaneFc {
     /// May a `bytes`-long frame leave on this lane now?
     fn can_send(&self, bytes: u64) -> bool {
-        match &self.fc {
-            LaneFc::Eth { paused, .. } => !paused.is_paused(),
+        match self {
+            LaneFc::Eth { paused } => !paused.is_paused(),
             LaneFc::Ib { tx, .. } => tx.can_send(bytes),
         }
     }
@@ -142,7 +131,7 @@ impl HostLane {
     /// IB: remember that a frame was held back for credits, so the next
     /// FCCL re-kicks the NIC.
     fn note_blocked(&mut self) {
-        if let LaneFc::Ib { blocked, .. } = &mut self.fc {
+        if let LaneFc::Ib { blocked, .. } = self {
             *blocked = true;
         }
     }
@@ -152,16 +141,14 @@ impl HostLane {
 pub struct Host {
     id: NodeId,
     line_rate: Rate,
-    /// One record per priority/VL.
-    lanes: Vec<HostLane>,
+    /// Flow-control state per priority/VL.
+    lanes: Vec<LaneFc>,
     /// Outgoing link-local control frames (FCCL), sent before anything else.
     ctrl: VecDeque<Box<Packet>>,
     /// Outgoing end-to-end feedback packets awaiting the NIC.
     feedback_q: VecDeque<Box<Packet>>,
     /// Active sender flows (small; linear scans are fine).
     active: Vec<SenderFlow>,
-    /// Whether a `HostDrain` event is outstanding.
-    rx_draining: bool,
     /// Cumulative data bytes transmitted (trace sampling).
     pub tx_bytes: u64,
 }
@@ -171,23 +158,15 @@ impl Host {
     /// `fc` with `num_prios` priorities/VLs.
     pub fn new(id: NodeId, line_rate: Rate, fc: &FlowControlMode, num_prios: u8) -> Host {
         let lanes = (0..num_prios)
-            .map(|_| HostLane {
-                fc: match fc {
-                    FlowControlMode::Cbfc(c) => LaneFc::Ib {
-                        tx: CbfcSender::new(*c),
-                        blocked: false,
-                        rx: CbfcReceiver::new(*c),
-                    },
-                    FlowControlMode::Pfc(p) => LaneFc::Eth {
-                        paused: PfcEgress::new(),
-                        rx_pfc: Some(PfcIngress::new(*p)),
-                    },
-                    FlowControlMode::Lossy { .. } => LaneFc::Eth {
-                        paused: PfcEgress::new(),
-                        rx_pfc: None,
-                    },
+            .map(|_| match fc {
+                FlowControlMode::Cbfc(c) => LaneFc::Ib {
+                    tx: CbfcSender::new(*c),
+                    blocked: false,
+                    rx: CbfcReceiver::new(*c),
                 },
-                rx_q: VecDeque::new(),
+                FlowControlMode::Pfc(_) | FlowControlMode::Lossy { .. } => LaneFc::Eth {
+                    paused: PfcEgress::new(),
+                },
             })
             .collect();
         Host {
@@ -197,7 +176,6 @@ impl Host {
             ctrl: VecDeque::new(),
             feedback_q: VecDeque::new(),
             active: Vec::new(),
-            rx_draining: false,
             tx_bytes: 0,
         }
     }
@@ -321,7 +299,7 @@ impl Host {
         clippy::indexing_slicing,
         reason = "prio < num_prios is validated at flow registration and config build; lanes is sized num_prios at construction"
     )]
-    fn lane(&mut self, prio: u8) -> &mut HostLane {
+    fn lane(&mut self, prio: u8) -> &mut LaneFc {
         &mut self.lanes[prio as usize]
     }
 
@@ -433,7 +411,7 @@ impl Host {
 
     /// Put a credit-gated frame (feedback or data) on the wire.
     fn transmit(&mut self, ctx: &mut Ctx<'_>, pkt: Box<Packet>) {
-        if let LaneFc::Ib { tx, .. } = &mut self.lane(pkt.prio).fc {
+        if let LaneFc::Ib { tx, .. } = self.lane(pkt.prio) {
             tx.on_send(pkt.size);
         }
         ctx.transmit(self.id, 0, pkt);
@@ -443,7 +421,7 @@ impl Host {
     pub fn on_packet(&mut self, ctx: &mut Ctx<'_>, mut pkt: Box<Packet>) {
         match pkt.kind {
             PacketKind::Pause { prio, pause } => {
-                if let LaneFc::Eth { paused, .. } = &mut self.lane(prio).fc {
+                if let LaneFc::Eth { paused } = self.lane(prio) {
                     if paused.on_frame(pause) {
                         ctx.obs.pfc_frame_rx(ctx.now, self.id.0, 0, prio, pause);
                         if !pause {
@@ -454,7 +432,7 @@ impl Host {
                 ctx.pool.recycle(pkt);
             }
             PacketKind::Fccl { vl, fccl } => {
-                if let LaneFc::Ib { tx, blocked, .. } = &mut self.lane(vl).fc {
+                if let LaneFc::Ib { tx, blocked, .. } = self.lane(vl) {
                     tx.on_fccl(fccl);
                     if *blocked && tx.available_blocks() > 0 {
                         *blocked = false;
@@ -503,7 +481,7 @@ impl Host {
     /// accounting would let its FCTBS drift ahead of our ABR and slowly
     /// leak credits out of the loop.
     fn account_feedback_rx(&mut self, prio: u8, bytes: u64) {
-        if let LaneFc::Ib { rx, .. } = &mut self.lane(prio).fc {
+        if let LaneFc::Ib { rx, .. } = self.lane(prio) {
             rx.on_packet_received(bytes);
             rx.on_buffer_freed(bytes);
         }
@@ -561,53 +539,9 @@ impl Host {
     }
 
     fn on_data(&mut self, ctx: &mut Ctx<'_>, mut pkt: Box<Packet>) {
-        let id = self.id;
-        let lane = self.lane(pkt.prio);
-        if let Some(rate) = ctx.cfg.host_rx_rate {
-            // Slow receiver: packets occupy the host's receive buffer until
-            // the host processes them at `rate`; the backlog back-pressures
-            // the ToR through the normal hop-by-hop machinery.
-            let pause = match &mut lane.fc {
-                LaneFc::Ib { rx, .. } => {
-                    rx.on_packet_received(pkt.size); // freed later, when processed
-                    false
-                }
-                LaneFc::Eth {
-                    rx_pfc: Some(pin), ..
-                } => {
-                    let pause = pin.on_enqueue(pkt.size) == Some(PfcCommand::SendPause);
-                    #[cfg(feature = "audit")]
-                    if pause {
-                        ctx.audit.pfc_pause_sent(
-                            ctx.now,
-                            id,
-                            0,
-                            pkt.prio,
-                            pin.buffered_bytes(),
-                            pin.config().xoff_bytes,
-                        );
-                    }
-                    pause
-                }
-                LaneFc::Eth { rx_pfc: None, .. } => false,
-            };
-            lane.rx_q.push_back(pkt.size);
-            let head = lane.rx_q.front().copied().unwrap_or(pkt.size);
-            if pause {
-                ctx.trace.pause_frames += 1;
-                self.send_pfc(ctx, pkt.prio, true);
-            }
-            if !self.rx_draining {
-                self.rx_draining = true;
-                ctx.q.schedule(
-                    ctx.now + rate.serialize_time(head),
-                    Event::HostDrain { node: id },
-                );
-            }
-        } else if let LaneFc::Ib { rx, .. } = &mut lane.fc {
-            // Infinitely fast receiver: account and immediately free the
-            // host ingress buffer, so the next FCCL advertises the space
-            // back upstream.
+        if let LaneFc::Ib { rx, .. } = self.lane(pkt.prio) {
+            // Account and immediately free the host ingress buffer, so the
+            // next FCCL advertises the space back upstream.
             rx.on_packet_received(pkt.size);
             rx.on_buffer_freed(pkt.size);
         }
@@ -665,82 +599,10 @@ impl Host {
         }
     }
 
-    /// Queue a PAUSE/RESUME frame for the ToR (slow receiver).
-    fn send_pfc(&mut self, ctx: &mut Ctx<'_>, prio: u8, pause: bool) {
-        self.ctrl.push_back(ctx.pool.boxed(Packet::link_local(
-            PacketKind::Pause { prio, pause },
-            CTRL_FRAME_BYTES,
-            0,
-        )));
-        ctx.obs.pfc_frame_tx(ctx.now, self.id.0, 0, prio, pause);
-        self.kick(ctx);
-    }
-
-    /// The size at the head of the slow-receiver queues (strict priority:
-    /// the lowest-index non-empty lane), with its lane index.
-    fn rx_head(&self) -> Option<(usize, u64)> {
-        self.lanes
-            .iter()
-            .enumerate()
-            .find_map(|(prio, l)| Some((prio, *l.rx_q.front()?)))
-    }
-
-    /// A slow receiver finished processing its current head-of-queue
-    /// packet: release the buffer space (PFC counter / CBFC credits) and
-    /// start on the next packet.
-    pub fn on_host_drain(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(rate) = ctx.cfg.host_rx_rate else {
-            return;
-        };
-        let Some((prio, size)) = self.rx_head() else {
-            self.rx_draining = false;
-            return;
-        };
-        let id = self.id;
-        let lane = self.lane(prio as u8);
-        lane.rx_q.pop_front();
-        let resume = match &mut lane.fc {
-            LaneFc::Ib { rx, .. } => {
-                rx.on_buffer_freed(size);
-                false
-            }
-            LaneFc::Eth {
-                rx_pfc: Some(pin), ..
-            } => {
-                let resume = pin.on_dequeue(size) == Some(PfcCommand::SendResume);
-                #[cfg(feature = "audit")]
-                if resume {
-                    ctx.audit.pfc_resume_sent(
-                        ctx.now,
-                        id,
-                        0,
-                        prio as u8,
-                        pin.buffered_bytes(),
-                        pin.config().xon_bytes,
-                    );
-                }
-                resume
-            }
-            LaneFc::Eth { rx_pfc: None, .. } => false,
-        };
-        if resume {
-            self.send_pfc(ctx, prio as u8, false);
-        }
-        // Schedule the next processing completion, if any work remains.
-        if let Some((_, head)) = self.rx_head() {
-            ctx.q.schedule(
-                ctx.now + rate.serialize_time(head),
-                Event::HostDrain { node: id },
-            );
-        } else {
-            self.rx_draining = false;
-        }
-    }
-
     /// Periodic CBFC credit update: advertise this host's ingress buffer
     /// upstream and reschedule the tick.
     pub fn on_fccl_tick(&mut self, ctx: &mut Ctx<'_>, vl: u8) {
-        let LaneFc::Ib { rx, .. } = &self.lane(vl).fc else {
+        let LaneFc::Ib { rx, .. } = self.lane(vl) else {
             return; // FCCL ticks are only scheduled in InfiniBand mode
         };
         let (period, fccl) = (rx.update_period(), rx.fccl());
@@ -775,23 +637,19 @@ impl Host {
     }
 
     /// Packets currently buffered in this host (control + feedback queue).
-    /// The slow-receiver queue holds sizes, not packets, so it does not
-    /// contribute to packet conservation.
     #[cfg(feature = "audit")]
     pub(crate) fn audit_queued_packets(&self) -> usize {
         self.ctrl.len() + self.feedback_q.len()
     }
 
-    /// Checkpoint: the host's receive-side accounting (CBFC occupancy or
-    /// PFC counters) must match the slow-receiver queue contents, its
-    /// credit senders must respect the switch's advertised limit, and
-    /// every sender flow's cached rate must be its controller's.
+    /// Checkpoint: the host's CBFC receive buffer must be empty (it frees
+    /// every arrival at once), its credit senders must respect the
+    /// switch's advertised limit, and every sender flow's cached rate must
+    /// be its controller's.
     #[cfg(feature = "audit")]
     pub(crate) fn audit_check(&self, a: &mut crate::audit::Audit, now: SimTime) {
         use crate::audit::{InvariantFamily, Violation};
-        use lossless_flowctl::units::bytes_to_blocks;
 
-        let headroom = a.config().pfc_headroom_bytes;
         for f in &self.active {
             let want = f.cc.rate();
             if f.rate != want {
@@ -809,6 +667,9 @@ impl Host {
             }
         }
         for (prio, lane) in self.lanes.iter().enumerate() {
+            let LaneFc::Ib { tx, rx, .. } = lane else {
+                continue;
+            };
             let mut report = |family, message| {
                 a.report(Violation {
                     family,
@@ -819,74 +680,26 @@ impl Host {
                     message,
                 })
             };
-            match &lane.fc {
-                LaneFc::Ib { tx, rx, .. } => {
-                    let blocks: u64 = lane.rx_q.iter().map(|&s| bytes_to_blocks(s)).sum();
-                    let occ = rx.occupied_blocks();
-                    if occ != blocks {
-                        report(
-                            InvariantFamily::BufferAccounting,
-                            format!(
-                                "host ingress occupancy {occ} blocks != queued {blocks} blocks"
-                            ),
-                        );
-                    }
-                    let cap = rx.capacity_blocks();
-                    if occ > cap {
-                        report(
-                            InvariantFamily::BufferAccounting,
-                            format!("host receive buffer holds {occ} blocks, capacity is {cap}"),
-                        );
-                    }
-                    let (fctbs, fccl) = (tx.fctbs(), tx.fccl_limit());
-                    if fctbs > fccl {
-                        report(
-                            InvariantFamily::ProtocolLegality,
-                            format!("FCTBS {fctbs} exceeds the advertised FCCL {fccl}"),
-                        );
-                    }
-                }
-                LaneFc::Eth {
-                    rx_pfc: Some(pin), ..
-                } => {
-                    let bytes: u64 = lane.rx_q.iter().sum();
-                    let b = pin.buffered_bytes();
-                    let cfg = pin.config();
-                    if b != bytes {
-                        report(
-                            InvariantFamily::BufferAccounting,
-                            format!("host PFC counter {b} != queued bytes {bytes}"),
-                        );
-                    }
-                    if b > cfg.xoff_bytes.saturating_add(headroom) {
-                        report(
-                            InvariantFamily::BufferAccounting,
-                            format!(
-                                "host PFC counter {b} exceeds X_off {} + headroom {headroom}",
-                                cfg.xoff_bytes
-                            ),
-                        );
-                    }
-                    if pin.is_pausing_upstream() && b <= cfg.xon_bytes {
-                        report(
-                            InvariantFamily::ProtocolLegality,
-                            format!(
-                                "PAUSE outstanding while counter {b} <= X_on {}",
-                                cfg.xon_bytes
-                            ),
-                        );
-                    }
-                    if !pin.is_pausing_upstream() && b > cfg.xoff_bytes {
-                        report(
-                            InvariantFamily::ProtocolLegality,
-                            format!(
-                                "no PAUSE outstanding while counter {b} > X_off {}",
-                                cfg.xoff_bytes
-                            ),
-                        );
-                    }
-                }
-                LaneFc::Eth { rx_pfc: None, .. } => {}
+            let occ = rx.occupied_blocks();
+            if occ != 0 {
+                report(
+                    InvariantFamily::BufferAccounting,
+                    format!("host ingress occupancy {occ} blocks, want 0"),
+                );
+            }
+            let cap = rx.capacity_blocks();
+            if occ > cap {
+                report(
+                    InvariantFamily::BufferAccounting,
+                    format!("host receive buffer holds {occ} blocks, capacity is {cap}"),
+                );
+            }
+            let (fctbs, fccl) = (tx.fctbs(), tx.fccl_limit());
+            if fctbs > fccl {
+                report(
+                    InvariantFamily::ProtocolLegality,
+                    format!("FCTBS {fctbs} exceeds the advertised FCCL {fccl}"),
+                );
             }
         }
     }
@@ -894,7 +707,7 @@ impl Host {
     /// Sender-side credit state towards the ToR: `(FCTBS, FCCL)`.
     #[cfg(feature = "audit")]
     pub(crate) fn audit_cbfc_tx(&self, vl: u8) -> Option<(u64, u64)> {
-        match &self.lanes.get(vl as usize)?.fc {
+        match self.lanes.get(vl as usize)? {
             LaneFc::Ib { tx, .. } => Some((tx.fctbs(), tx.fccl_limit())),
             LaneFc::Eth { .. } => None,
         }
@@ -903,7 +716,7 @@ impl Host {
     /// Receiver-side credit state: `(ABR, occupied, capacity)`.
     #[cfg(feature = "audit")]
     pub(crate) fn audit_cbfc_rx(&self, vl: u8) -> Option<(u64, u64, u64)> {
-        match &self.lanes.get(vl as usize)?.fc {
+        match self.lanes.get(vl as usize)? {
             LaneFc::Ib { rx, .. } => Some((rx.abr(), rx.occupied_blocks(), rx.capacity_blocks())),
             LaneFc::Eth { .. } => None,
         }

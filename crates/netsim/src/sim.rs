@@ -175,8 +175,7 @@ fn node_class(nodes: &[Node], ev: &Event) -> lossless_obs::prof::NodeClass {
         | Event::PortTx { node, .. }
         | Event::FcclTick { node, .. }
         | Event::DetectorTimer { node, .. }
-        | Event::CcTimer { node, .. }
-        | Event::HostDrain { node } => *node,
+        | Event::CcTimer { node, .. } => *node,
         _ => return NodeClass::Engine,
     };
     match nodes.get(node.index()) {
@@ -220,10 +219,6 @@ fn dispatch_node_event(nodes: &mut [Node], ctx: &mut Ctx, ev: Event) {
         Event::CcTimer { node, flow, timer } => match &mut nodes[node.index()] {
             Node::Host(h) => h.on_cc_timer(ctx, flow, timer),
             _ => unreachable!("CC timer at a switch"),
-        },
-        Event::HostDrain { node } => match &mut nodes[node.index()] {
-            Node::Host(h) => h.on_host_drain(ctx),
-            _ => unreachable!("HostDrain at a switch"),
         },
         _ => unreachable!("engine-global event routed to dispatch_node_event"),
     }
@@ -310,10 +305,6 @@ impl Simulator {
     pub fn new(topo: Topology, cfg: SimConfig, select: RouteSelect) -> Simulator {
         assert!(cfg.data_prio < cfg.num_prios && cfg.feedback_prio < cfg.num_prios);
         assert!(
-            !(cfg.is_lossy() && cfg.host_rx_rate.is_some()),
-            "slow receivers are modelled for lossless modes only"
-        );
-        assert!(
             !cfg.is_lossy() || matches!(cfg.feedback, crate::config::FeedbackMode::AckPerPacket),
             "lossy mode requires AckPerPacket feedback for go-back-N reliability"
         );
@@ -394,9 +385,7 @@ impl Simulator {
             }
         }
 
-        let mut trace = Trace::new(false);
-        trace.max_marks = cfg.max_marks;
-        trace.max_port_samples = cfg.max_port_samples;
+        let trace = Trace::new(false);
         // Trace ticks only do per-sample-port work; with nothing to
         // sample they would be pure event-loop overhead, so skip the
         // whole tick train.
@@ -1241,15 +1230,14 @@ impl Simulator {
                     paused: false,
                 },
             };
-            self.trace.push_port_sample(s);
+            self.trace.port_samples.push(s);
         }
     }
 
     /// A snapshot of the metrics registry with the engine-side counters
-    /// that live outside it (per-kind dispatch counts, trace drop
-    /// counters) folded in. Pure read — safe to call
-    /// at any point, typically once after `run*`. Empty when observability
-    /// is off.
+    /// that live outside it (per-kind dispatch counts, total events)
+    /// folded in. Pure read — safe to call at any point, typically once
+    /// after `run*`. Empty when observability is off.
     pub fn obs_registry(&self) -> lossless_obs::Registry {
         use lossless_obs::Key;
         let mut reg = self.obs.reg.clone();
@@ -1257,11 +1245,6 @@ impl Simulator {
             for (i, name) in Event::KIND_NAMES.iter().enumerate() {
                 reg.set_counter(Key::global(name), self.obs.dispatch_count(i));
             }
-            reg.set_counter(Key::global("trace.dropped_marks"), self.trace.dropped_marks);
-            reg.set_counter(
-                Key::global("trace.dropped_port_samples"),
-                self.trace.dropped_port_samples,
-            );
             reg.set_counter(Key::global("engine.events"), self.trace.events);
             // Zero in every causally sound run; emitted only when set so
             // clean-run registry fingerprints are unchanged.

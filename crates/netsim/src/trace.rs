@@ -210,17 +210,6 @@ pub struct Trace {
     pub marks: Vec<MarkEvent>,
     /// Whether to record individual [`MarkEvent`]s.
     pub record_marks: bool,
-    /// Retention cap for `marks` (`None` = unbounded). When the cap is
-    /// hit, further records are dropped and counted in `dropped_marks` —
-    /// never silently.
-    pub max_marks: Option<usize>,
-    /// Mark records dropped because `max_marks` was reached.
-    pub dropped_marks: u64,
-    /// Retention cap for `port_samples` (`None` = unbounded), with the
-    /// same counted-drop semantics.
-    pub max_port_samples: Option<usize>,
-    /// Port samples dropped because `max_port_samples` was reached.
-    pub dropped_port_samples: u64,
     /// Individual delivery events (only when `record_deliveries` is on).
     pub deliveries: Vec<DeliveryEvent>,
     /// Whether to record individual [`DeliveryEvent`]s.
@@ -231,7 +220,8 @@ pub struct Trace {
     started: Vec<Started>,
     /// Number of flows that have completed.
     pub completed_count: usize,
-    /// Total PAUSE frames sent (CEE) across the network.
+    /// Total PFC frames (PAUSE and RESUME) sent by switches (CEE) across
+    /// the network.
     pub pause_frames: u64,
     /// Total data packets forwarded by switches.
     pub forwarded_pkts: u64,
@@ -251,15 +241,10 @@ impl Trace {
         }
     }
 
-    /// Record a marking decision at a switch egress. Past `max_marks`
-    /// retained records the event is counted in `dropped_marks` instead.
+    /// Record a marking decision at a switch egress.
     #[inline]
     pub fn on_mark(&mut self, t: SimTime, node: NodeId, port: u16, flow: FlowId, code: CodePoint) {
         if self.record_marks {
-            if self.max_marks.is_some_and(|cap| self.marks.len() >= cap) {
-                self.dropped_marks += 1;
-                return;
-            }
             self.marks.push(MarkEvent {
                 t,
                 node,
@@ -268,22 +253,6 @@ impl Trace {
                 code,
             });
         }
-    }
-
-    /// Append a periodic port sample, honouring `max_port_samples` with
-    /// counted-drop semantics. NOTE: the harness run fingerprint includes
-    /// the retained sample count, so runs compared against uncapped
-    /// goldens must keep the default (`None`).
-    #[inline]
-    pub fn push_port_sample(&mut self, s: PortSample) {
-        if self
-            .max_port_samples
-            .is_some_and(|cap| self.port_samples.len() >= cap)
-        {
-            self.dropped_port_samples += 1;
-            return;
-        }
-        self.port_samples.push(s);
     }
 
     /// Start registered flow `flow`: give it the next slot and its record.
@@ -512,53 +481,17 @@ mod tests {
     }
 
     #[test]
-    fn mark_cap_drops_are_counted_never_silent() {
-        let mut tr = Trace::new(true);
-        tr.max_marks = Some(2);
-        for i in 0..5 {
-            tr.on_mark(SimTime::from_us(i), NodeId(0), 0, FlowId(0), CodePoint::CE);
-        }
-        assert_eq!(tr.marks.len(), 2);
-        assert_eq!(tr.dropped_marks, 3);
-        // The retained records are the earliest ones.
-        assert_eq!(tr.marks[1].t, SimTime::from_us(1));
-    }
-
-    #[test]
-    fn port_sample_cap_drops_are_counted() {
-        let mut tr = Trace::new(false);
-        tr.max_port_samples = Some(1);
-        let s = PortSample {
-            t: SimTime::ZERO,
-            node: NodeId(0),
-            port: 0,
-            prio: 0,
-            queue_bytes: 0,
-            tx_bytes: 0,
-            state: TernaryState::NonCongestion,
-            paused: false,
-        };
-        tr.push_port_sample(s);
-        tr.push_port_sample(s);
-        assert_eq!(tr.port_samples.len(), 1);
-        assert_eq!(tr.dropped_port_samples, 1);
-        // Unbounded by default.
-        let mut unb = Trace::new(false);
-        for _ in 0..3 {
-            unb.push_port_sample(s);
-        }
-        assert_eq!(unb.port_samples.len(), 3);
-        assert_eq!(unb.dropped_port_samples, 0);
-    }
-
-    #[test]
     fn mark_recording_is_optional() {
         let mut off = Trace::new(false);
         off.on_mark(SimTime::ZERO, NodeId(0), 0, FlowId(0), CodePoint::CE);
         assert!(off.marks.is_empty());
         let mut on = Trace::new(true);
-        on.on_mark(SimTime::ZERO, NodeId(0), 0, FlowId(0), CodePoint::CE);
-        assert_eq!(on.marks.len(), 1);
+        for i in 0..5 {
+            on.on_mark(SimTime::from_us(i), NodeId(0), 0, FlowId(0), CodePoint::CE);
+        }
+        // Unbounded: every record is kept, in order.
+        let kept: Vec<SimTime> = on.marks.iter().map(|m| m.t).collect();
+        assert_eq!(kept, (0..5).map(SimTime::from_us).collect::<Vec<_>>());
     }
 
     #[test]

@@ -39,62 +39,13 @@ fn assert_clean_and_thorough(sim: &Simulator) {
     }
 }
 
-#[test]
-fn cee_pause_storm_runs_invariant_clean() {
-    // 40G wire into a 10G receiver: the edge pauses its ToR, PFC spreads,
-    // and the detector walks its state machine — all under dense
-    // checkpoints.
-    let db = dumbbell(Rate::from_gbps(40), SimDuration::from_us(4));
-    let mut cfg = SimConfig::cee_baseline(SimTime::from_ms(15));
-    cfg.host_rx_rate = Some(Rate::from_gbps(10));
-    let mut sim = Simulator::new(db.topo.clone(), cfg, RouteSelect::Ecmp);
-    sim.audit_mut().config_mut().checkpoint_every = 256;
-    let f = sim.add_flow(
-        db.h0,
-        db.h1,
-        4_000_000,
-        SimTime::ZERO,
-        Box::new(FixedRate::line_rate()),
-    );
-    sim.run();
-    assert_eq!(sim.trace.flow(f).delivered.bytes, 4_000_000);
-    assert!(sim.trace.pause_frames > 0, "the scenario must pause");
-    assert_clean_and_thorough(&sim);
-    assert!(
-        sim.audit().transitions_taken() > 0,
-        "the detector must have moved for state-machine auditing to bite"
-    );
-}
-
-#[test]
-fn ib_credit_loop_conserves_cbfc_credits() {
-    // The slow receiver forces the credit loop to actually gate: FCTBS,
-    // ABR, and in-flight blocks must reconcile at every checkpoint.
-    let db = dumbbell(Rate::from_gbps(40), SimDuration::from_us(4));
-    let mut cfg = SimConfig::ib_baseline(SimTime::from_ms(15));
-    cfg.host_rx_rate = Some(Rate::from_gbps(10));
-    let mut sim = Simulator::new(db.topo.clone(), cfg, RouteSelect::DModK);
-    sim.audit_mut().config_mut().checkpoint_every = 256;
-    let f = sim.add_flow(
-        db.h0,
-        db.h1,
-        4_000_000,
-        SimTime::ZERO,
-        Box::new(FixedRate::line_rate()),
-    );
-    sim.run();
-    assert_eq!(sim.trace.flow(f).delivered.bytes, 4_000_000);
-    assert_clean_and_thorough(&sim);
-}
-
-#[test]
-fn fat_tree_incast_runs_invariant_clean() {
-    // Multi-switch CEE incast: shared-buffer accounting and PFC legality
-    // across edge, aggregation, and core layers.
+/// A 6 -> 1 incast of 500 kB line-rate flows on a k = 4 fat tree at 40G:
+/// the victim's ToR egress roots the congestion tree, and back-pressure
+/// spreads from there through the aggregation and core layers.
+fn incast(cfg: SimConfig, select: RouteSelect, checkpoint_every: u64) -> Simulator {
     let ft = fat_tree(4, Rate::from_gbps(40), SimDuration::from_us(4));
-    let cfg = SimConfig::cee_baseline(SimTime::from_ms(8));
-    let mut sim = Simulator::new(ft.topo.clone(), cfg, RouteSelect::Ecmp);
-    sim.audit_mut().config_mut().checkpoint_every = 1024;
+    let mut sim = Simulator::new(ft.topo.clone(), cfg, select);
+    sim.audit_mut().config_mut().checkpoint_every = checkpoint_every;
     let victim = ft.hosts[0];
     for (i, &src) in ft.hosts.iter().enumerate().skip(1).take(6) {
         sim.add_flow(
@@ -105,8 +56,50 @@ fn fat_tree_incast_runs_invariant_clean() {
             Box::new(FixedRate::line_rate()),
         );
     }
-    sim.run();
+    sim
+}
+
+fn assert_all_delivered(sim: &Simulator) {
     assert_eq!(sim.trace.drops, 0, "lossless fabric must not drop");
+    assert_eq!(sim.trace.completed().count(), 6, "every flow completes");
+}
+
+#[test]
+fn cee_pause_storm_runs_invariant_clean() {
+    // The incast pauses its way up from the victim's ToR, and the detector
+    // walks its state machine: shared-buffer accounting and PFC legality
+    // across edge, aggregation, and core layers, under dense checkpoints.
+    let mut sim = incast(
+        SimConfig::cee_baseline(SimTime::from_ms(8)),
+        RouteSelect::Ecmp,
+        256,
+    );
+    sim.run();
+    assert_all_delivered(&sim);
+    assert!(sim.trace.pause_frames > 0, "the scenario must pause");
+    assert_clean_and_thorough(&sim);
+    assert!(
+        sim.audit().transitions_taken() > 0,
+        "the detector must have moved for state-machine auditing to bite"
+    );
+}
+
+#[test]
+fn ib_credit_loop_conserves_cbfc_credits() {
+    // The incast drains the victim's ToR credits so the loop actually
+    // gates: FCTBS, ABR, and in-flight blocks must reconcile at every
+    // checkpoint.
+    let mut sim = incast(
+        SimConfig::ib_baseline(SimTime::from_ms(8)),
+        RouteSelect::DModK,
+        256,
+    );
+    sim.run();
+    assert_all_delivered(&sim);
+    assert!(
+        sim.obs_registry().counter_total("cbfc.credit_stall") > 0,
+        "the scenario must stall on credits"
+    );
     assert_clean_and_thorough(&sim);
 }
 
@@ -165,17 +158,10 @@ fn checkpoints_do_not_perturb_the_event_stream() {
     // at the end, must process exactly the same number of events — the
     // auditor observes, never schedules.
     let run = |every: u64| {
-        let db = dumbbell(Rate::from_gbps(40), SimDuration::from_us(4));
-        let mut cfg = SimConfig::cee_baseline(SimTime::from_ms(5));
-        cfg.host_rx_rate = Some(Rate::from_gbps(10));
-        let mut sim = Simulator::new(db.topo.clone(), cfg, RouteSelect::Ecmp);
-        sim.audit_mut().config_mut().checkpoint_every = every;
-        sim.add_flow(
-            db.h0,
-            db.h1,
-            1_000_000,
-            SimTime::ZERO,
-            Box::new(FixedRate::line_rate()),
+        let mut sim = incast(
+            SimConfig::cee_baseline(SimTime::from_ms(5)),
+            RouteSelect::Ecmp,
+            every,
         );
         sim.run();
         (sim.trace.events, sim.trace.forwarded_pkts)

@@ -76,8 +76,11 @@ fi
 echo "=== cargo test --workspace -q ==="
 cargo test --workspace -q
 
-echo "=== cargo test --workspace --features audit -q ==="
-cargo test --workspace --features audit -q
+# The root package's dev-dependency turns netsim's `audit` feature on, so
+# every workspace-wide test and all-targets clippy pass builds the audited
+# engine. The release binaries run the unaudited one: test it on its own.
+echo "=== cargo test -p lossless-netsim -q (unaudited engine) ==="
+cargo test -p lossless-netsim -q
 
 echo "=== golden fingerprints ==="
 cargo test --test golden_traces -q
@@ -160,8 +163,10 @@ diff results/fig15_dcqcn_victim.txt target/ci/figs/fig15_threads1.txt
 echo "=== cargo clippy -- -D warnings ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "=== cargo clippy --features audit -- -D warnings ==="
-cargo clippy --workspace --all-targets --features audit -- -D warnings
+# Libraries and binaries only, so no test target turns `audit` on: this
+# lints the engine the release binaries run.
+echo "=== cargo clippy --lib --bins (unaudited engine) -- -D warnings ==="
+cargo clippy --workspace --lib --bins -- -D warnings
 
 # The code-policy gate must be able to fail: a fixture package outside the
 # workspace seeds one violation per policy lint (clippy.toml's disallowed
